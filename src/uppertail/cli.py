@@ -88,6 +88,23 @@ def _load_graph(path: str) -> HostGraph:
     return graph
 
 
+def _parse_number(name: str, kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {text!r}") from None
+
+
+def _hub_degree_threshold(r: int, n: int, p: float, delta: float) -> float:
+    """delta^(1/r) n^(1+1/r) p: the degree of the one hub that carries the
+    K_{1,r} upper tail in the localized regime."""
+    if r < 1:
+        raise ValidationError("star arm count r must be at least 1")
+    if delta < 0:
+        raise ValidationError("delta must be nonnegative")
+    return delta ** (1.0 / r) * n ** (1 + 1.0 / r) * p
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -233,7 +250,7 @@ def _cmd_detect(args, started) -> int:
                 raise ValidationError(
                     "highdeg detection needs --threshold or all of --n/--p/--delta/--r"
                 )
-            threshold = args.delta ** (1.0 / args.r) * args.n ** (1 + 1.0 / args.r) * args.p
+            threshold = _hub_degree_threshold(args.r, args.n, args.p, args.delta)
         verdict = structures.detect_high_degree(host, threshold)
     elif args.event == "tildehub":
         if None in (args.u_size, args.u_degree_threshold, args.extra_degree_threshold):
@@ -389,13 +406,17 @@ def _cmd_experiment(args, started) -> int:
         parts = spec.split(":")
         if parts[0] != "highdeg":
             raise ValidationError(f"unknown detector {spec!r}")
+        if args.delta is None:
+            raise ValidationError("conditioned experiment needs --delta")
         if len(parts) > 1:
-            det_threshold = float(parts[1])
+            det_threshold = _parse_number("detector threshold", float, parts[1])
         else:
-            if args.delta is None:
-                raise ValidationError("conditioned experiment needs --delta")
-            r = pattern.vertex_count - 1
-            det_threshold = args.delta ** (1.0 / r) * args.n ** (1 + 1.0 / r) * args.p
+            r = star_arms(pattern)
+            if r is None:
+                raise ValidationError(
+                    "the default highdeg threshold is for stars; give highdeg:<t> for this pattern"
+                )
+            det_threshold = _hub_degree_threshold(r, args.n, args.p, args.delta)
         detector = montecarlo.HighDegreeDetector(det_threshold)
         freqs = montecarlo.conditioned_structure_frequency(
             pattern, args.n, args.p, args.delta, detector, args.samples, args.seed,
@@ -524,7 +545,7 @@ def _apply_defaults(args: argparse.Namespace, config: dict) -> None:
     def resolve(name, cast, default):
         if getattr(args, name, None) is None:
             if name in config:
-                setattr(args, name, cast(config[name]))
+                setattr(args, name, _parse_number(name, cast, config[name]))
             else:
                 setattr(args, name, default)
 
@@ -536,9 +557,9 @@ def _apply_defaults(args: argparse.Namespace, config: dict) -> None:
     env_threads = os.environ.get("UPPERTAIL_THREADS")
     if getattr(args, "threads", None) is None:
         if "threads" in config:
-            args.threads = int(config["threads"])
+            args.threads = _parse_number("threads", int, config["threads"])
         elif env_threads:
-            args.threads = int(env_threads)
+            args.threads = _parse_number("UPPERTAIL_THREADS", int, env_threads)
         else:
             args.threads = 1
 

@@ -198,7 +198,7 @@ def star_count_using_edge(r: int, host: HostGraph, edge: tuple[int, int]) -> int
     if not host.has_edge(u, v):
         raise ValidationError(f"edge ({u},{v}) not in host graph")
     du, dv = host.degree(u), host.degree(v)
-    return r * _falling(du - 1, r - 1) + r * _falling(dv - 1, r - 1)
+    return r * math.perm(du - 1, r - 1) + r * math.perm(dv - 1, r - 1)
 
 
 def count_restricted(
@@ -243,20 +243,11 @@ def count_unlabelled(pattern: PatternGraph, host: HostGraph, budget: Optional[in
     return quotient
 
 
-def _falling(n: int, k: int) -> int:
-    if k < 0 or n < k:
-        return 0
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def star_count_exact(r: int, host: HostGraph) -> int:
     """Sum over vertices of the falling factorial of the degree."""
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
-    return sum(_falling(d, r) for d in host.degrees())
+    return sum(math.perm(d, r) for d in host.degrees())
 
 
 def star_global_bound_check(t: int, host: HostGraph) -> bool:
@@ -300,7 +291,7 @@ def conditional_expected_count(
     v = pattern.vertex_count
     if v > n:
         return 0.0
-    injections = _falling(n, v)
+    injections = math.perm(n, v)
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
     if injections > limit:
         raise ResourceBudgetError("conditional expectation enumeration exceeds budget")

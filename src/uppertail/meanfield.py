@@ -26,15 +26,6 @@ from .errors import ValidationError
 DENSE_LIMIT = 4000
 
 
-def _falling(n: int, k: int) -> int:
-    if k < 0 or n < k:
-        return 0
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 class EdgeProbabilityMatrix:
     """Symmetric matrix of edge probabilities with zero diagonal.
 
@@ -238,7 +229,7 @@ def expected_star_count_inhom(xi: EdgeProbabilityMatrix, r: int) -> float:
         if k == 0:
             # Constant background: n (n-1)...(n-r) p^r, kept in this exact
             # float expression so the closed form is reproducible bit-for-bit.
-            return (p**r) * (n * _falling(n - 1, r))
+            return (p**r) * (n * math.perm(n - 1, r))
         m = n - k
         hub_row = _er_of_product([(p, k - 1), (1.0, m)], r)
         base_row = _er_of_product([(1.0, k), (p, m - 1)], r)

@@ -5,10 +5,13 @@ replica index), so every estimate is bit-identical across reruns and
 independent of how replicas are scheduled; acceptance counters are integers
 and float partials are reduced in replica order.
 
-Three counting paths keep per-sample work cheap: full enumeration over all
-graphs for n <= 6 (each copy of the pattern in K_n reduced to an edge
-bitmask), degree closed forms for stars at any n, and the generic
-backtracking counter as a fallback.
+Every Monte Carlo estimator draws and counts through one ``_BatchCounter``.
+It draws graphs in batches of max(1, min(4096, 8_000_000 // n_pairs)) rows
+of edge indicators, so a batch holds at most about 8 million uniforms at any
+n, and a replica's uniforms do not depend on how its draws are batched.
+Labelled counts come from the first path that applies: the table of copy
+masks in K_n (n <= 6), degree falling factorials for stars, common-neighbour
+bitsets for triangles, and the generic backtracking counter.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ResourceBudgetError, ValidationError
-from .graphs import HostGraph, PatternGraph, is_connected, is_strictly_balanced, star_arms
+from .graphs import HostGraph, PatternGraph, is_connected, is_strictly_balanced, star, star_arms
 from .counting import _copy_edge_sets, count_labelled, automorphism_count
 from .meanfield import EdgeProbabilityMatrix
 
@@ -44,6 +47,10 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
 
 
 def _chunk_sizes(total: int, replicas: int) -> list[int]:
+    if total < 1:
+        raise ValidationError("need at least one sample")
+    if replicas < 1:
+        raise ValidationError("need at least one replica")
     base, extra = divmod(total, replicas)
     return [base + (1 if i < extra else 0) for i in range(replicas)]
 
@@ -146,6 +153,84 @@ def sample_inhom(xi: EdgeProbabilityMatrix, seed: int) -> HostGraph:
     return HostGraph(n, edges)
 
 
+class _BatchCounter:
+    """Draws batches of graphs on n vertices and counts a pattern in each.
+
+    A batch is a boolean matrix with one row per graph and one column per
+    vertex pair, in ``_pair_arrays`` order.  The counter holds no state
+    beyond its tables, so replica threads share one instance.
+    """
+
+    def __init__(self, pattern: PatternGraph, n: int):
+        self.pattern = pattern
+        self.n = n
+        self.pair_u, self.pair_v = _pair_arrays(n)
+        self.rows = max(1, min(4096, 8_000_000 // max(len(self.pair_u), 1)))
+        self.masks = None
+        if n <= EXACT_TAIL_MAX_N:
+            # Each copy of the pattern in K_n as a bitmask over the pairs.
+            index = {e: i for i, e in enumerate(zip(self.pair_u.tolist(), self.pair_v.tolist()))}
+            copies = _copy_edge_sets(pattern, HostGraph.complete(n), None)
+            self.masks = [sum(1 << index[e] for e in edge_set) for edge_set in copies]
+            self.aut = automorphism_count(pattern)
+        r = star_arms(pattern)
+        self.star_arms = r if r is not None and n ** (r + 1) < 2**62 else None
+        self.triangle = pattern.vertex_count == 3 and pattern.edge_count == 3
+
+    def draws(self, rng: np.random.Generator, probs, m: int):
+        """Batches covering m graphs with independent edges; ``probs`` is one
+        probability or one per pair."""
+        while m > 0:
+            take = min(m, self.rows)
+            yield rng.random((take, len(self.pair_u))) < probs
+            m -= take
+
+    def sample_counts(self, rng: np.random.Generator, probs, m: int) -> np.ndarray:
+        """Labelled counts of m graphs drawn as in ``draws``."""
+        return np.concatenate([self.counts(present) for present in self.draws(rng, probs, m)])
+
+    def degrees(self, present: np.ndarray) -> np.ndarray:
+        """Degree matrix of a batch, one row per graph."""
+        take = present.shape[0]
+        graph, pair = np.nonzero(present)
+        offset = graph * self.n
+        ends = np.concatenate((offset + self.pair_u[pair], offset + self.pair_v[pair]))
+        return np.bincount(ends, minlength=take * self.n).reshape(take, self.n)
+
+    def mask_counts(self, graphs: np.ndarray) -> np.ndarray:
+        """Labelled counts of graphs given as pair bitmasks (n <= 6)."""
+        contained = np.zeros(len(graphs), dtype=np.int64)
+        for mask in self.masks:
+            contained += (graphs & mask) == mask
+        return contained * self.aut
+
+    def counts(self, present: np.ndarray, degrees: Optional[np.ndarray] = None) -> np.ndarray:
+        """Labelled counts of the pattern in each graph of a batch; a star
+        reuses ``degrees`` when the caller already has them."""
+        if self.masks is not None:
+            powers = np.int64(1) << np.arange(present.shape[1], dtype=np.int64)
+            return self.mask_counts(present.astype(np.int64) @ powers)
+        if self.star_arms is not None:
+            deg = self.degrees(present) if degrees is None else degrees
+            value = np.ones_like(deg)
+            for i in range(self.star_arms):
+                value *= deg - i
+            return value.sum(axis=1)
+        out = np.empty(present.shape[0], dtype=np.int64)
+        for s, row in enumerate(present):
+            us, vs = self.pair_u[row].tolist(), self.pair_v[row].tolist()
+            if self.triangle:
+                nbrs = [0] * self.n  # Python ints: bitset rows beyond 64 vertices
+                for a, b in zip(us, vs):
+                    nbrs[a] |= 1 << b
+                    nbrs[b] |= 1 << a
+                # Each triangle is seen from its 3 edges and has 6 labellings.
+                out[s] = 2 * sum([(nbrs[a] & nbrs[b]).bit_count() for a, b in zip(us, vs)])
+            else:
+                out[s] = count_labelled(self.pattern, HostGraph(self.n, zip(us, vs)))
+        return out
+
+
 def star_count_samples(
     xi: EdgeProbabilityMatrix,
     r: int,
@@ -160,49 +245,18 @@ def star_count_samples(
         raise ValidationError("star sampling requires n within the dense limit")
     if n ** (r + 1) >= 2**62:
         raise ValidationError("star counts would overflow 64-bit accumulation")
-    dense = xi.to_dense()
-    pair_u, pair_v = _pair_arrays(n)
-    probs = dense[pair_u, pair_v]
+    counter = _BatchCounter(star(r), n)
+    probs = xi.to_dense()[counter.pair_u, counter.pair_v]
 
     def worker(replica: int, m: int) -> np.ndarray:
-        rng = _replica_rng(seed, replica)
-        out = np.empty(m, dtype=np.int64)
-        for s in range(m):
-            present = rng.random(len(probs)) < probs
-            deg = np.bincount(pair_u[present], minlength=n) + np.bincount(
-                pair_v[present], minlength=n
-            )
-            value = np.ones(n, dtype=np.int64)
-            for i in range(r):
-                value *= deg - i
-            out[s] = value.sum()
-        return out
+        return counter.sample_counts(_replica_rng(seed, replica), probs, m)
 
-    parts = _map_replicas(worker, _chunk_sizes(samples, replicas), threads)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.concatenate(_map_replicas(worker, _chunk_sizes(samples, replicas), threads))
 
 
 # ---------------------------------------------------------------------------
 # Exact tail oracle (n <= 6)
 # ---------------------------------------------------------------------------
-
-def _pair_index_map(n: int) -> dict[tuple[int, int], int]:
-    index = {}
-    for i, (u, v) in enumerate(zip(*_pair_arrays(n))):
-        index[(int(u), int(v))] = i
-    return index
-
-
-def _copy_masks(pattern: PatternGraph, n: int) -> tuple[list[int], int]:
-    """Edge bitmasks of the distinct copies of the pattern in K_n, plus
-    Aut(H): the labelled count in a graph g is Aut times the number of masks
-    contained in g."""
-    index = _pair_index_map(n)
-    masks = []
-    for edge_set in _copy_edge_sets(pattern, HostGraph.complete(n), None):
-        masks.append(sum(1 << index[e] for e in edge_set))
-    return masks, automorphism_count(pattern)
-
 
 def _popcounts_upto(limit: int) -> np.ndarray:
     out = np.zeros(limit, dtype=np.int64)
@@ -221,12 +275,7 @@ def exact_tail(pattern: PatternGraph, n: int, p: float, threshold: int) -> TailE
         raise ValidationError("p must lie in [0, 1]")
     total_pairs = n * (n - 1) // 2
     size = 1 << total_pairs
-    masks, aut = _copy_masks(pattern, n)
-    all_graphs = np.arange(size, dtype=np.int64)
-    contained = np.zeros(size, dtype=np.int64)
-    for m in masks:
-        contained += (all_graphs & m) == m
-    labelled = contained * aut
+    labelled = _BatchCounter(pattern, n).mask_counts(np.arange(size, dtype=np.int64))
     popcnt = _popcounts_upto(size)
     # Plain powers keep round cases exact (0^0 = 1 covers p in {0, 1}).
     weights = np.power(p, popcnt) * np.power(1.0 - p, total_pairs - popcnt)
@@ -238,49 +287,6 @@ def exact_tail(pattern: PatternGraph, n: int, p: float, threshold: int) -> TailE
 # Direct and importance-sampled estimation
 # ---------------------------------------------------------------------------
 
-def _count_batch(
-    pattern: PatternGraph,
-    n: int,
-    present: np.ndarray,
-    pair_u: np.ndarray,
-    pair_v: np.ndarray,
-    masks_aut,
-) -> np.ndarray:
-    """Labelled counts for a batch of sampled edge-indicator rows."""
-    m = present.shape[0]
-    if masks_aut is not None:
-        masks, aut = masks_aut
-        powers = (np.int64(1) << np.arange(present.shape[1], dtype=np.int64))
-        graphs = present.astype(np.int64) @ powers
-        counts = np.zeros(m, dtype=np.int64)
-        for mask in masks:
-            counts += (graphs & mask) == mask
-        return counts * aut
-    r = star_arms(pattern)
-    if r is not None and n ** (r + 1) < 2**62:
-        counts = np.empty(m, dtype=np.int64)
-        for s in range(m):
-            row = present[s]
-            deg = np.bincount(pair_u[row], minlength=n) + np.bincount(pair_v[row], minlength=n)
-            value = np.ones(n, dtype=np.int64)
-            for i in range(r):
-                value *= deg - i
-            counts[s] = value.sum()
-        return counts
-    counts = np.empty(m, dtype=np.int64)
-    for s in range(m):
-        row = present[s]
-        host = HostGraph(n, zip(pair_u[row].tolist(), pair_v[row].tolist()))
-        counts[s] = count_labelled(pattern, host)
-    return counts
-
-
-def _prepare_counting(pattern: PatternGraph, n: int):
-    masks_aut = _copy_masks(pattern, n) if n <= EXACT_TAIL_MAX_N else None
-    pair_u, pair_v = _pair_arrays(n)
-    return masks_aut, pair_u, pair_v
-
-
 def estimate_tail_direct(
     pattern: PatternGraph,
     n: int,
@@ -290,27 +296,14 @@ def estimate_tail_direct(
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
     threads: int = 1,
-    batch: int = 4096,
 ) -> TailEstimate:
     """Empirical tail frequency with binomial standard error."""
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    masks_aut, pair_u, pair_v = _prepare_counting(pattern, n)
-    n_pairs = len(pair_u)
+    counter = _BatchCounter(pattern, n)
 
     def worker(replica: int, m: int) -> int:
-        rng = _replica_rng(seed, replica)
-        accepted = 0
-        left = m
-        while left > 0:
-            take = min(left, batch)
-            present = rng.random((take, n_pairs)) < p
-            counts = _count_batch(pattern, n, present, pair_u, pair_v, masks_aut)
-            accepted += int((counts >= threshold).sum())
-            left -= take
-        return accepted
+        return int((counter.sample_counts(_replica_rng(seed, replica), p, m) >= threshold).sum())
 
     accepts = sum(_map_replicas(worker, _chunk_sizes(samples, replicas), threads))
     point = accepts / samples
@@ -346,14 +339,17 @@ class Planting:
         kind = parts[0]
         if kind == "none":
             return cls("none")
-        if kind == "highdeg":
-            value = float(parts[1]) if len(parts) > 1 else 0.8
-            return cls("highdeg", 1, value)
-        if kind in ("hub", "clique"):
-            if len(parts) < 2:
-                raise ValidationError(f"{kind} planting needs a size, e.g. {kind}:2")
-            value = float(parts[2]) if len(parts) > 2 else 0.8
-            return cls(kind, int(parts[1]), value)
+        try:
+            if kind == "highdeg":
+                value = float(parts[1]) if len(parts) > 1 else 0.8
+                return cls("highdeg", 1, value)
+            if kind in ("hub", "clique"):
+                if len(parts) < 2:
+                    raise ValidationError(f"{kind} planting needs a size, e.g. {kind}:2")
+                value = float(parts[2]) if len(parts) > 2 else 0.8
+                return cls(kind, int(parts[1]), value)
+        except ValueError:
+            raise ValidationError(f"malformed number in planting {text!r}") from None
         raise ValidationError(f"unknown planting {text!r}")
 
     def boosted_pair_mask(self, pair_u: np.ndarray, pair_v: np.ndarray) -> np.ndarray:
@@ -377,7 +373,6 @@ def estimate_tail_importance(
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
     threads: int = 1,
-    batch: int = 4096,
 ) -> TailEstimate:
     """Unbiased tail estimate from a tilted product measure.
 
@@ -389,8 +384,8 @@ def estimate_tail_importance(
         raise ValidationError("p must lie in (0, 1)")
     if planting.kind != "none" and not p <= planting.value < 1:
         raise ValidationError("planted probability must lie in [p, 1) for an unbiased estimator")
-    masks_aut, pair_u, pair_v = _prepare_counting(pattern, n)
-    boosted = planting.boosted_pair_mask(pair_u, pair_v)
+    counter = _BatchCounter(pattern, n)
+    boosted = planting.boosted_pair_mask(counter.pair_u, counter.pair_v)
     q = np.where(boosted, planting.value, p)
     boosted_idx = np.flatnonzero(boosted)
     log_hit = math.log(p / planting.value) if planting.kind != "none" else 0.0
@@ -402,11 +397,8 @@ def estimate_tail_importance(
         rng = _replica_rng(seed, replica)
         s1 = s2 = w1 = w2 = 0.0
         accepted = 0
-        left = m
-        while left > 0:
-            take = min(left, batch)
-            present = rng.random((take, len(pair_u))) < q
-            counts = _count_batch(pattern, n, present, pair_u, pair_v, masks_aut)
+        for present in counter.draws(rng, q, m):
+            counts = counter.counts(present)
             hits = present[:, boosted_idx].sum(axis=1)
             log_w = hits * log_hit + (len(boosted_idx) - hits) * log_miss
             w = np.exp(log_w)
@@ -417,7 +409,6 @@ def estimate_tail_importance(
             w1 += float(w.sum())
             w2 += float((w**2).sum())
             accepted += int(ind.sum())
-            left -= take
         return s1, s2, w1, w2, accepted
 
     parts = _map_replicas(worker, _chunk_sizes(samples, replicas), threads)
@@ -456,9 +447,6 @@ class HighDegreeDetector:
     def __init__(self, threshold: float):
         self.threshold = threshold
 
-    def evaluate_host(self, host: HostGraph) -> bool:
-        return max(host.degrees()) >= self.threshold
-
     def evaluate_degrees(self, degrees: np.ndarray) -> np.ndarray:
         return degrees.max(axis=1) >= self.threshold
 
@@ -483,7 +471,6 @@ def conditioned_structure_frequency(
     min_accepted: int = 300,
     acceptance_floor: float = 1e-5,
     pilot: int = 50_000,
-    batch: int = 4096,
     threshold: Optional[int] = None,
 ) -> ConditionedFrequencies:
     """Rejection-sample the tail event and compare detector frequencies.
@@ -494,12 +481,13 @@ def conditioned_structure_frequency(
     probability itself can be estimated, by ``estimate_tail_importance``
     (``tail --method importance``).  Sampling then continues until
     ``min_accepted`` conditioned samples or the sample budget is exhausted.
-    ``threshold`` overrides the default ceil((1+delta) n^v p^e) count.
+    ``threshold`` overrides the default ceil((1+delta) n^v p^e) count.  The
+    detector maps a batch's degree matrix to one flag per graph
+    (``evaluate_degrees``).  Each batch draws from a fresh replica stream.
     """
     if threshold is None:
         threshold = threshold_for(delta, pattern, n, p)
-    masks_aut, pair_u, pair_v = _prepare_counting(pattern, n)
-    r = star_arms(pattern)
+    counter = _BatchCounter(pattern, n)
 
     hits_cond = 0
     hits_all = 0
@@ -507,35 +495,22 @@ def conditioned_structure_frequency(
     drawn = 0
     replica = 0
 
-    def run_batch(rng, take):
-        nonlocal hits_cond, hits_all, accepted, drawn
-        present = rng.random((take, len(pair_u))) < p
-        counts = _count_batch(pattern, n, present, pair_u, pair_v, masks_aut)
-        if r is not None and hasattr(detector, "evaluate_degrees"):
-            deg = np.empty((take, n), dtype=np.int64)
-            for s in range(take):
-                row = present[s]
-                deg[s] = np.bincount(pair_u[row], minlength=n) + np.bincount(
-                    pair_v[row], minlength=n
-                )
+    def run_batch(take):
+        nonlocal hits_cond, hits_all, accepted, drawn, replica
+        rng = _replica_rng(seed, replica)
+        replica += 1
+        for present in counter.draws(rng, p, take):
+            deg = counter.degrees(present)
             flags = np.asarray(detector.evaluate_degrees(deg), dtype=bool)
-        else:
-            flags = np.empty(take, dtype=bool)
-            for s in range(take):
-                row = present[s]
-                host = HostGraph(n, zip(pair_u[row].tolist(), pair_v[row].tolist()))
-                flags[s] = detector.evaluate_host(host)
-        good = counts >= threshold
-        hits_cond += int((flags & good).sum())
-        hits_all += int(flags.sum())
-        accepted += int(good.sum())
-        drawn += take
+            good = counter.counts(present, deg) >= threshold
+            hits_cond += int((flags & good).sum())
+            hits_all += int(flags.sum())
+            accepted += int(good.sum())
+            drawn += present.shape[0]
 
     pilot_budget = min(pilot, samples)
     while drawn < pilot_budget:
-        rng = _replica_rng(seed, replica)
-        replica += 1
-        run_batch(rng, min(batch, pilot_budget - drawn))
+        run_batch(min(counter.rows, pilot_budget - drawn))
     acceptance_estimate = accepted / drawn if drawn else 0.0
     if acceptance_estimate < acceptance_floor:
         raise ResourceBudgetError(
@@ -545,9 +520,7 @@ def conditioned_structure_frequency(
             "estimate_tail_importance (tail --method importance)"
         )
     while accepted < min_accepted and drawn < samples:
-        rng = _replica_rng(seed, replica)
-        replica += 1
-        run_batch(rng, min(batch, samples - drawn))
+        run_batch(min(counter.rows, samples - drawn))
     return ConditionedFrequencies(
         freq_conditioned=hits_cond / accepted if accepted else 0.0,
         freq_unconditioned=hits_all / drawn,
@@ -591,40 +564,12 @@ def poisson_fit_experiment(
         raise ValidationError(
             f"expected unlabelled count {mu:.3g} outside window {mean_window}"
         )
-    pair_u, pair_v = _pair_arrays(n)
-    is_triangle = pattern.vertex_count == 3 and pattern.edge_count == 3
-    r = star_arms(pattern)
-
-    def count_one(edge_u: np.ndarray, edge_v: np.ndarray) -> int:
-        if is_triangle:
-            us, vs = edge_u.tolist(), edge_v.tolist()
-            rows = [0] * n  # Python ints: bitset rows beyond 64 vertices
-            for a, b in zip(us, vs):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-            return sum((rows[a] & rows[b]).bit_count() for a, b in zip(us, vs)) // 3
-        if r is not None:
-            deg = np.bincount(edge_u, minlength=n) + np.bincount(edge_v, minlength=n)
-            return int(sum(math.comb(int(d), r) for d in deg))
-        host = HostGraph(n, zip(edge_u.tolist(), edge_v.tolist()))
-        return count_labelled(pattern, host) // aut
+    counter = _BatchCounter(pattern, n)
 
     def worker(replica: int, m: int) -> np.ndarray:
-        rng = _replica_rng(seed, replica)
-        out = np.empty(m, dtype=np.int64)
-        chunk = max(1, min(m, 8_000_000 // max(len(pair_u), 1)))
-        done = 0
-        while done < m:
-            take = min(chunk, m - done)
-            block = rng.random((take, len(pair_u))) < p
-            for s in range(take):
-                row = block[s]
-                out[done + s] = count_one(pair_u[row], pair_v[row])
-            done += take
-        return out
+        return counter.sample_counts(_replica_rng(seed, replica), p, m)
 
-    parts = _map_replicas(worker, _chunk_sizes(samples, replicas), threads)
-    counts = np.concatenate(parts)
+    counts = np.concatenate(_map_replicas(worker, _chunk_sizes(samples, replicas), threads)) // aut
     mean = float(counts.mean())
     values, freq = np.unique(counts, return_counts=True)
     empirical = freq / samples

@@ -217,12 +217,13 @@ def rate_star_localized_II(r: int, delta: float, rho: float) -> float:
 def star_rho_proxy(n: int, p: float, r: int, delta: float) -> tuple[float, bool]:
     """Finite-n proxy rho_hat = n p^r, flagging proximity to a rate jump.
 
-    The star rate jumps when delta * rho crosses an integer; the flag trips
-    when delta * rho_hat is within 0.05 of one.
+    The star rate jumps when delta * rho crosses a positive integer (it is
+    continuous at 0); the flag trips when delta * rho_hat is within 0.05 of
+    one.
     """
     rho_hat = n * p**r
     x = delta * rho_hat
-    near_jump = abs(x - round(x)) < 0.05
+    near_jump = abs(x - max(1, round(x))) < 0.05
     return rho_hat, near_jump
 
 

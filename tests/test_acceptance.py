@@ -33,7 +33,6 @@ from uppertail.meanfield import (
     variance_ratio_estimate,
     variational_upper_bound,
 )
-from uppertail.meanfield import _falling
 from uppertail.montecarlo import (
     HighDegreeDetector,
     Planting,
@@ -205,7 +204,7 @@ def test_criterion_06_meanfield_tightness():
         r = rng.randint(2, 4)
         pp = rng.uniform(0.01, 0.95)
         got = expected_star_count_inhom(EdgeProbabilityMatrix.constant(nn, pp), r)
-        want = (pp ** r) * (nn * _falling(nn - 1, r))
+        want = (pp ** r) * (nn * math.perm(nn - 1, r))
         exact_ok &= got == want
     elapsed = time.perf_counter() - start
     ok = ratio_ok and exact_ok and elapsed < 10
@@ -325,7 +324,7 @@ def test_criterion_09_conditioned_structure():
 
 def _complete_host_copies(vertex_count: int, host_size: int) -> int:
     # Every injection into a complete host preserves edges.
-    return _falling(host_size, vertex_count)
+    return math.perm(host_size, vertex_count)
 
 
 def test_criterion_10_structure_pruning_invariants():

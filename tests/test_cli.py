@@ -219,3 +219,67 @@ def test_output_file_flag(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(target.read_text()) == payload
+
+
+TAIL = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", "8"]
+
+
+@pytest.mark.parametrize(
+    "threads_env, argv",
+    [
+        (None, TAIL + ["--replicas", "0"]),
+        (None, TAIL + ["--method", "importance", "--planting", "hub:x"]),
+        (None, TAIL + ["--method", "importance", "--samples", "0"]),
+        (None, ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
+                "--p", str(18 ** (1 / 3) / 60), "--samples", "0"]),
+        ("abc", TAIL + ["--samples", "100"]),
+    ],
+    ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
+         "threads-env-abc"],
+)
+def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, threads_env, argv):
+    if threads_env is None:
+        monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("UPPERTAIL_THREADS", threads_env)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_highdeg_threshold_needs_a_star(capsys, tmp_path):
+    conditioned = ["experiment", "conditioned", "--pattern", "clique:3", "--n", "12",
+                   "--p", "0.3", "--delta", "0.5"]
+    assert main(conditioned) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    code, payload = run_cli(capsys, *conditioned, "--detector", "highdeg:6",
+                            "--samples", "2000", "--min-accepted", "10")
+    assert code == 0
+    assert payload["inputs"]["detector_threshold"] == 6.0
+    # Both commands derive the default threshold delta^(1/r) n^(1+1/r) p alike.
+    code, payload = run_cli(capsys, "experiment", "conditioned", "--pattern", "star:2",
+                            "--n", "40", "--p", "0.05", "--delta", "1", "--samples", "2000",
+                            "--min-accepted", "1")
+    assert code == 0
+    threshold = payload["inputs"]["detector_threshold"]
+    assert threshold == pytest.approx(40**1.5 * 0.05)
+    f = tmp_path / "hub.txt"
+    f.write_text("n 40\n" + "\n".join(f"0 {v}" for v in range(1, 13)))
+    code, payload = run_cli(capsys, "detect", "--graph", str(f), "--event", "highdeg",
+                            "--n", "40", "--p", "0.05", "--delta", "1", "--r", "2")
+    assert code == 0
+    assert payload["result"]["certificate"] == {"threshold": threshold, "max_degree": 12}
+    assert main(["detect", "--graph", str(f), "--event", "highdeg", "--n", "40",
+                 "--p", "0.05", "--delta", "1", "--r", "0"]) == 2
+
+
+@pytest.mark.parametrize("delta, near", [(0.5, False), (61.25, True)])
+def test_rate_near_jump_only_at_positive_integers(capsys, delta, near):
+    # rho_hat = 40 * 0.02^2 = 0.016: delta * rho_hat is 0.008, then 0.98.
+    code, payload = run_cli(capsys, "rate", "--pattern", "star:2", "--delta", str(delta),
+                            "--n", "40", "--p", "0.02")
+    assert code == 0
+    assert payload["result"]["regime"] == "LocalizedII-Star"
+    assert payload["result"]["near_jump"] is near

@@ -16,7 +16,6 @@ from uppertail.meanfield import (
     variance_ratio_estimate,
     variational_upper_bound,
 )
-from uppertail.meanfield import _falling
 
 
 def _random_dense(n, seed, lo=0.05, hi=0.95):
@@ -90,7 +89,7 @@ def test_expected_star_count_constant_exact():
         r = rng.randint(2, 4)
         p = rng.uniform(0.01, 0.9)
         got = expected_star_count_inhom(EdgeProbabilityMatrix.constant(n, p), r)
-        want = (p ** r) * (n * _falling(n - 1, r))
+        want = (p ** r) * (n * math.perm(n - 1, r))
         assert got == want  # bitwise: same closed-form expression
 
 
