@@ -27,6 +27,7 @@ from .graphs import (
     load_edge_list,
     pattern_from_shorthand,
     star_arms,
+    validate_vertex_set,
 )
 
 DEFAULTS = {
@@ -93,6 +94,16 @@ def _parse_number(name: str, kind, text: str):
         return kind(text)
     except ValueError:
         raise ValidationError(f"{name} must be a {kind.__name__}, got {text!r}") from None
+
+
+def _parse_edge(text: str, host: HostGraph) -> tuple[int, int]:
+    """``u,v`` with two in-range integer vertices, or a ValidationError."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValidationError(f"--edge must be u,v, got {text!r}")
+    u, v = (_parse_number("--edge vertex", int, part) for part in parts)
+    validate_vertex_set(host, (u, v))
+    return u, v
 
 
 def _hub_degree_threshold(r: int, n: int, p: float, delta: float) -> float:
@@ -201,8 +212,8 @@ def _cmd_count(args, started) -> int:
     }
     t0 = time.perf_counter()
     if args.edge is not None:
-        u, v = (int(x) for x in args.edge.split(","))
-        value = counting.count_labelled_using_edge(pattern, host, (u, v), args.budget)
+        edge = _parse_edge(args.edge, host)
+        value = counting.count_labelled_using_edge(pattern, host, edge, args.budget)
     elif args.unlabelled:
         value = counting.count_unlabelled(pattern, host, args.budget)
     else:

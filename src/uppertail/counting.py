@@ -44,15 +44,16 @@ def _search_order(pattern: PatternGraph, first: Sequence[int] = ()) -> list[int]
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "limit")
 
     def __init__(self, limit: Optional[int]):
-        self.remaining = DEFAULT_NODE_BUDGET if limit is None else limit
+        self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
+        self.remaining = self.limit
 
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
         if self.remaining < 0:
-            raise ResourceBudgetError("counting budget exceeded")
+            raise ResourceBudgetError(f"counting budget of {self.limit} search nodes exceeded")
 
 
 def _count_with_order(
@@ -294,7 +295,10 @@ def conditional_expected_count(
     injections = math.perm(n, v)
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
     if injections > limit:
-        raise ResourceBudgetError("conditional expectation enumeration exceeds budget")
+        raise ResourceBudgetError(
+            f"conditional expectation enumeration needs {injections} placements, "
+            f"over the budget of {limit}"
+        )
     edge_list = pattern.sorted_edges()
     histogram = [0] * (len(edge_list) + 1)
     for image in itertools.permutations(range(n), v):
@@ -367,17 +371,37 @@ def phi_planted_search(
     return best
 
 
-def _copy_edge_sets(pattern: PatternGraph, host: HostGraph, budget: Optional[int]) -> list[frozenset]:
-    """Distinct unlabelled copies, each as a frozenset of host edges."""
-    order = _search_order(pattern)
+def _copy_edge_sets(
+    pattern: PatternGraph,
+    host: HostGraph,
+    budget: Optional[int],
+    through: Optional[tuple[int, int]] = None,
+) -> list[frozenset]:
+    """Distinct unlabelled copies, each as a frozenset of host edges.
+
+    With ``through`` set, only the copies containing that host edge: its
+    endpoints are pinned to each pattern edge in both orientations, as in
+    ``count_labelled_using_edge``.
+    """
+    edge_list = pattern.sorted_edges()
+    if through is None:
+        starts = [(_search_order(pattern), {})]
+    else:
+        u, v = through
+        if not host.has_edge(u, v):
+            raise ValidationError(f"edge ({u},{v}) not in host graph")
+        starts = [
+            (_search_order(pattern, first=[x, y]), {x: a, y: b})
+            for x, y in edge_list
+            for a, b in ((u, v), (v, u))
+        ]
     shared = _Budget(budget)
     copies: set[frozenset] = set()
-    edge_list = pattern.sorted_edges()
     n_host = host.vertex_count
     images: dict[int, int] = {}
     used: set[int] = set()
 
-    def recurse(pos: int) -> None:
+    def recurse(order: list[int], pos: int) -> None:
         if pos == len(order):
             copies.add(
                 frozenset(
@@ -398,11 +422,16 @@ def _copy_edge_sets(pattern: PatternGraph, host: HostGraph, budget: Optional[int
             shared.spend()
             images[v] = w
             used.add(w)
-            recurse(pos + 1)
+            recurse(order, pos + 1)
             used.discard(w)
             del images[v]
 
-    recurse(0)
+    for order, pinned in starts:
+        images.update(pinned)
+        used.update(pinned.values())
+        recurse(order, len(pinned))
+        images.clear()
+        used.clear()
     return sorted(copies, key=sorted)
 
 

@@ -6,7 +6,9 @@ automorphism and fractional-independence enumerations stay cheap.
 ``HostGraph`` is the graph being counted over; adjacency is stored as bitset
 rows (Python ints) up to ``BITSET_LIMIT`` vertices and as sorted neighbor
 sets above that, behind one interface.  Both types are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads; the one exception is a
+private working copy that core pruning builds and deletes edges from in
+place (``HostGraph._delete_edge``) before handing it out.
 
 Vertices are dense 0-based integers.  File loaders re-index arbitrary labels
 and return the mapping.
@@ -184,6 +186,17 @@ class HostGraph:
         gone = {(min(e), max(e)) for e in removed}
         kept = [e for e in self.edges() if e not in gone]
         return HostGraph(self.vertex_count, kept)
+
+    def _delete_edge(self, u: int, v: int) -> None:
+        """Remove an existing edge in place; only for a private copy that no
+        other code holds yet."""
+        if self._rows is not None:
+            self._rows[u] &= ~(1 << v)
+            self._rows[v] &= ~(1 << u)
+        else:
+            self._adj[u].discard(v)
+            self._adj[v].discard(u)
+        self._edge_count -= 1
 
     def subgraph_on(self, keep: Iterable[int]) -> "HostGraph":
         """Same vertex set, only edges with both endpoints in ``keep``."""

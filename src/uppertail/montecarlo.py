@@ -43,6 +43,9 @@ class TailEstimate:
 
 
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
+    # Every sampler draws through here, so this is the one seed check.
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, replica))))
 
 
@@ -485,6 +488,8 @@ def conditioned_structure_frequency(
     detector maps a batch's degree matrix to one flag per graph
     (``evaluate_degrees``).  Each batch draws from a fresh replica stream.
     """
+    if samples < 1:
+        raise ValidationError("need at least one sample")
     if threshold is None:
         threshold = threshold_for(delta, pattern, n, p)
     counter = _BatchCounter(pattern, n)

@@ -10,18 +10,29 @@ the search was exhaustive, and heuristic failures stay "unknown".
 Core and strong-core extraction iteratively delete edges participating in too
 few copies; the deletion order (lexicographically smallest violating edge
 first) is part of the contract because the fixed point can in principle
-depend on it.
+depend on it.  Pruning is a worklist: per-edge counts only fall as edges go,
+so an edge that violates once violates until it is deleted, and a min-heap
+of violators, refreshed only at the edges that share a copy with each
+deleted edge, pops edges in exactly the order of a full rescan after every
+deletion.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .graphs import HostGraph, PatternGraph, is_bipartite_with_parts
-from .counting import count_labelled, count_labelled_using_edge, star_count_exact, star_count_using_edge
+from .counting import (
+    _copy_edge_sets,
+    count_labelled,
+    count_labelled_using_edge,
+    star_count_exact,
+    star_count_using_edge,
+)
 
 EXHAUSTIVE_HUB_POOL = 20
 EXHAUSTIVE_CLIQUE_N = 30
@@ -69,7 +80,8 @@ def detect_hub(
 
     Any valid U lies inside the candidate pool of high-degree vertices, so
     exhausting subsets of a pool of size <= 20 is a complete search; larger
-    pools fall back to degree-greedy prefixes.
+    pools fall back to degree-greedy prefixes, whose cross-edge counts are
+    kept running: cross(U + w) = cross(U) + deg(w) - 2 |N(w) & U|.
     """
     pool = [v for v in range(graph.vertex_count) if graph.degree(v) >= degree_threshold]
     cert = {
@@ -108,11 +120,15 @@ def detect_hub(
         cert["cross_edges"] = _cross_edges_from(graph, witness)
         return StructureVerdict(YES, witness, cert)
     ordered = sorted(pool, key=lambda v: -graph.degree(v))
-    for size in range(1, len(ordered) + 1):
-        subset = ordered[:size]
-        if _cross_edges_from(graph, subset) >= edge_threshold:
-            cert["cross_edges"] = _cross_edges_from(graph, subset)
-            return StructureVerdict(YES, tuple(subset), cert)
+    inside: set[int] = set()
+    cross = 0
+    for size, w in enumerate(ordered, start=1):
+        cross += graph.degree(w) - 2 * sum(1 for u in graph.neighbors(w) if u in inside)
+        inside.add(w)
+        if cross >= edge_threshold:
+            witness = tuple(ordered[:size])
+            cert["cross_edges"] = _cross_edges_from(graph, witness)
+            return StructureVerdict(YES, witness, cert)
     return StructureVerdict(UNKNOWN, None, cert)
 
 
@@ -307,25 +323,49 @@ class CoreResult:
     edge_condition: bool  # (C2)/(SC2)
 
 
+Edge = tuple[int, int]
+
+
 def _prune_to_threshold(
     graph: HostGraph,
-    per_edge_count: Callable[[HostGraph, tuple[int, int]], int],
+    per_edge_count: Callable[[HostGraph, Edge], int],
+    sharing: Callable[[HostGraph, Edge], Iterable[Edge]],
     threshold: float,
-) -> tuple[HostGraph, list[tuple[int, int]]]:
+) -> tuple[HostGraph, list[Edge]]:
     """Delete, lexicographically-first, any edge whose copy participation is
-    below threshold; recompute after each deletion until a fixed point."""
-    current = graph
-    removed: list[tuple[int, int]] = []
-    while True:
-        violator = None
-        for edge in sorted(current.edges()):
-            if per_edge_count(current, edge) < threshold:
-                violator = edge
-                break
-        if violator is None:
-            return current, removed
-        removed.append(violator)
-        current = current.without_edges([violator])
+    below threshold, until a fixed point; returns the core and the removal
+    sequence.
+
+    ``sharing(g, e)`` lists (a superset of) the edges of g that lie in a copy
+    together with e; deleting e lowers the counts of those edges and of no
+    other.  Every edge is counted once and the violators go on a min-heap;
+    after each deletion only the sharing edges not already queued are
+    recounted.  Counts only fall under deletion, so a violator stays one
+    until it is deleted, the heap holds exactly the current violators, and
+    its minimum is the edge that rescanning every edge in order would pick:
+    the removal sequence equals the rescan's.  Edges are deleted in place
+    from a private copy of ``graph``, which is never mutated.
+    """
+    work = HostGraph(graph.vertex_count, graph.edges())
+    heap = [e for e in work.edges() if per_edge_count(work, e) < threshold]
+    heapq.heapify(heap)
+    queued = set(heap)
+    removed: list[Edge] = []
+    while heap:
+        edge = heapq.heappop(heap)
+        touched = set(sharing(work, edge))
+        work._delete_edge(*edge)
+        removed.append(edge)
+        for other in touched - queued:
+            if per_edge_count(work, other) < threshold:
+                heapq.heappush(heap, other)
+                queued.add(other)
+    return work, removed
+
+
+def _edges_at_endpoints(graph: HostGraph, edge: Edge) -> list[Edge]:
+    """Every edge meeting u or v: the edges that share a star with uv."""
+    return [(min(x, w), max(x, w)) for x in edge for w in graph.neighbors(x)]
 
 
 def extract_core(
@@ -360,6 +400,8 @@ def extract_core(
         def per_edge(g, e):
             return star_count_using_edge(r, g, e)
 
+        sharing = _edges_at_endpoints
+
     else:
         v, e_h = pattern.vertex_count, pattern.edge_count
         delta_deg = _max_degree(pattern)
@@ -372,7 +414,10 @@ def extract_core(
         def per_edge(g, e):
             return count_labelled_using_edge(pattern, g, e, budget)
 
-    core, removed = _prune_to_threshold(graph, per_edge, threshold)
+        def sharing(g, e):
+            return frozenset().union(*_copy_edge_sets(pattern, g, budget, through=e))
+
+    core, removed = _prune_to_threshold(graph, per_edge, sharing, threshold)
     v, e_h = pattern.vertex_count, pattern.edge_count
     if cfg.star_arms is not None:
         copies = star_count_exact(cfg.star_arms, core)
@@ -405,7 +450,7 @@ def extract_strong_core(
     threshold = (cfg.delta * cfg.epsilon / c_star) * (n ** (1 + 1.0 / r) * p) ** (r - 1)
 
     core, removed = _prune_to_threshold(
-        graph, lambda g, e: star_count_using_edge(r, g, e), threshold
+        graph, lambda g, e: star_count_using_edge(r, g, e), _edges_at_endpoints, threshold
     )
     copies = star_count_exact(r, core)
     return CoreResult(

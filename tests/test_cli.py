@@ -222,6 +222,10 @@ def test_output_file_flag(capsys, tmp_path):
 
 
 TAIL = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", "8"]
+POISSON = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
+           "--p", str(18 ** (1 / 3) / 60)]
+GRAPH = "<graph>"  # stands for a small edge-list file written by the test
+COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
 
 
 @pytest.mark.parametrize(
@@ -230,14 +234,24 @@ TAIL = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", 
         (None, TAIL + ["--replicas", "0"]),
         (None, TAIL + ["--method", "importance", "--planting", "hub:x"]),
         (None, TAIL + ["--method", "importance", "--samples", "0"]),
-        (None, ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
-                "--p", str(18 ** (1 / 3) / 60), "--samples", "0"]),
+        (None, POISSON + ["--samples", "0"]),
         ("abc", TAIL + ["--samples", "100"]),
+        (None, POISSON + ["--samples", "100", "--seed", "-1"]),
+        (None, TAIL + ["--method", "direct", "--samples", "100", "--seed", "-3"]),
+        (None, COUNT_EDGE + ["0"]),
+        (None, COUNT_EDGE + ["a,b"]),
+        (None, COUNT_EDGE + ["9,0"]),
+        (None, ["experiment", "conditioned", "--pattern", "star:2", "--n", "40", "--p", "0.05",
+                "--delta", "1", "--samples", "0"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
-         "threads-env-abc"],
+         "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
+         "edge-not-integers", "edge-out-of-range", "conditioned-samples-0"],
 )
-def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, threads_env, argv):
+def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 4\n0 1\n1 2\n2 3\n")
+    argv = [str(graph) if arg == GRAPH else arg for arg in argv]
     if threads_env is None:
         monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
     else:

@@ -130,17 +130,22 @@ def test_prune_example_pendant():
     # Pick (n, p) that lands the star threshold at 7: prune kills the pendant
     # edge (count 6) and keeps K4 (count 8).  threshold = de n^3 p^2/(C n^1.5 p log(1/p)).
     # Rather than reverse-engineering, drive the pruning loop directly.
-    from uppertail.structures import _prune_to_threshold
+    from uppertail.structures import _edges_at_endpoints, _prune_to_threshold
 
-    core, removed = _prune_to_threshold(host, lambda g, e: star_count_using_edge(2, g, e), 7)
+    def prune(threshold):
+        return _prune_to_threshold(
+            host, lambda g, e: star_count_using_edge(2, g, e), _edges_at_endpoints, threshold
+        )
+
+    core, removed = prune(7)
     assert removed == [(0, 4)]
     assert core.edge_count == 6
     assert all(star_count_using_edge(2, core, e) >= 7 for e in core.edges())
 
-    untouched, removed0 = _prune_to_threshold(host, lambda g, e: star_count_using_edge(2, g, e), 0)
+    untouched, removed0 = prune(0)
     assert removed0 == [] and untouched.edge_count == host.edge_count
 
-    emptied, _ = _prune_to_threshold(host, lambda g, e: star_count_using_edge(2, g, e), 10**9)
+    emptied, _ = prune(10**9)
     assert emptied.edge_count == 0
 
 
