@@ -214,10 +214,10 @@ def _cmd_count(args, started) -> int:
     if args.edge is not None:
         edge = _parse_edge(args.edge, host)
         value = counting.count_labelled_using_edge(pattern, host, edge, args.budget)
-    elif args.unlabelled:
-        value = counting.count_unlabelled(pattern, host, args.budget)
     else:
         value = counting.count_labelled(pattern, host, args.budget)
+    if args.unlabelled:
+        value = counting.unlabelled_count(pattern, value)
     seconds = time.perf_counter() - t0
     result = {
         "count": value,

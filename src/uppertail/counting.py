@@ -1,10 +1,12 @@
 """Exact copy counting in host graphs.
 
 Labelled copies are injective vertex maps preserving pattern edges (non-edges
-of the pattern are unconstrained).  The counter backtracks over pattern
-vertices in a greedy connected order that maximizes back-degree, intersecting
-host adjacency bitsets; counts are plain Python ints so divisibility
-assertions stay exact.  Closed forms are used for stars, both as fast paths
+of the pattern are unconstrained).  One enumerator finds them all, on either
+host backend: it backtracks over pattern vertices in a greedy connected order
+that maximizes back-degree, intersecting host adjacency rows (bitsets or
+neighbour sets), and at each embedding counts it or hands it to a leaf action
+(which is how copies are collected).  Counts are plain Python ints so
+divisibility assertions stay exact.  Closed forms are used for stars, both as fast paths
 and as independent oracles in the tests.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ResourceBudgetError, ValidationError
 from .graphs import HostGraph, PatternGraph, automorphism_count, validate_vertex_set
@@ -48,6 +50,8 @@ class _Budget:
 
     def __init__(self, limit: Optional[int]):
         self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
+        if self.limit < 0:
+            raise ValidationError(f"counting budget must be nonnegative, got {self.limit}")
         self.remaining = self.limit
 
     def spend(self, amount: int = 1) -> None:
@@ -56,140 +60,128 @@ class _Budget:
             raise ResourceBudgetError(f"counting budget of {self.limit} search nodes exceeded")
 
 
-def _count_with_order(
+def _starts(pattern: PatternGraph, host: HostGraph, edge: Optional[tuple[int, int]] = None):
+    """Search starts ``(order, pinned)``: one free start, or with ``edge`` one
+    per pattern edge and orientation, its endpoints pinned to the host edge.
+    A copy's image contains the host edge through exactly one pattern edge in
+    exactly one orientation, so these starts find each such copy once."""
+    if edge is None:
+        return [(_search_order(pattern), {})]
+    u, v = edge
+    if not host.has_edge(u, v):
+        raise ValidationError(f"edge ({u},{v}) not in host graph")
+    return [
+        (_search_order(pattern, first=[x, y]), {x: a, y: b})
+        for x, y in pattern.sorted_edges()
+        for a, b in ((u, v), (v, u))
+    ]
+
+
+def _embed(
     pattern: PatternGraph,
     host: HostGraph,
-    order: list[int],
-    pinned: dict[int, int],
+    starts: list[tuple[list[int], dict[int, int]]],
     budget: _Budget,
-    side_masks: Optional[dict[int, int]] = None,
+    sides: Optional[dict[int, set[int]]] = None,
+    leaf: Optional[Callable[[list[int]], None]] = None,
 ) -> int:
-    """Backtracking count; ``pinned`` fixes images of the leading vertices of
-    ``order`` and ``side_masks`` optionally restricts each pattern vertex to a
-    host bitset."""
-    n_host = host.vertex_count
-    if not host.uses_bitsets:
-        return _count_with_order_sets(pattern, host, order, pinned, budget, side_masks)
-    full = (1 << n_host) - 1
+    """Number of injective edge-preserving maps of the pattern into the host,
+    summed over the starts.
+
+    Each start ``(order, pinned)`` fixes the images of the leading vertices of
+    ``order`` and backtracks over the rest in that order.  ``sides`` restricts
+    pattern vertices to sets of host vertices; ``leaf`` is called at every
+    embedding with the images indexed by pattern vertex.  Every candidate
+    tried costs one budget node, also when the degree check rejects it.  Only
+    the candidate arithmetic differs between bitset rows and neighbour sets.
+    """
+    rows = host.adjacency_rows()
     degrees = host.degrees()
-    pat_deg = pattern.degrees()
-    position = {v: i for i, v in enumerate(order)}
-    back_neighbors = [
-        [u for u in pattern.neighbors(v) if position[u] < position[v]] for v in order
-    ]
-    images = [0] * pattern.vertex_count  # indexed by order position
-    used_mask = 0
-    start = 0
-    for v, w in pinned.items():
-        pos = position[v]
-        images[pos] = w
-        used_mask |= 1 << w
-        start = max(start, pos + 1)
+    n_host = host.vertex_count
+    if host.uses_bitsets:
+        full = (1 << n_host) - 1
+        if sides:
+            sides = {v: sum(1 << w for w in side) for v, side in sides.items()}
 
-    def recurse(pos: int) -> int:
-        nonlocal used_mask
-        if pos == len(order):
-            return 1
-        v = order[pos]
-        candidates = full & ~used_mask
-        for u in back_neighbors[pos]:
-            candidates &= host.neighbors_mask(images[position[u]])
-            if not candidates:
-                return 0
-        if side_masks is not None and v in side_masks:
-            candidates &= side_masks[v]
-        total = 0
-        need = pat_deg[v]
-        while candidates:
-            low = candidates & -candidates
-            w = low.bit_length() - 1
-            candidates ^= low
-            budget.spend()
-            if degrees[w] < need:
-                continue
-            images[pos] = w
-            used_mask |= low
-            total += recurse(pos + 1)
-            used_mask ^= low
-        return total
+        def listing(pool, placed: list[int]) -> list[int]:
+            pool = full if pool is None else pool
+            for w in placed:
+                pool &= ~(1 << w)
+            out = []
+            while pool:
+                low = pool & -pool
+                out.append(low.bit_length() - 1)
+                pool ^= low
+            return out
+    else:
 
-    return recurse(start)
+        def listing(pool, placed: list[int]) -> list[int]:
+            if pool is None:  # no placed neighbour: every free vertex
+                return [w for w in range(n_host) if w not in placed]
+            return sorted(pool.difference(placed))
 
-
-def _count_with_order_sets(pattern, host, order, pinned, budget, side_masks):
-    """Adjacency-set fallback for hosts above the bitset limit."""
-    position = {v: i for i, v in enumerate(order)}
-    back_neighbors = [
-        [u for u in pattern.neighbors(v) if position[u] < position[v]] for v in order
-    ]
     images = [0] * pattern.vertex_count
-    used: set[int] = set()
-    start = 0
-    for v, w in pinned.items():
-        pos = position[v]
-        images[pos] = w
-        used.add(w)
-        start = max(start, pos + 1)
-    pat_deg = pattern.degrees()
 
-    def recurse(pos: int) -> int:
-        if pos == len(order):
-            return 1
-        v = order[pos]
-        backs = back_neighbors[pos]
-        if backs:
-            cands = set(host.neighbors(images[position[backs[0]]]))
-            for u in backs[1:]:
-                cands &= set(host.neighbors(images[position[u]]))
-        else:
-            cands = set(range(host.vertex_count))
-        cands -= used
-        if side_masks is not None and v in side_masks:
-            cands &= side_masks[v]
+    def descend(depth: int) -> int:
+        # ``plan`` has per unpinned position (v, back, others, degree, side).
+        # A host row never holds its own vertex: only ``others`` are excluded.
+        v, back, others, need, side = plan[depth]
+        pool = None
+        for u in back:
+            row = rows[images[u]]
+            pool = row if pool is None else pool & row
+            if not pool:
+                return 0
+        if side is not None:
+            pool = side if pool is None else pool & side
+        candidates = listing(pool, [images[u] for u in others])
+        budget.spend(len(candidates))
+        fits = [w for w in candidates if degrees[w] >= need]
+        if depth == last:
+            if leaf is not None:
+                for w in fits:
+                    images[v] = w
+                    leaf(images)
+            return len(fits)
         total = 0
-        for w in sorted(cands):
-            budget.spend()
-            if host.degree(w) < pat_deg[v]:
-                continue
-            images[pos] = w
-            used.add(w)
-            total += recurse(pos + 1)
-            used.discard(w)
+        for w in fits:
+            images[v] = w
+            total += descend(depth + 1)
         return total
 
-    return recurse(start)
+    total = 0
+    for order, pinned in starts:
+        for v, w in pinned.items():
+            images[v] = w
+        placed, plan = order[: len(pinned)], []
+        for v in order[len(pinned):]:
+            back = [u for u in pattern.neighbors(v) if u in placed]
+            side = sides.get(v) if sides else None
+            plan.append((v, back, [u for u in placed if u not in back], pattern.degree(v), side))
+            placed.append(v)
+        last = len(plan) - 1
+        if plan:
+            total += descend(0)
+        else:  # every vertex pinned
+            total += 1
+            if leaf is not None:
+                leaf(images)
+    return total
 
 
 def count_labelled(pattern: PatternGraph, host: HostGraph, budget: Optional[int] = None) -> int:
     """Number of injective edge-preserving maps from the pattern into the host."""
+    nodes = _Budget(budget)
     if pattern.vertex_count > host.vertex_count:
         return 0
-    order = _search_order(pattern)
-    return _count_with_order(pattern, host, order, {}, _Budget(budget))
+    return _embed(pattern, host, _starts(pattern, host), nodes)
 
 
 def count_labelled_using_edge(
-    pattern: PatternGraph,
-    host: HostGraph,
-    edge: tuple[int, int],
-    budget: Optional[int] = None,
+    pattern: PatternGraph, host: HostGraph, edge: tuple[int, int], budget: Optional[int] = None
 ) -> int:
-    """Copies whose image contains the given host edge.
-
-    A copy's image contains the edge through exactly one pattern edge in
-    exactly one orientation, so summing pinned counts over pattern edges and
-    orientations counts each qualifying copy once.
-    """
-    u, v = edge
-    if not host.has_edge(u, v):
-        raise ValidationError(f"edge ({u},{v}) not in host graph")
-    shared = _Budget(budget)
-    total = 0
-    for x, y in pattern.sorted_edges():
-        for a, b in ((u, v), (v, u)):
-            order = _search_order(pattern, first=[x, y])
-            total += _count_with_order(pattern, host, order, {x: a, y: b}, shared)
-    return total
+    """Copies whose image contains the given host edge."""
+    return _embed(pattern, host, _starts(pattern, host, edge), _Budget(budget))
 
 
 def star_count_using_edge(r: int, host: HostGraph, edge: tuple[int, int]) -> int:
@@ -211,6 +203,7 @@ def count_restricted(
 ) -> int:
     """Labelled copies of a crossing subgraph with the full-degree side mapped
     into U (hence the other side into V)."""
+    nodes = _Budget(budget)
     set_u = set(validate_vertex_set(host, part_u))
     set_v = set(validate_vertex_set(host, part_v))
     if set_u & set_v:
@@ -218,30 +211,22 @@ def count_restricted(
     if not set_u or not set_v:
         return 0
     sub, index = member.as_pattern()
-    if host.uses_bitsets:
-        mask_u = sum(1 << w for w in set_u)
-        mask_v = sum(1 << w for w in set_v)
-        side_masks = {
-            index[x]: (mask_u if x in member.a_side else mask_v)
-            for x in member.vertices
-        }
-    else:
-        side_masks = {
-            index[x]: (set_u if x in member.a_side else set_v)
-            for x in member.vertices
-        }
-    order = _search_order(sub)
-    return _count_with_order(sub, host, order, {}, _Budget(budget), side_masks)
+    sides = {index[x]: (set_u if x in member.a_side else set_v) for x in member.vertices}
+    return _embed(sub, host, _starts(sub, host), nodes, sides)
+
+
+def unlabelled_count(pattern: PatternGraph, labelled: int) -> int:
+    """A labelled count over |Aut(H)|.  Every count here is of a copy set
+    closed under Aut(H) (all copies, or those through a host edge), so
+    divisibility is asserted: a failure always means a counting bug."""
+    quotient, remainder = divmod(labelled, automorphism_count(pattern))
+    assert remainder == 0, "labelled count must be divisible by automorphism count"
+    return quotient
 
 
 def count_unlabelled(pattern: PatternGraph, host: HostGraph, budget: Optional[int] = None) -> int:
-    """Labelled count divided by the automorphism count; divisibility is
-    asserted because a failure always means a counting bug."""
-    labelled = count_labelled(pattern, host, budget)
-    aut = automorphism_count(pattern)
-    quotient, remainder = divmod(labelled, aut)
-    assert remainder == 0, "labelled count must be divisible by automorphism count"
-    return quotient
+    """Number of distinct copies: the labelled count over |Aut(H)|."""
+    return unlabelled_count(pattern, count_labelled(pattern, host, budget))
 
 
 def star_count_exact(r: int, host: HostGraph) -> int:
@@ -377,61 +362,16 @@ def _copy_edge_sets(
     budget: Optional[int],
     through: Optional[tuple[int, int]] = None,
 ) -> list[frozenset]:
-    """Distinct unlabelled copies, each as a frozenset of host edges.
-
-    With ``through`` set, only the copies containing that host edge: its
-    endpoints are pinned to each pattern edge in both orientations, as in
-    ``count_labelled_using_edge``.
-    """
+    """Distinct unlabelled copies, each as a frozenset of host edges; with
+    ``through`` set, only the copies containing that host edge."""
     edge_list = pattern.sorted_edges()
-    if through is None:
-        starts = [(_search_order(pattern), {})]
-    else:
-        u, v = through
-        if not host.has_edge(u, v):
-            raise ValidationError(f"edge ({u},{v}) not in host graph")
-        starts = [
-            (_search_order(pattern, first=[x, y]), {x: a, y: b})
-            for x, y in edge_list
-            for a, b in ((u, v), (v, u))
-        ]
-    shared = _Budget(budget)
     copies: set[frozenset] = set()
-    n_host = host.vertex_count
-    images: dict[int, int] = {}
-    used: set[int] = set()
 
-    def recurse(order: list[int], pos: int) -> None:
-        if pos == len(order):
-            copies.add(
-                frozenset(
-                    (min(images[x], images[y]), max(images[x], images[y]))
-                    for x, y in edge_list
-                )
-            )
-            return
-        v = order[pos]
-        backs = [u for u in pattern.neighbors(v) if u in images]
-        candidates = None
-        for u in backs:
-            neigh = set(host.neighbors(images[u]))
-            candidates = neigh if candidates is None else candidates & neigh
-        if candidates is None:
-            candidates = set(range(n_host))
-        for w in sorted(candidates - used):
-            shared.spend()
-            images[v] = w
-            used.add(w)
-            recurse(order, pos + 1)
-            used.discard(w)
-            del images[v]
+    def collect(images: list[int]) -> None:
+        pairs = ((images[x], images[y]) for x, y in edge_list)
+        copies.add(frozenset((a, b) if a < b else (b, a) for a, b in pairs))
 
-    for order, pinned in starts:
-        images.update(pinned)
-        used.update(pinned.values())
-        recurse(order, len(pinned))
-        images.clear()
-        used.clear()
+    _embed(pattern, host, _starts(pattern, host, through), _Budget(budget), leaf=collect)
     return sorted(copies, key=sorted)
 
 

@@ -4,8 +4,8 @@ Two graph types live here.  ``PatternGraph`` is a small fixed motif (the
 graph whose copies get counted); it is capped at 12 vertices so that exact
 automorphism and fractional-independence enumerations stay cheap.
 ``HostGraph`` is the graph being counted over; adjacency is stored as bitset
-rows (Python ints) up to ``BITSET_LIMIT`` vertices and as sorted neighbor
-sets above that, behind one interface.  Both types are immutable after
+rows (Python ints) up to ``BITSET_LIMIT`` vertices and as neighbor sets
+above that, behind one interface.  Both types are immutable after
 construction and safe to share across threads; the one exception is a
 private working copy that core pruning builds and deletes edges from in
 place (``HostGraph._delete_edge``) before handing it out.
@@ -168,6 +168,11 @@ class HostGraph:
         if self._rows is None:
             raise ValidationError("neighbors_mask unavailable above the bitset limit")
         return self._rows[v]
+
+    def adjacency_rows(self) -> list:
+        """Every vertex's adjacency as stored: bitset rows up to the bitset
+        limit, neighbor sets above it.  Not a copy, so read only."""
+        return self._rows if self._rows is not None else self._adj
 
     def neighbors(self, v: int) -> list[int]:
         if self._rows is not None:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uppertail.cli import main
 
@@ -77,6 +81,21 @@ def test_count_command(capsys, tmp_path):
         capsys, "count", "--pattern", "star:2", "--graph", str(f), "--edge", "0,1"
     )
     assert payload["result"]["count"] == 4 + 4
+
+
+def test_count_edge_unlabelled(capsys, tmp_path):
+    # The only triangle is {0, 1, 2}: one copy through 0-1, none through 2-3.
+    f = tmp_path / "g5.txt"
+    f.write_text("n 5\n0 1\n1 2\n0 2\n2 3\n3 4\n")
+    count = ["count", "--pattern", "cycle:3", "--graph", str(f), "--edge"]
+    code, payload = run_cli(capsys, *count, "0,1", "--unlabelled")
+    assert code == 0
+    assert payload["result"]["count"] == 1
+    assert payload["inputs"]["unlabelled"] is True
+    code, payload = run_cli(capsys, *count, "0,1")
+    assert payload["result"]["count"] == 6
+    code, payload = run_cli(capsys, *count, "2,3", "--unlabelled")
+    assert payload["result"]["count"] == 0
 
 
 def test_detect_command(capsys, tmp_path):
@@ -184,6 +203,8 @@ def test_budget_exit_code(capsys, tmp_path):
     f.write_text("n 12\n" + "\n".join(f"{u} {v}" for u in range(12) for v in range(u + 1, 12)))
     code = main(["count", "--pattern", "path:4", "--graph", str(f), "--budget", "10"])
     assert code == 3
+    code = main(["count", "--pattern", "path:4", "--graph", str(f), "--budget", "0"])
+    assert code == 3
 
 
 def test_config_file_and_env(capsys, tmp_path, monkeypatch):
@@ -226,6 +247,7 @@ POISSON = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
            "--p", str(18 ** (1 / 3) / 60)]
 GRAPH = "<graph>"  # stands for a small edge-list file written by the test
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
+CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", "4", "--p", "0.3"]
 
 
 @pytest.mark.parametrize(
@@ -243,10 +265,13 @@ COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
         (None, COUNT_EDGE + ["9,0"]),
         (None, ["experiment", "conditioned", "--pattern", "star:2", "--n", "40", "--p", "0.05",
                 "--delta", "1", "--samples", "0"]),
+        (None, ["count", "--pattern", "star:2", "--graph", GRAPH, "--budget", "-1"]),
+        (None, CORE + ["--budget", "-3"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
-         "edge-not-integers", "edge-out-of-range", "conditioned-samples-0"],
+         "edge-not-integers", "edge-out-of-range", "conditioned-samples-0",
+         "count-budget-negative", "core-budget-negative"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
@@ -297,3 +322,57 @@ def test_rate_near_jump_only_at_positive_integers(capsys, delta, near):
     assert code == 0
     assert payload["result"]["regime"] == "LocalizedII-Star"
     assert payload["result"]["near_jump"] is near
+
+
+PATTERN_SPECS = st.one_of(
+    st.sampled_from(["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4", "clique:3",
+                     "biclique:1,2"]),
+    st.sampled_from(["star:0", "path:x", "cycle:2", "wheel:4", "", "file:/nonexistent"]),
+)
+EDGE_TEXTS = st.one_of(
+    st.none(),
+    st.sampled_from(["0", "a,b", "0,0", "1,2,3", ",", "", "-1,2", " 1, 2"]),
+    st.builds("{},{}".format, st.integers(-2, 9), st.integers(-2, 9)),
+)
+TINY_GRAPHS = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+    max_size=14) if n > 1 else st.just([])))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    command=st.sampled_from(["count", "core"]),
+    graph=TINY_GRAPHS,
+    spec=PATTERN_SPECS,
+    edge=EDGE_TEXTS,
+    budget=st.one_of(st.none(), st.integers(-3, 50)),
+    flags=st.sets(st.sampled_from(["--unlabelled", "--star", "--strong"])),
+)
+def test_count_and_core_keep_the_cli_contract(tmp_path_factory, command, graph, spec, edge,
+                                              budget, flags):
+    """Any argv of ``count`` and ``core``: exit 0, 2 or 3, no traceback, and
+    exactly one JSON line on stdout on success, none otherwise."""
+    n, edges = graph
+    path = tmp_path_factory.mktemp("g") / "g.txt"
+    path.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    if command == "count":
+        argv = ["count", "--pattern", spec, "--graph", str(path)]
+        argv += ["--unlabelled"] if "--unlabelled" in flags else []
+        argv += [] if edge is None else ["--edge", edge]
+    else:
+        argv = ["core", "--graph", str(path), "--pattern", spec, "--delta", "1",
+                "--n", str(n), "--p", "0.3"]
+        argv += sorted(flags - {"--unlabelled"})
+    argv += [] if budget is None else ["--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+    lines = out.getvalue().splitlines()
+    assert code in (0, 2, 3), argv
+    assert len(lines) == (code == 0), argv
+    for line in lines:
+        assert json.loads(line)["command"] == command
+    assert "Traceback" not in err.getvalue()
