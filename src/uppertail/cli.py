@@ -26,6 +26,7 @@ from .graphs import (
     HostGraph,
     load_edge_list,
     pattern_from_shorthand,
+    star,
     star_arms,
     validate_vertex_set,
 )
@@ -89,6 +90,11 @@ def _load_graph(path: str) -> HostGraph:
     return graph
 
 
+def _echo(args, names: str, **computed) -> dict:
+    """The payload's inputs: the named arguments as resolved, plus computed values."""
+    return {**{name: getattr(args, name) for name in names.split()}, **computed}
+
+
 def _parse_number(name: str, kind, text: str):
     try:
         return kind(text)
@@ -111,8 +117,8 @@ def _hub_degree_threshold(r: int, n: int, p: float, delta: float) -> float:
     K_{1,r} upper tail in the localized regime."""
     if r < 1:
         raise ValidationError("star arm count r must be at least 1")
-    if delta < 0:
-        raise ValidationError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValidationError("delta must be nonnegative and finite")
     return delta ** (1.0 / r) * n ** (1 + 1.0 / r) * p
 
 
@@ -143,73 +149,25 @@ def _cmd_analyze_pattern(args, started) -> int:
 
 
 def _cmd_rate(args, started) -> int:
-    pattern = pattern_from_shorthand(args.pattern)
-    delta = args.delta
-    inputs = {
-        "pattern": args.pattern,
-        "delta": delta,
-        "n": args.n,
-        "p": args.p,
-        "rho": args.rho,
-        "slack": args.slack,
-    }
-    from .graphs import is_connected, is_regular
-
-    regime_tag = None
-    margins = {}
-    speed_value = None
-    if args.n is not None and args.p is not None:
-        regime = rates.regime_classify(pattern, args.n, args.p, args.slack)
-        regime_tag = regime.tag
-        margins = regime.margins
-        if regime.tag != "Unclassified":
-            speed_value = rates.speed(regime, pattern, args.n, args.p)
-
-    extras = {}
-    if args.rho is not None:
-        r = pattern.vertex_count - 1
-        if star_arms(pattern) is None:
-            raise ValidationError("--rho only applies to star patterns")
-        rate_value = rates.rate_star_localized_II(r, delta, args.rho)
-        theorem = "star-localized-II"
-    elif regime_tag == "Poisson":
-        rate_value = rates.rate_poisson(delta)
-        theorem = "poisson"
-    elif regime_tag == "LocalizedII-Star":
-        r = pattern.vertex_count - 1
-        rho_hat, near_jump = rates.star_rho_proxy(args.n, args.p, r, delta)
-        rate_value = rates.rate_star_localized_II(r, delta, rho_hat)
-        theorem = "star-localized-II"
-        extras = {"rho_hat": rho_hat, "near_jump": near_jump}
-    elif is_connected(pattern) and is_regular(pattern):
-        res = rates.rate_regular(pattern, delta)
-        rate_value, theorem, extras = res.rate, res.theorem, dict(res.details)
-    else:
-        res = rates.rate_localized_I(pattern, delta)
-        rate_value, theorem = res.rate, res.theorem
-        extras = {"core_polynomial": list(res.details["core_polynomial"])}
-
+    res = rates.rate_for(pattern_from_shorthand(args.pattern), args.delta, args.n, args.p,
+                         args.rho, args.slack)
+    regime = res.regime  # its speed is reported only where it backs the theorem used
     result = {
-        "regime": regime_tag,
-        "margins": margins,
-        "speed": speed_value,
-        "rate": rate_value,
-        "theorem": theorem,
-        **extras,
+        "regime": regime and regime.tag,
+        "margins": regime.margins if regime else {},
+        "speed": res.speed(args.n, args.p) if regime and regime.tag == res.theorem else None,
+        "rate": res.rate,
+        "theorem": res.theorem,
+        **res.details,
     }
+    inputs = _echo(args, "pattern delta n p rho slack")
     return _emit("rate", inputs, result, None, started, args.output)
 
 
 def _cmd_count(args, started) -> int:
     pattern = pattern_from_shorthand(args.pattern)
     host = _load_graph(args.graph)
-    inputs = {
-        "pattern": args.pattern,
-        "graph": args.graph,
-        "edge": args.edge,
-        "unlabelled": args.unlabelled,
-        "budget": args.budget,
-    }
+    inputs = _echo(args, "pattern graph edge unlabelled budget")
     t0 = time.perf_counter()
     if args.edge is not None:
         edge = _parse_edge(args.edge, host)
@@ -229,31 +187,16 @@ def _cmd_count(args, started) -> int:
 
 def _cmd_detect(args, started) -> int:
     host = _load_graph(args.graph)
-    chi = args.chi
-    inputs = {
-        "graph": args.graph,
-        "event": args.event,
-        "chi": chi,
-        "degree_threshold": args.degree_threshold,
-        "edge_threshold": args.edge_threshold,
-        "size_threshold": args.size_threshold,
-        "threshold": args.threshold,
-        "u_size": args.u_size,
-        "u_degree_threshold": args.u_degree_threshold,
-        "extra_degree_threshold": args.extra_degree_threshold,
-        "n": args.n,
-        "p": args.p,
-        "delta": args.delta,
-        "r": args.r,
-    }
+    inputs = _echo(args, "graph event chi degree_threshold edge_threshold size_threshold threshold "
+                         "u_size u_degree_threshold extra_degree_threshold n p delta r")
     if args.event == "hub":
         if args.degree_threshold is None or args.edge_threshold is None:
             raise ValidationError("hub detection needs --degree-threshold and --edge-threshold")
-        verdict = structures.detect_hub(host, chi, args.edge_threshold, args.degree_threshold)
+        verdict = structures.detect_hub(host, args.chi, args.edge_threshold, args.degree_threshold)
     elif args.event == "clique":
         if args.size_threshold is None:
             raise ValidationError("clique detection needs --size-threshold")
-        verdict = structures.detect_clique(host, chi, args.size_threshold)
+        verdict = structures.detect_clique(host, args.chi, args.size_threshold)
     elif args.event == "highdeg":
         threshold = args.threshold
         if threshold is None:
@@ -292,17 +235,10 @@ def _cmd_core(args, started) -> int:
         star_arms=arms,
         c_bar_star=args.c_bar_star,
     )
-    inputs = {
-        "graph": args.graph,
-        "pattern": args.pattern,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-        "n": args.n,
-        "p": args.p,
-        "strong": args.strong,
-        "star": args.star,
-        "c_bar": cfg.resolved_c_bar(),
-    }
+    inputs = _echo(args, "graph pattern delta epsilon n p strong star budget",
+                   c_bar=cfg.resolved_c_bar())
+    if args.budget is not None and args.budget < 0:  # the star paths count in closed form
+        raise ValidationError(f"counting budget must be nonnegative, got {args.budget}")
     if args.strong:
         r = star_arms(pattern)
         if r is None:
@@ -323,18 +259,11 @@ def _cmd_core(args, started) -> int:
 
 
 def _cmd_meanfield(args, started) -> int:
-    inputs = {
-        "r": args.r,
-        "n": args.n,
-        "p": args.p,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-        "literal_reading": args.literal_reading,
-    }
+    inputs = _echo(args, "r n p delta epsilon literal_reading")
     bound = meanfield.variational_upper_bound(args.n, args.p, args.r, args.delta)
     rho_hat, near_jump = rates.star_rho_proxy(args.n, args.p, args.r, args.delta)
     rate = rates.rate_star_localized_II(args.r, args.delta, rho_hat)
-    theory = rate * args.n ** (1 + 1.0 / args.r) * args.p * math.log(args.n)
+    theory = rate * rates.speed("LocalizedII-Star", star(args.r), args.n, args.p)
     planted = meanfield.planted_star_optimizer(
         args.n, args.p, args.r, args.delta, args.epsilon, literal_reading=args.literal_reading
     )
@@ -361,18 +290,8 @@ def _cmd_tail(args, started) -> int:
         if args.delta is None:
             raise ValidationError("tail needs --threshold or --delta")
         threshold = montecarlo.threshold_for(args.delta, pattern, args.n, args.p)
-    inputs = {
-        "pattern": args.pattern,
-        "n": args.n,
-        "p": args.p,
-        "delta": args.delta,
-        "threshold": threshold,
-        "method": args.method,
-        "planting": args.planting,
-        "samples": args.samples,
-        "replicas": args.replicas,
-        "threads": args.threads,
-    }
+    inputs = _echo(args, "pattern n p delta method planting samples replicas threads",
+                   threshold=threshold)
     if args.method == "exact":
         estimate = montecarlo.exact_tail(pattern, args.n, args.p, threshold)
     elif args.method == "direct":
@@ -404,13 +323,7 @@ def _cmd_experiment(args, started) -> int:
         fit = montecarlo.poisson_fit_experiment(
             pattern, args.n, args.p, args.samples, args.seed, threads=args.threads
         )
-        inputs = {
-            "kind": args.kind,
-            "pattern": args.pattern,
-            "n": args.n,
-            "p": args.p,
-            "samples": args.samples,
-        }
+        inputs = _echo(args, "kind pattern n p samples")
         result = {"tv_distance": fit.tv_distance, "mean": fit.mean, "samples": fit.samples}
     elif args.kind == "conditioned":
         spec = args.detector or "highdeg"
@@ -433,17 +346,8 @@ def _cmd_experiment(args, started) -> int:
             pattern, args.n, args.p, args.delta, detector, args.samples, args.seed,
             min_accepted=args.min_accepted,
         )
-        inputs = {
-            "kind": args.kind,
-            "pattern": args.pattern,
-            "n": args.n,
-            "p": args.p,
-            "delta": args.delta,
-            "detector": spec,
-            "detector_threshold": det_threshold,
-            "samples": args.samples,
-            "min_accepted": args.min_accepted,
-        }
+        inputs = _echo(args, "kind pattern n p delta samples min_accepted", detector=spec,
+                       detector_threshold=det_threshold)
         result = {
             "freq_conditioned": freqs.freq_conditioned,
             "freq_unconditioned": freqs.freq_unconditioned,

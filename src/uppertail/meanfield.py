@@ -273,8 +273,8 @@ def planted_star_optimizer(
     """
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
-    if delta <= 0 or not 0 < epsilon < 1:
-        raise ValidationError("need delta > 0 and epsilon in (0, 1)")
+    if not 0 < delta < math.inf or not 0 < epsilon < 1:
+        raise ValidationError("need a finite delta > 0 and epsilon in (0, 1)")
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
     tilted = delta * (1 - epsilon / 2)
@@ -321,8 +321,8 @@ def variational_upper_bound(n: int, p: float, r: int, delta: float) -> Variation
     """
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValidationError("delta must be positive and finite")
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
     target = (1 + delta) * n ** (r + 1) * p**r

@@ -61,8 +61,10 @@ def _chunk_sizes(total: int, replicas: int) -> list[int]:
 def _map_replicas(worker: Callable[[int, int], object], sizes: Sequence[int], threads: int = 1) -> list:
     """Run worker(replica_index, chunk_size) for each replica; results are
     returned in replica order regardless of scheduling."""
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
     jobs = [(i, m) for i, m in enumerate(sizes) if m > 0]
-    if threads <= 1 or len(jobs) <= 1:
+    if threads == 1 or len(jobs) <= 1:
         return [worker(i, m) for i, m in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, i, m) for i, m in jobs]
@@ -349,8 +351,11 @@ class Planting:
             if kind in ("hub", "clique"):
                 if len(parts) < 2:
                     raise ValidationError(f"{kind} planting needs a size, e.g. {kind}:2")
+                size = int(parts[1])
                 value = float(parts[2]) if len(parts) > 2 else 0.8
-                return cls(kind, int(parts[1]), value)
+                if size < 1:
+                    raise ValidationError(f"{kind} planting size must be at least 1")
+                return cls(kind, size, value)
         except ValueError:
             raise ValidationError(f"malformed number in planting {text!r}") from None
         raise ValidationError(f"unknown planting {text!r}")
@@ -387,6 +392,8 @@ def estimate_tail_importance(
         raise ValidationError("p must lie in (0, 1)")
     if planting.kind != "none" and not p <= planting.value < 1:
         raise ValidationError("planted probability must lie in [p, 1) for an unbiased estimator")
+    if planting.size > n:
+        raise ValidationError(f"planting size {planting.size} exceeds n = {n}")
     counter = _BatchCounter(pattern, n)
     boosted = planting.boosted_pair_mask(counter.pair_u, counter.pair_v)
     q = np.where(boosted, planting.value, p)
@@ -435,8 +442,10 @@ def estimate_tail_importance(
 
 def threshold_for(delta: float, pattern: PatternGraph, n: int, p: float) -> int:
     """ceil((1 + delta) n^v p^e): the tail threshold as an explicit count."""
-    if delta < 0:
-        raise ValidationError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValidationError("delta must be nonnegative and finite")
+    if not 0 <= p <= 1:
+        raise ValidationError("p must lie in [0, 1]")
     return math.ceil((1 + delta) * n**pattern.vertex_count * p**pattern.edge_count)
 
 
@@ -490,6 +499,10 @@ def conditioned_structure_frequency(
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
+    if min_accepted < 0:
+        raise ValidationError("min_accepted must be nonnegative")
+    if not 0 <= p <= 1:
+        raise ValidationError("p must lie in [0, 1]")
     if threshold is None:
         threshold = threshold_for(delta, pattern, n, p)
     counter = _BatchCounter(pattern, n)

@@ -13,13 +13,15 @@ The tail event is {N(H, G(n,p)) >= (1+delta) n^v p^e}.  Depending on where
 
 The asymptotic regime hypotheses are operationalized at finite (n, p) as
 strict inequalities with a multiplicative slack factor, and every margin is
-reported so borderline cases are visible to the caller.
+reported so borderline cases are visible to the caller.  ``rate_for`` is
+the one place that picks a theorem, and ``SPEEDS`` holds each theorem's speed
+under its regime tag, the name ``RateResult.theorem`` uses too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import ValidationError
@@ -45,7 +47,9 @@ ROOT_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Regime:
-    tag: str  # LocalizedI | Poisson | LocalizedII-Star | Regular-Localized | Unclassified
+    # A key of SPEEDS (the theorem whose hypotheses hold), or Unclassified
+    # when none or several of them hold.
+    tag: str
     margins: dict[str, float] = field(default_factory=dict)
     satisfied: tuple[str, ...] = ()
 
@@ -53,13 +57,14 @@ class Regime:
 @dataclass(frozen=True)
 class RateResult:
     rate: float
-    theorem: str
+    theorem: str  # the SPEEDS key of the theorem that gave the rate
     inputs: dict
     details: dict = field(default_factory=dict)
+    regime: Optional[Regime] = None  # the classifier's verdict, when (n, p) was given
 
     def speed(self, n: int, p: float) -> float:
         """Evaluate this result's normalizing sequence at (n, p)."""
-        return _speed_for(self.theorem, self.inputs.get("pattern"), n, p)
+        return speed(self.theorem, self.inputs["pattern"], n, p)
 
 
 def theta_star_root(poly: IndependencePolynomial, delta: float) -> float:
@@ -69,8 +74,8 @@ def theta_star_root(poly: IndependencePolynomial, delta: float) -> float:
     [0, delta] brackets the root.  Bisection narrows the bracket, Newton
     polishes, and the residual is checked against the documented tolerance.
     """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValidationError("delta must be positive and finite")
     coeffs = poly.coefficients
     if len(coeffs) < 2 or coeffs[1] < 1:
         raise ValidationError("polynomial must have i_1 >= 1")
@@ -116,9 +121,9 @@ def rate_localized_I(pattern: PatternGraph, delta: float) -> RateResult:
     theta = theta_star_root(poly, delta)
     return RateResult(
         rate=theta,
-        theorem="localized-I",
+        theorem="LocalizedI",
         inputs={"pattern": pattern, "delta": delta},
-        details={"core_polynomial": poly.coefficients, "core_vertices": core.vertex_count},
+        details={"core_polynomial": poly.coefficients},
     )
 
 
@@ -141,7 +146,7 @@ def rate_regular(pattern: PatternGraph, delta: float) -> RateResult:
     branch = "hub" if hub <= clique_value else "clique"
     return RateResult(
         rate=min(hub, clique_value),
-        theorem="regular-localized",
+        theorem="Regular-Localized",
         inputs={"pattern": pattern, "delta": delta},
         details={
             "hub_value": hub,
@@ -188,8 +193,8 @@ def regular_crossover(pattern: PatternGraph) -> Optional[float]:
 
 def rate_poisson(delta: float) -> float:
     """(1+delta) log(1+delta) - delta; the speed is n^v p^e / Aut(H)."""
-    if delta < 0:
-        raise ValidationError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValidationError("delta must be nonnegative and finite")
     return (1.0 + delta) * math.log1p(delta) - delta
 
 
@@ -202,10 +207,10 @@ def rate_star_localized_II(r: int, delta: float, rho: float) -> float:
     """
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-    if rho < 0:
-        raise ValidationError("rho must be nonnegative")
+    if not 0 < delta < math.inf:
+        raise ValidationError("delta must be positive and finite")
+    if not 0 <= rho < math.inf:
+        raise ValidationError("rho must be nonnegative and finite")
     if rho == 0:
         return delta ** (1.0 / r) / r
     x = delta * rho
@@ -221,6 +226,8 @@ def star_rho_proxy(n: int, p: float, r: int, delta: float) -> tuple[float, bool]
     continuous at 0); the flag trips when delta * rho_hat is within 0.05 of
     one.
     """
+    if not 0 < delta < math.inf:
+        raise ValidationError("delta must be positive and finite")
     rho_hat = n * p**r
     x = delta * rho_hat
     near_jump = abs(x - max(1, round(x))) < 0.05
@@ -239,8 +246,8 @@ def regime_classify(pattern: PatternGraph, n: int, p: float, slack: float = 1.0)
         raise ValidationError("n must be at least 3")
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
-    if slack <= 0:
-        raise ValidationError("slack must be positive")
+    if not 0 < slack < math.inf:
+        raise ValidationError("slack must be positive and finite")
     log_slack = math.log(slack)
     log_n, log_p = math.log(n), math.log(p)
     loglog_n = math.log(log_n)
@@ -296,24 +303,70 @@ def regime_classify(pattern: PatternGraph, n: int, p: float, slack: float = 1.0)
     return Regime(tag=tag, margins=margins, satisfied=tuple(satisfied))
 
 
-def _speed_for(theorem_or_tag: str, pattern: Optional[PatternGraph], n: int, p: float) -> float:
-    key = theorem_or_tag.lower()
-    if key in ("localizedi", "localized-i", "regular-localized", "regular-localizedi"):
-        delta_deg = max_degree(pattern)
-        return n**2 * p**delta_deg * math.log(1 / p)
-    if key == "poisson":
-        return n**pattern.vertex_count * p**pattern.edge_count / automorphism_count(pattern)
-    if key in ("localizedii-star", "star-localized-ii"):
-        r = star_arms(pattern)
-        if r is None:
-            raise ValidationError("star speed requires a star pattern")
-        return n ** (1 + 1.0 / r) * p * math.log(n)
-    raise ValidationError(f"no speed for tag {theorem_or_tag!r}")
+def _hub_speed(pattern: PatternGraph, n: int, p: float) -> float:
+    return n**2 * p ** max_degree(pattern) * math.log(1 / p)
+
+
+def _star_speed(pattern: PatternGraph, n: int, p: float) -> float:
+    r = star_arms(pattern)
+    if r is None:
+        raise ValidationError("star speed requires a star pattern")
+    return n ** (1 + 1.0 / r) * p * math.log(n)
+
+
+# Each theorem's normalizing sequence, keyed by its Regime tag.
+SPEEDS = {
+    "LocalizedI": _hub_speed,
+    "Regular-Localized": _hub_speed,
+    "Poisson": lambda pattern, n, p: (
+        n**pattern.vertex_count * p**pattern.edge_count / automorphism_count(pattern)
+    ),
+    "LocalizedII-Star": _star_speed,
+}
 
 
 def speed(regime: Regime | str, pattern: PatternGraph, n: int, p: float) -> float:
-    """The regime's normalizing sequence evaluated at (n, p)."""
+    """The normalizing sequence of a regime (or its tag) evaluated at (n, p)."""
     tag = regime.tag if isinstance(regime, Regime) else regime
-    if tag == "Unclassified":
-        raise ValidationError("no speed for an unclassified regime")
-    return _speed_for(tag, pattern, n, p)
+    if tag not in SPEEDS:
+        raise ValidationError(f"no speed for regime {tag!r}")
+    return SPEEDS[tag](pattern, n, p)
+
+
+def rate_for(
+    pattern: PatternGraph,
+    delta: float,
+    n: Optional[int] = None,
+    p: Optional[float] = None,
+    rho: Optional[float] = None,
+    slack: float = 1.0,
+) -> RateResult:
+    """The rate of the theorem that applies to (H, delta), at (n, p) if given.
+
+    In order: an explicit rho takes the star window; with (n, p), a Poisson
+    regime takes the Poisson rate and a LocalizedII-Star regime the star rate
+    at rho_hat = n p^r (``rho_hat`` and ``near_jump`` go in ``details``);
+    otherwise a connected regular H takes rate_regular and any other H
+    rate_localized_I.  ``regime`` is None without (n, p); where it is set, it
+    backs ``theorem`` only when its tag equals it.
+    """
+    if (n is None) != (p is None):
+        raise ValidationError("n and p must be given together")
+    regime = None if n is None else regime_classify(pattern, n, p, slack)
+    tag = regime and regime.tag
+    inputs = {"pattern": pattern, "delta": delta}
+    if rho is not None or tag == "LocalizedII-Star":
+        r = star_arms(pattern)
+        if r is None:
+            raise ValidationError("rho only applies to star patterns")
+        details = {}
+        if rho is None:
+            rho, near_jump = star_rho_proxy(n, p, r, delta)
+            details = {"rho_hat": rho, "near_jump": near_jump}
+        return RateResult(rate_star_localized_II(r, delta, rho), "LocalizedII-Star", inputs,
+                          details, regime)
+    if tag == "Poisson":
+        return RateResult(rate_poisson(delta), "Poisson", inputs, {}, regime)
+    if is_connected(pattern) and is_regular(pattern):
+        return replace(rate_regular(pattern, delta), regime=regime)
+    return replace(rate_localized_I(pattern, delta), regime=regime)

@@ -196,6 +196,8 @@ def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> Struct
     """
     if not 0 <= chi < 1:
         raise ValidationError("chi must lie in [0, 1)")
+    if not math.isfinite(size_threshold):
+        raise ValidationError("size_threshold must be finite")
     s_min = max(1, math.ceil(size_threshold))
     cert = {"chi": chi, "size_threshold": size_threshold, "minimum_size": s_min}
     n = graph.vertex_count

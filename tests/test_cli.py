@@ -35,7 +35,7 @@ def test_rate_path4(capsys):
     code, payload = run_cli(capsys, "rate", "--pattern", "path:4", "--delta", "1")
     assert code == 0
     assert payload["result"]["rate"] == pytest.approx(0.5, abs=1e-12)
-    assert payload["result"]["theorem"] == "localized-I"
+    assert payload["result"]["theorem"] == "LocalizedI"
 
 
 def test_rate_star_with_rho(capsys):
@@ -120,10 +120,11 @@ def test_core_command(capsys, tmp_path):
     f.write_text("n 6\n" + "\n".join(f"{u} {v}" for u, v in edges))
     code, payload = run_cli(
         capsys, "core", "--graph", str(f), "--pattern", "star:2", "--star",
-        "--delta", "1", "--epsilon", "0.1", "--n", "6", "--p", "0.3",
+        "--delta", "1", "--epsilon", "0.1", "--n", "6", "--p", "0.3", "--budget", "100",
     )
     assert code == 0
     assert payload["result"]["edges_after"] <= payload["result"]["edges_before"]
+    assert payload["inputs"]["budget"] == 100
 
 
 def test_meanfield_command(capsys):
@@ -246,8 +247,14 @@ TAIL = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", 
 POISSON = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
            "--p", str(18 ** (1 / 3) / 60)]
 GRAPH = "<graph>"  # stands for a small edge-list file written by the test
+CONFIG = "<config>"  # stands for a config file holding "threads = 0"
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
 CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", "4", "--p", "0.3"]
+RATE = ["rate", "--pattern", "star:2", "--delta", "1"]
+CONDITIONED = ["experiment", "conditioned", "--pattern", "star:2", "--n", "40", "--p", "0.05",
+               "--delta", "1"]
+IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", "8",
+              "--method", "importance", "--samples", "100", "--planting"]
 
 
 @pytest.mark.parametrize(
@@ -267,16 +274,39 @@ CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", 
                 "--delta", "1", "--samples", "0"]),
         (None, ["count", "--pattern", "star:2", "--graph", GRAPH, "--budget", "-1"]),
         (None, CORE + ["--budget", "-3"]),
+        (None, CORE + ["--star", "--budget", "-3"]),
+        (None, CORE + ["--strong", "--budget", "-3"]),
+        (None, ["meanfield", "--r", "2", "--n", "40", "--p", "0.05", "--delta", "nan"]),
+        (None, RATE[:-1] + ["nan"]),
+        (None, RATE[:-1] + ["inf"]),
+        (None, RATE + ["--n", "10000", "--p", "0.01", "--slack", "nan"]),
+        (None, RATE + ["--n", "10000"]),
+        (None, RATE + ["--p", "0.01"]),
+        (None, TAIL + ["--samples", "100", "--threads", "0"]),
+        (None, POISSON + ["--samples", "100", "--threads", "-1"]),
+        ("0", TAIL + ["--samples", "100"]),
+        (None, ["--config", CONFIG] + TAIL + ["--samples", "100"]),
+        (None, CONDITIONED[:7] + ["1.3"] + CONDITIONED[8:] + ["--samples", "100"]),
+        (None, CONDITIONED + ["--samples", "100", "--min-accepted", "-5"]),
+        (None, IMPORTANCE + ["clique:-1"]),
+        (None, IMPORTANCE + ["hub:9"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
          "edge-not-integers", "edge-out-of-range", "conditioned-samples-0",
-         "count-budget-negative", "core-budget-negative"],
+         "count-budget-negative", "core-budget-negative", "core-star-budget-negative",
+         "core-strong-budget-negative", "meanfield-delta-nan", "rate-delta-nan",
+         "rate-delta-inf", "rate-slack-nan", "rate-n-without-p", "rate-p-without-n",
+         "direct-threads-0", "poisson-threads-negative", "threads-env-0", "threads-config-0",
+         "conditioned-p-above-1", "conditioned-min-accepted-negative", "planting-size-negative",
+         "planting-size-above-n"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
     graph.write_text("n 4\n0 1\n1 2\n2 3\n")
-    argv = [str(graph) if arg == GRAPH else arg for arg in argv]
+    config = tmp_path / "threads.conf"
+    config.write_text("threads = 0\n")
+    argv = [{GRAPH: str(graph), CONFIG: str(config)}.get(arg, arg) for arg in argv]
     if threads_env is None:
         monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
     else:
@@ -339,31 +369,9 @@ TINY_GRAPHS = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists
     max_size=14) if n > 1 else st.just([])))
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(
-    command=st.sampled_from(["count", "core"]),
-    graph=TINY_GRAPHS,
-    spec=PATTERN_SPECS,
-    edge=EDGE_TEXTS,
-    budget=st.one_of(st.none(), st.integers(-3, 50)),
-    flags=st.sets(st.sampled_from(["--unlabelled", "--star", "--strong"])),
-)
-def test_count_and_core_keep_the_cli_contract(tmp_path_factory, command, graph, spec, edge,
-                                              budget, flags):
-    """Any argv of ``count`` and ``core``: exit 0, 2 or 3, no traceback, and
-    exactly one JSON line on stdout on success, none otherwise."""
-    n, edges = graph
-    path = tmp_path_factory.mktemp("g") / "g.txt"
-    path.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    if command == "count":
-        argv = ["count", "--pattern", spec, "--graph", str(path)]
-        argv += ["--unlabelled"] if "--unlabelled" in flags else []
-        argv += [] if edge is None else ["--edge", edge]
-    else:
-        argv = ["core", "--graph", str(path), "--pattern", spec, "--delta", "1",
-                "--n", str(n), "--p", "0.3"]
-        argv += sorted(flags - {"--unlabelled"})
-    argv += [] if budget is None else ["--budget", str(budget)]
+def _assert_cli_contract(command, argv):
+    """Exit 0, 2 or 3, no traceback, and exactly one JSON line on stdout on
+    success, none otherwise."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -375,4 +383,111 @@ def test_count_and_core_keep_the_cli_contract(tmp_path_factory, command, graph, 
     assert len(lines) == (code == 0), argv
     for line in lines:
         assert json.loads(line)["command"] == command
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def _write_graph(tmp_path_factory, graph):
+    n, edges = graph
+    path = tmp_path_factory.mktemp("g") / "g.txt"
+    path.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return str(path)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    command=st.sampled_from(["count", "core"]),
+    graph=TINY_GRAPHS,
+    spec=PATTERN_SPECS,
+    edge=EDGE_TEXTS,
+    budget=st.one_of(st.none(), st.integers(-3, 50)),
+    flags=st.sets(st.sampled_from(["--unlabelled", "--star", "--strong"])),
+)
+def test_count_and_core_keep_the_cli_contract(tmp_path_factory, command, graph, spec, edge,
+                                              budget, flags):
+    """Any argv of ``count`` and ``core`` keeps the CLI contract."""
+    path = _write_graph(tmp_path_factory, graph)
+    if command == "count":
+        argv = ["count", "--pattern", spec, "--graph", path]
+        argv += ["--unlabelled"] if "--unlabelled" in flags else []
+        argv += [] if edge is None else ["--edge", edge]
+    else:
+        argv = ["core", "--graph", path, "--pattern", spec, "--delta", "1",
+                "--n", str(graph[0]), "--p", "0.3"]
+        argv += sorted(flags - {"--unlabelled"})
+    argv += [] if budget is None else ["--budget", str(budget)]
+    _assert_cli_contract(command, argv)
+
+
+# Most drawn values are valid, so that most examples get past parsing; the
+# rest are nan, inf, -inf, 0 or negative.  Numbers print with repr, and the
+# --name=value form passes negative values to argparse as values.
+BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
+
+
+def _mostly(valid, bad):
+    """``valid`` three times in four (``st.one_of`` would merge repeated branches)."""
+    return st.sampled_from([valid, valid, valid, bad]).flatmap(lambda strategy: strategy)
+
+
+FLOATS = _mostly(st.floats(0.05, 3.0), BAD_NUMBERS)
+PROBS = _mostly(st.floats(0.05, 0.95), st.one_of(BAD_NUMBERS, st.sampled_from([1.0, 1.3])))
+SIZES = _mostly(st.integers(3, 8), st.integers(-1, 2))
+COUNTS = _mostly(st.integers(1, 200), st.integers(-1, 0))
+THREADS = _mostly(st.integers(1, 4), st.integers(-1, 0))
+SPECS = _mostly(st.sampled_from(["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4",
+                                 "clique:3"]), PATTERN_SPECS)
+
+
+def _opt(name, values, required=False):
+    given = values.map(lambda v: [f"--{name}={v}" if isinstance(v, str) else f"--{name}={v!r}"])
+    return given if required else _mostly(given, st.just([]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [arg for part in ps for arg in part])
+
+
+PATTERN_OPT = _opt("pattern", SPECS, required=True)
+N_AND_P = _argv(_opt("n", SIZES, True), _opt("p", PROBS, True))
+OTHER_ARGV = {
+    "analyze-pattern": SPECS.map(lambda spec: [spec]),
+    "rate": _argv(PATTERN_OPT, _opt("delta", FLOATS, True), _opt("rho", FLOATS),
+                  _opt("slack", FLOATS),
+                  _mostly(N_AND_P, st.one_of(_opt("n", SIZES, True), _opt("p", PROBS, True)))),
+    "detect": _argv(
+        _opt("event", st.sampled_from(["hub", "clique", "highdeg", "tildehub"]), True),
+        *(_opt(name, FLOATS, name != "chi") for name in (
+            "chi", "degree-threshold", "edge-threshold", "size-threshold",
+            "u-degree-threshold", "extra-degree-threshold")),
+        _opt("threshold", FLOATS), _opt("u-size", SIZES),
+        _opt("delta", FLOATS), _opt("r", st.integers(-1, 4)), N_AND_P),
+    "meanfield": _argv(_opt("r", _mostly(st.integers(2, 4), st.integers(-1, 1)), True), N_AND_P,
+                       _opt("delta", FLOATS, True), _opt("epsilon", FLOATS),
+                       st.sampled_from([[], ["--literal-reading"]])),
+    "tail": _argv(PATTERN_OPT, N_AND_P,
+                  st.one_of(_opt("threshold", st.integers(-2, 30), True),
+                            _opt("delta", FLOATS, True)),
+                  _opt("method", st.sampled_from(["exact", "direct", "importance"]), True),
+                  _opt("planting", st.sampled_from(["highdeg", "highdeg:nan", "hub:1", "hub:9",
+                                                    "clique:-1", "clique:2:0.5", "none"])),
+                  _opt("samples", COUNTS, True), _opt("seed", st.integers(-1, 5)),
+                  _opt("replicas", st.integers(-1, 4)), _opt("threads", THREADS)),
+    "experiment": _argv(st.sampled_from([["poisson-fit"], ["conditioned"]]), PATTERN_OPT,
+                        N_AND_P, _opt("delta", FLOATS),
+                        _opt("detector", st.sampled_from(["highdeg", "highdeg:2", "highdeg:nan",
+                                                          "hub"])),
+                        _opt("samples", COUNTS, True), _opt("seed", st.integers(-1, 5)),
+                        _opt("min-accepted", st.integers(-5, 20)), _opt("threads", THREADS)),
+}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(command=st.sampled_from(sorted(OTHER_ARGV)), graph=TINY_GRAPHS, data=st.data())
+def test_every_other_command_keeps_the_cli_contract(tmp_path_factory, command, graph, data):
+    """Any argv of the remaining subcommands keeps the CLI contract, with n <= 8,
+    at most 200 samples and at most 4 threads; numbers include nan, inf, 0 and
+    negative values."""
+    argv = [command] + data.draw(OTHER_ARGV[command])
+    if command == "detect":
+        argv += ["--graph", _write_graph(tmp_path_factory, graph)]
+    _assert_cli_contract(command, argv)
