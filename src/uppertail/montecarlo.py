@@ -221,19 +221,47 @@ class _BatchCounter:
             for i in range(self.star_arms):
                 value *= deg - i
             return value.sum(axis=1)
+        if self.triangle:
+            graph, pair = np.nonzero(present)
+            return self._triangle_counts(graph, pair, present.shape[0])
         out = np.empty(present.shape[0], dtype=np.int64)
         for s, row in enumerate(present):
             us, vs = self.pair_u[row].tolist(), self.pair_v[row].tolist()
-            if self.triangle:
-                nbrs = [0] * self.n  # Python ints: bitset rows beyond 64 vertices
-                for a, b in zip(us, vs):
-                    nbrs[a] |= 1 << b
-                    nbrs[b] |= 1 << a
-                # Each triangle is seen from its 3 edges and has 6 labellings.
-                out[s] = 2 * sum([(nbrs[a] & nbrs[b]).bit_count() for a, b in zip(us, vs)])
-            else:
-                out[s] = count_labelled(self.pattern, HostGraph(self.n, zip(us, vs)))
+            out[s] = count_labelled(self.pattern, HostGraph(self.n, zip(us, vs)))
         return out
+
+    def _triangle_counts(self, graph: np.ndarray, pair: np.ndarray, size: int) -> np.ndarray:
+        """Labelled triangle counts of ``size`` graphs from their edges,
+        sorted by (graph, pair).
+
+        Row g*n + a holds a's later neighbours in graph g as packed uint64
+        words, so a triangle a < b < c is seen once, from its edge (a, b),
+        and has 6 labellings.  The edges come in row order, so the rows are
+        built by one ``bitwise_or.reduceat`` over runs of equal words.
+        """
+        n = self.n
+        words = (n + 63) >> 6
+        a, b = self.pair_u[pair], self.pair_v[pair]
+        row_a = graph * n + a
+        row_b = graph * n + b
+        word = row_a * words + (b >> 6)
+        rows = np.zeros(size * n * words, dtype=np.uint64)
+        if len(word):
+            runs = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+            bits = np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
+            rows[word[runs]] = np.bitwise_or.reduceat(bits, runs)
+        rows = rows.reshape(size * n, words)
+        per_edge = np.zeros(len(pair), dtype=np.int64)
+        chunk = max(1, (1 << 18) // words)  # about 2 MB of gathered words
+        for lo in range(0, len(pair), chunk):
+            common = np.take(rows, row_a[lo : lo + chunk], axis=0)
+            common &= np.take(rows, row_b[lo : lo + chunk], axis=0)
+            ones = np.bitwise_count(common)
+            acc = per_edge[lo : lo + chunk]
+            for w in range(words):
+                acc += ones[:, w]
+        ends = np.searchsorted(graph, np.arange(size + 1))
+        return 6 * np.diff(np.concatenate(([0], np.cumsum(per_edge)))[ends])
 
 
 def star_count_samples(

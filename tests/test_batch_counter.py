@@ -97,6 +97,18 @@ def test_counts_and_degrees_match_oracle(spec, n):
         assert np.array_equal(counter.counts(present, degrees), counter.counts(present))
 
 
+@pytest.mark.parametrize("n, p, rows", [(130, 0.1, 6), (130, 0.3, 3), (300, 0.3, 2)])
+@pytest.mark.parametrize("spec", ["star:2", "clique:3"])
+def test_multiword_rows_match_oracle(spec, n, p, rows):
+    # n > 64 spreads each bit row over several words; n = 300, p = 0.3 is a
+    # dense point with about 13,000 edges and 120,000 triangles per graph.
+    pattern = pattern_from_shorthand(spec)
+    counter = _BatchCounter(pattern, n)
+    present = np.random.default_rng(n + rows).random((rows, n * (n - 1) // 2)) < p
+    assert np.array_equal(counter.degrees(present), oracle_degrees(n, present))
+    assert np.array_equal(counter.counts(present), oracle_counts(pattern, n, present))
+
+
 def test_batch_rows_rule():
     assert _BatchCounter(star(2), 40).rows == 4096
     assert _BatchCounter(star(2), 63).rows == 4096  # 1953 pairs
