@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -158,12 +158,59 @@ def sample_inhom(xi: EdgeProbabilityMatrix, seed: int) -> HostGraph:
     return HostGraph(n, edges)
 
 
+_SKIP_BLOCK = 1 << 16
+
+
+class EdgeBatch(NamedTuple):
+    """The edges of ``size`` graphs as int64 arrays sorted by (graph, pair):
+    ``graph`` numbers the graphs of the batch from 0 and ``pair`` indexes
+    vertex pairs in ``_pair_arrays`` order."""
+
+    graph: np.ndarray
+    pair: np.ndarray
+    size: int
+
+
+def _present_slots(rng: np.random.Generator, probs, n_pairs: int, total: int):
+    """Present slots, in increasing order, of a stream of ``total`` slots in
+    which slot s is pair s % n_pairs of graph s // n_pairs.
+
+    Yields ``(slots, decided)`` block by block; every slot below ``decided``
+    is settled.  Candidates come from geometric skipping at the largest
+    probability q: the gap to the next candidate is 1 + floor(E / -log(1-q))
+    for a standard exponential E, so P(gap > k) = (1-q)^k.  With unequal
+    probabilities per pair, each candidate is kept with probability
+    probs[pair] / q, by a uniform drawn in lockstep with its gap.  The
+    block size depends only on ``probs`` and ``total``, so the slots do not
+    depend on how a caller batches them.
+    """
+    probs = np.asarray(probs, dtype=float)
+    top = min(float(probs.max(initial=0.0)), 1.0)
+    if top <= 0.0:
+        yield np.empty(0, dtype=np.int64), total
+        return
+    ratio = probs / top if probs.min() < top else None  # equal probabilities need no thinning
+    scale = -1.0 / math.log1p(-top) if top < 1.0 else 0.0
+    size = int(min(_SKIP_BLOCK, total * top * 1.1 + 64))
+    decided = 0
+    while decided < total:
+        gaps = rng.standard_exponential(size)
+        gaps *= scale
+        np.minimum(gaps, total, out=gaps)  # keeps the running sum in int64
+        slots = np.cumsum(gaps.astype(np.int64) + 1) + (decided - 1)
+        decided = int(slots[-1]) + 1
+        slots = slots[: np.searchsorted(slots, total)]
+        if ratio is not None:
+            keep = rng.random(size)[: len(slots)] < ratio[slots % n_pairs]
+            slots = slots[keep]
+        yield slots, decided
+
+
 class _BatchCounter:
     """Draws batches of graphs on n vertices and counts a pattern in each.
 
-    A batch is a boolean matrix with one row per graph and one column per
-    vertex pair, in ``_pair_arrays`` order.  The counter holds no state
-    beyond its tables, so replica threads share one instance.
+    A batch is an ``EdgeBatch`` of at most ``rows`` graphs.  The counter
+    holds no state beyond its tables, so replica threads share one instance.
     """
 
     def __init__(self, pattern: PatternGraph, n: int):
@@ -178,29 +225,43 @@ class _BatchCounter:
             copies = _copy_edge_sets(pattern, HostGraph.complete(n), None)
             self.masks = [sum(1 << index[e] for e in edge_set) for edge_set in copies]
             self.aut = automorphism_count(pattern)
+            self.pair_bits = np.ldexp(1.0, np.arange(len(self.pair_u)))  # exact below 2^53
         r = star_arms(pattern)
         self.star_arms = r if r is not None and n ** (r + 1) < 2**62 else None
         self.triangle = pattern.vertex_count == 3 and pattern.edge_count == 3
 
     def draws(self, rng: np.random.Generator, probs, m: int):
         """Batches covering m graphs with independent edges; ``probs`` is one
-        probability or one per pair."""
-        while m > 0:
-            take = min(m, self.rows)
-            yield rng.random((take, len(self.pair_u))) < probs
-            m -= take
+        probability or one per pair.  The skip position carries across
+        batches, so the graphs do not depend on ``rows``."""
+        n_pairs = len(self.pair_u)
+        stream = _present_slots(rng, probs, n_pairs, m * n_pairs)
+        pending, decided, done = np.empty(0, dtype=np.int64), 0, 0
+        while done < m:
+            take = min(m - done, self.rows)
+            end = (done + take) * n_pairs
+            parts = [pending]
+            while decided < end:
+                slots, decided = next(stream)
+                parts.append(slots)
+            slots = np.concatenate(parts)
+            cut = np.searchsorted(slots, end)
+            pending = slots[cut:]
+            slots = slots[:cut] - done * n_pairs
+            graph = slots // n_pairs
+            yield EdgeBatch(graph, slots - graph * n_pairs, take)
+            done += take
 
     def sample_counts(self, rng: np.random.Generator, probs, m: int) -> np.ndarray:
         """Labelled counts of m graphs drawn as in ``draws``."""
-        return np.concatenate([self.counts(present) for present in self.draws(rng, probs, m)])
+        return np.concatenate([self.counts(batch) for batch in self.draws(rng, probs, m)])
 
-    def degrees(self, present: np.ndarray) -> np.ndarray:
+    def degrees(self, batch: EdgeBatch) -> np.ndarray:
         """Degree matrix of a batch, one row per graph."""
-        take = present.shape[0]
-        graph, pair = np.nonzero(present)
-        offset = graph * self.n
-        ends = np.concatenate((offset + self.pair_u[pair], offset + self.pair_v[pair]))
-        return np.bincount(ends, minlength=take * self.n).reshape(take, self.n)
+        offset, cells = batch.graph * self.n, batch.size * self.n
+        low = np.bincount(offset + np.take(self.pair_u, batch.pair), minlength=cells)
+        high = np.bincount(offset + np.take(self.pair_v, batch.pair), minlength=cells)
+        return (low + high).reshape(batch.size, self.n)
 
     def mask_counts(self, graphs: np.ndarray) -> np.ndarray:
         """Labelled counts of graphs given as pair bitmasks (n <= 6)."""
@@ -209,37 +270,37 @@ class _BatchCounter:
             contained += (graphs & mask) == mask
         return contained * self.aut
 
-    def counts(self, present: np.ndarray, degrees: Optional[np.ndarray] = None) -> np.ndarray:
+    def counts(self, batch: EdgeBatch, degrees: Optional[np.ndarray] = None) -> np.ndarray:
         """Labelled counts of the pattern in each graph of a batch; a star
         reuses ``degrees`` when the caller already has them."""
         if self.masks is not None:
-            powers = np.int64(1) << np.arange(present.shape[1], dtype=np.int64)
-            return self.mask_counts(present.astype(np.int64) @ powers)
+            bits = np.bincount(batch.graph, weights=self.pair_bits[batch.pair], minlength=batch.size)
+            return self.mask_counts(bits.astype(np.int64))
         if self.star_arms is not None:
-            deg = self.degrees(present) if degrees is None else degrees
+            deg = self.degrees(batch) if degrees is None else degrees
             value = np.ones_like(deg)
             for i in range(self.star_arms):
                 value *= deg - i
             return value.sum(axis=1)
         if self.triangle:
-            graph, pair = np.nonzero(present)
-            return self._triangle_counts(graph, pair, present.shape[0])
-        out = np.empty(present.shape[0], dtype=np.int64)
-        for s, row in enumerate(present):
-            us, vs = self.pair_u[row].tolist(), self.pair_v[row].tolist()
-            out[s] = count_labelled(self.pattern, HostGraph(self.n, zip(us, vs)))
-        return out
+            return self._triangle_counts(batch)
+        us, vs = self.pair_u[batch.pair].tolist(), self.pair_v[batch.pair].tolist()
+        bounds = np.searchsorted(batch.graph, np.arange(batch.size + 1)).tolist()
+        return np.array(
+            [count_labelled(self.pattern, HostGraph(self.n, zip(us[lo:hi], vs[lo:hi])))
+             for lo, hi in zip(bounds, bounds[1:])],
+            dtype=np.int64,
+        )
 
-    def _triangle_counts(self, graph: np.ndarray, pair: np.ndarray, size: int) -> np.ndarray:
-        """Labelled triangle counts of ``size`` graphs from their edges,
-        sorted by (graph, pair).
+    def _triangle_counts(self, batch: EdgeBatch) -> np.ndarray:
+        """Labelled triangle counts of the graphs of a batch.
 
         Row g*n + a holds a's later neighbours in graph g as packed uint64
         words, so a triangle a < b < c is seen once, from its edge (a, b),
         and has 6 labellings.  The edges come in row order, so the rows are
         built by one ``bitwise_or.reduceat`` over runs of equal words.
         """
-        n = self.n
+        n, (graph, pair, size) = self.n, batch
         words = (n + 63) >> 6
         a, b = self.pair_u[pair], self.pair_v[pair]
         row_a = graph * n + a
@@ -424,8 +485,8 @@ def estimate_tail_importance(
         raise ValidationError(f"planting size {planting.size} exceeds n = {n}")
     counter = _BatchCounter(pattern, n)
     boosted = planting.boosted_pair_mask(counter.pair_u, counter.pair_v)
-    q = np.where(boosted, planting.value, p)
-    boosted_idx = np.flatnonzero(boosted)
+    q = np.where(boosted, planting.value, p) if boosted.any() else p
+    n_boosted = int(boosted.sum())
     log_hit = math.log(p / planting.value) if planting.kind != "none" else 0.0
     log_miss = (
         math.log((1 - p) / (1 - planting.value)) if planting.kind != "none" else 0.0
@@ -435,10 +496,10 @@ def estimate_tail_importance(
         rng = _replica_rng(seed, replica)
         s1 = s2 = w1 = w2 = 0.0
         accepted = 0
-        for present in counter.draws(rng, q, m):
-            counts = counter.counts(present)
-            hits = present[:, boosted_idx].sum(axis=1)
-            log_w = hits * log_hit + (len(boosted_idx) - hits) * log_miss
+        for batch in counter.draws(rng, q, m):
+            counts = counter.counts(batch)
+            hits = np.bincount(batch.graph[boosted[batch.pair]], minlength=batch.size)
+            log_w = hits * log_hit + (n_boosted - hits) * log_miss
             w = np.exp(log_w)
             ind = counts >= threshold
             contrib = w * ind
@@ -545,14 +606,14 @@ def conditioned_structure_frequency(
         nonlocal hits_cond, hits_all, accepted, drawn, replica
         rng = _replica_rng(seed, replica)
         replica += 1
-        for present in counter.draws(rng, p, take):
-            deg = counter.degrees(present)
+        for batch in counter.draws(rng, p, take):
+            deg = counter.degrees(batch)
             flags = np.asarray(detector.evaluate_degrees(deg), dtype=bool)
-            good = counter.counts(present, deg) >= threshold
+            good = counter.counts(batch, deg) >= threshold
             hits_cond += int((flags & good).sum())
             hits_all += int(flags.sum())
             accepted += int(good.sum())
-            drawn += present.shape[0]
+            drawn += batch.size
 
     pilot_budget = min(pilot, samples)
     while drawn < pilot_budget:

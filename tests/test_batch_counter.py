@@ -2,8 +2,10 @@
 
 ``_BatchCounter`` replaced several per-sample counting loops; those loops are
 kept here as the reference oracle, and the engine must agree with them row
-for row.  Estimator outputs are pinned to the values the per-sample loops
-produced, and a large-n CLI run must stay within a fixed memory ceiling.
+for row on batches converted from dense indicator matrices.  Its sparse
+draws must have the right per-pair marginals and must not depend on the
+batch size.  Estimator outputs are pinned to the sparse-draw stream, and
+large-n CLI runs must stay within fixed memory ceilings.
 """
 
 import json
@@ -19,6 +21,7 @@ from uppertail.counting import count_labelled
 from uppertail.graphs import HostGraph, clique, pattern_from_shorthand, star, star_arms
 from uppertail.meanfield import EdgeProbabilityMatrix
 from uppertail.montecarlo import (
+    EdgeBatch,
     HighDegreeDetector,
     Planting,
     _BatchCounter,
@@ -74,6 +77,12 @@ def oracle_counts(pattern, n, present):
     return np.array(out, dtype=np.int64)
 
 
+def as_batch(present):
+    """The ``EdgeBatch`` of a dense indicator matrix, one row per graph."""
+    graph, pair = np.nonzero(present)
+    return EdgeBatch(graph, pair, len(present))
+
+
 def _batches(n, seed):
     """Seeded indicator batches: constant p and one planted matrix."""
     rng = np.random.default_rng(seed)
@@ -91,22 +100,32 @@ def test_counts_and_degrees_match_oracle(spec, n):
     counter = _BatchCounter(pattern, n)
     assert (counter.masks is not None) == (n <= 6)
     for present in _batches(n, 1000 * n + len(spec)):
-        assert np.array_equal(counter.degrees(present), oracle_degrees(n, present))
-        assert np.array_equal(counter.counts(present), oracle_counts(pattern, n, present))
-        degrees = counter.degrees(present)
-        assert np.array_equal(counter.counts(present, degrees), counter.counts(present))
+        batch = as_batch(present)
+        assert np.array_equal(counter.degrees(batch), oracle_degrees(n, present))
+        assert np.array_equal(counter.counts(batch), oracle_counts(pattern, n, present))
+        degrees = counter.degrees(batch)
+        assert np.array_equal(counter.counts(batch, degrees), counter.counts(batch))
 
 
 @pytest.mark.parametrize("n, p, rows", [(130, 0.1, 6), (130, 0.3, 3), (300, 0.3, 2)])
-@pytest.mark.parametrize("spec", ["star:2", "clique:3"])
+@pytest.mark.parametrize("spec", ["star:2", "star:3", "clique:3"])
 def test_multiword_rows_match_oracle(spec, n, p, rows):
     # n > 64 spreads each bit row over several words; n = 300, p = 0.3 is a
     # dense point with about 13,000 edges and 120,000 triangles per graph.
     pattern = pattern_from_shorthand(spec)
     counter = _BatchCounter(pattern, n)
     present = np.random.default_rng(n + rows).random((rows, n * (n - 1) // 2)) < p
-    assert np.array_equal(counter.degrees(present), oracle_degrees(n, present))
-    assert np.array_equal(counter.counts(present), oracle_counts(pattern, n, present))
+    batch = as_batch(present)
+    assert np.array_equal(counter.degrees(batch), oracle_degrees(n, present))
+    assert np.array_equal(counter.counts(batch), oracle_counts(pattern, n, present))
+
+
+def test_graphs_without_edges():
+    counter = _BatchCounter(clique(3), 9)
+    present = np.zeros((4, 36), dtype=bool)
+    present[2] = True
+    assert counter.counts(as_batch(present)).tolist() == [0, 0, 9 * 8 * 7, 0]
+    assert counter.counts(as_batch(present[:0])).tolist() == []
 
 
 def test_batch_rows_rule():
@@ -116,37 +135,82 @@ def test_batch_rows_rule():
     assert _BatchCounter(star(2), 2000).rows == 4
 
 
-def test_draws_do_not_depend_on_batching():
+def _planted_probs(n):
+    """Per-pair probabilities with a probability-1 hub and a boosted row."""
+    pair_u, pair_v = _pair_arrays(n)
+    planted = EdgeProbabilityMatrix.planted(n, 0.15, hubs=[1], boosted=0, boosted_value=0.7)
+    return planted.to_dense()[pair_u, pair_v]
+
+
+def _drawn(counter, probs, m, rows, seed=7):
+    """(graph, pair) of m graphs drawn in batches of ``rows`` graphs, with
+    graph numbers counted over the whole draw, and the batch sizes."""
+    counter.rows = rows
+    graphs, pairs, sizes = [], [], []
+    for batch in counter.draws(np.random.Generator(np.random.Philox(seed)), probs, m):
+        graphs.append(batch.graph + sum(sizes))
+        pairs.append(batch.pair)
+        sizes.append(batch.size)
+    return np.concatenate(graphs), np.concatenate(pairs), sizes
+
+
+@pytest.mark.parametrize("probs", [0.3, "planted"])
+def test_draws_do_not_depend_on_batching(probs):
     counter = _BatchCounter(star(2), 12)
-    whole = np.random.Generator(np.random.Philox(7)).random((10, 66)) < 0.3
-    counter.rows = 3
-    parts = list(counter.draws(np.random.Generator(np.random.Philox(7)), 0.3, 10))
-    assert [len(part) for part in parts] == [3, 3, 3, 1]
-    assert np.array_equal(np.concatenate(parts), whole)
+    probs = _planted_probs(12) if probs == "planted" else probs
+    graph, pair, sizes = _drawn(counter, probs, 10, 10)
+    assert sizes == [10]
+    assert np.all(np.diff(graph * 66 + pair) > 0)  # sorted by (graph, pair)
+    for rows in (1, 3, 7, 4096):
+        got_graph, got_pair, sizes = _drawn(counter, probs, 10, rows)
+        assert sizes == [min(rows, 10 - done) for done in range(0, 10, rows)]
+        assert np.array_equal(got_graph, graph) and np.array_equal(got_pair, pair)
+    # A stream long enough to need several skip blocks gives the same edges.
+    graph, pair, _ = _drawn(counter, probs, 9000, 4096, seed=3)
+    assert len(pair) > 2 * (1 << 16) * (0.3 if np.ndim(probs) == 0 else 0.15)
+    got_graph, got_pair, _ = _drawn(counter, probs, 9000, 1000, seed=3)
+    assert np.array_equal(got_graph, graph) and np.array_equal(got_pair, pair)
+
+
+@pytest.mark.parametrize("case", ["constant", "hub:4:0.55", "planted"])
+def test_draws_have_the_right_marginals(case):
+    n, m = (6, 40000) if case == "hub:4:0.55" else (12, 20000)
+    counter = _BatchCounter(star(2), n)
+    if case == "constant":
+        probs = np.full(len(counter.pair_u), 0.3)
+        drawn = 0.3
+    elif case == "planted":
+        probs = drawn = _planted_probs(n)
+        assert probs.max() == 1.0 and 0.7 in probs and 0.15 in probs
+    else:
+        boosted = Planting.parse(case).boosted_pair_mask(counter.pair_u, counter.pair_v)
+        probs = drawn = np.where(boosted, 0.55, 0.2)
+    _, pair, _ = _drawn(counter, drawn, m, counter.rows)
+    freq = np.bincount(pair, minlength=len(probs)) / m
+    se = np.sqrt(probs * (1 - probs) / m)
+    assert np.all(np.abs(freq - probs) <= 5 * se), np.max(np.abs(freq - probs) / np.maximum(se, 1e-12))
 
 
 def test_pinned_estimator_outputs():
     est = estimate_tail_direct(star(2), 40, 0.05, 321, 20000, 0)
-    assert (est.point, est.extras["accepted"]) == (0.0032, 64)
-    assert estimate_tail_direct(clique(3), 12, 0.3, 60, 3000, 3).extras["accepted"] == 479
+    assert (est.point, est.extras["accepted"]) == (0.0027, 54)
+    assert estimate_tail_direct(clique(3), 12, 0.3, 60, 3000, 3).extras["accepted"] == 474
     est = estimate_tail_importance(star(2), 6, 0.2, 50, Planting.parse("hub:4:0.55"), 20000, 5)
-    assert est.point == 1.0002412953494018e-04
-    assert est.extras["effective_samples"] == 137.76032301680013
+    assert est.point == 1.001893772843835e-04
+    assert est.extras["effective_samples"] == 123.93297752574415
     out = conditioned_structure_frequency(
         star(2), 40, 0.05, 1.0, HighDegreeDetector(8), 160000, 0, min_accepted=160000
     )
-    assert (out.accepted, out.freq_conditioned, out.freq_unconditioned) == (445, 0.4, 0.02336875)
+    got = (out.accepted, out.freq_conditioned, out.freq_unconditioned)
+    assert got == (398, 0.4221105527638191, 0.0233)
     counts = star_count_samples(EdgeProbabilityMatrix.constant(30, 0.3), 2, 4000, 5)
-    assert int(counts.sum()) == 8_787_372
+    assert int(counts.sum()) == 8_749_158
     fit = poisson_fit_experiment(clique(3), 200, 18 ** (1 / 3) / 200, 10000, 0)
-    assert (fit.mean, fit.tv_distance) == (2.9369, 0.03223753484726789)
+    assert (fit.mean, fit.tv_distance) == (2.9281, 0.02736365843603086)
 
 
-def test_large_n_tail_memory():
-    # A whole-budget batch at n = 2000 would hold 64 x 1,999,000 uniforms
-    # (about 1 GB); batches sized by the pair count stay far below that.
-    argv = ["tail", "--pattern", "star:2", "--n", "2000", "--p", "0.001", "--delta", "1",
-            "--samples", "64", "--replicas", "1", "--threads", "1"]
+def _peak_rss_mb(argv, samples):
+    """Run the CLI in a child process; return its own peak RSS in MB."""
     env = {k: v for k, v in os.environ.items() if k != "UPPERTAIL_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     child = subprocess.Popen(
@@ -157,6 +221,25 @@ def test_large_n_tail_memory():
     child.returncode = os.waitstatus_to_exitcode(status)
     out, err = (stream.decode() for stream in child.communicate())
     assert child.returncode == 0, err
-    assert json.loads(out)["result"]["samples"] == 64
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert json.loads(out)["result"]["samples"] == samples
+    return usage.ru_maxrss / 1024  # kilobytes on Linux
+
+
+def test_large_n_tail_memory():
+    # A whole-budget batch at n = 2000 would hold 64 x 1,999,000 pair slots;
+    # batches sized by the pair count stay far below that.
+    argv = ["tail", "--pattern", "star:2", "--n", "2000", "--p", "0.001", "--delta", "1",
+            "--samples", "64", "--replicas", "1", "--threads", "1"]
+    peak_mb = _peak_rss_mb(argv, 64)
     assert peak_mb < 400, peak_mb
+
+
+def test_dense_triangle_tail_memory():
+    # Four graphs of G(1000, 0.5) hold about a million edges, a few int64
+    # arrays of 8 MB each; their bit rows take 0.5 MB, and the gathered words
+    # are counted in 2 MB chunks.  A (batch, n, n) tensor of one byte per pair
+    # would add 64 MB, and uint64 words per pair 512 MB.
+    argv = ["tail", "--pattern", "clique:3", "--n", "1000", "--p", "0.5", "--delta", "0",
+            "--samples", "4", "--replicas", "1", "--threads", "1"]
+    peak_mb = _peak_rss_mb(argv, 4)
+    assert peak_mb < 250, peak_mb
