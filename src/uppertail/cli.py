@@ -477,6 +477,8 @@ def _apply_defaults(args: argparse.Namespace, config: dict) -> None:
             args.threads = _parse_number("UPPERTAIL_THREADS", int, env_threads)
         else:
             args.threads = 1
+    if args.threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {args.threads}")
 
 
 _HANDLERS = {

@@ -663,6 +663,8 @@ def poisson_fit_experiment(
     """
     if not is_connected(pattern) or not is_strictly_balanced(pattern):
         raise ValidationError("pattern must be connected and strictly balanced")
+    if not 0 <= p <= 1:
+        raise ValidationError("p must lie in [0, 1]")
     if p == 0:
         return PoissonFit(tv_distance=0.0, mean=0.0, samples=samples)
     aut = automorphism_count(pattern)

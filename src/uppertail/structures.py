@@ -69,6 +69,12 @@ def verify_hub(graph: HostGraph, witness: Sequence[int], degree_threshold: float
     return _cross_edges_from(graph, witness) >= edge_threshold
 
 
+def _require_finite(**thresholds: float) -> None:
+    for name, value in thresholds.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite")
+
+
 def detect_hub(
     graph: HostGraph,
     chi: float,
@@ -83,6 +89,7 @@ def detect_hub(
     pools fall back to degree-greedy prefixes, whose cross-edge counts are
     kept running: cross(U + w) = cross(U) + deg(w) - 2 |N(w) & U|.
     """
+    _require_finite(edge_threshold=edge_threshold, degree_threshold=degree_threshold)
     pool = [v for v in range(graph.vertex_count) if graph.degree(v) >= degree_threshold]
     cert = {
         "chi": chi,
@@ -196,8 +203,7 @@ def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> Struct
     """
     if not 0 <= chi < 1:
         raise ValidationError("chi must lie in [0, 1)")
-    if not math.isfinite(size_threshold):
-        raise ValidationError("size_threshold must be finite")
+    _require_finite(size_threshold=size_threshold)
     s_min = max(1, math.ceil(size_threshold))
     cert = {"chi": chi, "size_threshold": size_threshold, "minimum_size": s_min}
     n = graph.vertex_count
@@ -227,6 +233,7 @@ def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> Struct
 
 
 def detect_high_degree(graph: HostGraph, threshold: float) -> StructureVerdict:
+    _require_finite(threshold=threshold)
     degs = graph.degrees()
     best = max(range(graph.vertex_count), key=lambda v: degs[v])
     cert = {"threshold": threshold, "max_degree": degs[best]}
@@ -249,6 +256,9 @@ def detect_tilde_hub(
     """
     if u_size < 0:
         raise ValidationError("u_size must be nonnegative")
+    _require_finite(
+        u_degree_threshold=u_degree_threshold, extra_degree_threshold=extra_degree_threshold
+    )
     degs = graph.degrees()
     order = sorted(range(graph.vertex_count), key=lambda v: (-degs[v], v))
     cert = {

@@ -253,6 +253,8 @@ CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", 
 RATE = ["rate", "--pattern", "star:2", "--delta", "1"]
 CONDITIONED = ["experiment", "conditioned", "--pattern", "star:2", "--n", "40", "--p", "0.05",
                "--delta", "1"]
+POISSON_N8 = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "8", "--p", "0.3"]
+DETECT = ["detect", "--graph", GRAPH, "--event"]
 IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", "8",
               "--method", "importance", "--samples", "100", "--planting"]
 
@@ -290,6 +292,15 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, CONDITIONED + ["--samples", "100", "--min-accepted", "-5"]),
         (None, IMPORTANCE + ["clique:-1"]),
         (None, IMPORTANCE + ["hub:9"]),
+        (None, POISSON_N8[:-1] + ["nan", "--samples", "10"]),
+        (None, POISSON_N8[:-1] + ["1.5", "--samples", "10"]),
+        (None, TAIL + ["--method", "exact", "--threads", "0"]),
+        (None, CONDITIONED + ["--samples", "100", "--threads", "0"]),
+        (None, DETECT + ["highdeg", "--threshold", "nan"]),
+        (None, DETECT + ["hub", "--degree-threshold", "nan", "--edge-threshold", "1"]),
+        (None, DETECT + ["hub", "--degree-threshold", "1", "--edge-threshold", "inf"]),
+        (None, DETECT + ["tildehub", "--u-size", "1", "--u-degree-threshold", "nan",
+                         "--extra-degree-threshold", "1"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -299,7 +310,9 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "rate-delta-inf", "rate-slack-nan", "rate-n-without-p", "rate-p-without-n",
          "direct-threads-0", "poisson-threads-negative", "threads-env-0", "threads-config-0",
          "conditioned-p-above-1", "conditioned-min-accepted-negative", "planting-size-negative",
-         "planting-size-above-n"],
+         "planting-size-above-n", "poisson-p-nan", "poisson-p-above-1", "exact-threads-0",
+         "conditioned-threads-0", "detect-highdeg-nan", "detect-hub-degree-nan",
+         "detect-hub-edge-inf", "detect-tildehub-nan"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
