@@ -6,12 +6,13 @@ independent of how replicas are scheduled; acceptance counters are integers
 and float partials are reduced in replica order.
 
 Every Monte Carlo estimator draws and counts through one ``_BatchCounter``.
-It draws graphs in batches of max(1, min(4096, 8_000_000 // n_pairs)) rows
-of edge indicators, so a batch holds at most about 8 million uniforms at any
-n, and a replica's uniforms do not depend on how its draws are batched.
-Labelled counts come from the first path that applies: the table of copy
-masks in K_n (n <= 6), degree falling factorials for stars, common-neighbour
-bitsets for triangles, and the generic backtracking counter.
+It draws graphs in batches of max(1, min(4096, 8_000_000 // n_pairs)) graphs,
+each batch a sparse list of (graph, pair) edges found by geometric skipping
+over the pair slots of all of a replica's graphs; a replica's edges do not
+depend on how its draws are batched.  Labelled counts come from the first
+path that applies: the table of copy masks in K_n (n <= 6), degree falling
+factorials for stars, packed uint64 bit rows for triangles (at most about
+2 MB per batch), and the generic backtracking counter.
 """
 
 from __future__ import annotations
@@ -231,9 +232,9 @@ class _BatchCounter:
         self.triangle = pattern.vertex_count == 3 and pattern.edge_count == 3
 
     def draws(self, rng: np.random.Generator, probs, m: int):
-        """Batches covering m graphs with independent edges; ``probs`` is one
-        probability or one per pair.  The skip position carries across
-        batches, so the graphs do not depend on ``rows``."""
+        """``EdgeBatch``es covering m graphs with independent edges; ``probs``
+        is one probability or one per pair.  The skip position carries
+        across batches, so the graphs do not depend on ``rows``."""
         n_pairs = len(self.pair_u)
         stream = _present_slots(rng, probs, n_pairs, m * n_pairs)
         pending, decided, done = np.empty(0, dtype=np.int64), 0, 0
@@ -302,7 +303,7 @@ class _BatchCounter:
         """
         n, (graph, pair, size) = self.n, batch
         words = (n + 63) >> 6
-        a, b = self.pair_u[pair], self.pair_v[pair]
+        a, b = np.take(self.pair_u, pair), np.take(self.pair_v, pair)
         row_a = graph * n + a
         row_b = graph * n + b
         word = row_a * words + (b >> 6)

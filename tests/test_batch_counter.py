@@ -25,6 +25,7 @@ from uppertail.montecarlo import (
     HighDegreeDetector,
     Planting,
     _BatchCounter,
+    _SKIP_BLOCK,
     _pair_arrays,
     conditioned_structure_frequency,
     estimate_tail_direct,
@@ -83,14 +84,18 @@ def as_batch(present):
     return EdgeBatch(graph, pair, len(present))
 
 
+def _planted_probs(n):
+    """Per-pair probabilities with a probability-1 hub and a boosted row."""
+    pair_u, pair_v = _pair_arrays(n)
+    planted = EdgeProbabilityMatrix.planted(n, 0.15, hubs=[1], boosted=0, boosted_value=0.7)
+    return planted.to_dense()[pair_u, pair_v]
+
+
 def _batches(n, seed):
     """Seeded indicator batches: constant p and one planted matrix."""
     rng = np.random.default_rng(seed)
-    pair_u, pair_v = _pair_arrays(n)
-    planted = EdgeProbabilityMatrix.planted(n, 0.15, hubs=[1], boosted=0, boosted_value=0.7)
-    probs = planted.to_dense()[pair_u, pair_v]
     rows = 40 if n < 40 else 12
-    return [rng.random((rows, len(pair_u))) < p for p in (0.3, 0.1, probs)]
+    return [rng.random((rows, n * (n - 1) // 2)) < p for p in (0.3, 0.1, _planted_probs(n))]
 
 
 @pytest.mark.parametrize("n", [5, 12, 40])
@@ -135,13 +140,6 @@ def test_batch_rows_rule():
     assert _BatchCounter(star(2), 2000).rows == 4
 
 
-def _planted_probs(n):
-    """Per-pair probabilities with a probability-1 hub and a boosted row."""
-    pair_u, pair_v = _pair_arrays(n)
-    planted = EdgeProbabilityMatrix.planted(n, 0.15, hubs=[1], boosted=0, boosted_value=0.7)
-    return planted.to_dense()[pair_u, pair_v]
-
-
 def _drawn(counter, probs, m, rows, seed=7):
     """(graph, pair) of m graphs drawn in batches of ``rows`` graphs, with
     graph numbers counted over the whole draw, and the batch sizes."""
@@ -154,22 +152,21 @@ def _drawn(counter, probs, m, rows, seed=7):
     return np.concatenate(graphs), np.concatenate(pairs), sizes
 
 
-@pytest.mark.parametrize("probs", [0.3, "planted"])
-def test_draws_do_not_depend_on_batching(probs):
+def test_draws_do_not_depend_on_batching():
     counter = _BatchCounter(star(2), 12)
-    probs = _planted_probs(12) if probs == "planted" else probs
-    graph, pair, sizes = _drawn(counter, probs, 10, 10)
-    assert sizes == [10]
-    assert np.all(np.diff(graph * 66 + pair) > 0)  # sorted by (graph, pair)
-    for rows in (1, 3, 7, 4096):
-        got_graph, got_pair, sizes = _drawn(counter, probs, 10, rows)
-        assert sizes == [min(rows, 10 - done) for done in range(0, 10, rows)]
+    for probs in (0.3, _planted_probs(12)):
+        graph, pair, sizes = _drawn(counter, probs, 10, 10)
+        assert sizes == [10]
+        assert np.all(np.diff(graph * 66 + pair) > 0)  # sorted by (graph, pair)
+        for rows in (1, 3, 7, 4096):
+            got_graph, got_pair, sizes = _drawn(counter, probs, 10, rows)
+            assert sizes == [min(rows, 10 - done) for done in range(0, 10, rows)]
+            assert np.array_equal(got_graph, graph) and np.array_equal(got_pair, pair)
+        # A stream long enough to need several skip blocks gives the same edges.
+        graph, pair, _ = _drawn(counter, probs, 9000, 4096, seed=3)
+        assert len(pair) > 2 * _SKIP_BLOCK
+        got_graph, got_pair, _ = _drawn(counter, probs, 9000, 1000, seed=3)
         assert np.array_equal(got_graph, graph) and np.array_equal(got_pair, pair)
-    # A stream long enough to need several skip blocks gives the same edges.
-    graph, pair, _ = _drawn(counter, probs, 9000, 4096, seed=3)
-    assert len(pair) > 2 * (1 << 16) * (0.3 if np.ndim(probs) == 0 else 0.15)
-    got_graph, got_pair, _ = _drawn(counter, probs, 9000, 1000, seed=3)
-    assert np.array_equal(got_graph, graph) and np.array_equal(got_pair, pair)
 
 
 @pytest.mark.parametrize("case", ["constant", "hub:4:0.55", "planted"])
