@@ -5,9 +5,12 @@ of the pattern are unconstrained).  One enumerator finds them all, on either
 host backend: it backtracks over pattern vertices in a greedy connected order
 that maximizes back-degree, intersecting host adjacency rows (bitsets or
 neighbour sets), and at each embedding counts it or hands it to a leaf action
-(which is how copies are collected).  Counts are plain Python ints so
-divisibility assertions stay exact.  Closed forms are used for stars, both as fast paths
-and as independent oracles in the tests.
+(which is how copies are collected).  Without a leaf action the last search
+level, and the two last ones when their vertices are not adjacent (paths,
+stars), are counted from pool sizes rather than listed, at the same node
+charge.  Counts are plain Python ints so the divisibility check stays exact.
+Closed forms are used for stars, both as fast paths and as independent
+oracles in the tests.
 """
 
 from __future__ import annotations
@@ -94,6 +97,16 @@ def _embed(
     embedding with the images indexed by pattern vertex.  Every candidate
     tried costs one budget node, also when the degree check rejects it.  Only
     the candidate arithmetic differs between bitset rows and neighbour sets.
+
+    Without ``leaf`` the last position is counted rather than listed, and
+    charged the nodes listing it would cost: every pattern neighbour of its
+    vertex is placed, so each candidate is adjacent to that many distinct
+    images and passes the degree check.  When the last vertex is not
+    adjacent to the one before it, its pool does not depend on that vertex's
+    image, so the second-to-last position lists and degree-checks its
+    candidates and counts the last position once for all of them.  The
+    budget raises exactly when the running total passes its limit, so
+    charging a level in one sum fails where listing it would.
     """
     rows = host.adjacency_rows()
     degrees = host.degrees()
@@ -113,6 +126,15 @@ def _embed(
                 out.append(low.bit_length() - 1)
                 pool ^= low
             return out
+
+        def free(pool, placed: list[int]) -> int:
+            """How many of the pool (every vertex when None) are outside
+            ``placed``, whose vertices are distinct."""
+            pool = full if pool is None else pool
+            count = pool.bit_count()
+            for w in placed:
+                count -= pool >> w & 1
+            return count
     else:
 
         def listing(pool, placed: list[int]) -> list[int]:
@@ -120,29 +142,54 @@ def _embed(
                 return [w for w in range(n_host) if w not in placed]
             return sorted(pool.difference(placed))
 
+        def free(pool, placed: list[int]) -> int:
+            if pool is None:
+                return n_host - len(placed)
+            return len(pool.difference(placed))
+
     images = [0] * pattern.vertex_count
 
-    def descend(depth: int) -> int:
-        # ``plan`` has per unpinned position (v, back, others, degree, side).
-        # A host row never holds its own vertex: only ``others`` are excluded.
-        v, back, others, need, side = plan[depth]
+    def meet(back: list[int], side):
+        """The host vertices adjacent to the images of ``back`` and inside
+        ``side``, or None when neither constrains them."""
         pool = None
         for u in back:
             row = rows[images[u]]
             pool = row if pool is None else pool & row
             if not pool:
-                return 0
+                return pool
         if side is not None:
             pool = side if pool is None else pool & side
-        candidates = listing(pool, [images[u] for u in others])
+        return pool
+
+    def descend(depth: int) -> int:
+        # ``plan`` has per unpinned position (v, back, others, degree, side).
+        # A host row never holds its own vertex: only ``others`` are excluded.
+        v, back, others, need, side = plan[depth]
+        pool = meet(back, side)
+        taken = [images[u] for u in others]
+        if depth == last and leaf is None:
+            count = free(pool, taken)
+            budget.spend(count)
+            return count
+        candidates = listing(pool, taken)
         budget.spend(len(candidates))
         fits = [w for w in candidates if degrees[w] >= need]
         if depth == last:
-            if leaf is not None:
-                for w in fits:
-                    images[v] = w
-                    leaf(images)
+            for w in fits:
+                images[v] = w
+                leaf(images)
             return len(fits)
+        if depth == split:
+            # The last vertex's candidates for image w: its pool outside the
+            # earlier images, less w itself when the pool holds w.  The fits
+            # the pool holds number free(pool, []) - free(pool, fits).
+            _, back, others, _, side = plan[last]
+            pool = meet(back, side)
+            count = len(fits) * free(pool, [images[u] for u in others if u != v])
+            count -= free(pool, []) - free(pool, fits)
+            budget.spend(count)
+            return count
         total = 0
         for w in fits:
             images[v] = w
@@ -160,6 +207,9 @@ def _embed(
             plan.append((v, back, [u for u in placed if u not in back], pattern.degree(v), side))
             placed.append(v)
         last = len(plan) - 1
+        split = -1
+        if leaf is None and last >= 1 and plan[last - 1][0] not in plan[last][1]:
+            split = last - 1
         if plan:
             total += descend(0)
         else:  # every vertex pinned
@@ -218,9 +268,15 @@ def count_restricted(
 def unlabelled_count(pattern: PatternGraph, labelled: int) -> int:
     """A labelled count over |Aut(H)|.  Every count here is of a copy set
     closed under Aut(H) (all copies, or those through a host edge), so
-    divisibility is asserted: a failure always means a counting bug."""
-    quotient, remainder = divmod(labelled, automorphism_count(pattern))
-    assert remainder == 0, "labelled count must be divisible by automorphism count"
+    divisibility is checked, also under ``python -O``: a failure always means
+    a counting bug."""
+    automorphisms = automorphism_count(pattern)
+    quotient, remainder = divmod(labelled, automorphisms)
+    if remainder:
+        raise RuntimeError(
+            f"labelled count {labelled} is not divisible by the automorphism count "
+            f"{automorphisms}: a counting bug"
+        )
     return quotient
 
 

@@ -484,7 +484,10 @@ def load_edge_list(path_name: str):
     ``mapping`` maps original label to assigned index.
     """
     with open(path_name, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"edge-list file is not UTF-8 text: {exc}") from None
     n = None
     raw_edges: list[tuple[str, str]] = []
     for line in lines:
@@ -495,7 +498,10 @@ def load_edge_list(path_name: str):
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
                 raise ValidationError("edge-list file must start with 'n <N>'")
-            n = int(parts[1])
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise ValidationError(f"vertex count {parts[1]!r} is not an integer") from None
             if n < 1:
                 raise ValidationError("vertex count must be positive")
             continue

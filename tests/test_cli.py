@@ -248,6 +248,8 @@ POISSON = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
            "--p", str(18 ** (1 / 3) / 60)]
 GRAPH = "<graph>"  # stands for a small edge-list file written by the test
 CONFIG = "<config>"  # stands for a config file holding "threads = 0"
+BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
+NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
 CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", "4", "--p", "0.3"]
 RATE = ["rate", "--pattern", "star:2", "--delta", "1"]
@@ -301,6 +303,8 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, DETECT + ["hub", "--degree-threshold", "1", "--edge-threshold", "inf"]),
         (None, DETECT + ["tildehub", "--u-size", "1", "--u-degree-threshold", "nan",
                          "--extra-degree-threshold", "1"]),
+        (None, ["count", "--pattern", "path:2", "--graph", BAD_HEADER]),
+        (None, ["count", "--pattern", "path:2", "--graph", NOT_UTF8]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -312,14 +316,20 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "conditioned-p-above-1", "conditioned-min-accepted-negative", "planting-size-negative",
          "planting-size-above-n", "poisson-p-nan", "poisson-p-above-1", "exact-threads-0",
          "conditioned-threads-0", "detect-highdeg-nan", "detect-hub-degree-nan",
-         "detect-hub-edge-inf", "detect-tildehub-nan"],
+         "detect-hub-edge-inf", "detect-tildehub-nan", "graph-header-not-integer",
+         "graph-not-utf8"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
     graph.write_text("n 4\n0 1\n1 2\n2 3\n")
     config = tmp_path / "threads.conf"
     config.write_text("threads = 0\n")
-    argv = [{GRAPH: str(graph), CONFIG: str(config)}.get(arg, arg) for arg in argv]
+    bad_header = tmp_path / "bad_header.txt"
+    bad_header.write_text("n abc\n0 1\n")
+    not_utf8 = tmp_path / "not_utf8.txt"
+    not_utf8.write_bytes(b"n 4\n0 1\n\xff\xfe 2\n")
+    files = {GRAPH: graph, CONFIG: config, BAD_HEADER: bad_header, NOT_UTF8: not_utf8}
+    argv = [str(files.get(arg, arg)) for arg in argv]
     if threads_env is None:
         monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
     else:

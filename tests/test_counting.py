@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,9 @@ from uppertail.counting import (
     star_count_exact,
     star_count_using_edge,
     star_global_bound_check,
+    unlabelled_count,
 )
+from uppertail import counting
 from uppertail.patterns import enumerate_qh
 from conftest import seeded_hosts
 
@@ -51,6 +57,21 @@ def test_count_unlabelled_examples():
     assert count_unlabelled(clique(3), HostGraph.complete(4)) == 4
     assert count_unlabelled(EDGE, K3_HOST) == 3
     assert count_unlabelled(star(2), K3_HOST) == 3
+
+
+def test_unlabelled_count_refuses_a_non_divisible_count():
+    assert unlabelled_count(path(3), 4) == 2
+    with pytest.raises(RuntimeError, match="not divisible"):
+        unlabelled_count(path(3), 3)
+    # The check is a raise, not an assert, so ``python -O`` keeps it.
+    paths = [str(Path(counting.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("from uppertail.counting import unlabelled_count\n"
+            "from uppertail.graphs import path\n"
+            "unlabelled_count(path(3), 3)")
+    child = subprocess.run([sys.executable, "-O", "-c", code],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 1 and "not divisible" in child.stderr
 
 
 def test_star_count_examples():

@@ -25,7 +25,7 @@ from uppertail.counting import (
     count_labelled_using_edge,
     count_restricted,
 )
-from uppertail.errors import ValidationError
+from uppertail.errors import ResourceBudgetError, ValidationError
 from uppertail.graphs import (
     BITSET_LIMIT,
     HostGraph,
@@ -264,6 +264,9 @@ PATTERNS = {
     "cycle:4": cycle(4),
     "clique:3": clique(3),
     "2K2": PatternGraph(4, [(0, 1), (2, 3)]),  # disconnected
+    "path:5": path(5),
+    "star:4": star(4),
+    "P3+K1": PatternGraph(4, [(0, 1), (1, 2)]),  # last vertex has no placed neighbour
 }
 BITSET_HOSTS = seeded_hosts(6, (6, 11), 0.45, 501)
 
@@ -338,7 +341,8 @@ def test_pinned_count_matches_oracle(spent, backend, name):
             assert (got, spent()) == want
 
 
-MEMBERS = [m for pat in (star(2), path(4), cycle(4), clique(3)) for m in enumerate_qh(pat)]
+MEMBERS = [m for pat in (star(2), path(4), cycle(4), clique(3), path(5), star(4))
+           for m in enumerate_qh(pat)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -366,15 +370,35 @@ def test_copy_edge_sets_match_oracle(backend, name):
         edges = host.edges()
         # At a position with no placed neighbour the former collector tries
         # all 10^4 vertices of the sets host and descends into each, so 2K2
-        # runs it unpinned on the bitset hosts only, and here through two
-        # edges (about 0.1 s each).
-        if not host.uses_bitsets and name == "2K2":
+        # and P3+K1 run it unpinned on the bitset hosts only, and here through
+        # two edges (about 0.1 s each).
+        if not host.uses_bitsets and name in ("2K2", "P3+K1"):
             edges = edges[:2]
         else:
             assert _copy_edge_sets(pattern, host, None) == copy_edge_sets(pattern, host, None)
         for e in edges:
             got = _copy_edge_sets(pattern, host, None, through=e)
             assert got == copy_edge_sets(pattern, host, None, through=e)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", ["path:5", "star:4", "P3+K1"])
+def test_budget_boundary_on_counted_levels(spent, backend, name):
+    """The counted last levels are charged in sums, not node by node: a
+    budget of exactly the nodes spent still suffices, one fewer fails."""
+    pattern = PATTERNS[name]
+    for host in BACKENDS[backend]:
+        e = host.edges()[0]
+        for run in (lambda b: count_labelled(pattern, host, b),
+                    lambda b: count_labelled_using_edge(pattern, host, e, b)):
+            want = run(None)
+            nodes = spent()
+            assert nodes > 0
+            assert run(nodes) == want
+            spent()
+            with pytest.raises(ResourceBudgetError, match=f"budget of {nodes - 1} search nodes"):
+                run(nodes - 1)
+            spent()
 
 
 def test_pinned_edge_must_be_a_host_edge():
@@ -429,4 +453,5 @@ def test_counts_match_vf2_monomorphisms():
                 )
                 assert count_labelled_using_edge(pattern, host, (u, v)) == through, (trial, name)
                 copies = _copy_edge_sets(pattern, host, None, through=(u, v))
-                assert len(copies) * automorphism_count(pattern) == through
+                if min(pattern.degrees()) > 0:  # an edge set omits isolated vertices
+                    assert len(copies) * automorphism_count(pattern) == through
