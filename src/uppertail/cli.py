@@ -43,7 +43,11 @@ DEFAULTS = {
 def _load_config(path: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file is not UTF-8 text: {exc}") from None
+        for line in lines:
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue

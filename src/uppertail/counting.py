@@ -1,16 +1,15 @@
 """Exact copy counting in host graphs.
 
 Labelled copies are injective vertex maps preserving pattern edges (non-edges
-of the pattern are unconstrained).  One enumerator finds them all, on either
-host backend: it backtracks over pattern vertices in a greedy connected order
-that maximizes back-degree, intersecting host adjacency rows (bitsets or
-neighbour sets), and at each embedding counts it or hands it to a leaf action
-(which is how copies are collected).  Without a leaf action the last search
-level, and the two last ones when their vertices are not adjacent (paths,
-stars), are counted from pool sizes rather than listed, at the same node
-charge.  Counts are plain Python ints so the divisibility check stays exact.
-Closed forms are used for stars, both as fast paths and as independent
-oracles in the tests.
+of the pattern are unconstrained).  One enumerator finds them all: it
+backtracks over pattern vertices in a greedy connected order that maximizes
+back-degree, intersecting the host's neighbour sets, and at each embedding
+counts it or hands it to a leaf action (which is how copies are collected).
+Without a leaf action the last search level, and the two last ones when
+their vertices are not adjacent (paths, stars), are counted from pool sizes
+rather than listed, at the same node charge.  Counts are plain Python ints
+so the divisibility check stays exact.  Closed forms are used for stars,
+both as fast paths and as independent oracles in the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +20,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import ResourceBudgetError, ValidationError
-from .graphs import HostGraph, PatternGraph, automorphism_count, validate_vertex_set
+from .graphs import (
+    HostGraph,
+    PatternGraph,
+    automorphism_count,
+    induced_subgraph,
+    validate_vertex_set,
+)
 from .patterns import QhMember, fractional_independence_number
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -95,8 +100,10 @@ def _embed(
     ``order`` and backtracks over the rest in that order.  ``sides`` restricts
     pattern vertices to sets of host vertices; ``leaf`` is called at every
     embedding with the images indexed by pattern vertex.  Every candidate
-    tried costs one budget node, also when the degree check rejects it.  Only
-    the candidate arithmetic differs between bitset rows and neighbour sets.
+    tried costs one budget node, also when the degree check rejects it.
+    Candidates are the intersection of the neighbour sets of the placed
+    back-neighbours' images, less the other placed images, and are tried in
+    increasing order.
 
     Without ``leaf`` the last position is counted rather than listed, and
     charged the nodes listing it would cost: every pattern neighbour of its
@@ -104,48 +111,27 @@ def _embed(
     images and passes the degree check.  When the last vertex is not
     adjacent to the one before it, its pool does not depend on that vertex's
     image, so the second-to-last position lists and degree-checks its
-    candidates and counts the last position once for all of them.  The
-    budget raises exactly when the running total passes its limit, so
-    charging a level in one sum fails where listing it would.
+    candidates and counts the last position once for all of them; when it
+    is adjacent, that position counts the last one's pool for each of its
+    candidates in place.  The budget raises exactly when the running total
+    passes its limit, so charging a level in one sum fails where listing it
+    would.
     """
     rows = host.adjacency_rows()
     degrees = host.degrees()
     n_host = host.vertex_count
-    if host.uses_bitsets:
-        full = (1 << n_host) - 1
-        if sides:
-            sides = {v: sum(1 << w for w in side) for v, side in sides.items()}
 
-        def listing(pool, placed: list[int]) -> list[int]:
-            pool = full if pool is None else pool
-            for w in placed:
-                pool &= ~(1 << w)
-            out = []
-            while pool:
-                low = pool & -pool
-                out.append(low.bit_length() - 1)
-                pool ^= low
-            return out
+    def listing(pool, placed: list[int]) -> list[int]:
+        if pool is None:  # no placed neighbour: every free vertex
+            return [w for w in range(n_host) if w not in placed]
+        return sorted(pool.difference(placed))
 
-        def free(pool, placed: list[int]) -> int:
-            """How many of the pool (every vertex when None) are outside
-            ``placed``, whose vertices are distinct."""
-            pool = full if pool is None else pool
-            count = pool.bit_count()
-            for w in placed:
-                count -= pool >> w & 1
-            return count
-    else:
-
-        def listing(pool, placed: list[int]) -> list[int]:
-            if pool is None:  # no placed neighbour: every free vertex
-                return [w for w in range(n_host) if w not in placed]
-            return sorted(pool.difference(placed))
-
-        def free(pool, placed: list[int]) -> int:
-            if pool is None:
-                return n_host - len(placed)
-            return len(pool.difference(placed))
+    def free(pool, placed: list[int]) -> int:
+        """How many of the pool (every vertex when None) are outside
+        ``placed``, whose vertices are distinct."""
+        if pool is None:
+            return n_host - len(placed)
+        return len(pool.difference(placed))
 
     images = [0] * pattern.vertex_count
 
@@ -164,7 +150,7 @@ def _embed(
 
     def descend(depth: int) -> int:
         # ``plan`` has per unpinned position (v, back, others, degree, side).
-        # A host row never holds its own vertex: only ``others`` are excluded.
+        # A neighbour set never holds its own vertex: only ``others`` are excluded.
         v, back, others, need, side = plan[depth]
         pool = meet(back, side)
         taken = [images[u] for u in others]
@@ -181,13 +167,20 @@ def _embed(
                 leaf(images)
             return len(fits)
         if depth == split:
-            # The last vertex's candidates for image w: its pool outside the
-            # earlier images, less w itself when the pool holds w.  The fits
-            # the pool holds number free(pool, []) - free(pool, fits).
             _, back, others, _, side = plan[last]
-            pool = meet(back, side)
-            count = len(fits) * free(pool, [images[u] for u in others if u != v])
-            count -= free(pool, []) - free(pool, fits)
+            if v in back:
+                # The last vertex's pool for image w is w's row within the
+                # pool of its other back-neighbours, outside the other images.
+                rest = meet([u for u in back if u != v], side)
+                taken = [images[u] for u in others]
+                count = sum(free(rows[w] if rest is None else rest & rows[w], taken) for w in fits)
+            else:
+                # The last vertex's candidates for image w: its pool outside
+                # the earlier images, less w itself when the pool holds w.
+                # The fits the pool holds number free(pool, []) - free(pool, fits).
+                pool = meet(back, side)
+                count = len(fits) * free(pool, [images[u] for u in others if u != v])
+                count -= free(pool, []) - free(pool, fits)
             budget.spend(count)
             return count
         total = 0
@@ -207,9 +200,7 @@ def _embed(
             plan.append((v, back, [u for u in placed if u not in back], pattern.degree(v), side))
             placed.append(v)
         last = len(plan) - 1
-        split = -1
-        if leaf is None and last >= 1 and plan[last - 1][0] not in plan[last][1]:
-            split = last - 1
+        split = last - 1 if leaf is None else -1
         if plan:
             total += descend(0)
         else:  # every vertex pinned
@@ -419,7 +410,20 @@ def _copy_edge_sets(
     through: Optional[tuple[int, int]] = None,
 ) -> list[frozenset]:
     """Distinct unlabelled copies, each as a frozenset of host edges; with
-    ``through`` set, only the copies containing that host edge."""
+    ``through`` set, only the copies containing that host edge.
+
+    An edge set does not record where an isolated pattern vertex went, so
+    the copies are those of the pattern without its isolated vertices, when
+    the host has room for the whole pattern.  An edgeless pattern keeps one
+    vertex, whose copy is the empty edge set."""
+    room = pattern.vertex_count <= host.vertex_count
+    kept = sorted({x for e in pattern.edges for x in e}) or [0]
+    if len(kept) < pattern.vertex_count:
+        pattern, _ = induced_subgraph(pattern, kept)
+    starts = _starts(pattern, host, through)
+    nodes = _Budget(budget)
+    if not room:
+        return []
     edge_list = pattern.sorted_edges()
     copies: set[frozenset] = set()
 
@@ -427,7 +431,7 @@ def _copy_edge_sets(
         pairs = ((images[x], images[y]) for x, y in edge_list)
         copies.add(frozenset((a, b) if a < b else (b, a) for a, b in pairs))
 
-    _embed(pattern, host, _starts(pattern, host, through), _Budget(budget), leaf=collect)
+    _embed(pattern, host, starts, nodes, leaf=collect)
     return sorted(copies, key=sorted)
 
 

@@ -3,12 +3,12 @@
 Two graph types live here.  ``PatternGraph`` is a small fixed motif (the
 graph whose copies get counted); it is capped at 12 vertices so that exact
 automorphism and fractional-independence enumerations stay cheap.
-``HostGraph`` is the graph being counted over; adjacency is stored as bitset
-rows (Python ints) up to ``BITSET_LIMIT`` vertices and as neighbor sets
-above that, behind one interface.  Both types are immutable after
-construction and safe to share across threads; the one exception is a
-private working copy that core pruning builds and deletes edges from in
-place (``HostGraph._delete_edge``) before handing it out.
+``HostGraph`` is the graph being counted over; its one stored form is a
+neighbour set per vertex, which suits the sparse hosts G(n, p) gives for
+p -> 0.  Both types are immutable after construction and safe to share
+across threads; the one exception is a private working copy that core
+pruning builds and deletes edges from in place (``HostGraph._delete_edge``)
+before handing it out.
 
 Vertices are dense 0-based integers.  File loaders re-index arbitrary labels
 and return the mapping.
@@ -19,28 +19,23 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
-
-# Above this size, host adjacency switches from bitset rows to neighbor sets.
-BITSET_LIMIT = 10_000
 
 # Exact automorphism / fractional-independence enumeration cap.
 PATTERN_VERTEX_CAP = 12
 
 
-def _normalize_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    out = set()
+def _normalize_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Each edge as ``(low, high)`` ints, checked to be in range and not a loop."""
     for u, v in edges:
-        u, v = int(u), int(v)  # numpy ints would overflow bitset shifts
+        u, v = int(u), int(v)  # keeps numpy ints out of neighbour sets and JSON
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValidationError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
         if u == v:
             raise ValidationError(f"self-loop at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        out.add(e)
-    return frozenset(out)
+        yield (u, v) if u < v else (v, u)
 
 
 class PatternGraph:
@@ -52,7 +47,7 @@ class PatternGraph:
         if vertex_count < 1:
             raise ValidationError("pattern needs at least one vertex")
         self.vertex_count = int(vertex_count)
-        self.edges = _normalize_edges(self.vertex_count, edges)
+        self.edges = frozenset(_normalize_edges(self.vertex_count, edges))
         deg = [0] * self.vertex_count
         masks = [0] * self.vertex_count
         for u, v in self.edges:
@@ -103,28 +98,18 @@ class PatternGraph:
 class HostGraph:
     """An n-vertex graph with O(1) adjacency tests and per-vertex degrees."""
 
-    __slots__ = ("vertex_count", "_rows", "_adj", "_edge_count")
+    __slots__ = ("vertex_count", "_adj", "_edge_count")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 1:
             raise ValidationError("host graph needs at least one vertex")
         self.vertex_count = int(vertex_count)
-        norm = _normalize_edges(self.vertex_count, edges)
-        self._edge_count = len(norm)
-        if self.vertex_count <= BITSET_LIMIT:
-            rows = [0] * self.vertex_count
-            for u, v in norm:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            self._rows = rows
-            self._adj = None
-        else:
-            adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-            for u, v in norm:
-                adj[u].add(v)
-                adj[v].add(u)
-            self._rows = None
-            self._adj = adj
+        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        for u, v in _normalize_edges(self.vertex_count, edges):
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = adj
+        self._edge_count = sum(map(len, adj)) // 2  # repeated edges count once
 
     @classmethod
     def empty(cls, n: int) -> "HostGraph":
@@ -142,41 +127,20 @@ class HostGraph:
     def edge_count(self) -> int:
         return self._edge_count
 
-    @property
-    def uses_bitsets(self) -> bool:
-        return self._rows is not None
-
     def degree(self, v: int) -> int:
-        if self._rows is not None:
-            return self._rows[v].bit_count()
         return len(self._adj[v])
 
     def degrees(self) -> list[int]:
-        if self._rows is not None:
-            return [r.bit_count() for r in self._rows]
         return [len(s) for s in self._adj]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        if self._rows is not None:
-            return (self._rows[u] >> v) & 1 == 1
         return v in self._adj[u]
 
-    def neighbors_mask(self, v: int) -> int:
-        """Bitset of neighbors (available in bitset mode only)."""
-        if self._rows is None:
-            raise ValidationError("neighbors_mask unavailable above the bitset limit")
-        return self._rows[v]
-
-    def adjacency_rows(self) -> list:
-        """Every vertex's adjacency as stored: bitset rows up to the bitset
-        limit, neighbor sets above it.  Not a copy, so read only."""
-        return self._rows if self._rows is not None else self._adj
+    def adjacency_rows(self) -> list[set[int]]:
+        """Every vertex's neighbour set.  Not a copy, so read only."""
+        return self._adj
 
     def neighbors(self, v: int) -> list[int]:
-        if self._rows is not None:
-            return _bits(self._rows[v])
         return sorted(self._adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
@@ -195,12 +159,8 @@ class HostGraph:
     def _delete_edge(self, u: int, v: int) -> None:
         """Remove an existing edge in place; only for a private copy that no
         other code holds yet."""
-        if self._rows is not None:
-            self._rows[u] &= ~(1 << v)
-            self._rows[v] &= ~(1 << u)
-        else:
-            self._adj[u].discard(v)
-            self._adj[v].discard(u)
+        self._adj[u].discard(v)
+        self._adj[v].discard(u)
         self._edge_count -= 1
 
     def subgraph_on(self, keep: Iterable[int]) -> "HostGraph":
@@ -218,15 +178,6 @@ class HostGraph:
 
     def __repr__(self) -> str:
         return f"HostGraph(n={self.vertex_count}, e={self._edge_count})"
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def validate_vertex_set(graph, vertices: Sequence[int]) -> tuple[int, ...]:

@@ -225,7 +225,9 @@ class _BatchCounter:
             index = {e: i for i, e in enumerate(zip(self.pair_u.tolist(), self.pair_v.tolist()))}
             copies = _copy_edge_sets(pattern, HostGraph.complete(n), None)
             self.masks = [sum(1 << index[e] for e in edge_set) for edge_set in copies]
-            self.aut = automorphism_count(pattern)
+            # Labelled maps per contained copy: the labelled count in K_n
+            # (every injection) over the copies, which share it by symmetry.
+            self.weight = math.perm(n, pattern.vertex_count) // len(copies) if copies else 0
             self.pair_bits = np.ldexp(1.0, np.arange(len(self.pair_u)))  # exact below 2^53
         r = star_arms(pattern)
         self.star_arms = r if r is not None and n ** (r + 1) < 2**62 else None
@@ -269,7 +271,7 @@ class _BatchCounter:
         contained = np.zeros(len(graphs), dtype=np.int64)
         for mask in self.masks:
             contained += (graphs & mask) == mask
-        return contained * self.aut
+        return contained * self.weight
 
     def counts(self, batch: EdgeBatch, degrees: Optional[np.ndarray] = None) -> np.ndarray:
         """Labelled counts of the pattern in each graph of a batch; a star

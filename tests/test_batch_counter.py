@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from uppertail.counting import count_labelled
-from uppertail.graphs import HostGraph, clique, pattern_from_shorthand, star, star_arms
+from uppertail.graphs import HostGraph, PatternGraph, clique, pattern_from_shorthand, star, star_arms
 from uppertail.meanfield import EdgeProbabilityMatrix
 from uppertail.montecarlo import (
     EdgeBatch,
@@ -98,10 +98,14 @@ def _batches(n, seed):
     return [rng.random((rows, n * (n - 1) // 2)) < p for p in (0.3, 0.1, _planted_probs(n))]
 
 
-@pytest.mark.parametrize("n", [5, 12, 40])
-@pytest.mark.parametrize("spec", ["star:2", "star:3", "path:4", "cycle:4", "clique:3"])
+SPECS = ["star:2", "star:3", "path:4", "cycle:4", "clique:3"]
+P3_K1 = PatternGraph(4, [(0, 1), (1, 2)])  # a path plus an isolated vertex
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(spec, n) for n in (5, 12, 40) for spec in SPECS] + [("P3+K1", 5)])
 def test_counts_and_degrees_match_oracle(spec, n):
-    pattern = pattern_from_shorthand(spec)
+    pattern = P3_K1 if spec == "P3+K1" else pattern_from_shorthand(spec)
     counter = _BatchCounter(pattern, n)
     assert (counter.masks is not None) == (n <= 6)
     for present in _batches(n, 1000 * n + len(spec)):

@@ -249,7 +249,7 @@ POISSON = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
 GRAPH = "<graph>"  # stands for a small edge-list file written by the test
 CONFIG = "<config>"  # stands for a config file holding "threads = 0"
 BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
-NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text
+NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text, also read as a config
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
 CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", "4", "--p", "0.3"]
 RATE = ["rate", "--pattern", "star:2", "--delta", "1"]
@@ -305,6 +305,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
                          "--extra-degree-threshold", "1"]),
         (None, ["count", "--pattern", "path:2", "--graph", BAD_HEADER]),
         (None, ["count", "--pattern", "path:2", "--graph", NOT_UTF8]),
+        (None, ["--config", NOT_UTF8, "analyze-pattern", "cycle:4"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -317,7 +318,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "planting-size-above-n", "poisson-p-nan", "poisson-p-above-1", "exact-threads-0",
          "conditioned-threads-0", "detect-highdeg-nan", "detect-hub-degree-nan",
          "detect-hub-edge-inf", "detect-tildehub-nan", "graph-header-not-integer",
-         "graph-not-utf8"],
+         "graph-not-utf8", "config-not-utf8"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"

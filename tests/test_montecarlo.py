@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -216,6 +217,22 @@ def test_exact_tail_against_per_graph_counting():
         if count_labelled(pattern, host) >= threshold:
             total += p ** len(edges) * (1 - p) ** (6 - len(edges))
     assert exact_tail(pattern, n, p, threshold).point == pytest.approx(total, abs=1e-12)
+
+
+def test_exact_tail_with_an_isolated_pattern_vertex():
+    # P3 plus an isolated vertex: each copy of P3 has n - 3 places for the
+    # isolated vertex, so the labelled count is not copies times |Aut|.
+    n, p = 5, 0.9
+    pattern = PatternGraph(4, [(0, 1), (1, 2)])
+    pairs = list(itertools.combinations(range(n), 2))
+    graphs = []
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+        graphs.append((count_labelled(pattern, HostGraph(n, edges)), len(edges)))
+    assert max(count for count, _ in graphs) == 120
+    for threshold in (1, 37, 61, 120):
+        total = sum(p**k * (1 - p) ** (len(pairs) - k) for count, k in graphs if count >= threshold)
+        assert exact_tail(pattern, n, p, threshold).point == pytest.approx(total, abs=1e-12)
 
 
 def test_star_count_samples_r3():

@@ -20,7 +20,7 @@ from uppertail.counting import (
     star_count_using_edge,
 )
 from uppertail.errors import ResourceBudgetError
-from uppertail.graphs import BITSET_LIMIT, HostGraph, clique, cycle, path, star
+from uppertail.graphs import HostGraph, clique, cycle, path, star
 from uppertail.structures import (
     UNKNOWN,
     YES,
@@ -136,7 +136,6 @@ def _check_against_rescan(host, quantiles=(1 / 3, 2 / 3)):
         assert list(result.removed) == want_removed, label
         assert result.graph == want_core, label
         assert result.graph.edge_count == want_core.edge_count, label
-        assert result.graph.uses_bitsets == host.uses_bitsets
         assert host.edges() == before and host.edge_count == len(before), label
         deleted += len(want_removed)
     return deleted
@@ -149,11 +148,10 @@ def test_worklist_matches_rescan_on_seeded_hosts(seed):
 
 
 def test_worklist_matches_rescan_on_sets_backend():
-    n = BITSET_LIMIT + 1
+    n = 10_001
     spread = [(i * 331) % n for i in range(20)]  # scatter 20 vertices over n
     base = seeded_hosts(1, (20, 20), 0.3, 7)[0]
     host = HostGraph(n, [(spread[u], spread[v]) for u, v in base.edges()])
-    assert not host.uses_bitsets
     # One threshold per kind: every rescan step walks all n vertices.
     assert _check_against_rescan(host, quantiles=(1 / 2,)) > 0
 
