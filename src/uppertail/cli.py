@@ -508,8 +508,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceBudgetError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except (ResourceBudgetError, MemoryError) as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except UpperTailError as exc:
         print(f"error: {exc}", file=sys.stderr)

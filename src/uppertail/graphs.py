@@ -360,10 +360,6 @@ def cross_subgraph(graph: HostGraph, part_u: Sequence[int], part_v: Sequence[int
     return HostGraph(graph.vertex_count, edges)
 
 
-def cross_edge_count(graph: HostGraph, part_u: Sequence[int], part_v: Sequence[int]) -> int:
-    return cross_subgraph(graph, part_u, part_v).edge_count
-
-
 # ---------------------------------------------------------------------------
 # Standard small patterns and the shorthand / file loaders
 # ---------------------------------------------------------------------------

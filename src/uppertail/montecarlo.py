@@ -5,14 +5,17 @@ replica index), so every estimate is bit-identical across reruns and
 independent of how replicas are scheduled; acceptance counters are integers
 and float partials are reduced in replica order.
 
-Every Monte Carlo estimator draws and counts through one ``_BatchCounter``.
-It draws graphs in batches of max(1, min(4096, 8_000_000 // n_pairs)) graphs,
-each batch a sparse list of (graph, pair) edges found by geometric skipping
-over the pair slots of all of a replica's graphs; a replica's edges do not
-depend on how its draws are batched.  Labelled counts come from the first
-path that applies: the table of copy masks in K_n (n <= 6), degree falling
-factorials for stars, packed uint64 bit rows for triangles (at most about
-2 MB per batch), and the generic backtracking counter.
+Every random graph comes from ``_present_slots``: geometric skipping over
+the pair slots of all of a replica's graphs, thinned when the probabilities
+differ per pair.  ``_draws`` cuts that stream into batches, each a sparse
+list of (graph, pair) edges, and a replica's edges do not depend on how its
+draws are batched.  ``sample_gnp`` and ``sample_inhom`` return the first
+graph of replica 0.  Every Monte Carlo estimator draws batches of
+max(1, min(4096, 8_000_000 // n_pairs)) graphs and counts them through one
+``_BatchCounter``.  Labelled counts come from the first path that applies:
+the table of copy masks in K_n (n <= 6), degree falling factorials for
+stars, packed uint64 bit rows for triangles (at most about 2 MB per batch),
+and the generic backtracking counter.
 """
 
 from __future__ import annotations
@@ -76,87 +79,23 @@ def _map_replicas(worker: Callable[[int, int], object], sizes: Sequence[int], th
 # Samplers
 # ---------------------------------------------------------------------------
 
-_DENSE_SAMPLING_LIMIT = 2048
+def _pair_count(n: int) -> int:
+    if n < 1:
+        raise ValidationError(f"need at least one vertex, got n = {n}")
+    return n * (n - 1) // 2
+
+
+def _pair_endpoints(pair: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints u < v of pair indices; pairs are numbered row by row, (0, 1),
+    (0, 2), ..., (1, 2), ..., so row u starts at u(2n - u - 1) / 2."""
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(offsets, pair, side="right") - 1
+    return u, pair - offsets[u] + u + 1
 
 
 def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(n, k=1)
-    return iu[0].astype(np.int64), iu[1].astype(np.int64)
-
-
-def _gnp_edge_arrays(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    if p <= 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    total = n * (n - 1) // 2
-    if p >= 1.0:
-        u, v = _pair_arrays(n)
-        return u, v
-    if n <= _DENSE_SAMPLING_LIMIT:
-        u, v = _pair_arrays(n)
-        present = rng.random(total) < p
-        return u[present], v[present]
-    # Geometric skipping through the linearized pair indices.
-    positions = []
-    pos = -1
-    batch = max(1024, int(total * p * 1.2))
-    while True:
-        jumps = rng.geometric(p, size=batch)
-        steps = np.cumsum(jumps) + pos
-        inside = steps[steps < total]
-        positions.append(inside)
-        if len(inside) < len(steps):
-            break
-        pos = int(steps[-1])
-    idx = np.concatenate(positions)
-    # Decode linear index -> (u, v) with row offsets of the upper triangle.
-    offsets = np.cumsum(np.concatenate([[0], np.arange(n - 1, 0, -1)]))
-    u = np.searchsorted(offsets, idx, side="right") - 1
-    v = idx - offsets[u] + u + 1
-    return u.astype(np.int64), v.astype(np.int64)
-
-
-def sample_gnp(n: int, p: float, seed: int) -> HostGraph:
-    """One binomial random graph; deterministic given the seed."""
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
-    rng = _replica_rng(seed, 0)
-    u, v = _gnp_edge_arrays(n, p, rng)
-    return HostGraph(n, zip(u.tolist(), v.tolist()))
-
-
-def sample_inhom(xi: EdgeProbabilityMatrix, seed: int) -> HostGraph:
-    """One graph with independent edges at the matrix's probabilities."""
-    n = xi.n
-    rng = _replica_rng(seed, 0)
-    if xi.is_dense or n <= _DENSE_SAMPLING_LIMIT:
-        dense = xi.to_dense()
-        u, v = _pair_arrays(n)
-        present = rng.random(len(u)) < dense[u, v]
-        return HostGraph(n, zip(u[present].tolist(), v[present].tolist()))
-    # Structured large-n path: background pairs by geometric skipping among
-    # ordinary vertices, special rows handled explicitly.
-    special = sorted(xi.hubs | ({xi.boosted} if xi.boosted is not None else set()))
-    special_set = set(special)
-    u, v = _gnp_edge_arrays(n, xi.background, rng)
-    keep = [
-        (a, b)
-        for a, b in zip(u.tolist(), v.tolist())
-        if a not in special_set and b not in special_set
-    ]
-    edges = keep
-    others = np.array([w for w in range(n) if w not in special_set], dtype=np.int64)
-    for h in sorted(xi.hubs):
-        edges.extend((min(h, int(w)), max(h, int(w))) for w in others)
-        for h2 in sorted(xi.hubs):
-            if h2 > h and rng.random() < xi.background:
-                edges.append((h, h2))
-    if xi.boosted is not None:
-        b = xi.boosted
-        targets = np.arange(n)
-        targets = targets[targets != b]
-        present = rng.random(len(targets)) < xi.boosted_value
-        edges.extend((min(b, int(w)), max(b, int(w))) for w in targets[present])
-    return HostGraph(n, edges)
+    return _pair_endpoints(np.arange(_pair_count(n), dtype=np.int64), n)
 
 
 _SKIP_BLOCK = 1 << 16
@@ -207,10 +146,57 @@ def _present_slots(rng: np.random.Generator, probs, n_pairs: int, total: int):
         yield slots, decided
 
 
-class _BatchCounter:
-    """Draws batches of graphs on n vertices and counts a pattern in each.
+def _draws(rng: np.random.Generator, probs, n_pairs: int, m: int, rows: int):
+    """``EdgeBatch``es of at most ``rows`` graphs covering m graphs with
+    independent edges; ``probs`` is one probability or one per pair.  The
+    skip position carries across batches, so the graphs do not depend on
+    ``rows``."""
+    stream = _present_slots(rng, probs, n_pairs, m * n_pairs)
+    pending, decided, done = np.empty(0, dtype=np.int64), 0, 0
+    while done < m:
+        take = min(m - done, rows)
+        end = (done + take) * n_pairs
+        parts = [pending]
+        while decided < end:
+            slots, decided = next(stream)
+            parts.append(slots)
+        slots = np.concatenate(parts)
+        cut = np.searchsorted(slots, end)
+        pending = slots[cut:]
+        slots = slots[:cut] - done * n_pairs
+        graph = slots // n_pairs
+        yield EdgeBatch(graph, slots - graph * n_pairs, take)
+        done += take
 
-    A batch is an ``EdgeBatch`` of at most ``rows`` graphs.  The counter
+
+def _first_graph(n: int, probs, seed: int) -> HostGraph:
+    """The graph of a one-graph draw from replica 0 of ``seed``.  With one
+    probability for every pair it is graph 0 of any longer draw from that
+    replica too; a thinned draw shares it only when its skip blocks are as
+    long, which holds once one graph fills a block."""
+    batch = next(_draws(_replica_rng(seed, 0), probs, _pair_count(n), 1, 1))
+    u, v = _pair_endpoints(batch.pair, n)
+    return HostGraph(n, zip(u.tolist(), v.tolist()))
+
+
+def sample_gnp(n: int, p: float, seed: int) -> HostGraph:
+    """One binomial random graph; deterministic given the seed."""
+    if not 0 <= p <= 1:
+        raise ValidationError("p must lie in [0, 1]")
+    return _first_graph(n, p, seed)
+
+
+def sample_inhom(xi: EdgeProbabilityMatrix, seed: int) -> HostGraph:
+    """One graph with independent edges at the matrix's probabilities; a
+    structured matrix is refused above ``meanfield.DENSE_LIMIT`` vertices."""
+    return _first_graph(xi.n, xi.to_dense()[_pair_arrays(xi.n)], seed)
+
+
+class _BatchCounter:
+    """Counts a pattern in each graph of batches of graphs on n vertices.
+
+    A batch is an ``EdgeBatch`` of at most ``rows`` graphs, as ``_draws``
+    yields it.  The counter
     holds no state beyond its tables, so replica threads share one instance.
     """
 
@@ -233,31 +219,10 @@ class _BatchCounter:
         self.star_arms = r if r is not None and n ** (r + 1) < 2**62 else None
         self.triangle = pattern.vertex_count == 3 and pattern.edge_count == 3
 
-    def draws(self, rng: np.random.Generator, probs, m: int):
-        """``EdgeBatch``es covering m graphs with independent edges; ``probs``
-        is one probability or one per pair.  The skip position carries
-        across batches, so the graphs do not depend on ``rows``."""
-        n_pairs = len(self.pair_u)
-        stream = _present_slots(rng, probs, n_pairs, m * n_pairs)
-        pending, decided, done = np.empty(0, dtype=np.int64), 0, 0
-        while done < m:
-            take = min(m - done, self.rows)
-            end = (done + take) * n_pairs
-            parts = [pending]
-            while decided < end:
-                slots, decided = next(stream)
-                parts.append(slots)
-            slots = np.concatenate(parts)
-            cut = np.searchsorted(slots, end)
-            pending = slots[cut:]
-            slots = slots[:cut] - done * n_pairs
-            graph = slots // n_pairs
-            yield EdgeBatch(graph, slots - graph * n_pairs, take)
-            done += take
-
     def sample_counts(self, rng: np.random.Generator, probs, m: int) -> np.ndarray:
-        """Labelled counts of m graphs drawn as in ``draws``."""
-        return np.concatenate([self.counts(batch) for batch in self.draws(rng, probs, m)])
+        """Labelled counts of m graphs drawn by ``_draws``."""
+        batches = _draws(rng, probs, len(self.pair_u), m, self.rows)
+        return np.concatenate([self.counts(batch) for batch in batches])
 
     def degrees(self, batch: EdgeBatch) -> np.ndarray:
         """Degree matrix of a batch, one row per graph."""
@@ -338,8 +303,6 @@ def star_count_samples(
 ) -> np.ndarray:
     """Labelled r-star counts of ``samples`` independent draws from xi."""
     n = xi.n
-    if n > _DENSE_SAMPLING_LIMIT:
-        raise ValidationError("star sampling requires n within the dense limit")
     if n ** (r + 1) >= 2**62:
         raise ValidationError("star counts would overflow 64-bit accumulation")
     counter = _BatchCounter(star(r), n)
@@ -355,29 +318,21 @@ def star_count_samples(
 # Exact tail oracle (n <= 6)
 # ---------------------------------------------------------------------------
 
-def _popcounts_upto(limit: int) -> np.ndarray:
-    out = np.zeros(limit, dtype=np.int64)
-    bit = 0
-    while (1 << (bit + 1)) <= limit:
-        out[1 << bit : 1 << (bit + 1)] = out[: 1 << bit] + 1
-        bit += 1
-    return out
-
-
 def exact_tail(pattern: PatternGraph, n: int, p: float, threshold: int) -> TailEstimate:
     """P(N >= threshold) by summing over all labelled graphs on n vertices."""
     if n > EXACT_TAIL_MAX_N:
         raise ValidationError(f"exact tail enumeration capped at n = {EXACT_TAIL_MAX_N}")
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
-    total_pairs = n * (n - 1) // 2
-    size = 1 << total_pairs
-    labelled = _BatchCounter(pattern, n).mask_counts(np.arange(size, dtype=np.int64))
-    popcnt = _popcounts_upto(size)
+    counter = _BatchCounter(pattern, n)
+    total_pairs = len(counter.pair_u)
+    graphs = np.arange(1 << total_pairs, dtype=np.int64)
+    labelled = counter.mask_counts(graphs)
+    popcnt = np.bitwise_count(graphs)
     # Plain powers keep round cases exact (0^0 = 1 covers p in {0, 1}).
     weights = np.power(p, popcnt) * np.power(1.0 - p, total_pairs - popcnt)
     point = float(weights[labelled >= threshold].sum())
-    return TailEstimate(point=min(point, 1.0), stderr=0.0, method="exact", samples=size, seed=0)
+    return TailEstimate(point=min(point, 1.0), stderr=0.0, method="exact", samples=len(graphs), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +454,7 @@ def estimate_tail_importance(
         rng = _replica_rng(seed, replica)
         s1 = s2 = w1 = w2 = 0.0
         accepted = 0
-        for batch in counter.draws(rng, q, m):
+        for batch in _draws(rng, q, len(counter.pair_u), m, counter.rows):
             counts = counter.counts(batch)
             hits = np.bincount(batch.graph[boosted[batch.pair]], minlength=batch.size)
             log_w = hits * log_hit + (n_boosted - hits) * log_miss
@@ -609,7 +564,7 @@ def conditioned_structure_frequency(
         nonlocal hits_cond, hits_all, accepted, drawn, replica
         rng = _replica_rng(seed, replica)
         replica += 1
-        for batch in counter.draws(rng, p, take):
+        for batch in _draws(rng, p, len(counter.pair_u), take, counter.rows):
             deg = counter.degrees(batch)
             flags = np.asarray(detector.evaluate_degrees(deg), dtype=bool)
             good = counter.counts(batch, deg) >= threshold

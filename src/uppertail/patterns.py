@@ -55,10 +55,6 @@ class IndependencePolynomial:
         if not coeffs or coeffs[0] != 1:
             raise ValidationError("independence polynomial must start with i_0 = 1")
 
-    @property
-    def independence_number(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate(self, theta: float) -> float:
         total = 0.0
         for coeff in reversed(self.coefficients):

@@ -300,9 +300,8 @@ class CoreConfig:
 
     ``c_bar`` defaults to 4/delta; the strong-core budget ``c_bar_star``
     defaults to (1 + 8 r^2 epsilon) delta^(1/r) for stars, following the
-    constant's role in the high-degree argument.  ``c0``/``C0`` bound the
-    degree products used by the low-product subgraph.  None of these are
-    claimed canonical: the source only fixes them up to H, delta, epsilon.
+    constant's role in the high-degree argument.  None of these are claimed
+    canonical: the source only fixes them up to H, delta, epsilon.
     """
 
     delta: float
@@ -310,8 +309,6 @@ class CoreConfig:
     c_bar: Optional[float] = None
     star_arms: Optional[int] = None  # set for the star-specialized thresholds
     c_bar_star: Optional[float] = None
-    c0: float = 0.25
-    C0: Optional[float] = None
 
     def __post_init__(self):
         if self.delta <= 0 or self.epsilon <= 0:

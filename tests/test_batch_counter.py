@@ -4,7 +4,8 @@
 kept here as the reference oracle, and the engine must agree with them row
 for row on batches converted from dense indicator matrices.  Its sparse
 draws must have the right per-pair marginals and must not depend on the
-batch size.  Estimator outputs are pinned to the sparse-draw stream, and
+batch size, and the single-graph samplers must return graph 0 of the same
+stream.  Estimator outputs are pinned to the sparse-draw stream, and
 large-n CLI runs must stay within fixed memory ceilings.
 """
 
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from uppertail.counting import count_labelled
+from uppertail.errors import ValidationError
 from uppertail.graphs import HostGraph, PatternGraph, clique, pattern_from_shorthand, star, star_arms
 from uppertail.meanfield import EdgeProbabilityMatrix
 from uppertail.montecarlo import (
@@ -26,11 +28,16 @@ from uppertail.montecarlo import (
     Planting,
     _BatchCounter,
     _SKIP_BLOCK,
+    _draws,
     _pair_arrays,
+    _pair_endpoints,
+    _replica_rng,
     conditioned_structure_frequency,
     estimate_tail_direct,
     estimate_tail_importance,
     poisson_fit_experiment,
+    sample_gnp,
+    sample_inhom,
     star_count_samples,
 )
 
@@ -147,9 +154,9 @@ def test_batch_rows_rule():
 def _drawn(counter, probs, m, rows, seed=7):
     """(graph, pair) of m graphs drawn in batches of ``rows`` graphs, with
     graph numbers counted over the whole draw, and the batch sizes."""
-    counter.rows = rows
+    rng = np.random.Generator(np.random.Philox(seed))
     graphs, pairs, sizes = [], [], []
-    for batch in counter.draws(np.random.Generator(np.random.Philox(seed)), probs, m):
+    for batch in _draws(rng, probs, len(counter.pair_u), m, rows):
         graphs.append(batch.graph + sum(sizes))
         pairs.append(batch.pair)
         sizes.append(batch.size)
@@ -192,6 +199,52 @@ def test_draws_have_the_right_marginals(case):
     assert np.all(np.abs(freq - probs) <= 5 * se), np.max(np.abs(freq - probs) / np.maximum(se, 1e-12))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+def test_pair_endpoints_follow_triu_order(n):
+    u, v = _pair_endpoints(np.arange(n * (n - 1) // 2), n)
+    want_u, want_v = np.triu_indices(n, k=1)
+    assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
+
+def _graph_0_of_five(probs, n, seed, rows):
+    """The edges of graph 0 of five graphs drawn from replica 0 of ``seed``."""
+    batch = next(_draws(_replica_rng(seed, 0), probs, n * (n - 1) // 2, 5, rows))
+    u, v = _pair_endpoints(batch.pair[batch.graph == 0], n)
+    return set(zip(u.tolist(), v.tolist()))
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_sample_gnp_is_graph_0_of_the_estimator_stream(rows):
+    for n, p, seed in [(12, 0.3, 1), (40, 0.05, 2), (200, 0.5, 3), (30, 1.0, 4)]:
+        assert set(sample_gnp(n, p, seed).edges()) == _graph_0_of_five(p, n, seed, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_sample_inhom_is_graph_0_of_the_estimator_stream(rows):
+    # Thinning uniforms follow each block of gaps, and a block is shorter than
+    # _SKIP_BLOCK when the whole draw needs fewer candidates; at n = 400 a
+    # single graph already fills a block, so one graph and five share blocks.
+    n, seed = 400, 6
+    planted = EdgeProbabilityMatrix.planted(n, 0.15, hubs=[1], boosted=0, boosted_value=0.7)
+    assert n * (n - 1) // 2 > _SKIP_BLOCK
+    graph = sample_inhom(planted, seed)
+    assert set(graph.edges()) == _graph_0_of_five(_planted_probs(n), n, seed, rows)
+    assert graph.degree(1) == n - 2 + graph.has_edge(0, 1)
+
+
+def test_samplers_reject_bad_sizes():
+    with pytest.raises(ValidationError):
+        sample_gnp(0, 0.5, 1)
+    with pytest.raises(ValidationError):
+        sample_gnp(-3, 0.5, 1)
+    with pytest.raises(ValidationError):
+        _BatchCounter(star(2), 0)
+    with pytest.raises(ValidationError):
+        _BatchCounter(star(2), -1)
+    with pytest.raises(ValidationError):
+        sample_inhom(EdgeProbabilityMatrix.planted(4001, 0.1, hubs=[0]), 1)
+
+
 def test_pinned_estimator_outputs():
     est = estimate_tail_direct(star(2), 40, 0.05, 321, 20000, 0)
     assert (est.point, est.extras["accepted"]) == (0.0027, 54)
@@ -210,20 +263,39 @@ def test_pinned_estimator_outputs():
     assert (fit.mean, fit.tv_distance) == (2.9281, 0.02736365843603086)
 
 
-def _peak_rss_mb(argv, samples):
-    """Run the CLI in a child process; return its own peak RSS in MB."""
+# Runs the CLI, then reports the process's own peak RSS on stderr.  The
+# ru_maxrss that wait4 returns for a child also counts its parent's peak,
+# which the child inherits across fork and exec.
+_LAUNCHER = """
+import sys
+from uppertail.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def _peak_rss_mb(argv):
+    """Run the CLI in a child process; return its own peak RSS in MB and its
+    result."""
     env = {k: v for k, v in os.environ.items() if k != "UPPERTAIL_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "uppertail.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    child = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *argv], capture_output=True, text=True, env=env
     )
-    _, status, usage = os.wait4(child.pid, 0)  # this child's own peak RSS
-    child.returncode = os.waitstatus_to_exitcode(status)
-    out, err = (stream.decode() for stream in child.communicate())
-    assert child.returncode == 0, err
-    assert json.loads(out)["result"]["samples"] == samples
-    return usage.ru_maxrss / 1024  # kilobytes on Linux
+    assert child.returncode == 0, child.stderr
+    peak_kb = int(child.stderr.splitlines()[-1].split()[1])  # "VmHWM:  123456 kB"
+    return peak_kb / 1024, json.loads(child.stdout)["result"]
+
+
+def test_peak_rss_is_the_childs_own():
+    # About 300 MB held here must not show in a small child's peak.
+    ballast = np.ones(300 * 2**20 // 8)
+    peak_mb, result = _peak_rss_mb(["analyze-pattern", "cycle:4"])
+    assert result["v"] == 4 and ballast.sum() == len(ballast)
+    assert peak_mb < 150, peak_mb
 
 
 def test_large_n_tail_memory():
@@ -231,7 +303,8 @@ def test_large_n_tail_memory():
     # batches sized by the pair count stay far below that.
     argv = ["tail", "--pattern", "star:2", "--n", "2000", "--p", "0.001", "--delta", "1",
             "--samples", "64", "--replicas", "1", "--threads", "1"]
-    peak_mb = _peak_rss_mb(argv, 64)
+    peak_mb, result = _peak_rss_mb(argv)
+    assert result["samples"] == 64
     assert peak_mb < 400, peak_mb
 
 
@@ -242,5 +315,6 @@ def test_dense_triangle_tail_memory():
     # would add 64 MB, and uint64 words per pair 512 MB.
     argv = ["tail", "--pattern", "clique:3", "--n", "1000", "--p", "0.5", "--delta", "0",
             "--samples", "4", "--replicas", "1", "--threads", "1"]
-    peak_mb = _peak_rss_mb(argv, 4)
+    peak_mb, result = _peak_rss_mb(argv)
+    assert result["samples"] == 4
     assert peak_mb < 250, peak_mb

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uppertail import cli
 from uppertail.cli import main
 
 
@@ -306,6 +307,8 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, ["count", "--pattern", "path:2", "--graph", BAD_HEADER]),
         (None, ["count", "--pattern", "path:2", "--graph", NOT_UTF8]),
         (None, ["--config", NOT_UTF8, "analyze-pattern", "cycle:4"]),
+        (None, TAIL[:3] + ["--n=-1"] + TAIL[5:] + ["--method", "exact"]),
+        (None, TAIL[:3] + ["--n=0"] + TAIL[5:] + ["--samples", "100"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -318,7 +321,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "planting-size-above-n", "poisson-p-nan", "poisson-p-above-1", "exact-threads-0",
          "conditioned-threads-0", "detect-highdeg-nan", "detect-hub-degree-nan",
          "detect-hub-edge-inf", "detect-tildehub-nan", "graph-header-not-integer",
-         "graph-not-utf8", "config-not-utf8"],
+         "graph-not-utf8", "config-not-utf8", "exact-n-negative", "direct-n-0"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
@@ -340,6 +343,23 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 931. GiB for an array"),
+     "Unable to allocate 931. GiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch, error, message):
+    def handler(args, started):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "tail", handler)
+    code = main(TAIL + ["--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"resource error: {message}\n"
 
 
 def test_highdeg_threshold_needs_a_star(capsys, tmp_path):
