@@ -5,18 +5,23 @@ of the pattern are unconstrained).  One enumerator finds them all: it
 backtracks over pattern vertices in a greedy connected order that maximizes
 back-degree, intersecting the host's neighbour sets, and at each embedding
 counts it or hands it to a leaf action (which is how copies are collected).
-Without a leaf action the last search level, and the two last ones when
-their vertices are not adjacent (paths, stars), are counted from pool sizes
-rather than listed, at the same node charge.  Counts are plain Python ints
-so the divisibility check stays exact.  Closed forms are used for stars,
-both as fast paths and as independent oracles in the tests.
+Each search start's plan (order, back-neighbours, degree needs) is built once
+per pattern and cached as immutable tuples.  Without a leaf action the
+trailing run of pairwise non-adjacent vertices is counted from pool sizes
+rather than listed, at the same node charge: star centres are listed once
+and their arms counted as falling factorials of the degree.  Counts are plain
+Python ints so the divisibility check stays exact.  Closed forms are used
+for stars, both as fast paths and as independent oracles in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import ResourceBudgetError, ValidationError
@@ -32,9 +37,8 @@ from .patterns import QhMember, fractional_independence_number
 DEFAULT_NODE_BUDGET = 50_000_000
 
 
-def _search_order(pattern: PatternGraph, first: Sequence[int] = ()) -> list[int]:
-    """Greedy connected ordering: each next vertex maximizes the number of
-    already-placed neighbors (ties broken by degree, then index)."""
+@functools.lru_cache(maxsize=4096)
+def _order(pattern: PatternGraph, first: tuple[int, ...]) -> tuple[int, ...]:
     n = pattern.vertex_count
     order = list(first)
     placed = set(order)
@@ -50,7 +54,40 @@ def _search_order(pattern: PatternGraph, first: Sequence[int] = ()) -> list[int]
                 best, best_key = v, key
         order.append(best)
         placed.add(best)
-    return order
+    return tuple(order)
+
+
+def _search_order(pattern: PatternGraph, first: Sequence[int] = ()) -> list[int]:
+    """Greedy connected ordering: each next vertex maximizes the number of
+    already-placed neighbors (ties broken by degree, then index)."""
+    return list(_order(pattern, tuple(first)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, groups: tuple[int, ...]):
+    """The plan of a start whose first ``pinned`` vertices of ``order`` are
+    pinned: per later position (vertex, back-neighbours, other placed
+    vertices, degree), and the counted trailing run.  The run is the longest
+    pairwise non-adjacent tail, shortened to two vertices unless all of it
+    shares its back-neighbours and side (``groups`` numbers each pattern
+    vertex's side set; empty without sides).  The plan holds where the run
+    begins, the vertices placed before it but for the one just before it,
+    and its first two vertices with their other back-neighbours and whether
+    that one is among their back-neighbours."""
+    steps = []
+    for i, v in enumerate(order[pinned:], pinned):
+        back = tuple(u for u in order[:i] if pattern.has_edge(u, v))
+        steps.append((v, back, tuple(u for u in order[:i] if u not in back), pattern.degree(v)))
+    run = len(steps)
+    while run and not any(pattern.has_edge(steps[run - 1][0], s[0]) for s in steps[run:]):
+        run -= 1
+    while len(steps) - run > 2 and len({(s[1], groups and groups[s[0]]) for s in steps[run:]}) > 1:
+        run += 1
+    split = steps[run - 1][0] if run else None
+    before = tuple(u for u in order[: pinned + run] if u != split)
+    heads = tuple((v, tuple(u for u in back if u != split), split in back)
+                  for v, back, _, _ in steps[run : run + 2])
+    return tuple(steps), run, before, heads
 
 
 class _Budget:
@@ -65,7 +102,9 @@ class _Budget:
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
         if self.remaining < 0:
-            raise ResourceBudgetError(f"counting budget of {self.limit} search nodes exceeded")
+            raise ResourceBudgetError(
+                f"counting budget of {self.limit} search nodes exceeded: "
+                f"{self.limit - self.remaining} charged so far")
 
 
 def _starts(pattern: PatternGraph, host: HostGraph, edge: Optional[tuple[int, int]] = None):
@@ -74,12 +113,12 @@ def _starts(pattern: PatternGraph, host: HostGraph, edge: Optional[tuple[int, in
     A copy's image contains the host edge through exactly one pattern edge in
     exactly one orientation, so these starts find each such copy once."""
     if edge is None:
-        return [(_search_order(pattern), {})]
+        return [(_order(pattern, ()), {})]
     u, v = edge
     if not host.has_edge(u, v):
         raise ValidationError(f"edge ({u},{v}) not in host graph")
     return [
-        (_search_order(pattern, first=[x, y]), {x: a, y: b})
+        (_order(pattern, (x, y)), {x: a, y: b})
         for x, y in pattern.sorted_edges()
         for a, b in ((u, v), (v, u))
     ]
@@ -88,7 +127,7 @@ def _starts(pattern: PatternGraph, host: HostGraph, edge: Optional[tuple[int, in
 def _embed(
     pattern: PatternGraph,
     host: HostGraph,
-    starts: list[tuple[list[int], dict[int, int]]],
+    starts: list[tuple[Sequence[int], dict[int, int]]],
     budget: _Budget,
     sides: Optional[dict[int, set[int]]] = None,
     leaf: Optional[Callable[[list[int]], None]] = None,
@@ -97,116 +136,126 @@ def _embed(
     summed over the starts.
 
     Each start ``(order, pinned)`` fixes the images of the leading vertices of
-    ``order`` and backtracks over the rest in that order.  ``sides`` restricts
-    pattern vertices to sets of host vertices; ``leaf`` is called at every
-    embedding with the images indexed by pattern vertex.  Every candidate
-    tried costs one budget node, also when the degree check rejects it.
-    Candidates are the intersection of the neighbour sets of the placed
-    back-neighbours' images, less the other placed images, and are tried in
-    increasing order.
+    ``order`` and backtracks over the rest in that order, following the
+    start's cached ``_plan``.  ``sides`` restricts pattern vertices to sets of
+    host vertices; ``leaf`` is called at every embedding with the images
+    indexed by pattern vertex.  Every candidate tried costs one budget node,
+    also when the degree check rejects it.  Candidates are the intersection
+    of the neighbour sets of the placed back-neighbours' images, less the
+    other placed images, and are tried in increasing order.
 
-    Without ``leaf`` the last position is counted rather than listed, and
-    charged the nodes listing it would cost: every pattern neighbour of its
-    vertex is placed, so each candidate is adjacent to that many distinct
-    images and passes the degree check.  When the last vertex is not
-    adjacent to the one before it, its pool does not depend on that vertex's
-    image, so the second-to-last position lists and degree-checks its
-    candidates and counts the last position once for all of them; when it
-    is adjacent, that position counts the last one's pool for each of its
-    candidates in place.  The budget raises exactly when the running total
-    passes its limit, so charging a level in one sum fails where listing it
-    would.
+    Without ``leaf`` the plan's trailing run of pairwise non-adjacent
+    vertices is counted rather than listed.  Every pattern neighbour of a run
+    vertex is placed before the run, so its pool is fixed by earlier images
+    and each candidate in it is adjacent to that many distinct images, which
+    passes the degree check.  The position before the run lists and
+    degree-checks its candidates; ``counted`` then sums, over them, the
+    injective maps of the run into its pools, and charges the nodes listing
+    would cost.  The budget raises exactly when the running total passes its
+    limit, so charging a run in one sum fails where listing it would.
     """
     rows = host.adjacency_rows()
-    degrees = host.degrees()
     n_host = host.vertex_count
-
-    def listing(pool, placed: list[int]) -> list[int]:
-        if pool is None:  # no placed neighbour: every free vertex
-            return [w for w in range(n_host) if w not in placed]
-        return sorted(pool.difference(placed))
-
-    def free(pool, placed: list[int]) -> int:
-        """How many of the pool (every vertex when None) are outside
-        ``placed``, whose vertices are distinct."""
-        if pool is None:
-            return n_host - len(placed)
-        return len(pool.difference(placed))
-
     images = [0] * pattern.vertex_count
+    groups = ()
+    if sides:
+        ids = [id(sides.get(v)) for v in range(pattern.vertex_count)]
+        groups = tuple(map(ids.index, ids))
 
-    def meet(back: list[int], side):
+    def meet(back, v):
         """The host vertices adjacent to the images of ``back`` and inside
-        ``side``, or None when neither constrains them."""
+        v's side, or None when neither constrains them."""
         pool = None
         for u in back:
             row = rows[images[u]]
             pool = row if pool is None else pool & row
             if not pool:
                 return pool
+        side = sides.get(v) if sides else None
         if side is not None:
             pool = side if pool is None else pool & side
         return pool
 
     def descend(depth: int) -> int:
-        # ``plan`` has per unpinned position (v, back, others, degree, side).
         # A neighbour set never holds its own vertex: only ``others`` are excluded.
-        v, back, others, need, side = plan[depth]
-        pool = meet(back, side)
+        v, back, others, need = steps[depth]
+        pool = meet(back, v)
         taken = [images[u] for u in others]
-        if depth == last and leaf is None:
-            count = free(pool, taken)
-            budget.spend(count)
-            return count
-        candidates = listing(pool, taken)
+        if pool is None:  # no placed neighbour: every free vertex
+            candidates = [w for w in range(n_host) if w not in taken]
+        else:
+            candidates = sorted(pool.difference(taken))
         budget.spend(len(candidates))
-        fits = [w for w in candidates if degrees[w] >= need]
-        if depth == last:
+        fits = [w for w in candidates if len(rows[w]) >= need]
+        if depth + 1 == run:
+            return counted(v, fits)
+        if depth == len(steps) - 1:  # only with a leaf
             for w in fits:
                 images[v] = w
                 leaf(images)
             return len(fits)
-        if depth == split:
-            _, back, others, _, side = plan[last]
-            if v in back:
-                # The last vertex's pool for image w is w's row within the
-                # pool of its other back-neighbours, outside the other images.
-                rest = meet([u for u in back if u != v], side)
-                taken = [images[u] for u in others]
-                count = sum(free(rows[w] if rest is None else rest & rows[w], taken) for w in fits)
-            else:
-                # The last vertex's candidates for image w: its pool outside
-                # the earlier images, less w itself when the pool holds w.
-                # The fits the pool holds number free(pool, []) - free(pool, fits).
-                pool = meet(back, side)
-                count = len(fits) * free(pool, [images[u] for u in others if u != v])
-                count -= free(pool, []) - free(pool, fits)
-            budget.spend(count)
-            return count
         total = 0
         for w in fits:
             images[v] = w
             total += descend(depth + 1)
         return total
 
+    def counted(split, fits: list) -> int:
+        """Injective maps of the run into its pools, summed over the images
+        ``fits`` of the vertex ``split`` before it (None: the run begins the
+        search), charged the maps of every leading part of the run.  One run
+        vertex gives |Q|, two give |Q1||Q2| - |Q1 & Q2|, and more share one
+        pool and give the falling factorial (|Q|)_k."""
+        taken = {images[u] for u in before}
+        R = [rows[w] for w in fits] if split is not None else ()
+
+        def sizes(base, dep):
+            """|Q| for each of ``fits``: w's row within ``base`` when the pool
+            depends on w, else ``base`` less w; outside ``taken`` either way,
+            and None for ``base`` is every vertex."""
+            if base is not None and taken:
+                base = base - taken
+            if dep:
+                if base is None:
+                    return map(sub, map(len, R), map(len, map(taken.intersection, R)))
+                return map(len, map(base.intersection, R))
+            if base is None:
+                return itertools.repeat(n_host - len(taken) - (split is not None), len(fits))
+            return map(sub, itertools.repeat(len(base), len(fits)), map(base.__contains__, fits))
+
+        k = len(steps) - run
+        pools = [(meet(rest, v), dep) for v, rest, dep in heads]
+        if k == 1:
+            count = nodes = sum(sizes(*pools[0]))
+        elif k == 2:
+            (a, a_dep), (b, b_dep) = pools
+            first = list(sizes(a, a_dep))
+            both = a if b is None else b if a is None else a & b
+            count = sum(map(mul, first, sizes(b, b_dep))) - sum(sizes(both, a_dep or b_dep))
+            nodes = sum(first) + count
+        else:
+            count = nodes = 0
+            for q, m in Counter(sizes(*pools[0])).items():
+                for j in range(k):
+                    m *= q - j
+                    nodes += m
+                count += m
+        budget.spend(nodes)
+        return count
+
     total = 0
-    for order, pinned in starts:
-        for v, w in pinned.items():
+    for order, pinned_images in starts:
+        for v, w in pinned_images.items():
             images[v] = w
-        placed, plan = order[: len(pinned)], []
-        for v in order[len(pinned):]:
-            back = [u for u in pattern.neighbors(v) if u in placed]
-            side = sides.get(v) if sides else None
-            plan.append((v, back, [u for u in placed if u not in back], pattern.degree(v), side))
-            placed.append(v)
-        last = len(plan) - 1
-        split = last - 1 if leaf is None else -1
-        if plan:
-            total += descend(0)
-        else:  # every vertex pinned
+        steps, run, before, heads = _plan(pattern, tuple(order), len(pinned_images), groups)
+        if leaf is not None:  # list every position
+            run = len(steps) + 1
+        if not steps:  # every vertex pinned
             total += 1
             if leaf is not None:
                 leaf(images)
+        else:
+            total += counted(None, [None]) if run == 0 else descend(0)
     return total
 
 

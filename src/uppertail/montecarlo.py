@@ -33,6 +33,10 @@ from .counting import _copy_edge_sets, count_labelled, automorphism_count
 from .meanfield import EdgeProbabilityMatrix
 
 EXACT_TAIL_MAX_N = 6
+# A batched run keeps tables of both endpoints of every vertex pair, 16 bytes
+# a pair and more while they are built: above this many pairs (n > 10,000)
+# it is refused before any table exists.
+MAX_PAIRS = 50_000_000
 DEFAULT_REPLICAS = 32
 
 
@@ -201,6 +205,10 @@ class _BatchCounter:
     """
 
     def __init__(self, pattern: PatternGraph, n: int):
+        if _pair_count(n) > MAX_PAIRS:
+            raise ResourceBudgetError(
+                f"n = {n} has {_pair_count(n)} vertex pairs; a sampled run holds at most "
+                f"{MAX_PAIRS} (n up to 10,000)")
         self.pattern = pattern
         self.n = n
         self.pair_u, self.pair_v = _pair_arrays(n)

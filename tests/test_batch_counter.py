@@ -24,12 +24,14 @@ from uppertail.graphs import HostGraph, PatternGraph, clique, pattern_from_short
 from uppertail.meanfield import EdgeProbabilityMatrix
 from uppertail.montecarlo import (
     EdgeBatch,
+    MAX_PAIRS,
     HighDegreeDetector,
     Planting,
     _BatchCounter,
     _SKIP_BLOCK,
     _draws,
     _pair_arrays,
+    _pair_count,
     _pair_endpoints,
     _replica_rng,
     conditioned_structure_frequency,
@@ -277,17 +279,23 @@ sys.exit(code)
 """
 
 
-def _peak_rss_mb(argv):
-    """Run the CLI in a child process; return its own peak RSS in MB and its
-    result."""
+def _run_child(argv):
+    """Run the CLI in a child process; return its exit code, its own peak RSS
+    in MB, its stdout and the stderr lines before the peak."""
     env = {k: v for k, v in os.environ.items() if k != "UPPERTAIL_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, *argv], capture_output=True, text=True, env=env
     )
-    assert child.returncode == 0, child.stderr
-    peak_kb = int(child.stderr.splitlines()[-1].split()[1])  # "VmHWM:  123456 kB"
-    return peak_kb / 1024, json.loads(child.stdout)["result"]
+    *lines, peak = child.stderr.splitlines()  # "VmHWM:  123456 kB"
+    return child.returncode, int(peak.split()[1]) / 1024, child.stdout, lines
+
+
+def _peak_rss_mb(argv):
+    """The child's own peak RSS in MB and its result."""
+    code, peak_mb, stdout, lines = _run_child(argv)
+    assert code == 0, lines
+    return peak_mb, json.loads(stdout)["result"]
 
 
 def test_peak_rss_is_the_childs_own():
@@ -318,3 +326,16 @@ def test_dense_triangle_tail_memory():
     peak_mb, result = _peak_rss_mb(argv)
     assert result["samples"] == 4
     assert peak_mb < 250, peak_mb
+
+
+def test_too_many_vertex_pairs_is_refused_up_front():
+    # n = 10^6 has 5 * 10^11 vertex pairs: the pair tables alone would take
+    # 3.64 TiB.  The run is refused before any table is built.
+    argv = ["tail", "--pattern", "star:2", "--n", "1000000", "--p", "1e-6", "--delta", "1",
+            "--samples", "1", "--replicas", "1", "--threads", "1"]
+    code, peak_mb, stdout, lines = _run_child(argv)
+    assert (code, stdout) == (3, "")
+    assert lines == [f"resource error: n = 1000000 has 499999500000 vertex pairs; "
+                     f"a sampled run holds at most {MAX_PAIRS} (n up to 10,000)"]
+    assert peak_mb < 150, peak_mb
+    assert _pair_count(10_000) <= MAX_PAIRS < _pair_count(10_001)

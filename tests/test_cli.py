@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uppertail import cli
+from uppertail import cli, counting
 from uppertail.cli import main
 
 
@@ -535,3 +536,25 @@ def test_every_other_command_keeps_the_cli_contract(tmp_path_factory, command, g
     if command == "detect":
         argv += ["--graph", _write_graph(tmp_path_factory, graph)]
     _assert_cli_contract(command, argv)
+
+
+def test_direct_tail_counts_agree_across_threads(capsys):
+    # cycle:4 at n = 20 is counted graph by graph by the enumerator, whose
+    # cached plans the replica threads share; with empty caches and frequent
+    # thread switches, more threads than cores race to fill them.
+    argv = ["tail", "--pattern", "cycle:4", "--n", "20", "--p", "0.3", "--delta", "0.2",
+            "--method", "direct", "--samples", "300", "--replicas", "4", "--seed", "11"]
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in ("1", "2", "4"):
+            counting._order.cache_clear()
+            counting._plan.cache_clear()
+            code, payload = run_cli(capsys, *argv, "--threads", threads)
+            assert code == 0
+            results.append(payload["result"])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+    assert 0 < results[0]["point"] < 1

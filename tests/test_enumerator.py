@@ -15,6 +15,7 @@ pattern vertices out.
 """
 
 import itertools
+import math
 import random
 from typing import Optional
 
@@ -28,19 +29,22 @@ from uppertail.counting import (
     count_labelled,
     count_labelled_using_edge,
     count_restricted,
+    star_count_exact,
+    star_count_using_edge,
 )
 from uppertail.errors import ResourceBudgetError, ValidationError
 from uppertail.graphs import (
     HostGraph,
     PatternGraph,
     automorphism_count,
+    biclique,
     clique,
     cycle,
     path,
     star,
     validate_vertex_set,
 )
-from uppertail.patterns import enumerate_qh
+from uppertail.patterns import QhMember, enumerate_qh
 from conftest import seeded_hosts
 
 # Hosts up to this size are checked by the bitset-row oracle, larger ones by
@@ -276,6 +280,13 @@ PATTERNS = {
     "path:5": path(5),
     "star:4": star(4),
     "P3+K1": PatternGraph(4, [(0, 1), (1, 2)]),  # last vertex has no placed neighbour
+    # Shapes of the counted trailing run (pairwise non-adjacent last vertices):
+    "biclique:2,3": biclique(2, 3),  # two vertices sharing a two-vertex back set
+    "biclique:2,4": biclique(2, 4),  # three vertices sharing a two-vertex back set
+    "star:5": star(5),  # five arms below the centre, four below a pinned arm
+    "paw": PatternGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # triangle and pendant
+    "bull": PatternGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]),  # two rows, other backs
+    "E3": PatternGraph(3, []),  # edgeless: each pool is every free vertex
 }
 BITSET_HOSTS = seeded_hosts(6, (6, 11), 0.45, 501)
 
@@ -336,6 +347,8 @@ def oracle(run):
 def test_plain_count_matches_oracle(spent, backend, name):
     pattern = PATTERNS[name]
     for host in BACKENDS[backend]:
+        if host is SPARSE and name == "E3":
+            continue  # 10^12 maps: see test_edgeless_pattern_counts_every_injection
         got = count_labelled(pattern, host)
         assert (got, spent()) == oracle(lambda b: oracle_count(pattern, host, b))
 
@@ -353,6 +366,9 @@ def test_pinned_count_matches_oracle(spent, backend, name):
 
 MEMBERS = [m for pat in (star(2), path(4), cycle(4), clique(3), path(5), star(4))
            for m in enumerate_qh(pat)]
+# Built by hand: three isolated vertices end the search with equal (empty)
+# back-neighbours but not one side, so they are not one shared pool.
+MEMBERS.append(QhMember(frozenset({(0, 1)}), frozenset({0, 2}), frozenset({1, 3, 4})))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -379,10 +395,10 @@ def test_copy_edge_sets_match_oracle(backend, name):
     for host in BACKENDS[backend]:
         edges = host.edges()
         # At a position with no placed neighbour the former collector tries
-        # all 10^4 vertices of the sets host and descends into each, so 2K2
-        # and P3+K1 run it unpinned on the bitset hosts only, and here through
-        # two edges (about 0.1 s each).
-        if host is SPARSE and name in ("2K2", "P3+K1"):
+        # all 10^4 vertices of the sets host and descends into each, so 2K2,
+        # P3+K1 and E3 run it unpinned on the bitset hosts only, and here
+        # through two edges (about 0.1 s each).
+        if host is SPARSE and name in ("2K2", "P3+K1", "E3"):
             edges = edges[:2]
         else:
             assert _copy_edge_sets(pattern, host, None) == copy_edge_sets(pattern, host, None)
@@ -392,7 +408,8 @@ def test_copy_edge_sets_match_oracle(backend, name):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", ["path:5", "star:4", "P3+K1", "cycle:4"])
+@pytest.mark.parametrize("name", ["path:5", "star:4", "P3+K1", "cycle:4", "biclique:2,3",
+                                  "biclique:2,4", "star:5", "paw", "bull"])
 def test_budget_boundary_on_counted_levels(spent, backend, name):
     """The counted last levels are charged in sums, not node by node: a
     budget of exactly the nodes spent still suffices, one fewer fails."""
@@ -409,6 +426,46 @@ def test_budget_boundary_on_counted_levels(spent, backend, name):
             with pytest.raises(ResourceBudgetError, match=f"budget of {nodes - 1} search nodes"):
                 run(nodes - 1)
             spent()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_edgeless_pattern_counts_every_injection(spent, backend):
+    """A whole edgeless pattern is one counted run: (n)_3 maps, charged
+    n + (n)_2 + (n)_3 nodes in one sum, also on the 10,001-vertex host,
+    where the listing oracle would need 10^12 nodes.  An overrun reports
+    the limit and the nodes charged."""
+    for host in BACKENDS[backend]:
+        n = host.vertex_count
+        nodes = n + math.perm(n, 2) + math.perm(n, 3)
+        assert count_labelled(PATTERNS["E3"], host, nodes) == math.perm(n, 3)
+        assert spent() == nodes
+        message = f"budget of {nodes - 1} search nodes exceeded: {nodes} charged so far"
+        with pytest.raises(ResourceBudgetError, match=message):
+            count_labelled(PATTERNS["E3"], host, nodes - 1)
+        spent()
+
+
+def test_cached_plans_survive_equal_patterns_and_mutated_orders():
+    # Plans are cached by pattern value: a pattern built again, or with its
+    # edges listed otherwise, gets the same plan and so the same counts.
+    host = BITSET_HOSTS[3]
+    e = host.edges()[0]
+    for name, pattern in PATTERNS.items():
+        flipped = [(v, u) for u, v in reversed(pattern.sorted_edges())]
+        twin = PatternGraph(pattern.vertex_count, flipped)
+        assert twin == pattern and twin is not pattern
+        for run in (lambda p: count_labelled(p, host), lambda p: count_labelled_using_edge(p, host, e)):
+            assert run(twin) == run(pattern)
+    # The order handed out is a fresh list: mutating it changes no later search.
+    pattern = PATTERNS["path:5"]
+    want = count_labelled(pattern, host), count_labelled_using_edge(pattern, host, e)
+    for first in ((), (1, 2)):
+        kept = _search_order(pattern, first)
+        order = _search_order(pattern, first)
+        order.reverse()
+        order.append(99)
+        assert _search_order(pattern, first) == kept != order
+    assert (count_labelled(pattern, host), count_labelled_using_edge(pattern, host, e)) == want
 
 
 def test_copy_edge_sets_need_room_for_isolated_vertices():
@@ -459,6 +516,14 @@ def test_counts_match_vf2_monomorphisms():
         host = HostGraph(n, g.edges())
         picked = rng.sample(sorted(g.edges()), min(3, g.number_of_edges()))
         for name, pattern in PATTERNS.items():
+            if name == "star:5":
+                # VF2 takes about 9 s to list these matches; the star closed
+                # forms are independent oracles too.
+                assert count_labelled(pattern, host) == star_count_exact(5, host)
+                for e in picked:
+                    want = star_count_using_edge(5, host, e)
+                    assert count_labelled_using_edge(pattern, host, e) == want
+                continue
             h = nx.Graph()
             h.add_nodes_from(range(pattern.vertex_count))
             h.add_edges_from(pattern.edges)
