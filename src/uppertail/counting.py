@@ -57,12 +57,6 @@ def _order(pattern: PatternGraph, first: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _search_order(pattern: PatternGraph, first: Sequence[int] = ()) -> list[int]:
-    """Greedy connected ordering: each next vertex maximizes the number of
-    already-placed neighbors (ties broken by degree, then index)."""
-    return list(_order(pattern, tuple(first)))
-
-
 @functools.lru_cache(maxsize=4096)
 def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, groups: tuple[int, ...]):
     """The plan of a start whose first ``pinned`` vertices of ``order`` are

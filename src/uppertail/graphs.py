@@ -16,15 +16,23 @@ and return the mapping.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import sys
+from array import array
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
 # Exact automorphism / fractional-independence enumeration cap.
 PATTERN_VERTEX_CAP = 12
+
+# Edge-list body lines that ``load_edge_list`` hands numpy at a time.
+LOAD_BLOCK_LINES = 1 << 16
 
 
 def _normalize_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -36,6 +44,19 @@ def _normalize_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Ite
         if u == v:
             raise ValidationError(f"self-loop at vertex {u}")
         yield (u, v) if u < v else (v, u)
+
+
+def _checked_columns(vertex_count: int, edges: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Each row of an (m, 2) integer array as a pair of ints, checked in bulk:
+    the first row that is out of range or a loop raises what
+    ``_normalize_edges`` would.  Endpoints are one shared int per vertex."""
+    u, v = edges[:, 0], edges[:, 1]
+    bad = (u < 0) | (u >= vertex_count) | (v < 0) | (v >= vertex_count) | (u == v)
+    if bad.any():
+        a, b = edges[bad.argmax()].tolist()
+        next(_normalize_edges(vertex_count, [(a, b)]))
+    ints = np.arange(vertex_count).astype(object)
+    return zip(ints[u].tolist(), ints[v].tolist())
 
 
 class PatternGraph:
@@ -101,11 +122,17 @@ class HostGraph:
     __slots__ = ("vertex_count", "_adj", "_edge_count")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        """``edges`` is any iterable of pairs, or an (m, 2) integer array,
+        which is checked in bulk."""
         if vertex_count < 1:
             raise ValidationError("host graph needs at least one vertex")
         self.vertex_count = int(vertex_count)
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in _normalize_edges(self.vertex_count, edges):
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+            pairs = _checked_columns(self.vertex_count, edges)
+        else:
+            pairs = _normalize_edges(self.vertex_count, edges)
+        for u, v in pairs:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = adj
@@ -166,8 +193,12 @@ class HostGraph:
     def subgraph_on(self, keep: Iterable[int]) -> "HostGraph":
         """Same vertex set, only edges with both endpoints in ``keep``."""
         keep_set = set(keep)
-        kept = [(u, v) for u, v in self.edges() if u in keep_set and v in keep_set]
-        return HostGraph(self.vertex_count, kept)
+        kept = {u for u in range(self.vertex_count) if u in keep_set}
+        sub = HostGraph(self.vertex_count)
+        for u in kept:
+            sub._adj[u] = self._adj[u] & kept
+        sub._edge_count = sum(map(len, sub._adj)) // 2
+        return sub
 
     def __eq__(self, other) -> bool:
         return (
@@ -429,52 +460,110 @@ def load_edge_list(path_name: str):
     comment.  Labels outside 0..N-1 (or non-numeric labels) are re-indexed in
     order of first appearance.  Returns ``(HostGraph, mapping)`` where
     ``mapping`` maps original label to assigned index.
-    """
-    with open(path_name, "r", encoding="utf-8") as handle:
-        try:
-            lines = handle.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"edge-list file is not UTF-8 text: {exc}") from None
-    n = None
-    raw_edges: list[tuple[str, str]] = []
-    for line in lines:
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ValidationError("edge-list file must start with 'n <N>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ValidationError(f"vertex count {parts[1]!r} is not an integer") from None
-            if n < 1:
-                raise ValidationError("vertex count must be positive")
-            continue
-        if len(parts) != 2:
-            raise ValidationError(f"bad edge line: {text!r}")
-        raw_edges.append((parts[0], parts[1]))
-    if n is None:
-        raise ValidationError("empty edge-list file")
 
-    def dense(tok: str) -> Optional[int]:
+    The body is parsed by numpy in blocks of ``LOAD_BLOCK_LINES`` lines.  A
+    file that numpy refuses, or that holds a label outside 0..N-1, is read
+    again line by line; both passes give the same graph, mapping and errors.
+    """
+    with _edge_list_text(path_name) as handle:
+        n = _vertex_count(handle)
+        edges = _int_edges(handle, n)
+    if edges is None:
+        return _load_by_lines(path_name)
+    return HostGraph(n, edges), {str(i): i for i in range(n)}
+
+
+@contextlib.contextmanager
+def _edge_list_text(path_name: str):
+    """The file opened as UTF-8 text.  A decoding error anywhere in the file
+    wins over any other error, as when the whole file was decoded first: after
+    a ``ValidationError`` the rest is still decoded, by lines, so that the
+    position a decoding error reports does not change."""
+    try:
+        with open(path_name, "r", encoding="utf-8") as handle:
+            try:
+                yield handle
+            except ValidationError:
+                for _ in handle:
+                    pass
+                raise
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"edge-list file is not UTF-8 text: {exc}") from None
+
+
+def _vertex_count(handle) -> int:
+    """Read up to the header line ``n <N>`` and return N."""
+    for line in handle:
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != 2 or parts[0] != "n":
+            raise ValidationError("edge-list file must start with 'n <N>'")
         try:
-            value = int(tok)
+            n = int(parts[1])
+        except ValueError:
+            raise ValidationError(f"vertex count {parts[1]!r} is not an integer") from None
+        if n < 1:
+            raise ValidationError("vertex count must be positive")
+        return n
+    raise ValidationError("empty edge-list file")
+
+
+def _int_edges(handle, n: int) -> Optional[np.ndarray]:
+    """The rest of the file as an (m, 2) int64 array of endpoints in 0..n-1,
+    parsed a block at a time, or None once a block is refused: a line without
+    exactly two tokens, a token that numpy does not read as an integer, or one
+    out of range.  Lines longer than ``int()``'s digit limit are refused too,
+    since numpy reads integers of any length.  numpy splits at the same
+    whitespace as ``str.split``."""
+    digit_limit = sys.get_int_max_str_digits()
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    while block := list(itertools.islice(handle, LOAD_BLOCK_LINES)):
+        if digit_limit and max(map(len, block)) > digit_limit:
+            return None
+        # A last "0 0" row keeps a block of comments and blanks from reading
+        # as no data, which numpy warns about and returns with shape (0, 1).
+        block.append("0 0")
+        try:
+            pairs = np.loadtxt(block, dtype=np.int64, comments="#", ndmin=2)[:-1]
         except ValueError:
             return None
-        return value if 0 <= value < n else None
+        if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+            return None
+        blocks.append(pairs)
+    return np.concatenate(blocks)
 
-    if all(dense(a) is not None and dense(b) is not None for a, b in raw_edges):
-        mapping = {str(i): i for i in range(n)}
-        edges = [(int(a), int(b)) for a, b in raw_edges]
-    else:
-        mapping = {}
-        for a, b in raw_edges:
-            for tok in (a, b):
-                if tok not in mapping:
-                    if len(mapping) == n:
-                        raise ValidationError("more labels than declared vertices")
-                    mapping[tok] = len(mapping)
-        edges = [(mapping[a], mapping[b]) for a, b in raw_edges]
-    return HostGraph(n, edges), mapping
+
+def _load_by_lines(path_name: str):
+    """The second pass of ``load_edge_list``, by the per-line rules: every
+    token is recorded by its label's first appearance, and the labels are
+    the vertices unless all of them are integers in 0..N-1."""
+    labels: dict[str, int] = {}
+    ends = array("q")
+    dense = True
+    with _edge_list_text(path_name) as handle:
+        n = _vertex_count(handle)
+        for line in handle:
+            text = line.split("#", 1)[0].strip()
+            parts = text.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise ValidationError(f"bad edge line: {text!r}")
+            for tok in parts:
+                ends.append(labels.setdefault(tok, len(labels)))
+                dense = dense and _dense_label(tok, n)
+    ends = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    if dense:
+        values = np.array([int(tok) for tok in labels], dtype=np.int64)
+        return HostGraph(n, values[ends]), {str(i): i for i in range(n)}
+    if len(labels) > n:
+        raise ValidationError("more labels than declared vertices")
+    return HostGraph(n, ends), labels
+
+
+def _dense_label(tok: str, n: int) -> bool:
+    try:
+        return 0 <= int(tok) < n
+    except ValueError:
+        return False

@@ -339,3 +339,20 @@ def test_too_many_vertex_pairs_is_refused_up_front():
                      f"a sampled run holds at most {MAX_PAIRS} (n up to 10,000)"]
     assert peak_mb < 150, peak_mb
     assert _pair_count(10_000) <= MAX_PAIRS < _pair_count(10_001)
+
+
+def test_count_graph_file_memory(tmp_path):
+    # G(2000, 0.5) as a file: about 10^6 edges in 8.9 MB of text.  The
+    # neighbour sets are the one structure that must scale with the edges;
+    # the file is parsed in blocks, never held as lines or string pairs.
+    n = 2000
+    rng = np.random.default_rng(2000)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(len(u)) < 0.5
+    edges = np.column_stack([u[keep], v[keep]])
+    graph = tmp_path / "g.txt"
+    np.savetxt(graph, edges, fmt="%d", header=f"n {n}", comments="")
+    del u, v, keep
+    peak_mb, result = _peak_rss_mb(["count", "--pattern", "path:2", "--graph", str(graph)])
+    assert result["count"] == 2 * len(edges)
+    assert peak_mb < 200, peak_mb

@@ -25,7 +25,7 @@ from uppertail import counting
 from uppertail.counting import (
     _Budget,
     _copy_edge_sets,
-    _search_order,
+    _order,
     count_labelled,
     count_labelled_using_edge,
     count_restricted,
@@ -55,6 +55,12 @@ ORACLE_BITSET_LIMIT = 10_000
 # ---------------------------------------------------------------------------
 # Oracles: the former searches
 # ---------------------------------------------------------------------------
+
+def _search_order(pattern: PatternGraph, first=()) -> list[int]:
+    """Greedy connected ordering: each next vertex maximizes the number of
+    already-placed neighbors (ties broken by degree, then index)."""
+    return list(_order(pattern, tuple(first)))
+
 
 def _count_with_order(
     pattern: PatternGraph,

@@ -259,3 +259,49 @@ def test_induced_subgraph_on_host():
     assert isinstance(sub, HostGraph)
     assert mapping == (0, 1, 2, 3)
     assert sorted(sub.edges()) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_host_from_integer_array_matches_pairs():
+    import numpy as np
+
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 40):
+        edges = rng.integers(0, n, size=(3 * n, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        for dtype in (np.int64, np.int32, np.uint16):
+            host = HostGraph(n, edges.astype(dtype))
+            assert host == HostGraph(n, edges.tolist())
+            assert host.edge_count == HostGraph(n, edges.tolist()).edge_count
+            assert all(type(v) is int for row in host.adjacency_rows() for v in row)
+    assert HostGraph(3, np.empty((0, 2), dtype=np.int64)) == HostGraph.empty(3)
+    # The first bad row raises what the pair path raises for it.
+    for bad in ([[0, 1], [2, 2], [0, 9]], [[0, 1], [-1, 0], [1, 1]], [[3, 1]], [[1, 3]]):
+        with pytest.raises(ValidationError) as want:
+            HostGraph(3, bad)
+        with pytest.raises(ValidationError) as got:
+            HostGraph(3, np.array(bad))
+        assert str(got.value) == str(want.value)
+
+
+def _subgraph_on_oracle(host, keep):
+    """The former ``subgraph_on``: list every edge and build a new host."""
+    keep_set = set(keep)
+    kept = [(u, v) for u, v in host.edges() if u in keep_set and v in keep_set]
+    return HostGraph(host.vertex_count, kept)
+
+
+def test_subgraph_on_matches_edge_filter():
+    import random
+
+    rng = random.Random(31)
+    for host in seeded_hosts(25, (1, 30), 0.3, 19):
+        n = host.vertex_count
+        for _ in range(6):
+            keep = [rng.randrange(-2, n + 3) for _ in range(rng.randint(0, n + 2))]
+            got, want = host.subgraph_on(keep), _subgraph_on_oracle(host, keep)
+            assert got == want and got.edge_count == want.edge_count
+            assert got.adjacency_rows() == want.adjacency_rows()
+            assert got.adjacency_rows() is not host.adjacency_rows()
+    host = HostGraph.complete(5)
+    host.subgraph_on([0, 1, 2]).adjacency_rows()[0].clear()
+    assert host.degree(0) == 4
