@@ -12,6 +12,7 @@ the UPPERTAIL_THREADS environment variable sets the default thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -90,7 +91,7 @@ def _emit(command: str, inputs: dict, result: dict, seed, started: float, output
 
 
 def _load_graph(path: str) -> HostGraph:
-    graph, _ = load_edge_list(path)
+    graph, _ = load_edge_list(path, identity_map=False)
     return graph
 
 
@@ -368,7 +369,11 @@ def _cmd_experiment(args, started) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: parsing reads it and never changes it, and each call's config file
+    and environment are applied to its own namespace by ``_apply_defaults``."""
     parser = argparse.ArgumentParser(
         prog="uppertail",
         description="Upper-tail rates, counting, and structure analysis for sparse random graphs.",

@@ -13,9 +13,10 @@ draws are batched.  ``sample_gnp`` and ``sample_inhom`` return the first
 graph of replica 0.  Every Monte Carlo estimator draws batches of
 max(1, min(4096, 8_000_000 // n_pairs)) graphs and counts them through one
 ``_BatchCounter``.  Labelled counts come from the first path that applies:
-the table of copy masks in K_n (n <= 6), degree falling factorials for
-stars, packed uint64 bit rows for triangles (at most about 2 MB per batch),
-and the generic backtracking counter.
+for n <= 6, a table of the labelled count of every graph on n vertices,
+indexed by its pair bitmask (``exact_tail`` sums over the same table);
+degree falling factorials for stars; packed uint64 bit rows for triangles
+(at most about 2 MB per batch); and the generic backtracking counter.
 """
 
 from __future__ import annotations
@@ -136,17 +137,21 @@ def _present_slots(rng: np.random.Generator, probs, n_pairs: int, total: int):
     ratio = probs / top if probs.min() < top else None  # equal probabilities need no thinning
     scale = -1.0 / math.log1p(-top) if top < 1.0 else 0.0
     size = int(min(_SKIP_BLOCK, total * top * 1.1 + 64))
+    draws = np.empty(size)  # the gaps, then the thinning uniforms, of each block
     decided = 0
     while decided < total:
-        gaps = rng.standard_exponential(size)
-        gaps *= scale
-        np.minimum(gaps, total, out=gaps)  # keeps the running sum in int64
-        slots = np.cumsum(gaps.astype(np.int64) + 1) + (decided - 1)
+        rng.standard_exponential(out=draws)
+        draws *= scale
+        np.minimum(draws, total, out=draws)  # keeps the running sum in int64
+        slots = draws.astype(np.int64)
+        slots += 1
+        slots[0] += decided - 1
+        np.cumsum(slots, out=slots)
         decided = int(slots[-1]) + 1
         slots = slots[: np.searchsorted(slots, total)]
         if ratio is not None:
-            keep = rng.random(size)[: len(slots)] < ratio[slots % n_pairs]
-            slots = slots[keep]
+            rng.random(out=draws)
+            slots = slots[draws[: len(slots)] < ratio[slots % n_pairs]]
         yield slots, decided
 
 
@@ -166,10 +171,11 @@ def _draws(rng: np.random.Generator, probs, n_pairs: int, m: int, rows: int):
             parts.append(slots)
         slots = np.concatenate(parts)
         cut = np.searchsorted(slots, end)
-        pending = slots[cut:]
-        slots = slots[:cut] - done * n_pairs
-        graph = slots // n_pairs
-        yield EdgeBatch(graph, slots - graph * n_pairs, take)
+        pending, pair = slots[cut:], slots[:cut]
+        pair -= done * n_pairs
+        graph = pair // n_pairs
+        pair -= graph * n_pairs
+        yield EdgeBatch(graph, pair, take)
         done += take
 
 
@@ -213,19 +219,31 @@ class _BatchCounter:
         self.n = n
         self.pair_u, self.pair_v = _pair_arrays(n)
         self.rows = max(1, min(4096, 8_000_000 // max(len(self.pair_u), 1)))
-        self.masks = None
+        self.table = None
         if n <= EXACT_TAIL_MAX_N:
-            # Each copy of the pattern in K_n as a bitmask over the pairs.
-            index = {e: i for i, e in enumerate(zip(self.pair_u.tolist(), self.pair_v.tolist()))}
-            copies = _copy_edge_sets(pattern, HostGraph.complete(n), None)
-            self.masks = [sum(1 << index[e] for e in edge_set) for edge_set in copies]
-            # Labelled maps per contained copy: the labelled count in K_n
-            # (every injection) over the copies, which share it by symmetry.
-            self.weight = math.perm(n, pattern.vertex_count) // len(copies) if copies else 0
+            self.table = self._count_table()
             self.pair_bits = np.ldexp(1.0, np.arange(len(self.pair_u)))  # exact below 2^53
         r = star_arms(pattern)
         self.star_arms = r if r is not None and n ** (r + 1) < 2**62 else None
         self.triangle = pattern.vertex_count == 3 and pattern.edge_count == 3
+
+    def _count_table(self) -> np.ndarray:
+        """Labelled counts of every graph on n vertices, indexed by the
+        graph's bitmask over the pairs (2^15 entries at n = 6).
+
+        A 1 at the mask of each copy of the pattern in K_n, summed over
+        subsets one bit at a time, counts the copies inside each graph.
+        Every contained copy carries the same number of labelled maps: the
+        labelled count in K_n (every injection) over the copies."""
+        bit = {e: i for i, e in enumerate(zip(self.pair_u.tolist(), self.pair_v.tolist()))}
+        copies = _copy_edge_sets(self.pattern, HostGraph.complete(self.n), None)
+        masks = np.array([sum(1 << bit[e] for e in edges) for edges in copies], dtype=np.int64)
+        table = np.bincount(masks, minlength=1 << len(bit))
+        for i in range(len(bit)):
+            halves = table.reshape(-1, 2, 1 << i)  # masks without, then with, bit i
+            halves[:, 1] += halves[:, 0]
+        table *= math.perm(self.n, self.pattern.vertex_count) // len(copies) if copies else 0
+        return table
 
     def sample_counts(self, rng: np.random.Generator, probs, m: int) -> np.ndarray:
         """Labelled counts of m graphs drawn by ``_draws``."""
@@ -235,27 +253,24 @@ class _BatchCounter:
     def degrees(self, batch: EdgeBatch) -> np.ndarray:
         """Degree matrix of a batch, one row per graph."""
         offset, cells = batch.graph * self.n, batch.size * self.n
-        low = np.bincount(offset + np.take(self.pair_u, batch.pair), minlength=cells)
-        high = np.bincount(offset + np.take(self.pair_v, batch.pair), minlength=cells)
-        return (low + high).reshape(batch.size, self.n)
-
-    def mask_counts(self, graphs: np.ndarray) -> np.ndarray:
-        """Labelled counts of graphs given as pair bitmasks (n <= 6)."""
-        contained = np.zeros(len(graphs), dtype=np.int64)
-        for mask in self.masks:
-            contained += (graphs & mask) == mask
-        return contained * self.weight
+        index = np.take(self.pair_u, batch.pair)
+        index += offset
+        deg = np.bincount(index, minlength=cells)
+        np.take(self.pair_v, batch.pair, out=index)
+        index += offset
+        deg += np.bincount(index, minlength=cells)
+        return deg.reshape(batch.size, self.n)
 
     def counts(self, batch: EdgeBatch, degrees: Optional[np.ndarray] = None) -> np.ndarray:
         """Labelled counts of the pattern in each graph of a batch; a star
         reuses ``degrees`` when the caller already has them."""
-        if self.masks is not None:
+        if self.table is not None:
             bits = np.bincount(batch.graph, weights=self.pair_bits[batch.pair], minlength=batch.size)
-            return self.mask_counts(bits.astype(np.int64))
+            return self.table[bits.astype(np.int64)]
         if self.star_arms is not None:
             deg = self.degrees(batch) if degrees is None else degrees
-            value = np.ones_like(deg)
-            for i in range(self.star_arms):
+            value = deg.copy()
+            for i in range(1, self.star_arms):
                 value *= deg - i
             return value.sum(axis=1)
         if self.triangle:
@@ -334,8 +349,8 @@ def exact_tail(pattern: PatternGraph, n: int, p: float, threshold: int) -> TailE
         raise ValidationError("p must lie in [0, 1]")
     counter = _BatchCounter(pattern, n)
     total_pairs = len(counter.pair_u)
-    graphs = np.arange(1 << total_pairs, dtype=np.int64)
-    labelled = counter.mask_counts(graphs)
+    labelled = counter.table  # indexed by the graph's pair bitmask
+    graphs = np.arange(len(labelled), dtype=np.int64)
     popcnt = np.bitwise_count(graphs)
     # Plain powers keep round cases exact (0^0 = 1 covers p in {0, 1}).
     weights = np.power(p, popcnt) * np.power(1.0 - p, total_pairs - popcnt)

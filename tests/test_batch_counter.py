@@ -5,11 +5,14 @@ kept here as the reference oracle, and the engine must agree with them row
 for row on batches converted from dense indicator matrices.  Its sparse
 draws must have the right per-pair marginals and must not depend on the
 batch size, and the single-graph samplers must return graph 0 of the same
-stream.  Estimator outputs are pinned to the sparse-draw stream, and
-large-n CLI runs must stay within fixed memory ceilings.
+stream.  The count table (n <= 6) and the in-place skip stream keep the
+code they replaced as oracles too.  Estimator outputs are pinned to the
+sparse-draw stream, and large-n CLI runs must stay within fixed memory
+ceilings.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uppertail.counting import count_labelled
+from uppertail.counting import _copy_edge_sets, count_labelled
 from uppertail.errors import ValidationError
 from uppertail.graphs import HostGraph, PatternGraph, clique, pattern_from_shorthand, star, star_arms
 from uppertail.meanfield import EdgeProbabilityMatrix
@@ -33,10 +36,12 @@ from uppertail.montecarlo import (
     _pair_arrays,
     _pair_count,
     _pair_endpoints,
+    _present_slots,
     _replica_rng,
     conditioned_structure_frequency,
     estimate_tail_direct,
     estimate_tail_importance,
+    exact_tail,
     poisson_fit_experiment,
     sample_gnp,
     sample_inhom,
@@ -116,7 +121,7 @@ P3_K1 = PatternGraph(4, [(0, 1), (1, 2)])  # a path plus an isolated vertex
 def test_counts_and_degrees_match_oracle(spec, n):
     pattern = P3_K1 if spec == "P3+K1" else pattern_from_shorthand(spec)
     counter = _BatchCounter(pattern, n)
-    assert (counter.masks is not None) == (n <= 6)
+    assert (counter.table is not None) == (n <= 6)
     for present in _batches(n, 1000 * n + len(spec)):
         batch = as_batch(present)
         assert np.array_equal(counter.degrees(batch), oracle_degrees(n, present))
@@ -144,6 +149,146 @@ def test_graphs_without_edges():
     present[2] = True
     assert counter.counts(as_batch(present)).tolist() == [0, 0, 9 * 8 * 7, 0]
     assert counter.counts(as_batch(present[:0])).tolist() == []
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-copy mask loop the count table replaced
+# ---------------------------------------------------------------------------
+
+def oracle_mask_counts(pattern, n, graphs):
+    """Labelled counts of graphs given as pair bitmasks: each copy of the
+    pattern in K_n is a bitmask, and a graph holds it when it has all of its
+    bits; every contained copy carries the same number of labelled maps."""
+    pair_u, pair_v = _pair_arrays(n)
+    index = {e: i for i, e in enumerate(zip(pair_u.tolist(), pair_v.tolist()))}
+    copies = _copy_edge_sets(pattern, HostGraph.complete(n), None)
+    masks = [sum(1 << index[e] for e in edge_set) for edge_set in copies]
+    weight = math.perm(n, pattern.vertex_count) // len(copies) if copies else 0
+    contained = np.zeros(len(graphs), dtype=np.int64)
+    for mask in masks:
+        contained += (graphs & mask) == mask
+    return contained * weight
+
+
+def oracle_exact_tail(pattern, n, p, threshold):
+    """The former ``exact_tail`` sum over the per-copy mask loop's counts."""
+    total_pairs = n * (n - 1) // 2
+    graphs = np.arange(1 << total_pairs, dtype=np.int64)
+    labelled = oracle_mask_counts(pattern, n, graphs)
+    popcnt = np.bitwise_count(graphs)
+    weights = np.power(p, popcnt) * np.power(1.0 - p, total_pairs - popcnt)
+    return min(float(weights[labelled >= threshold].sum()), 1.0)
+
+
+TABLE_PATTERNS = {
+    **{spec: pattern_from_shorthand(spec) for spec in SPECS},
+    "P3+K1": P3_K1,
+    "edgeless": PatternGraph(3, []),
+    "K1": PatternGraph(1, []),
+    "path:7": pattern_from_shorthand("path:7"),  # more vertices than any n here
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", list(TABLE_PATTERNS))
+def test_count_table_matches_mask_loop(name, n):
+    pattern = TABLE_PATTERNS[name]
+    counter = _BatchCounter(pattern, n)
+    graphs = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    want = oracle_mask_counts(pattern, n, graphs)
+    assert counter.table.dtype == np.int64
+    assert np.array_equal(counter.table, want)
+    if n * (n - 1) // 2 >= 1:  # every graph as one batch, through ``counts``
+        present = ((graphs[:, None] >> np.arange(n * (n - 1) // 2)) & 1).astype(bool)
+        assert np.array_equal(counter.counts(as_batch(present)), want)
+    for p in (0.0, 0.3, 1.0):
+        for threshold in sorted({0, 1, int(want.max()), int(want.max()) + 1}):
+            got = exact_tail(pattern, n, p, threshold).point
+            assert got == oracle_exact_tail(pattern, n, p, threshold)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the skip stream before it ran in place
+# ---------------------------------------------------------------------------
+
+def oracle_present_slots(rng, probs, n_pairs, total):
+    """``_present_slots`` with a fresh array for every step."""
+    probs = np.asarray(probs, dtype=float)
+    top = min(float(probs.max(initial=0.0)), 1.0)
+    if top <= 0.0:
+        yield np.empty(0, dtype=np.int64), total
+        return
+    ratio = probs / top if probs.min() < top else None
+    scale = -1.0 / math.log1p(-top) if top < 1.0 else 0.0
+    size = int(min(_SKIP_BLOCK, total * top * 1.1 + 64))
+    decided = 0
+    while decided < total:
+        gaps = rng.standard_exponential(size)
+        gaps *= scale
+        np.minimum(gaps, total, out=gaps)
+        slots = np.cumsum(gaps.astype(np.int64) + 1) + (decided - 1)
+        decided = int(slots[-1]) + 1
+        slots = slots[: np.searchsorted(slots, total)]
+        if ratio is not None:
+            keep = rng.random(size)[: len(slots)] < ratio[slots % n_pairs]
+            slots = slots[keep]
+        yield slots, decided
+
+
+def oracle_draws(rng, probs, n_pairs, m, rows):
+    """``_draws`` with a fresh array for every step of the pair split."""
+    stream = oracle_present_slots(rng, probs, n_pairs, m * n_pairs)
+    pending, decided, done = np.empty(0, dtype=np.int64), 0, 0
+    while done < m:
+        take = min(m - done, rows)
+        end = (done + take) * n_pairs
+        parts = [pending]
+        while decided < end:
+            slots, decided = next(stream)
+            parts.append(slots)
+        slots = np.concatenate(parts)
+        cut = np.searchsorted(slots, end)
+        pending = slots[cut:]
+        slots = slots[:cut] - done * n_pairs
+        graph = slots // n_pairs
+        yield EdgeBatch(graph, slots - graph * n_pairs, take)
+        done += take
+
+
+def _hub_probs(n):
+    pair_u, pair_v = _pair_arrays(n)
+    return np.where(Planting.parse("hub:4:0.55").boosted_pair_mask(pair_u, pair_v), 0.55, 0.2)
+
+
+# (name, n, probs, graphs, rows): constant p, its extremes, thinned
+# (planted) probabilities, and draws over several 65,536-gap blocks.
+STREAMS = [
+    ("constant", 12, lambda n: 0.3, 50, 7),
+    ("zero", 12, lambda n: 0.0, 20, 6),
+    ("one", 9, lambda n: 1.0, 20, 6),
+    ("hub", 6, _hub_probs, 400, 64),
+    ("planted", 12, _planted_probs, 300, 41),
+    ("blocks", 40, lambda n: 0.05, 9000, 4096),
+    ("planted-blocks", 40, _planted_probs, 2500, 700),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("name, n, probs, m, rows", STREAMS, ids=[s[0] for s in STREAMS])
+def test_stream_matches_fresh_array_oracle(name, n, probs, m, rows, seed):
+    probs, n_pairs = probs(n), n * (n - 1) // 2
+    old = list(oracle_present_slots(_replica_rng(seed, 1), probs, n_pairs, m * n_pairs))
+    new = list(_present_slots(_replica_rng(seed, 1), probs, n_pairs, m * n_pairs))
+    assert [decided for _, decided in new] == [decided for _, decided in old]
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for (a, _), (b, _) in zip(new, old))
+    if name.endswith("blocks"):
+        assert len(new) >= 3
+    old = list(oracle_draws(_replica_rng(seed, 2), probs, n_pairs, m, rows))
+    new = list(_draws(_replica_rng(seed, 2), probs, n_pairs, m, rows))
+    assert [b.size for b in new] == [b.size for b in old]
+    for a, b in zip(new, old):
+        assert np.array_equal(a.graph, b.graph) and np.array_equal(a.pair, b.pair)
+        assert a.graph.dtype == b.graph.dtype == a.pair.dtype == b.pair.dtype == np.int64
 
 
 def test_batch_rows_rule():

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -558,3 +561,69 @@ def test_direct_tail_counts_agree_across_threads(capsys):
         sys.setswitchinterval(interval)
     assert results[0] == results[1] == results[2]
     assert 0 < results[0]["point"] < 1
+
+
+# ---------------------------------------------------------------------------
+# One parser for every call in a process
+# ---------------------------------------------------------------------------
+
+def _fresh_process_payload(argv, threads_env=None):
+    """The payload of ``argv`` run in a new interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "UPPERTAIL_THREADS"}
+    if threads_env is not None:
+        env["UPPERTAIL_THREADS"] = threads_env
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-m", "uppertail.cli", *argv],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_reuse_keeps_calls_apart(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("samples = 700\nseed = 4\nreplicas = 3\n")
+    tail = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", "8"]
+    calls = [
+        # (argv, UPPERTAIL_THREADS, expected exit code)
+        (["--config", str(cfg)] + tail, None, 0),
+        (tail + ["--samples", "900"], None, 0),
+        (["tail", "--n", "five"], None, "argparse"),
+        (tail + ["--samples", "900"], "2", 0),
+        (["--config", str(cfg), "analyze-pattern", "path:4"], "2", 0),
+        (["rate", "--nonsense"], None, "argparse"),
+        (tail + ["--samples", "900", "--method", "importance", "--planting", "hub:1"], None, 0),
+        (tail + ["--samples", "900"], "0", 2),
+        (tail + ["--method", "exact"], "3", 0),
+    ]
+    payloads = []
+    for argv, threads_env, want in calls:
+        if threads_env is None:
+            monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("UPPERTAIL_THREADS", threads_env)
+        if want == "argparse":
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            capsys.readouterr()
+            continue
+        code, payload = run_cli(capsys, *argv)
+        assert code == want, argv
+        if code == 0:
+            payloads.append((argv, threads_env, payload))
+    first, plain, threaded, pattern, importance, exact = (p for _, _, p in payloads)
+    assert (first["inputs"]["samples"], first["seed"], first["inputs"]["replicas"]) == (700, 4, 3)
+    assert (plain["inputs"]["samples"], plain["seed"], plain["inputs"]["replicas"]) == (900, 0, 32)
+    assert (first["inputs"]["threads"], plain["inputs"]["threads"]) == (1, 1)
+    assert threaded["inputs"]["threads"] == 2 and importance["inputs"]["threads"] == 1
+    assert exact["inputs"]["threads"] == 3 and pattern["result"]["v"] == 4
+    for argv, threads_env, payload in payloads:
+        fresh = _fresh_process_payload(argv, threads_env)
+        assert (fresh["inputs"], fresh["seed"], fresh["result"]) == (
+            payload["inputs"], payload["seed"], payload["result"]), argv
