@@ -91,7 +91,7 @@ def _emit(command: str, inputs: dict, result: dict, seed, started: float, output
 
 
 def _load_graph(path: str) -> HostGraph:
-    graph, _ = load_edge_list(path, identity_map=False)
+    graph, _ = load_edge_list(path)
     return graph
 
 

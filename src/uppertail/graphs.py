@@ -444,7 +444,7 @@ def pattern_from_shorthand(spec: str) -> PatternGraph:
             a, b = arg.split(",")
             return biclique(int(a), int(b))
         if kind == "file":
-            host, _ = load_edge_list(arg, identity_map=False)
+            host, _ = load_edge_list(arg)
             return PatternGraph(host.vertex_count, host.edges())
     except ValidationError:
         raise
@@ -453,15 +453,13 @@ def pattern_from_shorthand(spec: str) -> PatternGraph:
     raise ValidationError(f"unknown pattern kind {kind!r}")
 
 
-def load_edge_list(path_name: str, identity_map: bool = True):
+def load_edge_list(path_name: str):
     """Load the edge-list text format.
 
     First line ``n <N>``, then one ``u v`` pair per line; ``#`` starts a
     comment.  Labels outside 0..N-1 (or non-numeric labels) are re-indexed in
     order of first appearance.  Returns ``(HostGraph, mapping)`` where
-    ``mapping`` maps original label to assigned index.  When every label is
-    its own vertex the mapping is ``{str(i): i}``, or None with
-    ``identity_map=False``, for callers that need only the graph.
+    ``mapping`` maps original label to assigned index.
 
     The body is parsed by numpy in blocks of ``LOAD_BLOCK_LINES`` lines.  A
     file that numpy refuses, or that holds a label outside 0..N-1, is read
@@ -470,10 +468,9 @@ def load_edge_list(path_name: str, identity_map: bool = True):
     with _edge_list_text(path_name) as handle:
         n = _vertex_count(handle)
         edges = _int_edges(handle, n)
-    graph, labels = (HostGraph(n, edges), None) if edges is not None else _load_by_lines(path_name)
-    if labels is None and identity_map:
-        labels = {str(i): i for i in range(n)}
-    return graph, labels
+    if edges is None:
+        return _load_by_lines(path_name)
+    return HostGraph(n, edges), {str(i): i for i in range(n)}
 
 
 @contextlib.contextmanager
@@ -540,8 +537,7 @@ def _int_edges(handle, n: int) -> Optional[np.ndarray]:
 def _load_by_lines(path_name: str):
     """The second pass of ``load_edge_list``, by the per-line rules: every
     token is recorded by its label's first appearance, and the labels are
-    the vertices unless all of them are integers in 0..N-1, in which case
-    the mapping returned is None."""
+    the vertices unless all of them are integers in 0..N-1."""
     labels: dict[str, int] = {}
     ends = array("q")
     dense = True
@@ -560,7 +556,7 @@ def _load_by_lines(path_name: str):
     ends = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
     if dense:
         values = np.array([int(tok) for tok in labels], dtype=np.int64)
-        return HostGraph(n, values[ends]), None
+        return HostGraph(n, values[ends]), {str(i): i for i in range(n)}
     if len(labels) > n:
         raise ValidationError("more labels than declared vertices")
     return HostGraph(n, ends), labels
