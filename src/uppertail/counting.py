@@ -30,9 +30,8 @@ from .graphs import (
     PatternGraph,
     automorphism_count,
     induced_subgraph,
-    validate_vertex_set,
 )
-from .patterns import QhMember, fractional_independence_number
+from .patterns import fractional_independence_number
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -58,16 +57,15 @@ def _order(pattern: PatternGraph, first: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, groups: tuple[int, ...]):
+def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int):
     """The plan of a start whose first ``pinned`` vertices of ``order`` are
     pinned: per later position (vertex, back-neighbours, other placed
     vertices, degree), and the counted trailing run.  The run is the longest
     pairwise non-adjacent tail, shortened to two vertices unless all of it
-    shares its back-neighbours and side (``groups`` numbers each pattern
-    vertex's side set; empty without sides).  The plan holds where the run
-    begins, the vertices placed before it but for the one just before it,
-    and its first two vertices with their other back-neighbours and whether
-    that one is among their back-neighbours."""
+    shares its back-neighbours.  The plan holds where the run begins, the
+    vertices placed before it but for the one just before it, and for its
+    first two vertices their other back-neighbours and whether that one is
+    among their back-neighbours."""
     steps = []
     for i, v in enumerate(order[pinned:], pinned):
         back = tuple(u for u in order[:i] if pattern.has_edge(u, v))
@@ -75,12 +73,12 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, groups: tu
     run = len(steps)
     while run and not any(pattern.has_edge(steps[run - 1][0], s[0]) for s in steps[run:]):
         run -= 1
-    while len(steps) - run > 2 and len({(s[1], groups and groups[s[0]]) for s in steps[run:]}) > 1:
+    while len(steps) - run > 2 and len({s[1] for s in steps[run:]}) > 1:
         run += 1
     split = steps[run - 1][0] if run else None
     before = tuple(u for u in order[: pinned + run] if u != split)
-    heads = tuple((v, tuple(u for u in back if u != split), split in back)
-                  for v, back, _, _ in steps[run : run + 2])
+    heads = tuple((tuple(u for u in back if u != split), split in back)
+                  for _, back, _, _ in steps[run : run + 2])
     return tuple(steps), run, before, heads
 
 
@@ -123,7 +121,6 @@ def _embed(
     host: HostGraph,
     starts: list[tuple[Sequence[int], dict[int, int]]],
     budget: _Budget,
-    sides: Optional[dict[int, set[int]]] = None,
     leaf: Optional[Callable[[list[int]], None]] = None,
 ) -> int:
     """Number of injective edge-preserving maps of the pattern into the host,
@@ -131,12 +128,11 @@ def _embed(
 
     Each start ``(order, pinned)`` fixes the images of the leading vertices of
     ``order`` and backtracks over the rest in that order, following the
-    start's cached ``_plan``.  ``sides`` restricts pattern vertices to sets of
-    host vertices; ``leaf`` is called at every embedding with the images
-    indexed by pattern vertex.  Every candidate tried costs one budget node,
-    also when the degree check rejects it.  Candidates are the intersection
-    of the neighbour sets of the placed back-neighbours' images, less the
-    other placed images, and are tried in increasing order.
+    start's cached ``_plan``.  ``leaf`` is called at every embedding with the
+    images indexed by pattern vertex.  Every candidate tried costs one budget
+    node, also when the degree check rejects it.  Candidates are the
+    intersection of the neighbour sets of the placed back-neighbours' images,
+    less the other placed images, and are tried in increasing order.
 
     Without ``leaf`` the plan's trailing run of pairwise non-adjacent
     vertices is counted rather than listed.  Every pattern neighbour of a run
@@ -151,29 +147,22 @@ def _embed(
     rows = host.adjacency_rows()
     n_host = host.vertex_count
     images = [0] * pattern.vertex_count
-    groups = ()
-    if sides:
-        ids = [id(sides.get(v)) for v in range(pattern.vertex_count)]
-        groups = tuple(map(ids.index, ids))
 
-    def meet(back, v):
-        """The host vertices adjacent to the images of ``back`` and inside
-        v's side, or None when neither constrains them."""
+    def meet(back):
+        """The host vertices adjacent to the images of ``back``, or None when
+        ``back`` is empty."""
         pool = None
         for u in back:
             row = rows[images[u]]
             pool = row if pool is None else pool & row
             if not pool:
                 return pool
-        side = sides.get(v) if sides else None
-        if side is not None:
-            pool = side if pool is None else pool & side
         return pool
 
     def descend(depth: int) -> int:
         # A neighbour set never holds its own vertex: only ``others`` are excluded.
         v, back, others, need = steps[depth]
-        pool = meet(back, v)
+        pool = meet(back)
         taken = [images[u] for u in others]
         if pool is None:  # no placed neighbour: every free vertex
             candidates = [w for w in range(n_host) if w not in taken]
@@ -218,7 +207,7 @@ def _embed(
             return map(sub, itertools.repeat(len(base), len(fits)), map(base.__contains__, fits))
 
         k = len(steps) - run
-        pools = [(meet(rest, v), dep) for v, rest, dep in heads]
+        pools = [(meet(rest), dep) for rest, dep in heads]
         if k == 1:
             count = nodes = sum(sizes(*pools[0]))
         elif k == 2:
@@ -241,7 +230,7 @@ def _embed(
     for order, pinned_images in starts:
         for v, w in pinned_images.items():
             images[v] = w
-        steps, run, before, heads = _plan(pattern, tuple(order), len(pinned_images), groups)
+        steps, run, before, heads = _plan(pattern, tuple(order), len(pinned_images))
         if leaf is not None:  # list every position
             run = len(steps) + 1
         if not steps:  # every vertex pinned
@@ -278,27 +267,6 @@ def star_count_using_edge(r: int, host: HostGraph, edge: tuple[int, int]) -> int
     return r * math.perm(du - 1, r - 1) + r * math.perm(dv - 1, r - 1)
 
 
-def count_restricted(
-    member: QhMember,
-    host: HostGraph,
-    part_u: Sequence[int],
-    part_v: Sequence[int],
-    budget: Optional[int] = None,
-) -> int:
-    """Labelled copies of a crossing subgraph with the full-degree side mapped
-    into U (hence the other side into V)."""
-    nodes = _Budget(budget)
-    set_u = set(validate_vertex_set(host, part_u))
-    set_v = set(validate_vertex_set(host, part_v))
-    if set_u & set_v:
-        raise ValidationError("U and V overlap")
-    if not set_u or not set_v:
-        return 0
-    sub, index = member.as_pattern()
-    sides = {index[x]: (set_u if x in member.a_side else set_v) for x in member.vertices}
-    return _embed(sub, host, _starts(sub, host), nodes, sides)
-
-
 def unlabelled_count(pattern: PatternGraph, labelled: int) -> int:
     """A labelled count over |Aut(H)|.  Every count here is of a copy set
     closed under Aut(H) (all copies, or those through a host edge), so
@@ -314,23 +282,11 @@ def unlabelled_count(pattern: PatternGraph, labelled: int) -> int:
     return quotient
 
 
-def count_unlabelled(pattern: PatternGraph, host: HostGraph, budget: Optional[int] = None) -> int:
-    """Number of distinct copies: the labelled count over |Aut(H)|."""
-    return unlabelled_count(pattern, count_labelled(pattern, host, budget))
-
-
 def star_count_exact(r: int, host: HostGraph) -> int:
     """Sum over vertices of the falling factorial of the degree."""
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
     return sum(math.perm(d, r) for d in host.degrees())
-
-
-def star_global_bound_check(t: int, host: HostGraph) -> bool:
-    """Whether the star count is at most e(G)^t."""
-    if t < 2:
-        raise ValidationError("star arm count must be at least 2")
-    return star_count_exact(t, host) <= host.edge_count**t
 
 
 def embedding_upper_bound(pattern: PatternGraph, host: HostGraph) -> int:
@@ -476,85 +432,3 @@ def _copy_edge_sets(
 
     _embed(pattern, host, starts, nodes, leaf=collect)
     return sorted(copies, key=sorted)
-
-
-def _connected_subset_count(adjacency: list[set[int]], size: int) -> int:
-    """Number of connected vertex subsets of the given size (ESU-style
-    extension enumeration: each subset found exactly once)."""
-    count = 0
-    n = len(adjacency)
-
-    def extend(subset: set[int], extension: set[int], root: int) -> None:
-        nonlocal count
-        if len(subset) == size:
-            count += 1
-            return
-        ext = sorted(extension)
-        while ext:
-            w = ext.pop()
-            new_extension = {x for x in ext} | {
-                x for x in adjacency[w] if x > root and x not in subset and x not in extension
-            }
-            subset.add(w)
-            extend(subset, new_extension, root)
-            subset.discard(w)
-
-    for v in range(n):
-        extend({v}, {u for u in adjacency[v] if u > v}, v)
-    return count
-
-
-def cluster_count(
-    pattern: PatternGraph,
-    host: HostGraph,
-    s: int,
-    connected_only: bool = False,
-    copy_cap: int = 5000,
-    budget: Optional[int] = None,
-) -> int:
-    """Number of s-sets of distinct copies, each sharing a host edge with
-    another copy in the set.
-
-    Nodes of the intersection graph are unlabelled copies; two copies are
-    adjacent when they share at least one host edge.  The default counts
-    s-sets whose induced intersection subgraph has minimum degree >= 1 (the
-    literal reading); ``connected_only`` switches to connected s-sets.
-    """
-    if s < 2 or s > 4:
-        raise ValidationError("cluster size must be between 2 and 4")
-    copies = _copy_edge_sets(pattern, host, budget)
-    if len(copies) > copy_cap:
-        raise ResourceBudgetError(f"too many copies ({len(copies)} > {copy_cap})")
-
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for idx, edge_set in enumerate(copies):
-        for e in edge_set:
-            by_edge.setdefault(e, []).append(idx)
-    adjacency: list[set[int]] = [set() for _ in copies]
-    for group in by_edge.values():
-        for i, j in itertools.combinations(group, 2):
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-
-    if s == 2 or s == 3 or connected_only:
-        # For s <= 3, minimum degree >= 1 on s vertices forces connectivity.
-        return _connected_subset_count(adjacency, s)
-
-    connected4 = _connected_subset_count(adjacency, 4)
-    # Remaining min-degree >= 1 shapes on 4 vertices: an induced perfect
-    # matching (two disjoint intersection edges, nothing between them).
-    edges = [(i, j) for i in range(len(copies)) for j in adjacency[i] if j > i]
-    if len(edges) ** 2 > 40_000_000:
-        raise ResourceBudgetError("intersection graph too dense for s = 4")
-    matchings = 0
-    for (a, b), (c, d) in itertools.combinations(edges, 2):
-        if len({a, b, c, d}) < 4:
-            continue
-        if (
-            c not in adjacency[a]
-            and d not in adjacency[a]
-            and c not in adjacency[b]
-            and d not in adjacency[b]
-        ):
-            matchings += 1
-    return connected4 + matchings

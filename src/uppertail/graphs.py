@@ -146,10 +146,6 @@ class HostGraph:
     def complete(cls, n: int) -> "HostGraph":
         return cls(n, itertools.combinations(range(n), 2))
 
-    @classmethod
-    def from_pattern(cls, pattern: PatternGraph) -> "HostGraph":
-        return cls(pattern.vertex_count, pattern.edges)
-
     @property
     def edge_count(self) -> int:
         return self._edge_count
@@ -178,6 +174,8 @@ class HostGraph:
                     out.append((u, v))
         return out
 
+    # Nothing in src/ calls this; perfbench/tracer.py patches it by name (KeyError
+    # without it) until ROADMAP item 1 turns the tracer into a counter reader.
     def without_edges(self, removed: Iterable[tuple[int, int]]) -> "HostGraph":
         gone = {(min(e), max(e)) for e in removed}
         kept = [e for e in self.edges() if e not in gone]
@@ -375,20 +373,6 @@ def induced_subgraph(graph, vertices: Sequence[int]):
     if isinstance(graph, PatternGraph):
         return PatternGraph(len(verts), edges), verts
     return HostGraph(len(verts), edges), verts
-
-
-def cross_subgraph(graph: HostGraph, part_u: Sequence[int], part_v: Sequence[int]) -> HostGraph:
-    """Subgraph on the same vertex set keeping only U-V crossing edges."""
-    set_u = set(validate_vertex_set(graph, part_u))
-    set_v = set(validate_vertex_set(graph, part_v))
-    if set_u & set_v:
-        raise ValidationError("U and V overlap")
-    edges = [
-        (a, b)
-        for a, b in graph.edges()
-        if (a in set_u and b in set_v) or (a in set_v and b in set_u)
-    ]
-    return HostGraph(graph.vertex_count, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ planted near-optimizer (full hub rows plus one partially boosted row), and a
 restricted variational upper bound all live here, along with an exact
 variance formula for 2-armed stars used as a Monte Carlo oracle.
 
-Matrices come in two flavors behind one interface: a dense numpy array for
-small n, and a "structured" form (constant background, k full hub rows, one
-boosted row) whose cost and expected count evaluate in closed form, which is
-what makes n around 10^6 feasible.
+A matrix is stored in structured form (constant background, k full hub rows,
+one boosted row), whose cost and expected count evaluate in closed form,
+which is what makes n around 10^6 feasible; ``to_dense`` gives the explicit
+array for small n.
 """
 
 from __future__ import annotations
@@ -29,19 +29,17 @@ DENSE_LIMIT = 4000
 class EdgeProbabilityMatrix:
     """Symmetric matrix of edge probabilities with zero diagonal.
 
-    Structured instances store (background p, hub set, boosted vertex and
-    value); the entry rule is: any pair touching the boosted vertex takes the
-    boosted value, otherwise a hub/non-hub pair takes 1, otherwise the
-    background.  Dense instances wrap an explicit array.
+    Instances store (background p, hub set, boosted vertex and value); the
+    entry rule is: any pair touching the boosted vertex takes the boosted
+    value, otherwise a hub/non-hub pair takes 1, otherwise the background.
     """
 
-    __slots__ = ("n", "_dense", "background", "hubs", "boosted", "boosted_value")
+    __slots__ = ("n", "background", "hubs", "boosted", "boosted_value")
 
-    def __init__(self, n, dense=None, background=None, hubs=frozenset(), boosted=None, boosted_value=None):
+    def __init__(self, n, background=None, hubs=frozenset(), boosted=None, boosted_value=None):
         self.n = int(n)
         if self.n < 2:
             raise ValidationError("matrix needs at least two vertices")
-        self._dense = dense
         self.background = background
         self.hubs = frozenset(hubs)
         self.boosted = boosted
@@ -82,39 +80,7 @@ class EdgeProbabilityMatrix:
             boosted_value=None if boosted is None else float(boosted_value),
         )
 
-    @classmethod
-    def from_dense(cls, array) -> "EdgeProbabilityMatrix":
-        arr = np.asarray(array, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("dense matrix must be square")
-        if not np.allclose(arr, arr.T):
-            raise ValidationError("dense matrix must be symmetric")
-        if np.any(np.diagonal(arr) != 0):
-            raise ValidationError("diagonal must be zero")
-        if arr.min() < 0 or arr.max() > 1:
-            raise ValidationError("entries must lie in [0, 1]")
-        arr = arr.copy()
-        arr[np.diag_indices_from(arr)] = 0.0
-        return cls(arr.shape[0], dense=arr)
-
-    @property
-    def is_dense(self) -> bool:
-        return self._dense is not None
-
-    def entry(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if self._dense is not None:
-            return float(self._dense[i, j])
-        if self.boosted is not None and (i == self.boosted or j == self.boosted):
-            return self.boosted_value
-        if (i in self.hubs) != (j in self.hubs):
-            return 1.0
-        return self.background
-
     def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense.copy()
         if self.n > DENSE_LIMIT:
             raise ValidationError(f"refusing to densify above n = {DENSE_LIMIT}")
         arr = np.full((self.n, self.n), self.background, dtype=float)
@@ -130,8 +96,6 @@ class EdgeProbabilityMatrix:
         return arr
 
     def __repr__(self) -> str:
-        if self._dense is not None:
-            return f"EdgeProbabilityMatrix(dense, n={self.n})"
         return (
             f"EdgeProbabilityMatrix(n={self.n}, background={self.background}, "
             f"hubs={len(self.hubs)}, boosted={self.boosted})"
@@ -156,14 +120,6 @@ def total_cost(xi: EdgeProbabilityMatrix, p: float) -> float:
     """Sum of entrywise relative entropies over unordered pairs."""
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
-    if xi.is_dense:
-        arr = xi.to_dense()
-        iu = np.triu_indices(xi.n, k=1)
-        x = arr[iu]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(x > 0, x * np.log(x / p), 0.0)
-            term = term + np.where(x < 1, (1 - x) * np.log((1 - x) / (1 - p)), 0.0)
-        return float(np.sum(term))
     n, k = xi.n, len(xi.hubs)
     background_cost = bernoulli_relative_entropy(xi.background, p)
     log_inv_p = math.log(1 / p)
@@ -203,25 +159,11 @@ def expected_star_count_inhom(xi: EdgeProbabilityMatrix, r: int) -> float:
     """Exact expected labelled count of r-armed stars under the product law.
 
     Per row this is r! times the degree-r elementary symmetric polynomial of
-    the row; dense rows use the standard one-pass DP, structured rows a
-    closed form over row classes.
+    the row, in closed form over row classes.
     """
     if not 2 <= r <= 8:
         raise ValidationError("star arm count must be between 2 and 8")
     n = xi.n
-    if xi.is_dense:
-        arr = xi.to_dense()
-        total = 0.0
-        fact = math.factorial(r)
-        for i in range(n):
-            row = [arr[i, j] for j in range(n) if j != i]
-            e = [1.0] + [0.0] * r
-            for value in row:
-                for j in range(r, 0, -1):
-                    e[j] += e[j - 1] * value
-            total += fact * e[r]
-        return total
-
     p = xi.background
     k = len(xi.hubs)
     fact = math.factorial(r)

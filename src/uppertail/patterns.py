@@ -81,13 +81,6 @@ class QhMember:
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.a_side | self.b_side))
 
-    def as_pattern(self) -> tuple[PatternGraph, dict[int, int]]:
-        """Relabel to a dense pattern; returns (pattern, old->new mapping)."""
-        verts = self.vertices
-        index = {v: i for i, v in enumerate(verts)}
-        edges = [(index[u], index[v]) for u, v in self.edges]
-        return PatternGraph(len(verts), edges), index
-
 
 _ALPHA_CACHE: dict[tuple[int, frozenset[tuple[int, int]]], tuple] = {}
 

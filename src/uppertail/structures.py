@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .graphs import HostGraph, PatternGraph, is_bipartite_with_parts
+from .graphs import HostGraph, PatternGraph
 from .counting import (
     _copy_edge_sets,
     count_labelled,
@@ -142,15 +142,6 @@ def detect_hub(
 def _clique_requirement(chi: float, size: int) -> int:
     # Floor semantics: a single vertex trivially passes any chi < 1.
     return math.floor((1 - chi) * size)
-
-
-def verify_quasi_clique(graph: HostGraph, witness: Sequence[int], chi: float) -> bool:
-    inner = set(witness)
-    need = _clique_requirement(chi, len(inner))
-    for v in inner:
-        if sum(1 for u in graph.neighbors(v) if u in inner) < need:
-            return False
-    return True
 
 
 def _find_quasi_clique_exact(graph: HostGraph, size: int, need: int) -> Optional[tuple]:
@@ -469,43 +460,6 @@ def extract_strong_core(
         copy_condition=copies >= cfg.delta * (1 - 4 * cfg.epsilon) * n ** (r + 1) * p**r,
         edge_condition=core.edge_count <= c_star * n ** (1 + 1.0 / r) * p,
     )
-
-
-# ---------------------------------------------------------------------------
-# Degree-profile analyses
-# ---------------------------------------------------------------------------
-
-def low_degree_analysis(graph: HostGraph, epsilon: float):
-    """(W, G_W, bipartite): W is the set of degree <= 1/epsilon vertices and
-    G_W the subgraph of edges meeting W.
-
-    Bipartiteness of G_W is reported, never assumed; it is what holds for
-    genuine core graphs in the intended regime.
-    """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
-    cutoff = 1.0 / epsilon
-    low = tuple(v for v in range(graph.vertex_count) if graph.degree(v) <= cutoff)
-    low_set = set(low)
-    edges = [e for e in graph.edges() if e[0] in low_set or e[1] in low_set]
-    sub = HostGraph(graph.vertex_count, edges)
-    return low, sub, is_bipartite_with_parts(sub) is not None
-
-
-def degree_product_check(graph: HostGraph, lower: float):
-    """(ok, violating_edge): whether deg(u) deg(v) >= lower on every edge."""
-    for u, v in sorted(graph.edges()):
-        if graph.degree(u) * graph.degree(v) < lower:
-            return False, (u, v)
-    return True, None
-
-
-def g_low(graph: HostGraph, upper: float) -> HostGraph:
-    """Subgraph spanned by edges whose endpoint-degree product (degrees
-    measured in the input graph) is at most ``upper``."""
-    degs = graph.degrees()
-    edges = [(u, v) for u, v in graph.edges() if degs[u] * degs[v] <= upper]
-    return HostGraph(graph.vertex_count, edges)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from uppertail.graphs import HostGraph
+from uppertail.graphs import HostGraph, PatternGraph
 
 
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def host_of(pattern: PatternGraph) -> HostGraph:
+    """The pattern as a host graph on the same vertices."""
+    return HostGraph(pattern.vertex_count, pattern.edges)
 
 
 def seeded_hosts(count, n_range, p, seed):

@@ -8,7 +8,7 @@ enumerator and one host form, kept below as oracles.  Hosts store only
 neighbour sets now, so ``_count_with_order`` builds its bit rows itself; as
 before, it checks hosts of at most ``ORACLE_BITSET_LIMIT`` vertices and
 hands larger ones to ``_count_with_order_sets``.  The counts, the copy lists
-and, for the three count paths, the budget nodes spent must match them
+and, for the two count paths, the budget nodes spent must match them
 exactly.  The collector may spend fewer nodes than its oracle: the
 enumerator prunes candidates by degree there too, and leaves isolated
 pattern vertices out.
@@ -28,7 +28,6 @@ from uppertail.counting import (
     _order,
     count_labelled,
     count_labelled_using_edge,
-    count_restricted,
     star_count_exact,
     star_count_using_edge,
 )
@@ -42,9 +41,7 @@ from uppertail.graphs import (
     cycle,
     path,
     star,
-    validate_vertex_set,
 )
-from uppertail.patterns import QhMember, enumerate_qh
 from conftest import seeded_hosts
 
 # Hosts up to this size are checked by the bitset-row oracle, larger ones by
@@ -68,14 +65,12 @@ def _count_with_order(
     order: list[int],
     pinned: dict[int, int],
     budget: _Budget,
-    side_masks: Optional[dict[int, int]] = None,
 ) -> int:
     """Backtracking count; ``pinned`` fixes images of the leading vertices of
-    ``order`` and ``side_masks`` optionally restricts each pattern vertex to a
-    host bitset."""
+    ``order``."""
     n_host = host.vertex_count
     if n_host > ORACLE_BITSET_LIMIT:
-        return _count_with_order_sets(pattern, host, order, pinned, budget, side_masks)
+        return _count_with_order_sets(pattern, host, order, pinned, budget)
     full = (1 << n_host) - 1
     rows = [sum(1 << w for w in host.neighbors(v)) for v in range(n_host)]
     degrees = host.degrees()
@@ -103,8 +98,6 @@ def _count_with_order(
             candidates &= rows[images[position[u]]]
             if not candidates:
                 return 0
-        if side_masks is not None and v in side_masks:
-            candidates &= side_masks[v]
         total = 0
         need = pat_deg[v]
         while candidates:
@@ -123,7 +116,7 @@ def _count_with_order(
     return recurse(start)
 
 
-def _count_with_order_sets(pattern, host, order, pinned, budget, side_masks):
+def _count_with_order_sets(pattern, host, order, pinned, budget):
     """Adjacency-set fallback for hosts above the bitset limit."""
     position = {v: i for i, v in enumerate(order)}
     back_neighbors = [
@@ -151,8 +144,6 @@ def _count_with_order_sets(pattern, host, order, pinned, budget, side_masks):
         else:
             cands = set(range(host.vertex_count))
         cands -= used
-        if side_masks is not None and v in side_masks:
-            cands &= side_masks[v]
         total = 0
         for w in sorted(cands):
             budget.spend()
@@ -248,27 +239,6 @@ def oracle_count_using_edge(pattern, host, edge, budget):
             order = _search_order(pattern, first=[x, y])
             total += _count_with_order(pattern, host, order, {x: a, y: b}, budget)
     return total
-
-
-def oracle_count_restricted(member, host, part_u, part_v, budget):
-    """The former ``count_restricted`` on a caller's budget."""
-    set_u = set(validate_vertex_set(host, part_u))
-    set_v = set(validate_vertex_set(host, part_v))
-    sub, index = member.as_pattern()
-    if host.vertex_count <= ORACLE_BITSET_LIMIT:
-        mask_u = sum(1 << w for w in set_u)
-        mask_v = sum(1 << w for w in set_v)
-        side_masks = {
-            index[x]: (mask_u if x in member.a_side else mask_v)
-            for x in member.vertices
-        }
-    else:
-        side_masks = {
-            index[x]: (set_u if x in member.a_side else set_v)
-            for x in member.vertices
-        }
-    order = _search_order(sub)
-    return _count_with_order(sub, host, order, {}, budget, side_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -367,30 +337,6 @@ def test_pinned_count_matches_oracle(spent, backend, name):
         for e in host.edges():
             got = count_labelled_using_edge(pattern, host, e)
             want = oracle(lambda b: oracle_count_using_edge(pattern, host, e, b))
-            assert (got, spent()) == want
-
-
-MEMBERS = [m for pat in (star(2), path(4), cycle(4), clique(3), path(5), star(4))
-           for m in enumerate_qh(pat)]
-# Built by hand: three isolated vertices end the search with equal (empty)
-# back-neighbours but not one side, so they are not one shared pool.
-MEMBERS.append(QhMember(frozenset({(0, 1)}), frozenset({0, 2}), frozenset({1, 3, 4})))
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_restricted_count_matches_oracle(spent, backend):
-    rng = random.Random(19)
-    for host in BACKENDS[backend]:
-        low = list(range(min(host.vertex_count, 12)))
-        for member in MEMBERS:
-            rng.shuffle(low)
-            cut = rng.randint(1, len(low) - 1)
-            part_u, part_v = sorted(low[:cut]), sorted(low[cut:])
-            if host is SPARSE:
-                part_v.append(host.vertex_count - 1)
-            got = count_restricted(member, host, part_u, part_v)
-            want = oracle(
-                lambda b: oracle_count_restricted(member, host, part_u, part_v, b))
             assert (got, spent()) == want
 
 
@@ -499,12 +445,9 @@ def test_negative_budget_is_invalid_input(budget):
         count_labelled(path(3), host, budget)
     with pytest.raises(ValidationError):
         count_labelled_using_edge(path(3), host, (0, 1), budget)
-    # Rejected before the early returns for patterns larger than the host
-    # and for an empty side.
+    # Rejected before the early return for patterns larger than the host.
     with pytest.raises(ValidationError):
         count_labelled(path(5), host, budget)
-    with pytest.raises(ValidationError):
-        count_restricted(enumerate_qh(star(2))[0], host, [], [0, 1], budget)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from uppertail.graphs import (
     automorphism_count,
     biclique,
     clique,
-    cross_subgraph,
     cycle,
     induced_subgraph,
     is_bipartite_with_parts,
@@ -110,22 +109,12 @@ def test_induced_subgraph():
         induced_subgraph(path(4), [0, 0])
 
 
-def test_cross_subgraph():
-    host = HostGraph.complete(4)
-    assert cross_subgraph(host, [0], [1, 2, 3]).edge_count == 3
-    assert cross_subgraph(host, [0, 1], [2, 3]).edge_count == 4
-    empty = HostGraph.empty(5)
-    assert cross_subgraph(empty, [0, 1], [2, 3]).edge_count == 0
-    with pytest.raises(ValidationError):
-        cross_subgraph(host, [0, 1], [1, 2])
-
-
 def test_cross_subgraph_partition_identity():
     for host in seeded_hosts(10, (5, 9), 0.5, 7):
         n = host.vertex_count
         half = list(range(n // 2))
         rest = list(range(n // 2, n))
-        cross = cross_subgraph(host, half, rest).edge_count
+        cross = sum(1 for u, v in host.edges() if u < n // 2 <= v)
         inside_u = host.subgraph_on(half).edge_count
         inside_v = host.subgraph_on(rest).edge_count
         assert cross + inside_u + inside_v == host.edge_count

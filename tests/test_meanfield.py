@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,32 @@ def _random_dense(n, seed, lo=0.05, hi=0.95):
     arr = np.zeros((n, n))
     iu = np.triu_indices(n, 1)
     arr[iu] = rng.uniform(lo, hi, size=len(iu[0]))
-    return EdgeProbabilityMatrix.from_dense(arr + arr.T)
+    return arr + arr.T
+
+
+# Array oracles for the closed forms: the relative-entropy sum and the row DP
+# for e_r over an explicit symmetric matrix with zero diagonal.
+
+def dense_total_cost(arr, p):
+    """Sum of entrywise relative entropies over the pairs above the diagonal."""
+    x = arr[np.triu_indices(len(arr), k=1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(x > 0, x * np.log(x / p), 0.0)
+        term = term + np.where(x < 1, (1 - x) * np.log((1 - x) / (1 - p)), 0.0)
+    return float(np.sum(term))
+
+
+def dense_star_count(arr, r):
+    """Expected labelled r-star count: r! e_r of each row, by the one-pass DP."""
+    n = len(arr)
+    total = 0.0
+    for i in range(n):
+        e = [1.0] + [0.0] * r
+        for value in (arr[i, j] for j in range(n) if j != i):
+            for j in range(r, 0, -1):
+                e[j] += e[j - 1] * value
+        total += math.factorial(r) * e[r]
+    return total
 
 
 def test_entropy_examples():
@@ -52,34 +78,36 @@ def test_entropy_nonnegative_strictly_convex():
 
 def test_total_cost_examples():
     assert total_cost(EdgeProbabilityMatrix.constant(6, 0.3), 0.3) == 0.0
+    one_edge = EdgeProbabilityMatrix.planted(2, 0.3, boosted=0, boosted_value=1.0)
+    assert total_cost(one_edge, 0.3) == pytest.approx(math.log(1 / 0.3), abs=1e-12)
+    zeros = EdgeProbabilityMatrix.constant(4, 0.0)
+    assert total_cost(zeros, 0.5) == pytest.approx(6 * math.log(2), abs=1e-12)
     arr = np.full((3, 3), 0.3)
     np.fill_diagonal(arr, 0.0)
     arr[0, 1] = arr[1, 0] = 1.0
-    one_edge = EdgeProbabilityMatrix.from_dense(arr)
-    assert total_cost(one_edge, 0.3) == pytest.approx(math.log(1 / 0.3), abs=1e-12)
-    zeros = EdgeProbabilityMatrix.from_dense(np.zeros((4, 4)))
-    assert total_cost(zeros, 0.5) == pytest.approx(6 * math.log(2), abs=1e-12)
+    assert dense_total_cost(arr, 0.3) == pytest.approx(math.log(1 / 0.3), abs=1e-12)
+    assert dense_total_cost(np.zeros((4, 4)), 0.5) == pytest.approx(6 * math.log(2), abs=1e-12)
 
 
 def test_total_cost_structured_matches_dense():
     for n, hubs, boosted_value in [(30, (), 0.4), (50, (1, 2, 3), 0.7), (200, (1,), 0.25)]:
         struct = EdgeProbabilityMatrix.planted(n, 0.1, hubs=hubs, boosted=0, boosted_value=boosted_value)
-        dense = EdgeProbabilityMatrix.from_dense(struct.to_dense())
-        assert total_cost(struct, 0.1) == pytest.approx(total_cost(dense, 0.1), rel=1e-12)
+        want = dense_total_cost(struct.to_dense(), 0.1)
+        assert total_cost(struct, 0.1) == pytest.approx(want, rel=1e-12)
     hubs_only = EdgeProbabilityMatrix.planted(40, 0.2, hubs=[0, 5])
-    dense = EdgeProbabilityMatrix.from_dense(hubs_only.to_dense())
-    assert total_cost(hubs_only, 0.2) == pytest.approx(total_cost(dense, 0.2), rel=1e-12)
+    want = dense_total_cost(hubs_only.to_dense(), 0.2)
+    assert total_cost(hubs_only, 0.2) == pytest.approx(want, rel=1e-12)
 
 
 def test_expected_star_count_examples():
-    ones = EdgeProbabilityMatrix.from_dense(1.0 - np.eye(3))
+    ones = EdgeProbabilityMatrix.constant(3, 1.0)
     assert expected_star_count_inhom(ones, 2) == 6.0
+    assert dense_star_count(ones.to_dense(), 2) == 6.0
     a, b = 0.7, 0.4
     arr = np.zeros((3, 3))
     arr[0, 1] = arr[1, 0] = a
     arr[0, 2] = arr[2, 0] = b
-    got = expected_star_count_inhom(EdgeProbabilityMatrix.from_dense(arr), 2)
-    assert got == pytest.approx(2 * a * b, abs=1e-14)
+    assert dense_star_count(arr, 2) == pytest.approx(2 * a * b, abs=1e-14)
 
 
 def test_expected_star_count_constant_exact():
@@ -95,20 +123,24 @@ def test_expected_star_count_constant_exact():
 
 def test_expected_star_count_structured_matches_dp():
     struct = EdgeProbabilityMatrix.planted(60, 0.15, hubs=[1, 2], boosted=0, boosted_value=0.5)
-    dense = EdgeProbabilityMatrix.from_dense(struct.to_dense())
+    arr = struct.to_dense()
     for r in (2, 3, 5):
         a = expected_star_count_inhom(struct, r)
-        b = expected_star_count_inhom(dense, r)
+        b = dense_star_count(arr, r)
         assert a == pytest.approx(b, rel=1e-11)
 
 
 def test_expected_star_count_monotone():
-    base = _random_dense(12, 4)
-    arr = base.to_dense()
-    value = expected_star_count_inhom(base, 3)
-    arr[2, 7] = arr[7, 2] = min(1.0, arr[2, 7] + 0.3)
-    bumped = expected_star_count_inhom(EdgeProbabilityMatrix.from_dense(arr), 3)
-    assert bumped >= value
+    # variational_upper_bound bisects on the boost, so the count must rise
+    # with it.
+    for hubs in ((), (1,), (1, 2)):
+        for r in (2, 3):
+            values = [
+                expected_star_count_inhom(
+                    EdgeProbabilityMatrix.planted(12, 0.2, hubs=hubs, boosted=0, boosted_value=x), r)
+                for x in (0.2, 0.5, 0.9, 1.0)
+            ]
+            assert values == sorted(values) and len(set(values)) == len(values)
 
 
 def test_planted_optimizer_fractional_regime():
@@ -181,8 +213,10 @@ def test_variational_bound_monotone_grid():
 
 def test_exact_variance_against_enumeration():
     # Full enumeration over all graphs on 5 vertices with random edge probs.
-    xi = _random_dense(5, 123)
-    arr = xi.to_dense()
+    arr = _random_dense(5, 123)
+    # A stand-in with what exact_star2_variance reads; a structured matrix
+    # cannot hold per-pair probabilities.
+    xi = SimpleNamespace(n=5, to_dense=arr.copy)
     pairs = list(zip(*np.triu_indices(5, 1)))
     e1 = e2 = 0.0
     for mask in range(1 << len(pairs)):
@@ -198,7 +232,7 @@ def test_exact_variance_against_enumeration():
         count = sum(d * (d - 1) for d in deg)
         e1 += prob * count
         e2 += prob * count * count
-    assert expected_star_count_inhom(xi, 2) == pytest.approx(e1, rel=1e-10)
+    assert dense_star_count(arr, 2) == pytest.approx(e1, rel=1e-10)
     assert exact_star2_variance(xi) == pytest.approx(e2 - e1**2, rel=1e-8)
 
 
@@ -216,13 +250,13 @@ def test_variance_ratio_matches_exact_oracle():
 
 def test_matrix_validation():
     with pytest.raises(ValidationError):
-        EdgeProbabilityMatrix.from_dense(np.array([[0.0, 1.2], [1.2, 0.0]]))
-    with pytest.raises(ValidationError):
-        EdgeProbabilityMatrix.from_dense(np.array([[0.0, 0.1], [0.9, 0.0]]))
-    with pytest.raises(ValidationError):
         EdgeProbabilityMatrix.planted(10, 0.1, hubs=[0], boosted=0, boosted_value=0.5)
-    m = EdgeProbabilityMatrix.planted(10, 0.1, hubs=[1], boosted=0, boosted_value=0.5)
-    assert m.entry(0, 1) == 0.5  # boosted wins over hub
-    assert m.entry(1, 2) == 1.0
-    assert m.entry(2, 3) == 0.1
-    assert m.entry(4, 4) == 0.0
+    with pytest.raises(ValidationError):
+        EdgeProbabilityMatrix.planted(10, 0.1, hubs=[10])
+    with pytest.raises(ValidationError):
+        EdgeProbabilityMatrix.planted(10, 0.1, boosted=0, boosted_value=1.2)
+    m = EdgeProbabilityMatrix.planted(10, 0.1, hubs=[1], boosted=0, boosted_value=0.5).to_dense()
+    assert m[0, 1] == m[1, 0] == 0.5  # boosted wins over hub
+    assert m[1, 2] == m[2, 1] == 1.0
+    assert m[2, 3] == 0.1
+    assert m[4, 4] == 0.0

@@ -14,16 +14,20 @@ from uppertail.structures import (
     detect_high_degree,
     detect_hub,
     detect_tilde_hub,
-    degree_product_check,
     extract_core,
     extract_strong_core,
-    g_low,
-    low_degree_analysis,
     stability_peel,
     verify_hub,
-    verify_quasi_clique,
 )
-from conftest import seeded_hosts
+from conftest import host_of, seeded_hosts
+
+
+def verify_quasi_clique(graph: HostGraph, witness, chi: float) -> bool:
+    """Recheck a ``detect_clique`` witness from scratch: every vertex has at
+    least floor((1 - chi) |U|) neighbours inside it."""
+    inner = set(witness)
+    need = math.floor((1 - chi) * len(inner))
+    return all(sum(1 for u in graph.neighbors(v) if u in inner) >= need for v in inner)
 
 
 def _k28() -> HostGraph:
@@ -72,7 +76,7 @@ def test_detect_clique_examples():
     assert verify_quasi_clique(host, verdict.witness, 0.2)
     assert len(verdict.witness) >= 5
 
-    star_host = HostGraph.from_pattern(star(9))
+    star_host = host_of(star(9))
     assert detect_clique(star_host, 0.2, 3).found == NO
 
     any_host = HostGraph(4, [(0, 1)])
@@ -89,11 +93,11 @@ def test_detect_clique_greedy_large():
 
 
 def test_detect_high_degree_examples():
-    assert detect_high_degree(HostGraph.from_pattern(star(5)), 5).found == YES
-    assert detect_high_degree(HostGraph.from_pattern(star(5)), 5).witness == (0,)
+    assert detect_high_degree(host_of(star(5)), 5).found == YES
+    assert detect_high_degree(host_of(star(5)), 5).witness == (0,)
     from uppertail.graphs import cycle
 
-    assert detect_high_degree(HostGraph.from_pattern(cycle(6)), 3).found == NO
+    assert detect_high_degree(host_of(cycle(6)), 3).found == NO
     assert detect_high_degree(HostGraph.complete(4), 3).found == YES
 
 
@@ -112,7 +116,7 @@ def test_detect_tilde_hub_examples():
     assert detect_tilde_hub(host, 0, 5, 0).found == YES
     from uppertail.graphs import cycle
 
-    assert detect_tilde_hub(HostGraph.from_pattern(cycle(8)), 1, 7, 0).found == NO
+    assert detect_tilde_hub(host_of(cycle(8)), 1, 7, 0).found == NO
 
 
 def test_detect_tilde_hub_reversed_thresholds():
@@ -192,68 +196,12 @@ def test_extract_strong_core():
     assert result.graph.edge_count == 0
 
 
-def test_low_degree_analysis_examples():
-    star_host = HostGraph.from_pattern(star(10))
-    low, sub, bipartite = low_degree_analysis(star_host, 0.5)
-    assert set(low) == set(range(1, 11))
-    assert sub.edge_count == 10 and bipartite
-
-    k4 = HostGraph.complete(4)
-    low, sub, bipartite = low_degree_analysis(k4, 0.5)
-    assert low == () and sub.edge_count == 0 and bipartite
-
-    tri = HostGraph.from_pattern(clique(3))
-    low, sub, bipartite = low_degree_analysis(tri, 0.4)
-    assert set(low) == {0, 1, 2} and sub.edge_count == 3 and not bipartite
-
-
-def test_low_degree_analysis_structure_fuzz():
-    for host in seeded_hosts(15, (6, 12), 0.4, 21):
-        low, sub, _ = low_degree_analysis(host, 0.35)
-        low_set = set(low)
-        for u, v in sub.edges():
-            assert u in low_set or v in low_set
-        for v in range(host.vertex_count):
-            if sub.degree(v) > 0 and v not in low_set:
-                assert any(u in low_set for u in sub.neighbors(v))
-
-
-def test_degree_product_check():
-    assert degree_product_check(HostGraph.complete(4), 9) == (True, None)
-    pendant = HostGraph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
-    ok, edge = degree_product_check(pendant, 5)
-    assert not ok and edge == (0, 4)
-    assert degree_product_check(HostGraph.empty(3), 100) == (True, None)
-
-
-def test_g_low_examples():
-    k4 = HostGraph.complete(4)
-    assert g_low(k4, 9).edge_count == 6
-    assert g_low(k4, 8).edge_count == 0
-    star_host = HostGraph.from_pattern(star(3))
-    assert g_low(star_host, 3).edge_count == 3
-
-
-def test_g_low_fuzz():
-    rng = random.Random(3)
-    for host in seeded_hosts(200, (5, 12), 0.45, 77):
-        cutoff = rng.uniform(0, 25)
-        sub = g_low(host, cutoff)
-        degs = host.degrees()
-        kept = set(sub.edges())
-        for u, v in host.edges():
-            if (u, v) in kept:
-                assert degs[u] * degs[v] <= cutoff
-            else:
-                assert degs[u] * degs[v] > cutoff
-
-
 def test_stability_peel_examples():
     k5 = HostGraph.complete(5)
     res = stability_peel(k5, 0.04)
     assert res.kept == (0, 1, 2, 3, 4) and res.min_degree == 4
 
-    star_host = HostGraph.from_pattern(star(9))
+    star_host = host_of(star(9))
     res = stability_peel(star_host, 0.01)
     assert res.kept == () and res.graph.edge_count == 0
 
