@@ -227,18 +227,24 @@ def _embed(
         return count
 
     total = 0
-    for order, pinned_images in starts:
-        for v, w in pinned_images.items():
-            images[v] = w
-        steps, run, before, heads = _plan(pattern, tuple(order), len(pinned_images))
-        if leaf is not None:  # list every position
-            run = len(steps) + 1
-        if not steps:  # every vertex pinned
-            total += 1
-            if leaf is not None:
-                leaf(images)
-        else:
-            total += counted(None, [None]) if run == 0 else descend(0)
+    try:
+        for order, pinned_images in starts:
+            for v, w in pinned_images.items():
+                images[v] = w
+            steps, run, before, heads = _plan(pattern, tuple(order), len(pinned_images))
+            if leaf is not None:  # list every position
+                run = len(steps) + 1
+            if not steps:  # every vertex pinned
+                total += 1
+                if leaf is not None:
+                    leaf(images)
+            else:
+                total += counted(None, [None]) if run == 0 else descend(0)
+    finally:
+        # ``descend`` reaches itself through its closure cell.  Emptying the
+        # cell frees the closures, and the host rows they hold, on return
+        # instead of at the next cyclic garbage collection.
+        descend = None
     return total
 
 

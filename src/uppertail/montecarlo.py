@@ -10,13 +10,16 @@ the pair slots of all of a replica's graphs, thinned when the probabilities
 differ per pair.  ``_draws`` cuts that stream into batches, each a sparse
 list of (graph, pair) edges, and a replica's edges do not depend on how its
 draws are batched.  ``sample_gnp`` and ``sample_inhom`` return the first
-graph of replica 0.  Every Monte Carlo estimator draws batches of
-max(1, min(4096, 8_000_000 // n_pairs)) graphs and counts them through one
-``_BatchCounter``.  Labelled counts come from the first path that applies:
-for n <= 6, a table of the labelled count of every graph on n vertices,
-indexed by its pair bitmask (``exact_tail`` sums over the same table);
-degree falling factorials for stars; packed uint64 bit rows for triangles
-(at most about 2 MB per batch); and the generic backtracking counter.
+graph of replica 0.  Every Monte Carlo estimator counts its draws through
+one ``_BatchCounter``, in batches sized so that each holds about
+``_BATCH_ITEMS`` expected edges and at most ``_BATCH_ITEMS`` degree cells
+or bit-row words: a batch's arrays stay near
+64 KB, so the heap recycles them instead of returning them to the system
+and faulting them back in for the next batch.  Labelled counts come from
+the first path that applies: for n <= 6, a table of the labelled count of
+every graph on n vertices, indexed by its pair bitmask (``exact_tail``
+sums over the same table); degree falling factorials for stars; packed
+uint64 bit rows for triangles; and the generic backtracking counter.
 """
 
 from __future__ import annotations
@@ -104,6 +107,9 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _SKIP_BLOCK = 1 << 16
+# The working set of one batch, in int64 entries: expected edges, degree
+# cells, bit-row words, and the skip block of a constant-probability stream.
+_BATCH_ITEMS = 1 << 13
 
 
 class EdgeBatch(NamedTuple):
@@ -125,9 +131,12 @@ def _present_slots(rng: np.random.Generator, probs, n_pairs: int, total: int):
     probability q: the gap to the next candidate is 1 + floor(E / -log(1-q))
     for a standard exponential E, so P(gap > k) = (1-q)^k.  With unequal
     probabilities per pair, each candidate is kept with probability
-    probs[pair] / q, by a uniform drawn in lockstep with its gap.  The
-    block size depends only on ``probs`` and ``total``, so the slots do not
-    depend on how a caller batches them.
+    probs[pair] / q, by a uniform drawn after its block of gaps, so the
+    slots depend on the block length, which depends only on ``probs`` and
+    ``total``.  With one probability the slots are the running sums of one
+    stream of exponentials, whatever the block length, and a block is about
+    one batch long.  Either way the slots do not depend on how a caller
+    batches them.
     """
     probs = np.asarray(probs, dtype=float)
     top = min(float(probs.max(initial=0.0)), 1.0)
@@ -136,14 +145,20 @@ def _present_slots(rng: np.random.Generator, probs, n_pairs: int, total: int):
         return
     ratio = probs / top if probs.min() < top else None  # equal probabilities need no thinning
     scale = -1.0 / math.log1p(-top) if top < 1.0 else 0.0
-    size = int(min(_SKIP_BLOCK, total * top * 1.1 + 64))
+    size = int(min(_SKIP_BLOCK if ratio is not None else _BATCH_ITEMS, total * top * 1.1 + 64))
     draws = np.empty(size)  # the gaps, then the thinning uniforms, of each block
+    if ratio is not None:  # a thinned block yields a copy of its kept slots, so it reuses these
+        block, pair, limit = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
     decided = 0
     while decided < total:
         rng.standard_exponential(out=draws)
         draws *= scale
         np.minimum(draws, total, out=draws)  # keeps the running sum in int64
-        slots = draws.astype(np.int64)
+        if ratio is None:
+            slots = draws.astype(np.int64)  # yielded as a view, so fresh for each block
+        else:
+            slots = block
+            np.copyto(slots, draws, casting="unsafe")
         slots += 1
         slots[0] += decided - 1
         np.cumsum(slots, out=slots)
@@ -151,7 +166,10 @@ def _present_slots(rng: np.random.Generator, probs, n_pairs: int, total: int):
         slots = slots[: np.searchsorted(slots, total)]
         if ratio is not None:
             rng.random(out=draws)
-            slots = slots[draws[: len(slots)] < ratio[slots % n_pairs]]
+            k = len(slots)
+            np.remainder(slots, n_pairs, out=pair[:k])
+            np.take(ratio, pair[:k], out=limit[:k])
+            slots = slots[draws[:k] < limit[:k]]
         yield slots, decided
 
 
@@ -159,19 +177,21 @@ def _draws(rng: np.random.Generator, probs, n_pairs: int, m: int, rows: int):
     """``EdgeBatch``es of at most ``rows`` graphs covering m graphs with
     independent edges; ``probs`` is one probability or one per pair.  The
     skip position carries across batches, so the graphs do not depend on
-    ``rows``."""
+    ``rows``.  A batch copies only its own slots, and one inside the
+    pending block is a view of it, split in place."""
     stream = _present_slots(rng, probs, n_pairs, m * n_pairs)
     pending, decided, done = np.empty(0, dtype=np.int64), 0, 0
     while done < m:
         take = min(m - done, rows)
         end = (done + take) * n_pairs
         parts = [pending]
-        while decided < end:
+        while decided < end:  # only the last block drawn reaches past the batch
             slots, decided = next(stream)
             parts.append(slots)
-        slots = np.concatenate(parts)
-        cut = np.searchsorted(slots, end)
-        pending, pair = slots[cut:], slots[:cut]
+        cut = np.searchsorted(parts[-1], end)
+        pending = parts[-1][cut:]
+        parts[-1] = parts[-1][:cut]
+        pair = np.concatenate(parts) if len(parts) > 1 else parts[0]
         pair -= done * n_pairs
         graph = pair // n_pairs
         pair -= graph * n_pairs
@@ -205,9 +225,9 @@ def sample_inhom(xi: EdgeProbabilityMatrix, seed: int) -> HostGraph:
 class _BatchCounter:
     """Counts a pattern in each graph of batches of graphs on n vertices.
 
-    A batch is an ``EdgeBatch`` of at most ``rows`` graphs, as ``_draws``
-    yields it.  The counter
-    holds no state beyond its tables, so replica threads share one instance.
+    A batch is an ``EdgeBatch`` of at most ``rows(probs)`` graphs, as
+    ``batches`` yields it.  The counter holds no state beyond its tables, so
+    replica threads share one instance.
     """
 
     def __init__(self, pattern: PatternGraph, n: int):
@@ -218,7 +238,10 @@ class _BatchCounter:
         self.pattern = pattern
         self.n = n
         self.pair_u, self.pair_v = _pair_arrays(n)
-        self.rows = max(1, min(4096, 8_000_000 // max(len(self.pair_u), 1)))
+        # Graphs in a replica chunk.  A conditioned run draws each chunk from
+        # its own replica stream, and importance sums are rounded chunk by
+        # chunk, so both outputs depend on this length and not on ``rows``.
+        self.chunk = max(1, min(4096, 8_000_000 // max(len(self.pair_u), 1)))
         self.table = None
         if n <= EXACT_TAIL_MAX_N:
             self.table = self._count_table()
@@ -245,10 +268,21 @@ class _BatchCounter:
         table *= math.perm(self.n, self.pattern.vertex_count) // len(copies) if copies else 0
         return table
 
+    def rows(self, probs) -> int:
+        """Graphs per batch: about ``_BATCH_ITEMS`` expected edges, and at
+        most ``_BATCH_ITEMS`` degree cells, or bit-row words for triangles."""
+        edges = float(np.sum(probs)) if np.ndim(probs) else float(probs) * len(self.pair_u)
+        cells = self.n * ((self.n + 63) >> 6) if self.triangle else self.n
+        per_graph = max(edges, cells)
+        return max(1, int(_BATCH_ITEMS // per_graph))
+
+    def batches(self, rng: np.random.Generator, probs, m: int):
+        """``_draws`` of m graphs, ``rows(probs)`` graphs a batch."""
+        return _draws(rng, probs, len(self.pair_u), m, self.rows(probs))
+
     def sample_counts(self, rng: np.random.Generator, probs, m: int) -> np.ndarray:
-        """Labelled counts of m graphs drawn by ``_draws``."""
-        batches = _draws(rng, probs, len(self.pair_u), m, self.rows)
-        return np.concatenate([self.counts(batch) for batch in batches])
+        """Labelled counts of m graphs drawn by ``batches``."""
+        return np.concatenate([self.counts(batch) for batch in self.batches(rng, probs, m)])
 
     def degrees(self, batch: EdgeBatch) -> np.ndarray:
         """Degree matrix of a batch, one row per graph."""
@@ -304,7 +338,7 @@ class _BatchCounter:
             rows[word[runs]] = np.bitwise_or.reduceat(bits, runs)
         rows = rows.reshape(size * n, words)
         per_edge = np.zeros(len(pair), dtype=np.int64)
-        chunk = max(1, (1 << 18) // words)  # about 2 MB of gathered words
+        chunk = max(1, _BATCH_ITEMS // words)
         for lo in range(0, len(pair), chunk):
             common = np.take(rows, row_a[lo : lo + chunk], axis=0)
             common &= np.take(rows, row_b[lo : lo + chunk], axis=0)
@@ -314,6 +348,15 @@ class _BatchCounter:
                 acc += ones[:, w]
         ends = np.searchsorted(graph, np.arange(size + 1))
         return 6 * np.diff(np.concatenate(([0], np.cumsum(per_edge)))[ends])
+
+
+def _chunked_sum(values: np.ndarray, chunk: int) -> float:
+    """The sum of ``values`` taken ``chunk`` entries at a time, so that its
+    rounding does not depend on how the values were batched."""
+    total = 0.0
+    for lo in range(0, len(values), chunk):
+        total += float(values[lo : lo + chunk].sum())
+    return total
 
 
 def star_count_samples(
@@ -474,22 +517,15 @@ def estimate_tail_importance(
     )
 
     def worker(replica: int, m: int) -> tuple[float, float, float, float, int]:
-        rng = _replica_rng(seed, replica)
-        s1 = s2 = w1 = w2 = 0.0
-        accepted = 0
-        for batch in _draws(rng, q, len(counter.pair_u), m, counter.rows):
-            counts = counter.counts(batch)
+        weights, tails = [], []
+        for batch in counter.batches(_replica_rng(seed, replica), q, m):
             hits = np.bincount(batch.graph[boosted[batch.pair]], minlength=batch.size)
-            log_w = hits * log_hit + (n_boosted - hits) * log_miss
-            w = np.exp(log_w)
-            ind = counts >= threshold
-            contrib = w * ind
-            s1 += float(contrib.sum())
-            s2 += float((contrib**2).sum())
-            w1 += float(w.sum())
-            w2 += float((w**2).sum())
-            accepted += int(ind.sum())
-        return s1, s2, w1, w2, accepted
+            weights.append(np.exp(hits * log_hit + (n_boosted - hits) * log_miss))
+            tails.append(counter.counts(batch) >= threshold)
+        w, ind = np.concatenate(weights), np.concatenate(tails)
+        contrib = w * ind
+        sums = (_chunked_sum(x, counter.chunk) for x in (contrib, contrib**2, w, w**2))
+        return (*sums, int(ind.sum()))
 
     parts = _map_replicas(worker, _chunk_sizes(samples, replicas), threads)
     s1 = math.fsum(part[0] for part in parts)
@@ -565,7 +601,8 @@ def conditioned_structure_frequency(
     ``min_accepted`` conditioned samples or the sample budget is exhausted.
     ``threshold`` overrides the default ceil((1+delta) n^v p^e) count.  The
     detector maps a batch's degree matrix to one flag per graph
-    (``evaluate_degrees``).  Each batch draws from a fresh replica stream.
+    (``evaluate_degrees``).  Each ``_BatchCounter.chunk`` of graphs draws
+    from a fresh replica stream.
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
@@ -583,11 +620,11 @@ def conditioned_structure_frequency(
     drawn = 0
     replica = 0
 
-    def run_batch(take):
+    def run_chunk(take):
         nonlocal hits_cond, hits_all, accepted, drawn, replica
         rng = _replica_rng(seed, replica)
         replica += 1
-        for batch in _draws(rng, p, len(counter.pair_u), take, counter.rows):
+        for batch in counter.batches(rng, p, take):
             deg = counter.degrees(batch)
             flags = np.asarray(detector.evaluate_degrees(deg), dtype=bool)
             good = counter.counts(batch, deg) >= threshold
@@ -598,7 +635,7 @@ def conditioned_structure_frequency(
 
     pilot_budget = min(pilot, samples)
     while drawn < pilot_budget:
-        run_batch(min(counter.rows, pilot_budget - drawn))
+        run_chunk(min(counter.chunk, pilot_budget - drawn))
     acceptance_estimate = accepted / drawn if drawn else 0.0
     if acceptance_estimate < acceptance_floor:
         raise ResourceBudgetError(
@@ -608,7 +645,7 @@ def conditioned_structure_frequency(
             "estimate_tail_importance (tail --method importance)"
         )
     while accepted < min_accepted and drawn < samples:
-        run_batch(min(counter.rows, samples - drawn))
+        run_chunk(min(counter.chunk, samples - drawn))
     return ConditionedFrequencies(
         freq_conditioned=hits_cond / accepted if accepted else 0.0,
         freq_unconditioned=hits_all / drawn,

@@ -6,8 +6,10 @@ for row on batches converted from dense indicator matrices.  Its sparse
 draws must have the right per-pair marginals and must not depend on the
 batch size, and the single-graph samplers must return graph 0 of the same
 stream.  The count table (n <= 6) and the in-place skip stream keep the
-code they replaced as oracles too.  Estimator outputs are pinned to the
-sparse-draw stream, and large-n CLI runs must stay within fixed memory
+code they replaced as oracles too; with one probability the slots must not
+depend on the skip-block length either.  Estimator outputs are pinned to
+the sparse-draw stream, a run's traced working set must stay small, and
+large-n CLI runs (``child_process`` tests) must stay within fixed memory
 ceilings.
 """
 
@@ -16,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,7 @@ from uppertail.montecarlo import (
     sample_gnp,
     sample_inhom,
     star_count_samples,
+    threshold_for,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -211,8 +215,10 @@ def test_count_table_matches_mask_loop(name, n):
 # Reference oracle: the skip stream before it ran in place
 # ---------------------------------------------------------------------------
 
-def oracle_present_slots(rng, probs, n_pairs, total):
-    """``_present_slots`` with a fresh array for every step."""
+def oracle_present_slots(rng, probs, n_pairs, total, size=None):
+    """``_present_slots`` with a fresh array for every step, in blocks of
+    ``size`` gaps; by default min(65,536, 1.1 total q + 64) for any stream,
+    the length thinned streams still use."""
     probs = np.asarray(probs, dtype=float)
     top = min(float(probs.max(initial=0.0)), 1.0)
     if top <= 0.0:
@@ -220,7 +226,8 @@ def oracle_present_slots(rng, probs, n_pairs, total):
         return
     ratio = probs / top if probs.min() < top else None
     scale = -1.0 / math.log1p(-top) if top < 1.0 else 0.0
-    size = int(min(_SKIP_BLOCK, total * top * 1.1 + 64))
+    if size is None:
+        size = int(min(_SKIP_BLOCK, total * top * 1.1 + 64))
     decided = 0
     while decided < total:
         gaps = rng.standard_exponential(size)
@@ -273,16 +280,25 @@ STREAMS = [
 ]
 
 
+def _joined(blocks):
+    """The present slots of a ``_present_slots`` stream, in one array."""
+    return np.concatenate([slots for slots, _ in blocks])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("name, n, probs, m, rows", STREAMS, ids=[s[0] for s in STREAMS])
 def test_stream_matches_fresh_array_oracle(name, n, probs, m, rows, seed):
     probs, n_pairs = probs(n), n * (n - 1) // 2
     old = list(oracle_present_slots(_replica_rng(seed, 1), probs, n_pairs, m * n_pairs))
     new = list(_present_slots(_replica_rng(seed, 1), probs, n_pairs, m * n_pairs))
-    assert [decided for _, decided in new] == [decided for _, decided in old]
-    assert all(np.array_equal(a, b) and a.dtype == b.dtype for (a, _), (b, _) in zip(new, old))
+    if np.ndim(probs):  # thinned: the same blocks
+        assert [decided for _, decided in new] == [decided for _, decided in old]
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for (a, _), (b, _) in zip(new, old))
+    else:  # one probability: shorter blocks, the same slots
+        assert np.array_equal(_joined(new), _joined(old)) and _joined(new).dtype == np.int64
+        assert new[-1][1] >= m * n_pairs
     if name.endswith("blocks"):
-        assert len(new) >= 3
+        assert len(old) >= 3
     old = list(oracle_draws(_replica_rng(seed, 2), probs, n_pairs, m, rows))
     new = list(_draws(_replica_rng(seed, 2), probs, n_pairs, m, rows))
     assert [b.size for b in new] == [b.size for b in old]
@@ -291,11 +307,63 @@ def test_stream_matches_fresh_array_oracle(name, n, probs, m, rows, seed):
         assert a.graph.dtype == b.graph.dtype == a.pair.dtype == b.pair.dtype == np.int64
 
 
+def _global_slots(batches, n_pairs):
+    """The stream slots of ``_draws`` batches: graph g of the whole draw,
+    pair k, is slot g * n_pairs + k."""
+    slots, done = [], 0
+    for batch in batches:
+        slots.append((batch.graph + done) * n_pairs + batch.pair)
+        done += batch.size
+    return np.concatenate(slots)
+
+
+# (n, p, graphs): one probability at the sizes the estimators run, its
+# extremes, and a draw of several 65,536-gap blocks.
+CONSTANT_STREAMS = [(5, 0.3, 700), (12, 1.0, 40), (40, 0.05, 4200), (200, 0.0131, 300),
+                    (64, 0.02, 3000)]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n, p, m", CONSTANT_STREAMS)
+def test_constant_stream_does_not_depend_on_block_length(n, p, m, seed):
+    # With one probability there is no thinning, so the slots are the
+    # running sums of one stream of exponentials, whatever the block length.
+    n_pairs = n * (n - 1) // 2
+    want = _joined(oracle_present_slots(_replica_rng(seed, 3), p, n_pairs, m * n_pairs))
+    for size in (1, 7, 1000, 8192, _SKIP_BLOCK):
+        got = oracle_present_slots(_replica_rng(seed, 3), p, n_pairs, m * n_pairs, size)
+        assert np.array_equal(_joined(got), want)
+    assert np.array_equal(_joined(_present_slots(_replica_rng(seed, 3), p, n_pairs, m * n_pairs)), want)
+    rows = _BatchCounter(star(2), n).rows(p)
+    for batch_rows in sorted({1, 3, 64, rows, 4096, m}):
+        batches = list(_draws(_replica_rng(seed, 3), p, n_pairs, m, batch_rows))
+        assert [b.size for b in batches] == [min(batch_rows, m - d) for d in range(0, m, batch_rows)]
+        assert np.array_equal(_global_slots(batches, n_pairs), want)
+
+
 def test_batch_rows_rule():
-    assert _BatchCounter(star(2), 40).rows == 4096
-    assert _BatchCounter(star(2), 63).rows == 4096  # 1953 pairs
-    assert _BatchCounter(star(2), 64).rows == 8_000_000 // 2016
-    assert _BatchCounter(star(2), 2000).rows == 4
+    # About 8,192 expected edges (the sum of a graph's pair probabilities),
+    # and at most 8,192 degree cells, or bit-row words (n * ceil(n / 64))
+    # for triangles, per batch.
+    assert _BatchCounter(star(2), 40).rows(0.05) == 8192 // 40  # 39 edges, 40 cells
+    assert _BatchCounter(star(2), 40).rows(0.5) == 8192 // 390
+    counter = _BatchCounter(star(2), 40)
+    hub = Planting.parse("hub:1:0.5").boosted_pair_mask(counter.pair_u, counter.pair_v)
+    assert counter.rows(np.where(hub, 0.5, 0.05)) == 144  # 39 * 0.5 + 741 * 0.05 edges
+    assert _BatchCounter(star(2), 40).rows(0.0) == 8192 // 40
+    assert _BatchCounter(clique(3), 200).rows(0.0131) == 8192 // 800  # 4 words a row
+    assert _BatchCounter(star(2), 5).rows(0.3) == 8192 // 5
+    assert _BatchCounter(star(2), 1).rows(0.5) == 8192
+    assert _BatchCounter(star(2), 2000).rows(0.001) == 4  # 1,999 edges
+    assert _BatchCounter(clique(3), 2000).rows(0.001) == 1  # 64,000 words
+    assert _BatchCounter(clique(3), 1000).rows(0.5) == 1
+    # A replica chunk keeps the former batch rule: 4,096 graphs, fewer above
+    # 1,953 pairs.
+    assert _BatchCounter(star(2), 40).chunk == 4096
+    assert _BatchCounter(star(2), 63).chunk == 4096  # 1953 pairs
+    assert _BatchCounter(star(2), 64).chunk == 8_000_000 // 2016
+    assert _BatchCounter(star(2), 2000).chunk == 4
+    assert _BatchCounter(star(2), 1).chunk == 4096
 
 
 def _drawn(counter, probs, m, rows, seed=7):
@@ -340,7 +408,7 @@ def test_draws_have_the_right_marginals(case):
     else:
         boosted = Planting.parse(case).boosted_pair_mask(counter.pair_u, counter.pair_v)
         probs = drawn = np.where(boosted, 0.55, 0.2)
-    _, pair, _ = _drawn(counter, drawn, m, counter.rows)
+    _, pair, _ = _drawn(counter, drawn, m, counter.rows(drawn))
     freq = np.bincount(pair, minlength=len(probs)) / m
     se = np.sqrt(probs * (1 - probs) / m)
     assert np.all(np.abs(freq - probs) <= 5 * se), np.max(np.abs(freq - probs) / np.maximum(se, 1e-12))
@@ -410,6 +478,49 @@ def test_pinned_estimator_outputs():
     assert (fit.mean, fit.tv_distance) == (2.9281, 0.02736365843603086)
 
 
+def test_pinned_chunked_outputs():
+    # Above 1,953 pairs a replica chunk holds fewer than 4,096 graphs, and it
+    # is counted in several batches: conditioned runs draw one stream per
+    # chunk, and importance sums are rounded chunk by chunk.
+    out = conditioned_structure_frequency(
+        star(2), 70, 0.04, 0.5, HighDegreeDetector(9), 12000, 1, min_accepted=12000, pilot=5000)
+    got = (out.accepted, out.freq_conditioned, out.freq_unconditioned)
+    assert got == (103, 0.5631067961165048, 0.11291666666666667)
+    out = conditioned_structure_frequency(
+        clique(3), 130, 0.05, 0.5, HighDegreeDetector(15), 3000, 2, min_accepted=3000, pilot=1500)
+    got = (out.accepted, out.freq_conditioned, out.freq_unconditioned)
+    assert got == (32, 0.5625, 0.23366666666666666)
+    est = estimate_tail_importance(star(2), 70, 0.04, 700, Planting.parse("hub:2:0.1"), 8000, 4,
+                                   replicas=1)
+    assert (est.point, est.extras["accepted"]) == (0.06618512695230888, 2633)
+    assert est.extras["effective_samples"] == 44.04093492282542
+    # A thinned draw keeps min(65,536, 1.1 total q + 64)-gap blocks; shorter
+    # blocks would change both values.
+    threshold = threshold_for(3, star(2), 40, 0.05)
+    est = estimate_tail_importance(star(2), 40, 0.05, threshold, Planting.parse("hub:1:0.5"),
+                                   20000, 3)
+    assert (est.point, est.extras["accepted"]) == (2.8137397292464485e-13, 6393)
+
+
+def _traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_stays_small():
+    # A batch's arrays stay near 64 KB, so the heap recycles them; with
+    # 4,096-graph batches these runs peaked at 13.9 MB and 9.4 MB.
+    peak = _traced_peak_mb(lambda: poisson_fit_experiment(clique(3), 200, 18 ** (1 / 3) / 200, 10000, 0))
+    assert peak < 2, peak
+    peak = _traced_peak_mb(lambda: conditioned_structure_frequency(
+        star(2), 40, 0.05, 1.0, HighDegreeDetector(8), 160000, 0, min_accepted=160000))
+    assert peak < 2, peak
+
+
 # Runs the CLI, then reports the process's own peak RSS on stderr.  The
 # ru_maxrss that wait4 returns for a child also counts its parent's peak,
 # which the child inherits across fork and exec.
@@ -443,6 +554,7 @@ def _peak_rss_mb(argv):
     return peak_mb, json.loads(stdout)["result"]
 
 
+@pytest.mark.child_process
 def test_peak_rss_is_the_childs_own():
     # About 300 MB held here must not show in a small child's peak.
     ballast = np.ones(300 * 2**20 // 8)
@@ -451,6 +563,7 @@ def test_peak_rss_is_the_childs_own():
     assert peak_mb < 150, peak_mb
 
 
+@pytest.mark.child_process
 def test_large_n_tail_memory():
     # A whole-budget batch at n = 2000 would hold 64 x 1,999,000 pair slots;
     # batches sized by the pair count stay far below that.
@@ -461,10 +574,12 @@ def test_large_n_tail_memory():
     assert peak_mb < 400, peak_mb
 
 
+@pytest.mark.child_process
 def test_dense_triangle_tail_memory():
-    # Four graphs of G(1000, 0.5) hold about a million edges, a few int64
-    # arrays of 8 MB each; their bit rows take 0.5 MB, and the gathered words
-    # are counted in 2 MB chunks.  A (batch, n, n) tensor of one byte per pair
+    # Four graphs of G(1000, 0.5) hold about a million edges, drawn and
+    # counted one graph a batch: a few int64 arrays of 2 MB each; a graph's
+    # bit rows take 128 KB, and the gathered words are counted in 64 KB
+    # chunks.  A (batch, n, n) tensor of one byte per pair
     # would add 64 MB, and uint64 words per pair 512 MB.
     argv = ["tail", "--pattern", "clique:3", "--n", "1000", "--p", "0.5", "--delta", "0",
             "--samples", "4", "--replicas", "1", "--threads", "1"]
@@ -473,6 +588,7 @@ def test_dense_triangle_tail_memory():
     assert peak_mb < 250, peak_mb
 
 
+@pytest.mark.child_process
 def test_too_many_vertex_pairs_is_refused_up_front():
     # n = 10^6 has 5 * 10^11 vertex pairs: the pair tables alone would take
     # 3.64 TiB.  The run is refused before any table is built.
@@ -486,6 +602,7 @@ def test_too_many_vertex_pairs_is_refused_up_front():
     assert _pair_count(10_000) <= MAX_PAIRS < _pair_count(10_001)
 
 
+@pytest.mark.child_process
 def test_count_graph_file_memory(tmp_path):
     # G(2000, 0.5) as a file: about 10^6 edges in 8.9 MB of text.  The
     # neighbour sets are the one structure that must scale with the edges;

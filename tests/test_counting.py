@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -29,6 +30,27 @@ def test_count_labelled_examples():
     assert count_labelled(EDGE, K3_HOST) == 6
     assert count_labelled(star(2), K3_HOST) == 6
     assert count_labelled(clique(3), HostGraph.complete(4)) == 24
+
+
+def test_counting_leaves_no_reference_cycles():
+    # A count must free the host rows its search closures hold when it
+    # returns; left to the cyclic collector, a long-lived process holds the
+    # previous host's neighbour sets while it builds the next.
+    host = HostGraph(30, [(i, (7 * i + 3) % 30) for i in range(30) if i != (7 * i + 3) % 30]
+                     + [(i, i + 1) for i in range(29)])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for pattern in (path(4), cycle(4), star(3), clique(3)):
+            count_labelled(pattern, host)  # plans are cached on the first call
+            gc.collect()
+            count_labelled(pattern, host)
+            count_labelled_using_edge(pattern, host, (0, 1))
+            counting._copy_edge_sets(pattern, host, None)
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_count_using_edge_examples():
