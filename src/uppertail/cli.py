@@ -305,9 +305,9 @@ def _cmd_tail(args, started) -> int:
             replicas=args.replicas, threads=args.threads,
         )
     elif args.method == "importance":
-        planting = montecarlo.Planting.parse(args.planting or "highdeg")
+        proposal = meanfield.EdgeProbabilityMatrix.planting(args.planting or "highdeg", args.n, args.p)
         estimate = montecarlo.estimate_tail_importance(
-            pattern, args.n, args.p, threshold, planting, args.samples, args.seed,
+            pattern, args.n, args.p, threshold, proposal, args.samples, args.seed,
             replicas=args.replicas, threads=args.threads,
         )
     else:

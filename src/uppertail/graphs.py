@@ -302,36 +302,24 @@ def automorphism_count(pattern: PatternGraph) -> int:
     if n > PATTERN_VERTEX_CAP:
         raise ValidationError("pattern too large")
     degs = pattern.degrees()
-    masks = pattern._adj_masks
     # Map vertices in decreasing-degree order so mismatches surface early.
     order = sorted(range(n), key=lambda v: -degs[v])
-    image = [-1] * n
-    used = 0
-    count = 0
+    return _count_extensions(0, 0, order, [-1] * n, degs, pattern._adj_masks)
 
-    def extend(pos: int) -> None:
-        nonlocal used, count
-        if pos == n:
-            count += 1
-            return
-        u = order[pos]
-        for w in range(n):
-            if (used >> w) & 1 or degs[w] != degs[u]:
-                continue
-            ok = True
-            for q in range(pos):
-                a = order[q]
-                if ((masks[u] >> a) & 1) != ((masks[w] >> image[a]) & 1):
-                    ok = False
-                    break
-            if ok:
-                image[u] = w
-                used |= 1 << w
-                extend(pos + 1)
-                used ^= 1 << w
-        image[u] = -1
 
-    extend(0)
+def _count_extensions(pos: int, used: int, order: list, image: list, degs, masks) -> int:
+    """The automorphisms that extend ``image`` on ``order[:pos]``; ``used``
+    is the bitmask of its images."""
+    if pos == len(order):
+        return 1
+    u, count = order[pos], 0
+    for w in range(len(order)):
+        if (used >> w) & 1 or degs[w] != degs[u]:
+            continue
+        if all(((masks[u] >> a) & 1) == ((masks[w] >> image[a]) & 1) for a in order[:pos]):
+            image[u] = w
+            count += _count_extensions(pos + 1, used | 1 << w, order, image, degs, masks)
+    image[u] = -1
     return count
 
 
@@ -346,6 +334,8 @@ def is_strictly_balanced(pattern: PatternGraph) -> bool:
     if not is_connected(pattern):
         raise ValidationError("strict balancedness is defined for connected patterns")
     n = pattern.vertex_count
+    if n > PATTERN_VERTEX_CAP:  # the subset walk below takes 2^n steps
+        raise ValidationError("pattern too large")
     target = Fraction(pattern.edge_count, n)
     edge_list = pattern.sorted_edges()
     for size in range(2, n):

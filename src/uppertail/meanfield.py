@@ -7,10 +7,10 @@ planted near-optimizer (full hub rows plus one partially boosted row), and a
 restricted variational upper bound all live here, along with an exact
 variance formula for 2-armed stars used as a Monte Carlo oracle.
 
-A matrix is stored in structured form (constant background, k full hub rows,
-one boosted row), whose cost and expected count evaluate in closed form,
-which is what makes n around 10^6 feasible; ``to_dense`` gives the explicit
-array for small n.
+A matrix is stored by blocks: a few vertex classes and one probability per
+pair of classes.  Its cost, expected edge and star counts and likelihood
+ratio are sums over class pairs, which is what makes n around 10^6
+feasible; ``to_dense`` gives the explicit array for small n.
 """
 
 from __future__ import annotations
@@ -27,29 +27,35 @@ DENSE_LIMIT = 4000
 
 
 class EdgeProbabilityMatrix:
-    """Symmetric matrix of edge probabilities with zero diagonal.
+    """Symmetric matrix of edge probabilities with zero diagonal, constant
+    on blocks.
 
-    Instances store (background p, hub set, boosted vertex and value); the
-    entry rule is: any pair touching the boosted vertex takes the boosted
-    value, otherwise a hub/non-hub pair takes 1, otherwise the background.
+    ``classes`` lists disjoint vertex sets, and the vertices in none of them
+    form one last class; two distinct vertices in classes a and b are joined
+    with probability ``probs[a, b]``.  ``hubs`` and ``boosted`` record the
+    hub set and boosted vertex a ``planted`` matrix was built from.
     """
 
-    __slots__ = ("n", "background", "hubs", "boosted", "boosted_value")
+    __slots__ = ("n", "classes", "probs", "sizes", "hubs", "boosted", "_levels")
 
-    def __init__(self, n, background=None, hubs=frozenset(), boosted=None, boosted_value=None):
-        self.n = int(n)
-        if self.n < 2:
-            raise ValidationError("matrix needs at least two vertices")
-        self.background = background
-        self.hubs = frozenset(hubs)
-        self.boosted = boosted
-        self.boosted_value = boosted_value
+    def __init__(self, n, classes, probs, hubs=frozenset(), boosted=None):
+        self.n, self.hubs, self.boosted, self._levels = int(n), frozenset(hubs), boosted, None
+        self.classes = tuple(tuple(sorted(int(v) for v in c)) for c in classes)
+        listed = set().union(*self.classes)
+        if self.n < 1 or len(listed) < sum(map(len, self.classes)) or listed and not (
+                0 <= min(listed) and max(listed) < self.n):
+            raise ValidationError("need n >= 1 and disjoint vertex classes below n")
+        self.probs = np.asarray(probs, dtype=float)
+        k, rows = len(self.classes) + 1, self.probs.tolist()
+        if self.probs.shape != (k, k) or rows != [list(col) for col in zip(*rows)]:
+            raise ValidationError(f"need a symmetric {k} x {k} array of class-pair probabilities")
+        if not all(0 <= q <= 1 for row in rows for q in row):
+            raise ValidationError("edge probabilities must lie in [0, 1]")
+        self.sizes = [len(c) for c in self.classes] + [self.n - len(listed)]
 
     @classmethod
     def constant(cls, n: int, p: float) -> "EdgeProbabilityMatrix":
-        if not 0 <= p <= 1:
-            raise ValidationError("background probability must lie in [0, 1]")
-        return cls(n, background=float(p))
+        return cls(n, (), [[p]])
 
     @classmethod
     def planted(
@@ -60,46 +66,99 @@ class EdgeProbabilityMatrix:
         boosted: Optional[int] = None,
         boosted_value: Optional[float] = None,
     ) -> "EdgeProbabilityMatrix":
-        hub_set = frozenset(int(h) for h in hubs)
-        if not 0 <= p <= 1:
-            raise ValidationError("background probability must lie in [0, 1]")
-        if any(not 0 <= h < n for h in hub_set):
-            raise ValidationError("hub index out of range")
-        if boosted is not None:
-            if not 0 <= boosted < n:
-                raise ValidationError("boosted index out of range")
-            if boosted in hub_set:
-                raise ValidationError("boosted vertex cannot also be a hub")
-            if boosted_value is None or not 0 <= boosted_value <= 1:
-                raise ValidationError("boosted value must lie in [0, 1]")
-        return cls(
-            n,
-            background=float(p),
-            hubs=hub_set,
-            boosted=boosted,
-            boosted_value=None if boosted is None else float(boosted_value),
-        )
+        """Background p, every pair between a hub and a non-hub at 1, and
+        every pair touching the boosted vertex at ``boosted_value``.  The
+        classes are the boosted vertex, the hubs and the rest."""
+        if boosted is not None and boosted_value is None:
+            raise ValidationError("a boosted vertex needs a boosted value")
+        hubs = frozenset(int(h) for h in hubs)
+        x = p if boosted is None else boosted_value
+        return cls(n, ([] if boosted is None else [boosted], hubs),
+                   [[x, x, x], [x, p, 1.0], [x, 1.0, p]], hubs=hubs, boosted=boosted)
+
+    @classmethod
+    def planting(cls, text: str, n: int, p: float) -> "EdgeProbabilityMatrix":
+        """The importance-sampling proposal ``text`` names, over background p.
+
+        ``hub:k[:q]``: every pair touching the first k vertices at q;
+        ``clique:m[:q]``: every pair inside the first m vertices at q;
+        ``highdeg[:q]``: ``hub:1[:q]``; ``none``: p itself.  q defaults to
+        0.8 and must lie in [p, 1), so that the estimator stays unbiased for
+        the background measure.
+        """
+        kind, *parts = text.split(":")
+        if kind == "none":
+            return cls.constant(n, p)
+        try:
+            if kind == "highdeg":
+                size, value = 1, float(parts[0]) if parts else 0.8
+            elif kind in ("hub", "clique"):
+                if not parts:
+                    raise ValidationError(f"{kind} planting needs a size, e.g. {kind}:2")
+                size, value = int(parts[0]), float(parts[1]) if len(parts) > 1 else 0.8
+                if size < 1:
+                    raise ValidationError(f"{kind} planting size must be at least 1")
+            else:
+                raise ValidationError(f"unknown planting {text!r}")
+        except ValueError:
+            raise ValidationError(f"malformed number in planting {text!r}") from None
+        if not p <= value < 1:
+            raise ValidationError("planted probability must lie in [p, 1) for an unbiased estimator")
+        if size > n:
+            raise ValidationError(f"planting size {size} exceeds n = {n}")
+        cross = p if kind == "clique" else value
+        return cls(n, [range(size)], [[value, cross], [cross, p]])
+
+    def _class_pairs(self):
+        """(a, b, vertex pairs, probability) for each pair of classes a <= b
+        that holds a vertex pair."""
+        probs = self.probs.tolist()
+        for a, s in enumerate(self.sizes):
+            for b in range(a, len(self.sizes)):
+                pairs = s * (s - 1) // 2 if a == b else s * self.sizes[b]
+                if pairs:
+                    yield a, b, pairs, probs[a][b]
+
+    def levels(self) -> tuple:
+        """(q, vertex pairs, blocks) for each distinct probability q of a
+        vertex pair, in increasing order of q; none at n = 1.  Its blocks
+        are (vertices of a, None) for the pairs inside class a and
+        (vertices of a, vertices of b) for those across classes a < b.
+        Built on the first call and kept, since every draw reads them."""
+        if self._levels is None:
+            members = [np.array(c, dtype=np.int64) for c in self.classes]
+            rest = np.ones(self.n, dtype=bool)
+            for c in members:
+                rest[c] = False
+            members.append(np.flatnonzero(rest))
+            levels = {}
+            for a, b, pairs, q in self._class_pairs():
+                level = levels.setdefault(q, [q, 0, []])
+                level[1] += pairs
+                level[2].append((members[a], None if a == b else members[b]))
+            self._levels = tuple(tuple(levels[q]) for q in sorted(levels))
+        return self._levels
+
+    def expected_edges(self) -> float:
+        return sum(pairs * q for _, _, pairs, q in self._class_pairs())
+
+    def log_likelihood_ratio(self, p: float) -> tuple:
+        """(a, c) such that log dP/dQ = a @ h + c, for P the constant measure
+        at p and Q this matrix, of a graph with h[i] edges at the i-th of
+        ``levels()``."""
+        q, pairs = np.array([level[:2] for level in self.levels()], dtype=float).reshape(-1, 2).T
+        miss = np.log1p(-p) - np.log1p(-q)
+        return np.log(p / q) - miss, float(miss @ pairs)
 
     def to_dense(self) -> np.ndarray:
         if self.n > DENSE_LIMIT:
             raise ValidationError(f"refusing to densify above n = {DENSE_LIMIT}")
-        arr = np.full((self.n, self.n), self.background, dtype=float)
-        hub_idx = sorted(self.hubs)
-        if hub_idx:
-            arr[hub_idx, :] = 1.0
-            arr[:, hub_idx] = 1.0
-            arr[np.ix_(hub_idx, hub_idx)] = self.background
-        if self.boosted is not None:
-            arr[self.boosted, :] = self.boosted_value
-            arr[:, self.boosted] = self.boosted_value
+        label = np.full(self.n, len(self.classes))
+        for a, c in enumerate(self.classes):
+            label[list(c)] = a
+        arr = self.probs[np.ix_(label, label)]
         arr[np.diag_indices_from(arr)] = 0.0
         return arr
-
-    def __repr__(self) -> str:
-        return (
-            f"EdgeProbabilityMatrix(n={self.n}, background={self.background}, "
-            f"hubs={len(self.hubs)}, boosted={self.boosted})"
-        )
 
 
 def bernoulli_relative_entropy(x: float, p: float) -> float:
@@ -120,18 +179,7 @@ def total_cost(xi: EdgeProbabilityMatrix, p: float) -> float:
     """Sum of entrywise relative entropies over unordered pairs."""
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
-    n, k = xi.n, len(xi.hubs)
-    background_cost = bernoulli_relative_entropy(xi.background, p)
-    log_inv_p = math.log(1 / p)
-    if xi.boosted is None:
-        m = n - k
-        background_pairs = k * (k - 1) // 2 + m * (m - 1) // 2
-        return k * m * log_inv_p + background_pairs * background_cost
-    m = n - 1 - k
-    cost = (n - 1) * bernoulli_relative_entropy(xi.boosted_value, p)
-    cost += k * m * log_inv_p
-    cost += (k * (k - 1) // 2 + m * (m - 1) // 2) * background_cost
-    return cost
+    return sum(count * bernoulli_relative_entropy(q, p) for _, _, count, q in xi._class_pairs())
 
 
 def _er_of_product(terms: list[tuple[float, int]], r: int) -> float:
@@ -164,25 +212,21 @@ def expected_star_count_inhom(xi: EdgeProbabilityMatrix, r: int) -> float:
     if not 2 <= r <= 8:
         raise ValidationError("star arm count must be between 2 and 8")
     n = xi.n
-    p = xi.background
-    k = len(xi.hubs)
-    fact = math.factorial(r)
-    if xi.boosted is None:
-        if k == 0:
-            # Constant background: n (n-1)...(n-r) p^r, kept in this exact
-            # float expression so the closed form is reproducible bit-for-bit.
-            return (p**r) * (n * math.perm(n - 1, r))
-        m = n - k
-        hub_row = _er_of_product([(p, k - 1), (1.0, m)], r)
-        base_row = _er_of_product([(1.0, k), (p, m - 1)], r)
-        return fact * (k * hub_row + m * base_row)
-    x = xi.boosted_value
-    k_hub = k
-    m = n - 1 - k_hub
-    boosted_row = _er_of_product([(x, n - 1)], r)
-    hub_row = _er_of_product([(x, 1), (p, k_hub - 1), (1.0, m)], r)
-    base_row = _er_of_product([(x, 1), (1.0, k_hub), (p, m - 1)], r)
-    return fact * (boosted_row + k_hub * hub_row + m * base_row)
+    levels = {q for _, _, _, q in xi._class_pairs()}
+    if len(levels) <= 1:
+        # Constant background: n (n-1)...(n-r) p^r, kept in this exact
+        # float expression so the closed form is reproducible bit-for-bit.
+        p = levels.pop() if levels else 0.0
+        return (p**r) * (n * math.perm(n - 1, r))
+    total, probs = 0.0, xi.probs.tolist()
+    for a, size in enumerate(xi.sizes):
+        row = {}  # the row of a vertex in class a: count per probability
+        for b, other in enumerate(xi.sizes):
+            if size and other - (a == b):
+                q = probs[a][b]
+                row[q] = row.get(q, 0) + other - (a == b)
+        total += size * _er_of_product(list(row.items()), r)
+    return math.factorial(r) * total
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ replica index), so every estimate is bit-identical across reruns and
 independent of how replicas are scheduled; acceptance counters are integers
 and float partials are reduced in replica order.
 
-Every random graph comes from ``_present_slots``: geometric skipping over
-the pair slots of all of a replica's graphs, thinned when the probabilities
-differ per pair.  ``_draws`` cuts that stream into batches, each a sparse
+Every random graph comes from ``_present_slots``: geometric skipping at one
+probability over the pair slots of all of a replica's graphs.  A graph with
+independent edges at the probabilities of an ``EdgeProbabilityMatrix`` takes
+one such stream for each distinct probability, over the pairs that hold it,
+merged batch by batch.  ``_draws`` cuts a stream into batches, each a sparse
 list of (graph, pair) edges, and a replica's edges do not depend on how its
 draws are batched.  ``sample_gnp`` and ``sample_inhom`` return the first
 graph of replica 0.  Every Monte Carlo estimator counts its draws through
@@ -25,6 +27,7 @@ uint64 bit rows for triangles; and the generic backtracking counter.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -66,19 +69,22 @@ def _chunk_sizes(total: int, replicas: int) -> list[int]:
         raise ValidationError("need at least one sample")
     if replicas < 1:
         raise ValidationError("need at least one replica")
+    replicas = min(replicas, total)  # the rest would get empty chunks
     base, extra = divmod(total, replicas)
     return [base + (1 if i < extra else 0) for i in range(replicas)]
 
 
 def _map_replicas(worker: Callable[[int, int], object], sizes: Sequence[int], threads: int = 1) -> list:
     """Run worker(replica_index, chunk_size) for each replica; results are
-    returned in replica order regardless of scheduling."""
+    returned in replica order regardless of scheduling.  The pool holds at
+    most one thread per non-empty replica and per core."""
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
     jobs = [(i, m) for i, m in enumerate(sizes) if m > 0]
-    if threads == 1 or len(jobs) <= 1:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(i, m) for i, m in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, i, m) for i, m in jobs]
         return [f.result() for f in futures]
 
@@ -106,80 +112,61 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _pair_endpoints(np.arange(_pair_count(n), dtype=np.int64), n)
 
 
-_SKIP_BLOCK = 1 << 16
 # The working set of one batch, in int64 entries: expected edges, degree
-# cells, bit-row words, and the skip block of a constant-probability stream.
+# cells, bit-row words, and the skip block of a stream.
 _BATCH_ITEMS = 1 << 13
 
 
 class EdgeBatch(NamedTuple):
     """The edges of ``size`` graphs as int64 arrays sorted by (graph, pair):
     ``graph`` numbers the graphs of the batch from 0 and ``pair`` indexes
-    vertex pairs in ``_pair_arrays`` order."""
+    vertex pairs in ``_pair_arrays`` order.  ``_measure_draws`` sets
+    ``hits[i, g]`` to the edges of graph g at the i-th of its
+    probabilities."""
 
     graph: np.ndarray
     pair: np.ndarray
     size: int
+    hits: Optional[np.ndarray] = None
 
 
-def _present_slots(rng: np.random.Generator, probs, n_pairs: int, total: int):
-    """Present slots, in increasing order, of a stream of ``total`` slots in
-    which slot s is pair s % n_pairs of graph s // n_pairs.
+def _present_slots(rng: np.random.Generator, p: float, n_pairs: int, total: int):
+    """Present slots, in increasing order, of a stream of ``total`` slots at
+    probability p, in which slot s is pair s % n_pairs of graph s // n_pairs.
 
     Yields ``(slots, decided)`` block by block; every slot below ``decided``
-    is settled.  Candidates come from geometric skipping at the largest
-    probability q: the gap to the next candidate is 1 + floor(E / -log(1-q))
-    for a standard exponential E, so P(gap > k) = (1-q)^k.  With unequal
-    probabilities per pair, each candidate is kept with probability
-    probs[pair] / q, by a uniform drawn after its block of gaps, so the
-    slots depend on the block length, which depends only on ``probs`` and
-    ``total``.  With one probability the slots are the running sums of one
-    stream of exponentials, whatever the block length, and a block is about
-    one batch long.  Either way the slots do not depend on how a caller
-    batches them.
+    is settled.  Slots come from geometric skipping: the gap to the next
+    present slot is 1 + floor(E / -log(1-p)) for a standard exponential E,
+    so P(gap > k) = (1-p)^k.  The slots are the running sums of one stream
+    of exponentials, so they do not depend on the block length, which is
+    about one batch, nor on how a caller batches them.
     """
-    probs = np.asarray(probs, dtype=float)
-    top = min(float(probs.max(initial=0.0)), 1.0)
+    top = min(float(p), 1.0)
     if top <= 0.0:
         yield np.empty(0, dtype=np.int64), total
         return
-    ratio = probs / top if probs.min() < top else None  # equal probabilities need no thinning
     scale = -1.0 / math.log1p(-top) if top < 1.0 else 0.0
-    size = int(min(_SKIP_BLOCK if ratio is not None else _BATCH_ITEMS, total * top * 1.1 + 64))
-    draws = np.empty(size)  # the gaps, then the thinning uniforms, of each block
-    if ratio is not None:  # a thinned block yields a copy of its kept slots, so it reuses these
-        block, pair, limit = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
+    draws = np.empty(int(min(_BATCH_ITEMS, total * top * 1.1 + 64)))
     decided = 0
     while decided < total:
         rng.standard_exponential(out=draws)
         draws *= scale
         np.minimum(draws, total, out=draws)  # keeps the running sum in int64
-        if ratio is None:
-            slots = draws.astype(np.int64)  # yielded as a view, so fresh for each block
-        else:
-            slots = block
-            np.copyto(slots, draws, casting="unsafe")
+        slots = draws.astype(np.int64)  # yielded as a view, so fresh for each block
         slots += 1
         slots[0] += decided - 1
         np.cumsum(slots, out=slots)
         decided = int(slots[-1]) + 1
-        slots = slots[: np.searchsorted(slots, total)]
-        if ratio is not None:
-            rng.random(out=draws)
-            k = len(slots)
-            np.remainder(slots, n_pairs, out=pair[:k])
-            np.take(ratio, pair[:k], out=limit[:k])
-            slots = slots[draws[:k] < limit[:k]]
-        yield slots, decided
+        yield slots[: np.searchsorted(slots, total)], decided
 
 
-def _draws(rng: np.random.Generator, probs, n_pairs: int, m: int, rows: int):
-    """``EdgeBatch``es of at most ``rows`` graphs covering m graphs with
-    independent edges; ``probs`` is one probability or one per pair.  The
-    skip position carries across batches, so the graphs do not depend on
+def _draws(rng: np.random.Generator, p: float, n_pairs: int, m: int, rows: int):
+    """``EdgeBatch``es of at most ``rows`` graphs covering m graphs of
+    ``n_pairs`` pair slots, each present with probability p.  The skip
+    position carries across batches, so the graphs do not depend on
     ``rows``.  A batch copies only its own slots, and one inside the
     pending block is a view of it, split in place."""
-    stream = _present_slots(rng, probs, n_pairs, m * n_pairs)
+    stream = _present_slots(rng, p, n_pairs, m * n_pairs)
     pending, decided, done = np.empty(0, dtype=np.int64), 0, 0
     while done < m:
         take = min(m - done, rows)
@@ -199,33 +186,77 @@ def _draws(rng: np.random.Generator, probs, n_pairs: int, m: int, rows: int):
         done += take
 
 
-def _first_graph(n: int, probs, seed: int) -> HostGraph:
-    """The graph of a one-graph draw from replica 0 of ``seed``.  With one
-    probability for every pair it is graph 0 of any longer draw from that
-    replica too; a thinned draw shares it only when its skip blocks are as
-    long, which holds once one graph fills a block."""
-    batch = next(_draws(_replica_rng(seed, 0), probs, _pair_count(n), 1, 1))
-    u, v = _pair_endpoints(batch.pair, n)
-    return HostGraph(n, zip(u.tolist(), v.tolist()))
+def _level_rows(blocks: list) -> tuple:
+    """(start, vertex, shift, column) for the slots of one probability of a
+    matrix, its blocks laid end to end row by row: slot s of row i, from
+    ``start[i]`` on, pairs ``vertex[i]`` with ``column[s - shift[i]]``.  A
+    block (vertices of a, None) has rows a[i] with a[i + 1:], and a block
+    (vertices of a, vertices of b) rows a[i] with all of b."""
+    vertex, first, length, column, base = [], [], [], [], 0
+    for a, b in blocks:
+        inner = b is None
+        vertex.append(a[:-1] if inner else a)
+        first.append(base + (np.arange(1, len(a)) if inner else np.zeros(len(a), np.int64)))
+        length.append(np.arange(len(a) - 1, 0, -1) if inner else np.full(len(a), len(b)))
+        column.append(a if inner else b)
+        base += len(column[-1])
+    length, first = np.concatenate(length), np.concatenate(first)
+    start = np.cumsum(length) - length
+    return start, np.concatenate(vertex), start - first, np.concatenate(column)
+
+
+def _measure_draws(rng: np.random.Generator, xi: EdgeProbabilityMatrix, m: int, rows: int):
+    """``_draws`` of m graphs from ``xi``: one stream per distinct
+    probability, over its own pairs, the lowest read from ``rng`` itself (so
+    one probability is the constant stream) and the others from children of
+    ``rng.spawn``.  Each batch merges the streams' edges by (graph, pair)
+    and counts each graph's edges per probability in ``hits``; every stream
+    carries its skip position across batches, so the graphs do not depend
+    on ``rows``."""
+    n, levels = xi.n, xi.levels()
+    n_pairs = _pair_count(n)
+    if len(levels) <= 1:  # the constant stream; no levels at n = 1
+        for batch in _draws(rng, levels[0][0] if levels else 0.0, n_pairs, m, rows):
+            hits = np.bincount(batch.graph, minlength=batch.size)[None]
+            yield batch._replace(hits=hits[: len(levels)])
+        return
+    children = [rng, *rng.spawn(len(levels) - 1)]
+    streams = [_draws(child, q, pairs, m, rows) for child, (q, pairs, _) in zip(children, levels)]
+    layouts = [_level_rows(blocks) for _, _, blocks in levels]
+    w = np.arange(n, dtype=np.int64)
+    row_base = w * (2 * n - w - 1) // 2 - w - 1  # pair (u, v), u < v, is row_base[u] + v
+    for parts in zip(*streams):
+        keys = []
+        for batch, (start, vertex, shift, column) in zip(parts, layouts):
+            row = np.searchsorted(start, batch.pair, side="right") - 1
+            u, v = vertex[row], column[batch.pair - shift[row]]
+            keys.append(batch.graph * n_pairs + row_base[np.minimum(u, v)] + np.maximum(u, v))
+        keys = np.concatenate(keys)
+        keys.sort(kind="stable")  # a merge of sorted runs, one per stream
+        graph = keys // n_pairs
+        keys -= graph * n_pairs
+        hits = np.stack([np.bincount(batch.graph, minlength=batch.size) for batch in parts])
+        yield EdgeBatch(graph, keys, parts[0].size, hits)
 
 
 def sample_gnp(n: int, p: float, seed: int) -> HostGraph:
     """One binomial random graph; deterministic given the seed."""
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
-    return _first_graph(n, p, seed)
+    return sample_inhom(EdgeProbabilityMatrix.constant(n, p), seed)
 
 
 def sample_inhom(xi: EdgeProbabilityMatrix, seed: int) -> HostGraph:
-    """One graph with independent edges at the matrix's probabilities; a
-    structured matrix is refused above ``meanfield.DENSE_LIMIT`` vertices."""
-    return _first_graph(xi.n, xi.to_dense()[_pair_arrays(xi.n)], seed)
+    """One graph with independent edges at the matrix's probabilities: the
+    graph of a one-graph draw from replica 0 of ``seed``, which is graph 0
+    of any longer draw from that replica too."""
+    batch = next(_measure_draws(_replica_rng(seed, 0), xi, 1, 1))
+    u, v = _pair_endpoints(batch.pair, xi.n)
+    return HostGraph(xi.n, zip(u.tolist(), v.tolist()))
 
 
 class _BatchCounter:
     """Counts a pattern in each graph of batches of graphs on n vertices.
 
-    A batch is an ``EdgeBatch`` of at most ``rows(probs)`` graphs, as
+    A batch is an ``EdgeBatch`` of at most ``rows(xi)`` graphs, as
     ``batches`` yields it.  The counter holds no state beyond its tables, so
     replica threads share one instance.
     """
@@ -268,21 +299,28 @@ class _BatchCounter:
         table *= math.perm(self.n, self.pattern.vertex_count) // len(copies) if copies else 0
         return table
 
-    def rows(self, probs) -> int:
-        """Graphs per batch: about ``_BATCH_ITEMS`` expected edges, and at
-        most ``_BATCH_ITEMS`` degree cells, or bit-row words for triangles."""
-        edges = float(np.sum(probs)) if np.ndim(probs) else float(probs) * len(self.pair_u)
+    def rows(self, xi) -> int:
+        """Graphs per batch of draws from ``xi``, one probability or an
+        ``EdgeProbabilityMatrix``: about ``_BATCH_ITEMS`` expected edges, and
+        at most ``_BATCH_ITEMS`` degree cells, or bit-row words for
+        triangles."""
+        matrix = isinstance(xi, EdgeProbabilityMatrix)
+        edges = xi.expected_edges() if matrix else float(xi) * len(self.pair_u)
         cells = self.n * ((self.n + 63) >> 6) if self.triangle else self.n
         per_graph = max(edges, cells)
         return max(1, int(_BATCH_ITEMS // per_graph))
 
-    def batches(self, rng: np.random.Generator, probs, m: int):
-        """``_draws`` of m graphs, ``rows(probs)`` graphs a batch."""
-        return _draws(rng, probs, len(self.pair_u), m, self.rows(probs))
+    def batches(self, rng: np.random.Generator, xi, m: int):
+        """m graphs drawn from ``xi``, one probability (``_draws``) or an
+        ``EdgeProbabilityMatrix`` (``_measure_draws``), ``rows(xi)`` graphs a
+        batch."""
+        if isinstance(xi, EdgeProbabilityMatrix):
+            return _measure_draws(rng, xi, m, self.rows(xi))
+        return _draws(rng, xi, len(self.pair_u), m, self.rows(xi))
 
-    def sample_counts(self, rng: np.random.Generator, probs, m: int) -> np.ndarray:
+    def sample_counts(self, rng: np.random.Generator, xi, m: int) -> np.ndarray:
         """Labelled counts of m graphs drawn by ``batches``."""
-        return np.concatenate([self.counts(batch) for batch in self.batches(rng, probs, m)])
+        return np.concatenate([self.counts(batch) for batch in self.batches(rng, xi, m)])
 
     def degrees(self, batch: EdgeBatch) -> np.ndarray:
         """Degree matrix of a batch, one row per graph."""
@@ -325,7 +363,7 @@ class _BatchCounter:
         and has 6 labellings.  The edges come in row order, so the rows are
         built by one ``bitwise_or.reduceat`` over runs of equal words.
         """
-        n, (graph, pair, size) = self.n, batch
+        n, graph, pair, size = self.n, batch.graph, batch.pair, batch.size
         words = (n + 63) >> 6
         a, b = np.take(self.pair_u, pair), np.take(self.pair_v, pair)
         row_a = graph * n + a
@@ -372,10 +410,9 @@ def star_count_samples(
     if n ** (r + 1) >= 2**62:
         raise ValidationError("star counts would overflow 64-bit accumulation")
     counter = _BatchCounter(star(r), n)
-    probs = xi.to_dense()[counter.pair_u, counter.pair_v]
 
     def worker(replica: int, m: int) -> np.ndarray:
-        return counter.sample_counts(_replica_rng(seed, replica), probs, m)
+        return counter.sample_counts(_replica_rng(seed, replica), xi, m)
 
     return np.concatenate(_map_replicas(worker, _chunk_sizes(samples, replicas), threads))
 
@@ -436,60 +473,12 @@ def estimate_tail_direct(
     )
 
 
-@dataclass(frozen=True)
-class Planting:
-    """Importance-sampling proposal: which pairs get boosted and to what.
-
-    ``hub``: all pairs touching the first ``size`` vertices; ``clique``: all
-    pairs inside the first ``size`` vertices; ``highdeg``: one boosted row
-    (hub of size 1); ``none``: no modification.  The boosted probability must
-    stay strictly inside (0, 1) so the estimator remains unbiased for the
-    background measure.
-    """
-
-    kind: str
-    size: int = 0
-    value: float = 0.8
-
-    @classmethod
-    def parse(cls, text: str) -> "Planting":
-        parts = text.split(":")
-        kind = parts[0]
-        if kind == "none":
-            return cls("none")
-        try:
-            if kind == "highdeg":
-                value = float(parts[1]) if len(parts) > 1 else 0.8
-                return cls("highdeg", 1, value)
-            if kind in ("hub", "clique"):
-                if len(parts) < 2:
-                    raise ValidationError(f"{kind} planting needs a size, e.g. {kind}:2")
-                size = int(parts[1])
-                value = float(parts[2]) if len(parts) > 2 else 0.8
-                if size < 1:
-                    raise ValidationError(f"{kind} planting size must be at least 1")
-                return cls(kind, size, value)
-        except ValueError:
-            raise ValidationError(f"malformed number in planting {text!r}") from None
-        raise ValidationError(f"unknown planting {text!r}")
-
-    def boosted_pair_mask(self, pair_u: np.ndarray, pair_v: np.ndarray) -> np.ndarray:
-        if self.kind == "none":
-            return np.zeros(len(pair_u), dtype=bool)
-        if self.kind in ("hub", "highdeg"):
-            k = self.size if self.kind == "hub" else 1
-            return (pair_u < k) | (pair_v < k)
-        if self.kind == "clique":
-            return (pair_u < self.size) & (pair_v < self.size)
-        raise ValidationError(f"unknown planting kind {self.kind!r}")
-
-
 def estimate_tail_importance(
     pattern: PatternGraph,
     n: int,
     p: float,
     threshold: int,
-    planting: Planting,
+    proposal: EdgeProbabilityMatrix,
     samples: int,
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
@@ -497,30 +486,25 @@ def estimate_tail_importance(
 ) -> TailEstimate:
     """Unbiased tail estimate from a tilted product measure.
 
-    Samples come from the planting's probabilities; each sample is weighted
-    by the likelihood ratio of the background measure against the proposal.
-    Reports the effective sample size alongside the estimate.
+    Samples come from ``proposal``, such as ``EdgeProbabilityMatrix.planting``
+    builds; each sample is weighted by the likelihood ratio of the constant
+    measure at p against the proposal, from its edge count at each of the
+    proposal's probabilities.  Reports the effective sample size alongside
+    the estimate.
     """
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
-    if planting.kind != "none" and not p <= planting.value < 1:
-        raise ValidationError("planted probability must lie in [p, 1) for an unbiased estimator")
-    if planting.size > n:
-        raise ValidationError(f"planting size {planting.size} exceeds n = {n}")
+    if proposal.n != n:
+        raise ValidationError(f"the proposal has {proposal.n} vertices, not n = {n}")
+    if not all(0 < q < 1 for q, _, _ in proposal.levels()):
+        raise ValidationError("proposal probabilities must lie in (0, 1) for an unbiased estimator")
+    slope, offset = proposal.log_likelihood_ratio(p)
     counter = _BatchCounter(pattern, n)
-    boosted = planting.boosted_pair_mask(counter.pair_u, counter.pair_v)
-    q = np.where(boosted, planting.value, p) if boosted.any() else p
-    n_boosted = int(boosted.sum())
-    log_hit = math.log(p / planting.value) if planting.kind != "none" else 0.0
-    log_miss = (
-        math.log((1 - p) / (1 - planting.value)) if planting.kind != "none" else 0.0
-    )
 
     def worker(replica: int, m: int) -> tuple[float, float, float, float, int]:
         weights, tails = [], []
-        for batch in counter.batches(_replica_rng(seed, replica), q, m):
-            hits = np.bincount(batch.graph[boosted[batch.pair]], minlength=batch.size)
-            weights.append(np.exp(hits * log_hit + (n_boosted - hits) * log_miss))
+        for batch in counter.batches(_replica_rng(seed, replica), proposal, m):
+            weights.append(np.exp(slope @ batch.hits + offset))
             tails.append(counter.counts(batch) >= threshold)
         w, ind = np.concatenate(weights), np.concatenate(tails)
         contrib = w * ind
@@ -552,7 +536,13 @@ def threshold_for(delta: float, pattern: PatternGraph, n: int, p: float) -> int:
         raise ValidationError("delta must be nonnegative and finite")
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
-    return math.ceil((1 + delta) * n**pattern.vertex_count * p**pattern.edge_count)
+    try:
+        count = (1 + delta) * n**pattern.vertex_count * p**pattern.edge_count
+    except OverflowError:  # n^v beyond the float range
+        count = math.inf
+    if not math.isfinite(count):
+        raise ValidationError(f"the threshold (1 + delta) n^v p^e is not finite at delta = {delta!r}")
+    return math.ceil(count)
 
 
 # ---------------------------------------------------------------------------

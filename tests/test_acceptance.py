@@ -35,7 +35,6 @@ from uppertail.meanfield import (
 )
 from uppertail.montecarlo import (
     HighDegreeDetector,
-    Planting,
     conditioned_structure_frequency,
     estimate_tail_direct,
     estimate_tail_importance,
@@ -174,7 +173,7 @@ def test_criterion_05_monte_carlo_consistency():
     rare_ok = exact <= 1e-4
     direct = estimate_tail_direct(star(2), n, p, threshold, samples, 2024)
     imp = estimate_tail_importance(
-        star(2), n, p, threshold, Planting.parse("hub:4:0.55"), samples, 2024
+        star(2), n, p, threshold, EdgeProbabilityMatrix.planting("hub:4:0.55", n, p), samples, 2024
     )
     within = abs(imp.point - exact) <= 3 * imp.stderr
     direct_se = max(direct.stderr, math.sqrt(exact * (1 - exact) / samples))

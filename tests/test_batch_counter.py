@@ -7,12 +7,15 @@ draws must have the right per-pair marginals and must not depend on the
 batch size, and the single-graph samplers must return graph 0 of the same
 stream.  The count table (n <= 6) and the in-place skip stream keep the
 code they replaced as oracles too; with one probability the slots must not
-depend on the skip-block length either.  Estimator outputs are pinned to
-the sparse-draw stream, a run's traced working set must stay small, and
-large-n CLI runs (``child_process`` tests) must stay within fixed memory
-ceilings.
+depend on the skip-block length either.  A matrix's draw, one stream per
+distinct probability, must match an oracle that lists each probability's
+pairs by enumeration, and its law must match the thinned stream it
+replaced.  Estimator outputs are pinned to the sparse-draw stream, a run's
+traced working set must stay small, and large-n CLI runs
+(``child_process`` tests) must stay within fixed memory ceilings.
 """
 
+import itertools
 import json
 import math
 import os
@@ -27,15 +30,15 @@ import pytest
 from uppertail.counting import _copy_edge_sets, count_labelled
 from uppertail.errors import ValidationError
 from uppertail.graphs import HostGraph, PatternGraph, clique, pattern_from_shorthand, star, star_arms
-from uppertail.meanfield import EdgeProbabilityMatrix
+from uppertail.meanfield import EdgeProbabilityMatrix, planted_star_optimizer
 from uppertail.montecarlo import (
     EdgeBatch,
     MAX_PAIRS,
     HighDegreeDetector,
-    Planting,
+    _BATCH_ITEMS,
     _BatchCounter,
-    _SKIP_BLOCK,
     _draws,
+    _measure_draws,
     _pair_arrays,
     _pair_count,
     _pair_endpoints,
@@ -102,11 +105,18 @@ def as_batch(present):
     return EdgeBatch(graph, pair, len(present))
 
 
+def _planted(n):
+    """A matrix with a probability-1 hub and a boosted row."""
+    return EdgeProbabilityMatrix.planted(n, 0.15, hubs=[1], boosted=0, boosted_value=0.7)
+
+
+def _pair_probs(xi, n):
+    """The probability of each vertex pair, in ``_pair_arrays`` order."""
+    return xi.to_dense()[_pair_arrays(n)]
+
+
 def _planted_probs(n):
-    """Per-pair probabilities with a probability-1 hub and a boosted row."""
-    pair_u, pair_v = _pair_arrays(n)
-    planted = EdgeProbabilityMatrix.planted(n, 0.15, hubs=[1], boosted=0, boosted_value=0.7)
-    return planted.to_dense()[pair_u, pair_v]
+    return _pair_probs(_planted(n), n)
 
 
 def _batches(n, seed):
@@ -212,13 +222,19 @@ def test_count_table_matches_mask_loop(name, n):
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the skip stream before it ran in place
+# Reference oracles: the skip stream before it ran in place, and the thinned
+# stream that drew a matrix before it was drawn one probability at a time
 # ---------------------------------------------------------------------------
+
+_SKIP_BLOCK = 1 << 16  # the block length of the thinned stream
+
 
 def oracle_present_slots(rng, probs, n_pairs, total, size=None):
     """``_present_slots`` with a fresh array for every step, in blocks of
-    ``size`` gaps; by default min(65,536, 1.1 total q + 64) for any stream,
-    the length thinned streams still use."""
+    ``size`` gaps; by default min(65,536, 1.1 total q + 64) for the largest
+    probability q.  With one probability per pair, each candidate is kept
+    with probability probs[pair] / q, by a uniform drawn after its block of
+    gaps."""
     probs = np.asarray(probs, dtype=float)
     top = min(float(probs.max(initial=0.0)), 1.0)
     if top <= 0.0:
@@ -262,21 +278,67 @@ def oracle_draws(rng, probs, n_pairs, m, rows):
         done += take
 
 
-def _hub_probs(n):
-    pair_u, pair_v = _pair_arrays(n)
-    return np.where(Planting.parse("hub:4:0.55").boosted_pair_mask(pair_u, pair_v), 0.55, 0.2)
+def oracle_level_pairs(blocks, n):
+    """The pairs of one probability's blocks in slot order, listed by
+    enumeration: each class's pairs in lexicographic order, then each pair
+    of classes row by row."""
+    index = {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
+    pairs = []
+    for a, b in blocks:
+        block = itertools.combinations(a.tolist(), 2) if b is None else itertools.product(a.tolist(), b.tolist())
+        pairs += [index[min(u, v), max(u, v)] for u, v in block]
+    return np.array(pairs, dtype=np.int64)
 
 
-# (name, n, probs, graphs, rows): constant p, its extremes, thinned
-# (planted) probabilities, and draws over several 65,536-gap blocks.
+def oracle_measure_draws(rng, xi, m, rows):
+    """``_measure_draws`` of a matrix with several probabilities: each
+    probability's ``oracle_draws`` stream, its slots looked up in
+    ``oracle_level_pairs`` and the edges sorted by (graph, pair)."""
+    levels = xi.levels()
+    children = [rng, *rng.spawn(len(levels) - 1)]
+    streams = [oracle_draws(child, q, pairs, m, rows)
+               for child, (q, pairs, _) in zip(children, levels)]
+    tables = [oracle_level_pairs(blocks, xi.n) for _, _, blocks in levels]
+    for parts in zip(*streams):
+        graph = np.concatenate([batch.graph for batch in parts])
+        pair = np.concatenate([table[batch.pair] for batch, table in zip(parts, tables)])
+        order = np.lexsort((pair, graph))
+        hits = np.array([np.bincount(batch.graph, minlength=batch.size) for batch in parts])
+        yield EdgeBatch(graph[order], pair[order], parts[0].size, hits)
+
+
+def _hub(n):
+    return EdgeProbabilityMatrix.planting("hub:4:0.55", n, 0.2)
+
+
+def _optimizer(n):
+    """The planted star optimizer's matrix: one hub and a boosted row."""
+    return planted_star_optimizer(n, 0.1, 2, 4.0, 0.5).matrix
+
+
+# Matrices with two and three probabilities, hubs off the first rows, and a
+# class with no inner pairs.
+MATRICES = {
+    "hub:4:0.55": _hub,
+    "clique:4:0.6": lambda n: EdgeProbabilityMatrix.planting("clique:4:0.6", n, 0.3),
+    "planted": _planted,
+    "optimizer": _optimizer,
+    "scattered": lambda n: EdgeProbabilityMatrix.planted(n, 0.2, hubs=[0, 5], boosted=3,
+                                                         boosted_value=0.5),
+    "highdeg": lambda n: EdgeProbabilityMatrix.planting("highdeg:0.9", n, 0.05),
+}
+
+
+# (name, n, probs, graphs, rows): constant p, its extremes, matrices, and
+# draws over several 65,536-gap oracle blocks.
 STREAMS = [
     ("constant", 12, lambda n: 0.3, 50, 7),
     ("zero", 12, lambda n: 0.0, 20, 6),
     ("one", 9, lambda n: 1.0, 20, 6),
-    ("hub", 6, _hub_probs, 400, 64),
-    ("planted", 12, _planted_probs, 300, 41),
+    ("hub", 6, _hub, 400, 64),
+    ("planted", 12, _planted, 300, 41),
     ("blocks", 40, lambda n: 0.05, 9000, 4096),
-    ("planted-blocks", 40, _planted_probs, 2500, 700),
+    ("planted-blocks", 40, _planted, 2500, 700),
 ]
 
 
@@ -285,26 +347,100 @@ def _joined(blocks):
     return np.concatenate([slots for slots, _ in blocks])
 
 
+def _streams(xi, n, rng):
+    """(generator, probability, pairs per graph) of each stream that draws
+    from ``xi``: one probability, or a matrix with several."""
+    if isinstance(xi, EdgeProbabilityMatrix):
+        levels = xi.levels()
+        children = [rng, *rng.spawn(len(levels) - 1)]
+        return [(child, q, pairs) for child, (q, pairs, _) in zip(children, levels)]
+    return [(rng, xi, n * (n - 1) // 2)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("name, n, probs, m, rows", STREAMS, ids=[s[0] for s in STREAMS])
 def test_stream_matches_fresh_array_oracle(name, n, probs, m, rows, seed):
-    probs, n_pairs = probs(n), n * (n - 1) // 2
-    old = list(oracle_present_slots(_replica_rng(seed, 1), probs, n_pairs, m * n_pairs))
-    new = list(_present_slots(_replica_rng(seed, 1), probs, n_pairs, m * n_pairs))
-    if np.ndim(probs):  # thinned: the same blocks
-        assert [decided for _, decided in new] == [decided for _, decided in old]
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype for (a, _), (b, _) in zip(new, old))
-    else:  # one probability: shorter blocks, the same slots
+    xi = probs(n)
+    blocks = 0
+    for (rng, q, n_pairs), (old_rng, _, _) in zip(_streams(xi, n, _replica_rng(seed, 1)),
+                                                  _streams(xi, n, _replica_rng(seed, 1))):
+        old = list(oracle_present_slots(old_rng, q, n_pairs, m * n_pairs))
+        new = list(_present_slots(rng, q, n_pairs, m * n_pairs))
         assert np.array_equal(_joined(new), _joined(old)) and _joined(new).dtype == np.int64
         assert new[-1][1] >= m * n_pairs
+        blocks = max(blocks, len(old))
     if name.endswith("blocks"):
-        assert len(old) >= 3
-    old = list(oracle_draws(_replica_rng(seed, 2), probs, n_pairs, m, rows))
-    new = list(_draws(_replica_rng(seed, 2), probs, n_pairs, m, rows))
-    assert [b.size for b in new] == [b.size for b in old]
-    for a, b in zip(new, old):
+        assert blocks >= 3
+    for (rng, q, n_pairs), (old_rng, _, _) in zip(_streams(xi, n, _replica_rng(seed, 2)),
+                                                  _streams(xi, n, _replica_rng(seed, 2))):
+        old = list(oracle_draws(old_rng, q, n_pairs, m, rows))
+        new = list(_draws(rng, q, n_pairs, m, rows))
+        assert [b.size for b in new] == [b.size for b in old]
+        for a, b in zip(new, old):
+            assert np.array_equal(a.graph, b.graph) and np.array_equal(a.pair, b.pair)
+            assert a.graph.dtype == b.graph.dtype == a.pair.dtype == b.pair.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [6, 12, 40])
+@pytest.mark.parametrize("name", list(MATRICES))
+def test_matrix_draws_match_the_enumerated_blocks(name, n):
+    xi = MATRICES[name](n)
+    probs = _pair_probs(xi, n)
+    levels = xi.levels()
+    assert [q for q, _, _ in levels] == sorted(set(probs.tolist())) and len(levels) >= 2
+    for q, pairs, blocks in levels:  # each probability's slots are its pairs, once each
+        table = oracle_level_pairs(blocks, n)
+        assert pairs == len(table)
+        assert np.array_equal(np.sort(table), np.flatnonzero(probs == q))
+    assert xi.expected_edges() == pytest.approx(probs.sum(), rel=1e-12)
+    rows = _BatchCounter(star(2), n).rows(xi)
+    want = list(oracle_measure_draws(_replica_rng(n, 0), xi, 700, rows))
+    got = list(_measure_draws(_replica_rng(n, 0), xi, 700, rows))
+    assert [b.size for b in got] == [b.size for b in want]
+    for a, b in zip(got, want):
         assert np.array_equal(a.graph, b.graph) and np.array_equal(a.pair, b.pair)
-        assert a.graph.dtype == b.graph.dtype == a.pair.dtype == b.pair.dtype == np.int64
+        assert np.array_equal(a.hits, b.hits)
+        assert a.graph.dtype == a.pair.dtype == np.int64
+
+
+def test_one_probability_draws_the_constant_stream():
+    # A matrix whose pairs all share one probability reads the replica's
+    # generator as a constant draw does, so it draws the same graphs.
+    for xi in (EdgeProbabilityMatrix.planting("hub:2:0.3", 12, 0.3),
+               EdgeProbabilityMatrix.planted(12, 0.3, boosted=0, boosted_value=0.3)):
+        assert len(xi.levels()) == 1
+        got = list(_measure_draws(_replica_rng(4, 0), xi, 300, 64))
+        want = list(_draws(_replica_rng(4, 0), 0.3, 66, 300, 64))
+        assert all(np.array_equal(a.graph, b.graph) and np.array_equal(a.pair, b.pair)
+                   for a, b in zip(got, want))
+        assert all(np.array_equal(a.hits, np.bincount(a.graph, minlength=a.size)[None]) for a in got)
+
+
+THINNED_LAW = {
+    "hub:2:0.55": lambda: EdgeProbabilityMatrix.planting("hub:2:0.55", 4, 0.2),
+    "scattered": lambda: EdgeProbabilityMatrix.planted(4, 0.2, hubs=[2], boosted=1, boosted_value=0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(THINNED_LAW))
+def test_matrix_draws_have_the_thinned_law(name):
+    # The graphs of n = 4 are 64 bitmasks.  A two-sample chi-square over
+    # them compares the block draw with the thinned stream it replaced;
+    # under one law it has mean 63 and SD 11.2.
+    n, m = 4, 40000
+    xi = THINNED_LAW[name]()
+    bits = 1 << np.arange(6)
+
+    def masks(batches):
+        return np.concatenate([np.bincount(b.graph, weights=bits[b.pair], minlength=b.size)
+                               for b in batches]).astype(np.int64)
+
+    new = masks(_measure_draws(_replica_rng(8, 0), xi, m, 4096))
+    old = masks(oracle_draws(_replica_rng(8, 1), _pair_probs(xi, n), 6, m, 4096))
+    a, b = np.bincount(new, minlength=64), np.bincount(old, minlength=64)
+    seen = a + b > 0
+    chi2 = float((((a - b) ** 2)[seen] / (a + b)[seen]).sum())
+    assert chi2 < 63 + 5 * math.sqrt(2 * 63), chi2
 
 
 def _global_slots(batches, n_pairs):
@@ -341,15 +477,16 @@ def test_constant_stream_does_not_depend_on_block_length(n, p, m, seed):
         assert np.array_equal(_global_slots(batches, n_pairs), want)
 
 
+
+
 def test_batch_rows_rule():
     # About 8,192 expected edges (the sum of a graph's pair probabilities),
     # and at most 8,192 degree cells, or bit-row words (n * ceil(n / 64))
     # for triangles, per batch.
     assert _BatchCounter(star(2), 40).rows(0.05) == 8192 // 40  # 39 edges, 40 cells
     assert _BatchCounter(star(2), 40).rows(0.5) == 8192 // 390
-    counter = _BatchCounter(star(2), 40)
-    hub = Planting.parse("hub:1:0.5").boosted_pair_mask(counter.pair_u, counter.pair_v)
-    assert counter.rows(np.where(hub, 0.5, 0.05)) == 144  # 39 * 0.5 + 741 * 0.05 edges
+    hub = EdgeProbabilityMatrix.planting("hub:1:0.5", 40, 0.05)
+    assert _BatchCounter(star(2), 40).rows(hub) == 144  # 39 * 0.5 + 741 * 0.05 edges
     assert _BatchCounter(star(2), 40).rows(0.0) == 8192 // 40
     assert _BatchCounter(clique(3), 200).rows(0.0131) == 8192 // 800  # 4 words a row
     assert _BatchCounter(star(2), 5).rows(0.3) == 8192 // 5
@@ -366,12 +503,21 @@ def test_batch_rows_rule():
     assert _BatchCounter(star(2), 1).chunk == 4096
 
 
-def _drawn(counter, probs, m, rows, seed=7):
-    """(graph, pair) of m graphs drawn in batches of ``rows`` graphs, with
-    graph numbers counted over the whole draw, and the batch sizes."""
+def _any_draws(rng, xi, n, m, rows):
+    """The draws of m graphs on n vertices from one probability or a matrix,
+    as ``_BatchCounter.batches`` dispatches them."""
+    if isinstance(xi, EdgeProbabilityMatrix):
+        return _measure_draws(rng, xi, m, rows)
+    return _draws(rng, xi, n * (n - 1) // 2, m, rows)
+
+
+def _drawn(xi, n, m, rows, seed=7):
+    """(graph, pair) of m graphs drawn from xi in batches of ``rows``
+    graphs, with graph numbers counted over the whole draw, and the batch
+    sizes."""
     rng = np.random.Generator(np.random.Philox(seed))
     graphs, pairs, sizes = [], [], []
-    for batch in _draws(rng, probs, len(counter.pair_u), m, rows):
+    for batch in _any_draws(rng, xi, n, m, rows):
         graphs.append(batch.graph + sum(sizes))
         pairs.append(batch.pair)
         sizes.append(batch.size)
@@ -379,36 +525,36 @@ def _drawn(counter, probs, m, rows, seed=7):
 
 
 def test_draws_do_not_depend_on_batching():
-    counter = _BatchCounter(star(2), 12)
-    for probs in (0.3, _planted_probs(12)):
-        graph, pair, sizes = _drawn(counter, probs, 10, 10)
+    for xi in (0.3, _planted(12)):
+        graph, pair, sizes = _drawn(xi, 12, 10, 10)
         assert sizes == [10]
         assert np.all(np.diff(graph * 66 + pair) > 0)  # sorted by (graph, pair)
         for rows in (1, 3, 7, 4096):
-            got_graph, got_pair, sizes = _drawn(counter, probs, 10, rows)
+            got_graph, got_pair, sizes = _drawn(xi, 12, 10, rows)
             assert sizes == [min(rows, 10 - done) for done in range(0, 10, rows)]
             assert np.array_equal(got_graph, graph) and np.array_equal(got_pair, pair)
         # A stream long enough to need several skip blocks gives the same edges.
-        graph, pair, _ = _drawn(counter, probs, 9000, 4096, seed=3)
-        assert len(pair) > 2 * _SKIP_BLOCK
-        got_graph, got_pair, _ = _drawn(counter, probs, 9000, 1000, seed=3)
+        graph, pair, _ = _drawn(xi, 12, 9000, 4096, seed=3)
+        assert len(pair) > 8 * _BATCH_ITEMS
+        got_graph, got_pair, _ = _drawn(xi, 12, 9000, 1000, seed=3)
         assert np.array_equal(got_graph, graph) and np.array_equal(got_pair, pair)
 
 
-@pytest.mark.parametrize("case", ["constant", "hub:4:0.55", "planted"])
+@pytest.mark.parametrize("case", ["constant", "hub:4:0.55", "planted", "clique:4:0.6", "optimizer"])
 def test_draws_have_the_right_marginals(case):
-    n, m = (6, 40000) if case == "hub:4:0.55" else (12, 20000)
+    n, m = (6, 40000) if case in ("hub:4:0.55", "clique:4:0.6") else (12, 20000)
+    if case == "optimizer":
+        n = 40
     counter = _BatchCounter(star(2), n)
     if case == "constant":
         probs = np.full(len(counter.pair_u), 0.3)
-        drawn = 0.3
-    elif case == "planted":
-        probs = drawn = _planted_probs(n)
-        assert probs.max() == 1.0 and 0.7 in probs and 0.15 in probs
+        xi = 0.3
     else:
-        boosted = Planting.parse(case).boosted_pair_mask(counter.pair_u, counter.pair_v)
-        probs = drawn = np.where(boosted, 0.55, 0.2)
-    _, pair, _ = _drawn(counter, drawn, m, counter.rows(drawn))
+        xi = MATRICES[case](n)
+        probs = _pair_probs(xi, n)
+    if case == "planted":
+        assert probs.max() == 1.0 and 0.7 in probs and 0.15 in probs
+    _, pair, _ = _drawn(xi, n, m, counter.rows(xi))
     freq = np.bincount(pair, minlength=len(probs)) / m
     se = np.sqrt(probs * (1 - probs) / m)
     assert np.all(np.abs(freq - probs) <= 5 * se), np.max(np.abs(freq - probs) / np.maximum(se, 1e-12))
@@ -421,9 +567,9 @@ def test_pair_endpoints_follow_triu_order(n):
     assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
 
 
-def _graph_0_of_five(probs, n, seed, rows):
+def _graph_0_of_five(xi, n, seed, rows):
     """The edges of graph 0 of five graphs drawn from replica 0 of ``seed``."""
-    batch = next(_draws(_replica_rng(seed, 0), probs, n * (n - 1) // 2, 5, rows))
+    batch = next(_any_draws(_replica_rng(seed, 0), xi, n, 5, rows))
     u, v = _pair_endpoints(batch.pair[batch.graph == 0], n)
     return set(zip(u.tolist(), v.tolist()))
 
@@ -436,15 +582,13 @@ def test_sample_gnp_is_graph_0_of_the_estimator_stream(rows):
 
 @pytest.mark.parametrize("rows", [1, 5])
 def test_sample_inhom_is_graph_0_of_the_estimator_stream(rows):
-    # Thinning uniforms follow each block of gaps, and a block is shorter than
-    # _SKIP_BLOCK when the whole draw needs fewer candidates; at n = 400 a
-    # single graph already fills a block, so one graph and five share blocks.
-    n, seed = 400, 6
-    planted = EdgeProbabilityMatrix.planted(n, 0.15, hubs=[1], boosted=0, boosted_value=0.7)
-    assert n * (n - 1) // 2 > _SKIP_BLOCK
-    graph = sample_inhom(planted, seed)
-    assert set(graph.edges()) == _graph_0_of_five(_planted_probs(n), n, seed, rows)
-    assert graph.degree(1) == n - 2 + graph.has_edge(0, 1)
+    # Each probability's stream has slots that do not depend on its block
+    # length, so one graph and five share graph 0 at every n.
+    for n, seed in [(12, 6), (40, 7), (400, 6)]:
+        planted = _planted(n)
+        graph = sample_inhom(planted, seed)
+        assert set(graph.edges()) == _graph_0_of_five(planted, n, seed, rows)
+        assert graph.degree(1) == n - 2 + graph.has_edge(0, 1)
 
 
 def test_samplers_reject_bad_sizes():
@@ -456,17 +600,18 @@ def test_samplers_reject_bad_sizes():
         _BatchCounter(star(2), 0)
     with pytest.raises(ValidationError):
         _BatchCounter(star(2), -1)
-    with pytest.raises(ValidationError):
-        sample_inhom(EdgeProbabilityMatrix.planted(4001, 0.1, hubs=[0]), 1)
+    # A planted draw holds no per-pair array, so it has no dense size limit.
+    graph = sample_inhom(EdgeProbabilityMatrix.planted(4001, 0.001, hubs=[0]), 1)
+    assert graph.vertex_count == 4001 and graph.degree(0) == 4000
 
 
 def test_pinned_estimator_outputs():
     est = estimate_tail_direct(star(2), 40, 0.05, 321, 20000, 0)
     assert (est.point, est.extras["accepted"]) == (0.0027, 54)
     assert estimate_tail_direct(clique(3), 12, 0.3, 60, 3000, 3).extras["accepted"] == 474
-    est = estimate_tail_importance(star(2), 6, 0.2, 50, Planting.parse("hub:4:0.55"), 20000, 5)
-    assert est.point == 1.001893772843835e-04
-    assert est.extras["effective_samples"] == 123.93297752574415
+    est = estimate_tail_importance(star(2), 6, 0.2, 50, _hub(6), 20000, 5)
+    assert est.point == 9.888981416664378e-05
+    assert est.extras["effective_samples"] == 238.33715693662754
     out = conditioned_structure_frequency(
         star(2), 40, 0.05, 1.0, HighDegreeDetector(8), 160000, 0, min_accepted=160000
     )
@@ -490,16 +635,15 @@ def test_pinned_chunked_outputs():
         clique(3), 130, 0.05, 0.5, HighDegreeDetector(15), 3000, 2, min_accepted=3000, pilot=1500)
     got = (out.accepted, out.freq_conditioned, out.freq_unconditioned)
     assert got == (32, 0.5625, 0.23366666666666666)
-    est = estimate_tail_importance(star(2), 70, 0.04, 700, Planting.parse("hub:2:0.1"), 8000, 4,
+    est = estimate_tail_importance(star(2), 70, 0.04, 700,
+                                   EdgeProbabilityMatrix.planting("hub:2:0.1", 70, 0.04), 8000, 4,
                                    replicas=1)
-    assert (est.point, est.extras["accepted"]) == (0.06618512695230888, 2633)
-    assert est.extras["effective_samples"] == 44.04093492282542
-    # A thinned draw keeps min(65,536, 1.1 total q + 64)-gap blocks; shorter
-    # blocks would change both values.
+    assert (est.point, est.extras["accepted"]) == (0.04856418925352155, 2640)
+    assert est.extras["effective_samples"] == 92.53033753900358
     threshold = threshold_for(3, star(2), 40, 0.05)
-    est = estimate_tail_importance(star(2), 40, 0.05, threshold, Planting.parse("hub:1:0.5"),
-                                   20000, 3)
-    assert (est.point, est.extras["accepted"]) == (2.8137397292464485e-13, 6393)
+    est = estimate_tail_importance(star(2), 40, 0.05, threshold,
+                                   EdgeProbabilityMatrix.planting("hub:1:0.5", 40, 0.05), 20000, 3)
+    assert (est.point, est.extras["accepted"]) == (8.206881566416719e-14, 6529)
 
 
 def _traced_peak_mb(call):

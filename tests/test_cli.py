@@ -71,6 +71,18 @@ def test_tail_exact(capsys):
     assert payload["result"]["point"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_importance_at_one_vertex(capsys):
+    # One vertex has no pairs, so the proposal has no probabilities and
+    # every weight is 1.
+    for planting in ("highdeg", "none"):
+        code, payload = run_cli(
+            capsys, "tail", "--pattern", "star:2", "--n", "1", "--p", "0.3", "--threshold", "1",
+            "--method", "importance", "--samples", "10", "--planting", planting,
+        )
+        assert code == 0
+        assert (payload["result"]["point"], payload["result"]["mean_weight"]) == (0.0, 1.0)
+
+
 def test_count_command(capsys, tmp_path):
     f = tmp_path / "k4.txt"
     f.write_text("n 4\n" + "\n".join(f"{u} {v}" for u in range(4) for v in range(u + 1, 4)))
@@ -313,6 +325,10 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, ["--config", NOT_UTF8, "analyze-pattern", "cycle:4"]),
         (None, TAIL[:3] + ["--n=-1"] + TAIL[5:] + ["--method", "exact"]),
         (None, TAIL[:3] + ["--n=0"] + TAIL[5:] + ["--samples", "100"]),
+        (None, TAIL[:7] + ["--delta", "1e308", "--samples", "10"]),
+        (None, CONDITIONED[:-1] + ["1e308"]),
+        (None, ["analyze-pattern", "star:99"]),
+        (None, RATE[:2] + ["star:40"] + RATE[3:] + ["--n", "1000", "--p", "0.01"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -325,7 +341,8 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "planting-size-above-n", "poisson-p-nan", "poisson-p-above-1", "exact-threads-0",
          "conditioned-threads-0", "detect-highdeg-nan", "detect-hub-degree-nan",
          "detect-hub-edge-inf", "detect-tildehub-nan", "graph-header-not-integer",
-         "graph-not-utf8", "config-not-utf8", "exact-n-negative", "direct-n-0"],
+         "graph-not-utf8", "config-not-utf8", "exact-n-negative", "direct-n-0",
+         "tail-delta-1e308", "conditioned-delta-1e308", "analyze-star-99", "rate-star-40"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
@@ -347,6 +364,10 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    if "1e308" in argv:
+        assert "delta = 1e+308" in captured.err
+    if "star:99" in argv or "star:40" in argv:
+        assert captured.err == "error: pattern too large\n"
 
 
 @pytest.mark.parametrize("error, message", [

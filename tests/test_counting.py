@@ -35,7 +35,8 @@ def test_count_labelled_examples():
 def test_counting_leaves_no_reference_cycles():
     # A count must free the host rows its search closures hold when it
     # returns; left to the cyclic collector, a long-lived process holds the
-    # previous host's neighbour sets while it builds the next.
+    # previous host's neighbour sets while it builds the next.  The
+    # automorphism search must not leave a cycle either.
     host = HostGraph(30, [(i, (7 * i + 3) % 30) for i in range(30) if i != (7 * i + 3) % 30]
                      + [(i, i + 1) for i in range(29)])
     enabled = gc.isenabled()
@@ -47,6 +48,7 @@ def test_counting_leaves_no_reference_cycles():
             count_labelled(pattern, host)
             count_labelled_using_edge(pattern, host, (0, 1))
             counting._copy_edge_sets(pattern, host, None)
+            counting.automorphism_count(pattern)
             assert gc.collect() == 0
     finally:
         if enabled:

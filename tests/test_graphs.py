@@ -92,6 +92,15 @@ def test_strictly_balanced():
         is_strictly_balanced(PatternGraph(4, [(0, 1), (2, 3)]))
 
 
+def test_strictly_balanced_checks_the_vertex_cap_first():
+    # The subset walk takes 2^v steps: 2^100 for star:99.  Patterns past
+    # the cap are refused before it starts.
+    assert is_strictly_balanced(star(11))  # 12 vertices, at the cap
+    for arms in (12, 40, 99):
+        with pytest.raises(ValidationError, match="pattern too large"):
+            is_strictly_balanced(star(arms))
+
+
 def test_induced_subgraph():
     g, mapping = induced_subgraph(clique(4), [0, 1, 2])
     assert g == clique(3) and mapping == (0, 1, 2)

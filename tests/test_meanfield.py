@@ -260,3 +260,66 @@ def test_matrix_validation():
     assert m[1, 2] == m[2, 1] == 1.0
     assert m[2, 3] == 0.1
     assert m[4, 4] == 0.0
+    for n, classes, probs in [
+        (0, (), [[0.1]]),
+        (4, ([0], [0, 1]), np.full((3, 3), 0.1)),  # vertex 0 twice
+        (4, ([4],), np.full((2, 2), 0.1)),
+        (4, ([-1],), np.full((2, 2), 0.1)),
+        (4, ([0],), np.full((3, 3), 0.1)),
+        (4, ([0],), [[0.1, 0.2], [0.3, 0.1]]),
+        (4, ([0],), [[0.1, math.nan], [math.nan, 0.1]]),
+        (4, (), [[1.5]]),
+    ]:
+        with pytest.raises(ValidationError):
+            EdgeProbabilityMatrix(n, classes, probs)
+    with pytest.raises(ValidationError):
+        EdgeProbabilityMatrix.planted(10, 0.1, boosted=0)
+
+
+def _plantings(n, p):
+    """Each planting kind with its dense matrix, built entry by entry."""
+    def dense(rule):
+        arr = np.array([[rule(u, v) if u != v else 0.0 for v in range(n)] for u in range(n)])
+        return arr
+    return {
+        "hub:3:0.7": dense(lambda u, v: 0.7 if min(u, v) < 3 else p),
+        "clique:3:0.6": dense(lambda u, v: 0.6 if max(u, v) < 3 else p),
+        "highdeg:0.9": dense(lambda u, v: 0.9 if min(u, v) < 1 else p),
+        "highdeg": dense(lambda u, v: 0.8 if min(u, v) < 1 else p),
+        "hub:7": dense(lambda u, v: 0.8),
+        "none": dense(lambda u, v: p),
+    }
+
+
+def test_planting_constructors_match_dense():
+    n, p = 7, 0.2
+    for text, want in _plantings(n, p).items():
+        xi = EdgeProbabilityMatrix.planting(text, n, p)
+        assert np.array_equal(xi.to_dense(), want), text
+        assert total_cost(xi, p) == pytest.approx(dense_total_cost(want, p), rel=1e-12, abs=1e-15)
+        assert xi.expected_edges() == pytest.approx(want.sum() / 2, rel=1e-12)
+        for r in (2, 3):
+            assert expected_star_count_inhom(xi, r) == pytest.approx(dense_star_count(want, r), rel=1e-11)
+
+
+def test_log_likelihood_ratio_matches_dense():
+    # log dP/dQ summed pair by pair over seeded graphs, for P the constant
+    # measure at p, against the closed form from per-probability edge counts.
+    n, p = 9, 0.15
+    rng = np.random.default_rng(5)
+    iu = np.triu_indices(n, 1)
+    for xi in (EdgeProbabilityMatrix.planting("hub:2:0.6", n, p),
+               EdgeProbabilityMatrix.planting("clique:4:0.5", n, p),
+               EdgeProbabilityMatrix(n, ([2, 7], [4]), [[0.5, 0.3, 0.25], [0.3, 0.6, 0.4],
+                                                        [0.25, 0.4, p]]),
+               EdgeProbabilityMatrix.constant(n, p)):
+        q = xi.to_dense()[iu]
+        present = rng.random((20, len(q))) < q
+        want = np.where(present, np.log(p / q), np.log((1 - p) / (1 - q))).sum(axis=1)
+        levels = [x for x, _, _ in xi.levels()]
+        hits = np.array([(present & (q == x)).sum(axis=1) for x in levels])
+        slope, offset = xi.log_likelihood_ratio(p)
+        assert np.allclose(slope @ hits + offset, want, rtol=1e-12, atol=1e-12)
+    # n = 1 has no pairs, so no levels and a ratio of 1.
+    slope, offset = EdgeProbabilityMatrix.planting("highdeg", 1, p).log_likelihood_ratio(p)
+    assert slope.shape == (0,) and offset == 0.0

@@ -8,9 +8,11 @@ from uppertail.errors import ResourceBudgetError, ValidationError
 from uppertail.graphs import HostGraph, PatternGraph, clique, star
 from uppertail.counting import count_labelled
 from uppertail.meanfield import EdgeProbabilityMatrix, expected_star_count_inhom
+from uppertail import montecarlo
 from uppertail.montecarlo import (
     HighDegreeDetector,
-    Planting,
+    _chunk_sizes,
+    _map_replicas,
     conditioned_structure_frequency,
     estimate_tail_direct,
     estimate_tail_importance,
@@ -93,13 +95,15 @@ def test_direct_estimator_deterministic_and_thread_independent():
 
 
 def test_importance_reduces_to_direct_with_no_planting():
-    est = estimate_tail_importance(clique(3), 3, 0.5, 6, Planting.parse("none"), 150_000, 13)
+    none = EdgeProbabilityMatrix.planting("none", 3, 0.5)
+    est = estimate_tail_importance(clique(3), 3, 0.5, 6, none, 150_000, 13)
     assert abs(est.point - 0.125) < 3 * est.stderr
     assert est.extras["mean_weight"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_importance_mean_weight_is_one():
-    est = estimate_tail_importance(star(2), 6, 0.2, 0, Planting.parse("hub:1:0.6"), 40_000, 11)
+    hub = EdgeProbabilityMatrix.planting("hub:1:0.6", 6, 0.2)
+    est = estimate_tail_importance(star(2), 6, 0.2, 0, hub, 40_000, 11)
     # threshold 0: the indicator is identically one and the estimator must
     # average the weights to 1 within noise
     assert abs(est.point - 1.0) < 3 * est.stderr + 1e-12
@@ -107,24 +111,71 @@ def test_importance_mean_weight_is_one():
 
 def test_importance_unbiased_near_exact():
     exact = exact_tail(star(2), 6, 0.2, 50).point
-    est = estimate_tail_importance(star(2), 6, 0.2, 50, Planting.parse("hub:4:0.55"), 100_000, 2024)
+    hub = EdgeProbabilityMatrix.planting("hub:4:0.55", 6, 0.2)
+    est = estimate_tail_importance(star(2), 6, 0.2, 50, hub, 100_000, 2024)
     assert abs(est.point - exact) < 3 * est.stderr
 
 
 def test_importance_validation():
+    for text in ("hub:1:1.0", "hub:1:0.1", "wedge:2", "hub", "hub:0", "clique:2:x", "hub:5"):
+        with pytest.raises(ValidationError):
+            EdgeProbabilityMatrix.planting(text, 4, 0.3)
+    # A proposal built by hand must fit n and keep every probability in (0, 1).
+    hub = EdgeProbabilityMatrix.planting("hub:1:0.5", 4, 0.3)
     with pytest.raises(ValidationError):
-        estimate_tail_importance(EDGE, 4, 0.3, 1, Planting.parse("hub:1:1.0"), 100, 1)
+        estimate_tail_importance(EDGE, 5, 0.3, 1, hub, 100, 1)
     with pytest.raises(ValidationError):
-        estimate_tail_importance(EDGE, 4, 0.3, 1, Planting.parse("hub:1:0.1"), 100, 1)
-    with pytest.raises(ValidationError):
-        Planting.parse("wedge:2")
-    with pytest.raises(ValidationError):
-        Planting.parse("hub")
+        estimate_tail_importance(EDGE, 4, 0.3, 1, EdgeProbabilityMatrix.planted(4, 0.3, hubs=[0]), 100, 1)
 
 
 def test_threshold_for():
     assert threshold_for(3.0, star(2), 40, 0.05) == math.ceil(4 * 40**3 * 0.05**2)
     assert threshold_for(0.0, EDGE, 10, 0.5) == math.ceil(100 * 0.5)
+    # A product beyond the float range is refused, whether delta or n^v
+    # takes it there.
+    for delta, n in [(1e308, 40), (1.0, 10**200), (1e308, 10**200)]:
+        with pytest.raises(ValidationError, match="delta"):
+            threshold_for(delta, star(2), n, 0.05)
+
+
+def test_chunk_sizes_cap_replicas_at_the_samples():
+    assert _chunk_sizes(5, 10**11) == [1, 1, 1, 1, 1]
+    assert _chunk_sizes(10, 4) == [3, 3, 2, 2]
+    assert _chunk_sizes(3, 3) == [1, 1, 1]
+
+
+class _RecordingPool:
+    """A stand-in for ThreadPoolExecutor that records its size and runs each
+    job at once, on the calling thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        result = fn(*args)
+        return type("Done", (), {"result": lambda self: result})()
+
+
+def test_pool_holds_at_most_one_thread_per_job_and_core(monkeypatch):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    _RecordingPool.sizes.clear()
+    worker = lambda i, m: (i, m)  # noqa: E731
+    for threads, sizes in [(10**9, [2, 0, 3, 1]), (2, [1] * 6), (10**9, [1] * 9),
+                           (10**9, [5, 0, 0]), (3, [1, 1])]:
+        want = [(i, m) for i, m in enumerate(sizes) if m]
+        assert _map_replicas(worker, sizes, threads) == want
+    # The pools are bounded by three jobs, two threads, four cores and two
+    # jobs; the run with a single job uses no pool.
+    assert _RecordingPool.sizes == [3, 2, 4, 2]
 
 
 def test_star_count_samples_against_expectation():
@@ -188,7 +239,7 @@ def test_importance_unbiased_over_30_runs():
     exact = exact_tail(clique(3), 4, 0.3, 6).point
     points = [
         estimate_tail_importance(
-            clique(3), 4, 0.3, 6, Planting.parse("clique:4:0.6"), 20_000, 100 + k
+            clique(3), 4, 0.3, 6, EdgeProbabilityMatrix.planting("clique:4:0.6", 4, 0.3), 20_000, 100 + k
         ).point
         for k in range(30)
     ]
@@ -199,7 +250,7 @@ def test_importance_unbiased_over_30_runs():
 
 
 def test_importance_thread_count_independent():
-    planting = Planting.parse("hub:2:0.5")
+    planting = EdgeProbabilityMatrix.planting("hub:2:0.5", 6, 0.2)
     a = estimate_tail_importance(star(2), 6, 0.2, 30, planting, 50_000, 31)
     b = estimate_tail_importance(star(2), 6, 0.2, 30, planting, 50_000, 31, threads=4)
     assert a == b

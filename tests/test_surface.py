@@ -22,7 +22,6 @@ ALLOWED = {
     "phi_planted_search": "the mean-field value of non-star patterns for the planned rate ladder (ROADMAP)",
     "without_edges": "perfbench/tracer.py patches HostGraph.without_edges by name",
     "sample_gnp": "the public binomial sampler the README documents",
-    "sample_inhom": "perfbench set-up draws its planted core hosts with it",
 }
 
 
