@@ -5,6 +5,7 @@ of the pattern are unconstrained).  One enumerator finds them all: it
 backtracks over pattern vertices in a greedy connected order that maximizes
 back-degree, intersecting the host's neighbour sets, and at each embedding
 counts it or hands it to a leaf action (which is how copies are collected).
+A pattern's automorphisms are its labelled copies in itself.
 Each search start's plan (order, back-neighbours, degree needs) is built once
 per pattern and cached as immutable tuples.  Without a leaf action the
 trailing run of pairwise non-adjacent vertices is counted from pool sizes
@@ -25,13 +26,7 @@ from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import ResourceBudgetError, ValidationError
-from .graphs import (
-    HostGraph,
-    PatternGraph,
-    automorphism_count,
-    induced_subgraph,
-)
-from .patterns import fractional_independence_number
+from .graphs import PATTERN_VERTEX_CAP, HostGraph, PatternGraph, induced_subgraph
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -273,6 +268,15 @@ def star_count_using_edge(r: int, host: HostGraph, edge: tuple[int, int]) -> int
     return r * math.perm(du - 1, r - 1) + r * math.perm(dv - 1, r - 1)
 
 
+def automorphism_count(pattern: PatternGraph) -> int:
+    """|Aut(H)|, as the labelled copies of H in H itself: an injective
+    edge-preserving map of H into H is a bijection that keeps e(H) edges, so
+    an automorphism.  Charged to the default node budget, like any count."""
+    if pattern.vertex_count > PATTERN_VERTEX_CAP:
+        raise ValidationError("pattern too large")
+    return count_labelled(pattern, HostGraph(pattern.vertex_count, pattern.edges))
+
+
 def unlabelled_count(pattern: PatternGraph, labelled: int) -> int:
     """A labelled count over |Aut(H)|.  Every count here is of a copy set
     closed under Aut(H) (all copies, or those through a host edge), so
@@ -293,21 +297,6 @@ def star_count_exact(r: int, host: HostGraph) -> int:
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
     return sum(math.perm(d, r) for d in host.degrees())
-
-
-def embedding_upper_bound(pattern: PatternGraph, host: HostGraph) -> int:
-    """floor((2 e(G))^(v - alpha*) n^(2 alpha* - v)), evaluated exactly.
-
-    alpha* is half-integral, so the square of the bound is an integer and the
-    floor comes from an integer square root.  Always dominates the labelled
-    count.
-    """
-    alpha = fractional_independence_number(pattern).value
-    v = pattern.vertex_count
-    two_a = int(2 * (v - alpha))
-    two_b = int(2 * (2 * alpha - v))
-    squared = (2 * host.edge_count) ** two_a * host.vertex_count**two_b
-    return math.isqrt(squared)
 
 
 def conditional_expected_count(

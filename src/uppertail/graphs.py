@@ -1,11 +1,11 @@
 """Graph representations and elementary predicates.
 
 Two graph types live here.  ``PatternGraph`` is a small fixed motif (the
-graph whose copies get counted); it is capped at 12 vertices so that exact
-automorphism and fractional-independence enumerations stay cheap.
-``HostGraph`` is the graph being counted over; its one stored form is a
-neighbour set per vertex, which suits the sparse hosts G(n, p) gives for
-p -> 0.  Both types are immutable after construction and safe to share
+graph whose copies get counted); it is capped at 12 vertices so that the
+exact passes over its vertex subsets and half-integral assignments stay
+cheap.  ``HostGraph`` is the graph being counted over; its one stored form
+is a neighbour set per vertex, which suits the sparse hosts G(n, p) gives
+for p -> 0.  Both types are immutable after construction and safe to share
 across threads; the one exception is a private working copy that core
 pruning builds and deletes edges from in place (``HostGraph._delete_edge``)
 before handing it out.
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Exact automorphism / fractional-independence enumeration cap.
+# Vertex cap for the exact subset and fractional-independence passes.
 PATTERN_VERTEX_CAP = 12
 
 # Edge-list body lines that ``load_edge_list`` hands numpy at a time.
@@ -290,37 +290,6 @@ def is_bipartite_with_parts(graph) -> Optional[tuple[tuple[int, ...], tuple[int,
     part0 = tuple(v for v in range(n) if color[v] == 0)
     part1 = tuple(v for v in range(n) if color[v] == 1)
     return part0, part1
-
-
-def automorphism_count(pattern: PatternGraph) -> int:
-    """|Aut(H)| by backtracking over adjacency-preserving bijections.
-
-    Candidates are pruned by degree; patterns are capped at
-    ``PATTERN_VERTEX_CAP`` vertices.
-    """
-    n = pattern.vertex_count
-    if n > PATTERN_VERTEX_CAP:
-        raise ValidationError("pattern too large")
-    degs = pattern.degrees()
-    # Map vertices in decreasing-degree order so mismatches surface early.
-    order = sorted(range(n), key=lambda v: -degs[v])
-    return _count_extensions(0, 0, order, [-1] * n, degs, pattern._adj_masks)
-
-
-def _count_extensions(pos: int, used: int, order: list, image: list, degs, masks) -> int:
-    """The automorphisms that extend ``image`` on ``order[:pos]``; ``used``
-    is the bitmask of its images."""
-    if pos == len(order):
-        return 1
-    u, count = order[pos], 0
-    for w in range(len(order)):
-        if (used >> w) & 1 or degs[w] != degs[u]:
-            continue
-        if all(((masks[u] >> a) & 1) == ((masks[w] >> image[a]) & 1) for a in order[:pos]):
-            image[u] = w
-            count += _count_extensions(pos + 1, used | 1 << w, order, image, degs, masks)
-    image[u] = -1
-    return count
 
 
 def is_strictly_balanced(pattern: PatternGraph) -> bool:

@@ -14,16 +14,19 @@ so equality tests in the consistency checks carry no tolerance.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .counting import automorphism_count
 from .errors import ValidationError
 from .graphs import (
+    HostGraph,
     PatternGraph,
-    automorphism_count,
     is_bipartite_with_parts,
     is_connected,
     is_regular,
@@ -31,7 +34,9 @@ from .graphs import (
     max_degree,
 )
 
+# The crossing family and the deficiency walk every edge subset of the pattern.
 QH_VERTEX_CAP = 10
+QH_EDGE_CAP = 15
 FRACTIONAL_VERTEX_CAP = 12
 POLY_VERTEX_CAP = 20
 
@@ -82,9 +87,6 @@ class QhMember:
         return tuple(sorted(self.a_side | self.b_side))
 
 
-_ALPHA_CACHE: dict[tuple[int, frozenset[tuple[int, int]]], tuple] = {}
-
-
 def fractional_independence_number(pattern: PatternGraph) -> FractionalIndependence:
     """Exhaustive search over half-integral assignments.
 
@@ -92,15 +94,17 @@ def fractional_independence_number(pattern: PatternGraph) -> FractionalIndepende
     an assignment is feasible when every edge's endpoint values sum to at
     most 1.  Isolated vertices take value 1.
     """
-    n = pattern.vertex_count
-    if n > FRACTIONAL_VERTEX_CAP:
+    if pattern.vertex_count > FRACTIONAL_VERTEX_CAP:
         raise ValidationError("pattern too large")
-    key = (n, pattern.edges)
-    cached = _ALPHA_CACHE.get(key)
-    if cached is not None:
-        return FractionalIndependence(cached[0], cached[1])
+    return FractionalIndependence(*_alpha(pattern.vertex_count, pattern.edges))
 
-    masks = [pattern.adjacency_mask(v) for v in range(n)]
+
+@functools.lru_cache(maxsize=4096)
+def _alpha(n: int, edges: frozenset[tuple[int, int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     values = [0] * n  # doubled values
     best_total = -1
     best_assign: Optional[list[int]] = None
@@ -126,10 +130,22 @@ def fractional_independence_number(pattern: PatternGraph) -> FractionalIndepende
         values[pos] = 0
 
     extend(0, 0)
-    value = Fraction(best_total, 2)
-    assignment = tuple(Fraction(v, 2) for v in best_assign)
-    _ALPHA_CACHE[key] = (value, assignment)
-    return FractionalIndependence(value, assignment)
+    return Fraction(best_total, 2), tuple(Fraction(v, 2) for v in best_assign)
+
+
+def embedding_upper_bound(pattern: PatternGraph, host: HostGraph) -> int:
+    """floor((2 e(G))^(v - alpha*) n^(2 alpha* - v)), evaluated exactly.
+
+    alpha* is half-integral, so the square of the bound is an integer and the
+    floor comes from an integer square root.  Always dominates the labelled
+    count.
+    """
+    alpha = fractional_independence_number(pattern).value
+    v = pattern.vertex_count
+    two_a = int(2 * (v - alpha))
+    two_b = int(2 * (2 * alpha - v))
+    squared = (2 * host.edge_count) ** two_a * host.vertex_count**two_b
+    return math.isqrt(squared)
 
 
 def h_star(pattern: PatternGraph) -> PatternGraph:
@@ -217,6 +233,9 @@ def enumerate_qh(pattern: PatternGraph) -> list[QhMember]:
     """
     if pattern.vertex_count > QH_VERTEX_CAP:
         raise ValidationError("pattern too large")
+    if pattern.edge_count > QH_EDGE_CAP:
+        raise ValidationError(f"pattern has {pattern.edge_count} edges, over the "
+                              f"{QH_EDGE_CAP}-edge cap of the edge-subset walk")
     delta = max_degree(pattern)
     members: list[QhMember] = []
     for edges in _iter_edge_subsets(pattern):
@@ -365,7 +384,7 @@ def analyze_pattern(pattern: PatternGraph) -> PatternReport:
     core = h_star(pattern) if connected else pattern
     qh_size: Optional[int] = None
     sigma: Optional[Fraction] = None
-    if connected and pattern.vertex_count <= QH_VERTEX_CAP:
+    if connected and pattern.vertex_count <= QH_VERTEX_CAP and pattern.edge_count <= QH_EDGE_CAP:
         qh_size = len(enumerate_qh(pattern))
         try:
             sigma = deficiency_sigma(pattern).value

@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from .counting import automorphism_count
 from .errors import ValidationError
 from .graphs import (
     PatternGraph,
-    automorphism_count,
     is_connected,
     is_regular,
     is_strictly_balanced,

@@ -22,7 +22,6 @@ from uppertail.graphs import (
 from uppertail.counting import (
     count_labelled,
     count_labelled_using_edge,
-    embedding_upper_bound,
     star_count_exact,
 )
 from uppertail.meanfield import (
@@ -42,6 +41,7 @@ from uppertail.montecarlo import (
     poisson_fit_experiment,
 )
 from uppertail.patterns import (
+    embedding_upper_bound,
     fractional_independence_number,
     lemma23_check,
     qh_independent_set_bijection_check,

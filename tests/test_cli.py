@@ -425,7 +425,8 @@ def test_rate_near_jump_only_at_positive_integers(capsys, delta, near):
 
 PATTERN_SPECS = st.one_of(
     st.sampled_from(["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4", "clique:3",
-                     "biclique:1,2"]),
+                     "biclique:1,2", "star:10", "star:11", "star:12", "path:12", "clique:7",
+                     "biclique:4,4"]),
     st.sampled_from(["star:0", "path:x", "cycle:2", "wheel:4", "", "file:/nonexistent"]),
 )
 EDGE_TEXTS = st.one_of(
@@ -504,7 +505,8 @@ SIZES = _mostly(st.integers(3, 8), st.integers(-1, 2))
 COUNTS = _mostly(st.integers(1, 200), st.integers(-1, 0))
 THREADS = _mostly(st.integers(1, 4), st.integers(-1, 0))
 SPECS = _mostly(st.sampled_from(["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4",
-                                 "clique:3"]), PATTERN_SPECS)
+                                 "clique:3", "star:10", "star:11", "star:12", "path:12",
+                                 "clique:7", "biclique:4,4"]), PATTERN_SPECS)
 
 
 def _opt(name, values, required=False):
@@ -588,15 +590,20 @@ def test_direct_tail_counts_agree_across_threads(capsys):
 # One parser for every call in a process
 # ---------------------------------------------------------------------------
 
-def _fresh_process_payload(argv, threads_env=None):
-    """The payload of ``argv`` run in a new interpreter."""
+def _run_fresh(argv, threads_env=None, timeout=None):
+    """``argv`` run in a new interpreter, as a ``CompletedProcess``."""
     env = {k: v for k, v in os.environ.items() if k != "UPPERTAIL_THREADS"}
     if threads_env is not None:
         env["UPPERTAIL_THREADS"] = threads_env
     src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-m", "uppertail.cli", *argv],
-                           capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "uppertail.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _fresh_process_payload(argv, threads_env=None):
+    """The payload of ``argv`` run in a new interpreter."""
+    child = _run_fresh(argv, threads_env)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
 
@@ -648,3 +655,31 @@ def test_parser_reuse_keeps_calls_apart(capsys, tmp_path, monkeypatch):
         fresh = _fresh_process_payload(argv, threads_env)
         assert (fresh["inputs"], fresh["seed"], fresh["result"]) == (
             payload["inputs"], payload["seed"], payload["result"]), argv
+
+
+# ---------------------------------------------------------------------------
+# Automorphism counts under the node budget
+# ---------------------------------------------------------------------------
+
+@pytest.mark.child_process
+def test_automorphism_counts_of_stars_return_or_exit_3_at_once(tmp_path):
+    # |Aut(star:r)| = r! is counted as the labelled copies of the star in
+    # itself, charged what listing them would cost: 9,864,111 nodes for
+    # star:10 and 108,505,123 for star:11, against a budget of 5 * 10^7.
+    # The timeouts catch a search that lists the automorphisms one at a time.
+    child = _run_fresh(["analyze-pattern", "star:10"], timeout=20)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["result"]["aut"] == 3628800
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 3\n0 1\n1 2\n")
+    for argv in (
+        ["analyze-pattern", "star:11"],
+        ["count", "--pattern", "star:11", "--graph", str(graph)],
+        ["count", "--unlabelled", "--pattern", "star:11", "--graph", str(graph)],
+        ["experiment", "poisson-fit", "--pattern", "star:11", "--n", "40", "--p", "0.05",
+         "--samples", "10"],
+    ):
+        child = _run_fresh(argv, timeout=20)
+        assert (child.returncode, child.stdout) == (3, ""), argv
+        assert child.stderr == ("resource error: counting budget of 50000000 search nodes "
+                                "exceeded: 108505123 charged so far\n"), argv

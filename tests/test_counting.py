@@ -13,13 +13,13 @@ from uppertail.counting import (
     conditional_expected_count,
     count_labelled,
     count_labelled_using_edge,
-    embedding_upper_bound,
     phi_planted_search,
     star_count_exact,
     star_count_using_edge,
     unlabelled_count,
 )
 from uppertail import counting
+from uppertail.patterns import embedding_upper_bound
 from conftest import host_of, seeded_hosts
 
 K3_HOST = host_of(clique(3))

@@ -26,6 +26,7 @@ from uppertail.counting import (
     _Budget,
     _copy_edge_sets,
     _order,
+    automorphism_count,
     count_labelled,
     count_labelled_using_edge,
     star_count_exact,
@@ -35,7 +36,6 @@ from uppertail.errors import ResourceBudgetError, ValidationError
 from uppertail.graphs import (
     HostGraph,
     PatternGraph,
-    automorphism_count,
     biclique,
     clique,
     cycle,

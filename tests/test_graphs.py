@@ -2,11 +2,11 @@ import math
 
 import pytest
 
+from uppertail.counting import automorphism_count
 from uppertail.errors import ValidationError
 from uppertail.graphs import (
     HostGraph,
     PatternGraph,
-    automorphism_count,
     biclique,
     clique,
     cycle,
@@ -78,6 +78,16 @@ def test_automorphism_count_invariants():
         assert automorphism_count(clique(m)) == math.factorial(m)
     for g in (path(5), cycle(5), biclique(2, 3), star(4)):
         assert math.factorial(g.vertex_count) % automorphism_count(g) == 0
+    for r in range(2, 11):
+        assert automorphism_count(star(r)) == math.factorial(r)
+    # Isolated vertices permute freely: |Aut(H + k K_1)| = |Aut(H)| k!.
+    for n in range(1, 11):
+        assert automorphism_count(PatternGraph(n, [])) == math.factorial(n)
+    assert automorphism_count(PatternGraph(5, [(0, 1), (1, 2), (0, 2)])) == 6 * 2
+    assert automorphism_count(PatternGraph(5, [(0, 1), (0, 2), (0, 3)])) == 6 * 1
+    assert automorphism_count(PatternGraph(7, [(0, 1), (2, 3)])) == 8 * 6
+    assert automorphism_count(PatternGraph(12, [(0, 1), (2, 3), (4, 5), (6, 7)])) == (
+        2**4 * 24 * 24)
     with pytest.raises(ValidationError):
         automorphism_count(clique(13))
 
@@ -227,7 +237,7 @@ def test_automorphism_count_brute_force():
 
     rng = _random.Random(8)
     for _ in range(15):
-        n = rng.randint(2, 6)
+        n = rng.randint(2, 7)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         pat = PatternGraph(n, edges)
         edge_set = pat.edges

@@ -6,8 +6,10 @@ import pytest
 
 from uppertail.errors import ValidationError
 from uppertail.graphs import PatternGraph, biclique, clique, cycle, is_bipartite_with_parts, path, star
+from uppertail import patterns
 from uppertail.patterns import (
     IndependencePolynomial,
+    analyze_pattern,
     deficiency_sigma,
     enumerate_qh,
     fractional_independence_number,
@@ -200,3 +202,22 @@ def test_size_caps():
     wide = PatternGraph(11, [(0, i) for i in range(1, 11)])
     with pytest.raises(ValidationError):
         enumerate_qh(wide)
+
+
+def test_edge_subset_walks_refuse_past_the_edge_cap():
+    # clique:7 has 21 edges and biclique:4,4 has 16: 2^e subsets each.
+    for pattern in (clique(7), biclique(4, 4)):
+        e = pattern.edge_count
+        for walk in (enumerate_qh, deficiency_sigma, lemma23_check):
+            with pytest.raises(ValidationError, match=f"pattern has {e} edges, over the 15-edge cap"):
+                walk(pattern)
+        with pytest.warns(UserWarning, match="regular"):
+            report = analyze_pattern(pattern)
+        assert report.qh_size is None and report.sigma is None
+
+
+def test_alpha_cache_is_bounded():
+    # The deficiency walk asks for alpha* of all 2^15 - 1 edge subsets of K6.
+    with pytest.warns(UserWarning, match="regular"):
+        analyze_pattern(clique(6))
+    assert patterns._alpha.cache_info().currsize <= 4096
