@@ -10,9 +10,13 @@ Each search start's plan (order, back-neighbours, degree needs) is built once
 per pattern and cached as immutable tuples.  Without a leaf action the
 trailing run of pairwise non-adjacent vertices is counted from pool sizes
 rather than listed, at the same node charge: star centres are listed once
-and their arms counted as falling factorials of the degree.  Counts are plain
-Python ints so the divisibility check stays exact.  Closed forms are used
-for stars, both as fast paths and as independent oracles in the tests.
+and their arms counted as falling factorials of the degree.  When the
+vertex two before that run is a twin of every run vertex (unpinned C4 and
+K_{2,t}), its level is summed from codegrees: C4 copies are sum c(u,w)_2 and
+K_{2,t} copies sum c(u,w)_t over the codegrees c(u,w) = |N(u) & N(w)|, at
+the same node charge again.  Counts are plain Python ints so the
+divisibility check stays exact.  Closed forms are used for stars, both as
+fast paths and as independent oracles in the tests.
 """
 
 from __future__ import annotations
@@ -60,7 +64,14 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int):
     shares its back-neighbours.  The plan holds where the run begins, the
     vertices placed before it but for the one just before it, and for its
     first two vertices their other back-neighbours and whether that one is
-    among their back-neighbours."""
+    among their back-neighbours.
+
+    ``twin`` marks the position p two before the run when p is a twin of
+    every run vertex: the position s between them has p as its only placed
+    back-neighbour, each run vertex has the back-neighbours B of p and s,
+    and exactly B is placed before p, with B not empty.  Then p and the run
+    vertices all have the neighbours B and s, and p's level is summed from
+    codegrees (see ``_embed``)."""
     steps = []
     for i, v in enumerate(order[pinned:], pinned):
         back = tuple(u for u in order[:i] if pattern.has_edge(u, v))
@@ -74,7 +85,13 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int):
     before = tuple(u for u in order[: pinned + run] if u != split)
     heads = tuple((tuple(u for u in back if u != split), split in back)
                   for _, back, _, _ in steps[run : run + 2])
-    return tuple(steps), run, before, heads
+    twin = False
+    if 2 <= run < len(steps):
+        (p, shared, _, _), (_, s_back, _, _) = steps[run - 2 : run]
+        twin = (bool(shared) and s_back == (p,)
+                and set(order[: pinned + run - 2]) == set(shared)
+                and all(set(back) == {*shared, split} for _, back, _, _ in steps[run:]))
+    return tuple(steps), run, before, heads, twin
 
 
 class _Budget:
@@ -138,6 +155,14 @@ def _embed(
     injective maps of the run into its pools, and charges the nodes listing
     would cost.  The budget raises exactly when the running total passes its
     limit, so charging a run in one sum fails where listing it would.
+
+    When the plan marks a twin level, the position p two before the run has
+    the run vertices' neighbours: the back-neighbours B of p and the split
+    vertex s.  There ``codegrees`` sums s and the run over all of p's
+    images ``fits`` at once, from C[x] = |N(x) & fits| for each image x of
+    s: a candidate of p outside ``fits`` has only the images of B as
+    neighbours, so x's run pool is its pool within ``fits`` less p's image,
+    of size C[x] - 1, and x is reached from C[x] images of p.
     """
     rows = host.adjacency_rows()
     n_host = host.vertex_count
@@ -165,6 +190,8 @@ def _embed(
             candidates = sorted(pool.difference(taken))
         budget.spend(len(candidates))
         fits = [w for w in candidates if len(rows[w]) >= need]
+        if twin and depth + 2 == run:
+            return codegrees(back, fits)
         if depth + 1 == run:
             return counted(v, fits)
         if depth == len(steps) - 1:  # only with a leaf
@@ -177,6 +204,28 @@ def _embed(
             images[v] = w
             total += descend(depth + 1)
         return total
+
+    def codegrees(shared, fits: list) -> int:
+        """The maps of the twin level's s and run, summed over the images
+        ``fits`` of p, charged the nodes listing s and counting the run
+        would cost.  An image x of s, outside the images of ``shared``, is
+        reached from C[x] = |N(x) & fits| of them; each leaves the run a
+        pool of C[x] - 1, so x adds (C[x])_{k+1} maps for a run of k."""
+        reach = Counter(itertools.chain.from_iterable(map(rows.__getitem__, fits)))
+        for u in shared:
+            reach.pop(images[u], None)
+        need = steps[run - 1][3]
+        fit = map(need.__le__, map(len, map(rows.__getitem__, reach)))
+        nodes = sum(map(len, map(rows.__getitem__, fits))) - len(shared) * len(fits)
+        count = 0
+        for c, m in Counter(itertools.compress(reach.values(), fit)).items():
+            m *= c
+            for j in range(1, len(steps) - run + 1):
+                m *= c - j
+                nodes += m
+            count += m
+        budget.spend(nodes)
+        return count
 
     def counted(split, fits: list) -> int:
         """Injective maps of the run into its pools, summed over the images
@@ -226,9 +275,9 @@ def _embed(
         for order, pinned_images in starts:
             for v, w in pinned_images.items():
                 images[v] = w
-            steps, run, before, heads = _plan(pattern, tuple(order), len(pinned_images))
+            steps, run, before, heads, twin = _plan(pattern, tuple(order), len(pinned_images))
             if leaf is not None:  # list every position
-                run = len(steps) + 1
+                run, twin = len(steps) + 1, False
             if not steps:  # every vertex pinned
                 total += 1
                 if leaf is not None:

@@ -26,6 +26,16 @@ from .errors import ValidationError
 DENSE_LIMIT = 4000
 
 
+def _class_pairs(sizes: list, probs: list):
+    """(a, b, vertex pairs, probability) for each pair of classes a <= b
+    that holds a vertex pair, for classes of ``sizes`` joined at ``probs``."""
+    for a, s in enumerate(sizes):
+        for b in range(a, len(sizes)):
+            pairs = s * (s - 1) // 2 if a == b else s * sizes[b]
+            if pairs:
+                yield a, b, pairs, probs[a][b]
+
+
 class EdgeProbabilityMatrix:
     """Symmetric matrix of edge probabilities with zero diagonal, constant
     on blocks.
@@ -110,14 +120,7 @@ class EdgeProbabilityMatrix:
         return cls(n, [range(size)], [[value, cross], [cross, p]])
 
     def _class_pairs(self):
-        """(a, b, vertex pairs, probability) for each pair of classes a <= b
-        that holds a vertex pair."""
-        probs = self.probs.tolist()
-        for a, s in enumerate(self.sizes):
-            for b in range(a, len(self.sizes)):
-                pairs = s * (s - 1) // 2 if a == b else s * self.sizes[b]
-                if pairs:
-                    yield a, b, pairs, probs[a][b]
+        return _class_pairs(self.sizes, self.probs.tolist())
 
     def levels(self) -> tuple:
         """(q, vertex pairs, blocks) for each distinct probability q of a
@@ -209,19 +212,24 @@ def expected_star_count_inhom(xi: EdgeProbabilityMatrix, r: int) -> float:
     Per row this is r! times the degree-r elementary symmetric polynomial of
     the row, in closed form over row classes.
     """
+    return _star_count(xi.n, xi.sizes, xi.probs.tolist(), r)
+
+
+def _star_count(n: int, sizes: list, probs: list, r: int) -> float:
+    """``expected_star_count_inhom`` of the matrix on n vertices whose
+    classes have ``sizes`` and are joined at ``probs`` (nested lists)."""
     if not 2 <= r <= 8:
         raise ValidationError("star arm count must be between 2 and 8")
-    n = xi.n
-    levels = {q for _, _, _, q in xi._class_pairs()}
+    levels = {q for _, _, _, q in _class_pairs(sizes, probs)}
     if len(levels) <= 1:
         # Constant background: n (n-1)...(n-r) p^r, kept in this exact
         # float expression so the closed form is reproducible bit-for-bit.
         p = levels.pop() if levels else 0.0
         return (p**r) * (n * math.perm(n - 1, r))
-    total, probs = 0.0, xi.probs.tolist()
-    for a, size in enumerate(xi.sizes):
+    total = 0.0
+    for a, size in enumerate(sizes):
         row = {}  # the row of a vertex in class a: count per probability
-        for b, other in enumerate(xi.sizes):
+        for b, other in enumerate(sizes):
             if size and other - (a == b):
                 q = probs[a][b]
                 row[q] = row.get(q, 0) + other - (a == b)
@@ -288,6 +296,14 @@ def planted_star_optimizer(
     )
 
 
+def _planted_star_count(n: int, p: float, r: int, k: int, x: float) -> float:
+    """``expected_star_count_inhom`` of the planted matrix with hubs 1..k
+    and vertex 0 boosted to x, from the classes and probabilities
+    ``EdgeProbabilityMatrix.planted`` would give it, without building it."""
+    x, p = float(x), float(p)
+    return _star_count(n, [1, k, n - 1 - k], [[x, x, x], [x, p, 1.0], [x, 1.0, p]], r)
+
+
 @dataclass(frozen=True)
 class VariationalBound:
     value: float
@@ -320,16 +336,16 @@ def variational_upper_bound(n: int, p: float, r: int, delta: float) -> Variation
 
     k = 0
     while k <= n - 2:
-        top = expected_star_count_inhom(build(k, 1.0), r)
+        top = _planted_star_count(n, p, r, k, 1.0)
         if top >= target:
-            base = expected_star_count_inhom(build(k, p), r)
+            base = _planted_star_count(n, p, r, k, p)
             if base >= target:
                 x = p
             else:
                 lo, hi = p, 1.0
                 for _ in range(100):
                     mid = 0.5 * (lo + hi)
-                    if expected_star_count_inhom(build(k, mid), r) < target:
+                    if _planted_star_count(n, p, r, k, mid) < target:
                         lo = mid
                     else:
                         hi = mid

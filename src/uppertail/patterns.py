@@ -129,7 +129,12 @@ def _alpha(n: int, edges: frozenset[tuple[int, int]]) -> tuple[Fraction, tuple[F
             extend(pos + 1, total + val)
         values[pos] = 0
 
-    extend(0, 0)
+    try:
+        extend(0, 0)
+    finally:
+        # ``extend`` reaches itself through its closure cell; emptying the
+        # cell frees it on return instead of at the next cyclic collection.
+        extend = None
     return Fraction(best_total, 2), tuple(Fraction(v, 2) for v in best_assign)
 
 
@@ -205,7 +210,10 @@ def independence_polynomial(pattern: PatternGraph) -> IndependencePolynomial:
         memo[active] = result
         return result
 
-    return IndependencePolynomial(poly((1 << n) - 1))
+    try:
+        return IndependencePolynomial(poly((1 << n) - 1))
+    finally:
+        poly = None  # as in ``_alpha``: break the closure's cycle through its cell
 
 
 def _subgraph_stats(edges: tuple[tuple[int, int], ...]):

@@ -19,7 +19,12 @@ from uppertail.counting import (
     unlabelled_count,
 )
 from uppertail import counting
-from uppertail.patterns import embedding_upper_bound
+from uppertail.patterns import (
+    _alpha,
+    embedding_upper_bound,
+    fractional_independence_number,
+    independence_polynomial,
+)
 from conftest import host_of, seeded_hosts
 
 K3_HOST = host_of(clique(3))
@@ -49,6 +54,12 @@ def test_counting_leaves_no_reference_cycles():
             count_labelled_using_edge(pattern, host, (0, 1))
             counting._copy_edge_sets(pattern, host, None)
             counting.automorphism_count(pattern)
+            assert gc.collect() == 0
+        # Nor may the exact pattern analyses, whose recursions are closures.
+        for pattern in (path(5), cycle(4), star(3)):
+            _alpha.cache_clear()
+            fractional_independence_number(pattern)
+            independence_polynomial(pattern)
             assert gc.collect() == 0
     finally:
         if enabled:

@@ -1,5 +1,6 @@
 """The one embedding enumerator against the searches it replaced, and
-against networkx's VF2 matcher.
+against networkx's VF2 matcher, and its codegree sums against dense
+matrix products.
 
 ``_count_with_order`` (bitset rows), ``_count_with_order_sets`` (neighbour
 sets) and ``_copy_edge_sets`` (the copy collector, here ``copy_edge_sets``)
@@ -19,6 +20,7 @@ import math
 import random
 from typing import Optional
 
+import numpy as np
 import pytest
 
 from uppertail import counting
@@ -26,6 +28,7 @@ from uppertail.counting import (
     _Budget,
     _copy_edge_sets,
     _order,
+    _plan,
     automorphism_count,
     count_labelled,
     count_labelled_using_edge,
@@ -259,6 +262,8 @@ PATTERNS = {
     # Shapes of the counted trailing run (pairwise non-adjacent last vertices):
     "biclique:2,3": biclique(2, 3),  # two vertices sharing a two-vertex back set
     "biclique:2,4": biclique(2, 4),  # three vertices sharing a two-vertex back set
+    "biclique:2,5": biclique(2, 5),  # four vertices sharing it: a twin level of five
+    "C4+K1": PatternGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),  # C4 and pendant
     "star:5": star(5),  # five arms below the centre, four below a pinned arm
     "paw": PatternGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # triangle and pendant
     "bull": PatternGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]),  # two rows, other backs
@@ -361,7 +366,8 @@ def test_copy_edge_sets_match_oracle(backend, name):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ["path:5", "star:4", "P3+K1", "cycle:4", "biclique:2,3",
-                                  "biclique:2,4", "star:5", "paw", "bull"])
+                                  "biclique:2,4", "biclique:2,5", "C4+K1", "star:5", "paw",
+                                  "bull"])
 def test_budget_boundary_on_counted_levels(spent, backend, name):
     """The counted last levels are charged in sums, not node by node: a
     budget of exactly the nodes spent still suffices, one fewer fails."""
@@ -395,6 +401,45 @@ def test_edgeless_pattern_counts_every_injection(spent, backend):
         with pytest.raises(ResourceBudgetError, match=message):
             count_labelled(PATTERNS["E3"], host, nodes - 1)
         spent()
+
+
+def _twin(pattern, first=()):
+    """Whether the start's plan sums its twin level from codegrees."""
+    return _plan(pattern, _order(pattern, tuple(first)), len(first))[4]
+
+
+def test_twin_level_is_planned_for_c4_and_k2t_only():
+    # The codegree sum must be the path these counts take, not a silent
+    # fallback to listing: unpinned C4 and K_{2,t} have a twin level.
+    for name in ("cycle:4", "biclique:2,3", "biclique:2,4", "biclique:2,5"):
+        assert _twin(PATTERNS[name]), name
+    # Pinned starts, and runs whose back sets differ, keep listing.
+    for name, pattern in PATTERNS.items():
+        for x, y in pattern.sorted_edges():
+            assert not _twin(pattern, (x, y)), (name, x, y)
+    for name in ("path:4", "paw", "bull", "C4+K1", "path:5", "star:3", "clique:4", "2K2"):
+        assert not _twin(PATTERNS[name]), name
+
+
+def test_twin_counts_match_dense_codegree_sums():
+    # Labelled C4s are sum over u != w of (c)_2 and K_{2,3}s of (c)_3, with
+    # c = |N(u) & N(w)| read off A^2, on a sparse G(1500, 9000 edges).
+    rng = random.Random(18)
+    n, edges = 1500, set()
+    while len(edges) < 9000:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    host = HostGraph(n, sorted(edges))
+    adjacency = np.zeros((n, n))
+    pairs = np.array(sorted(edges))
+    adjacency[pairs[:, 0], pairs[:, 1]] = adjacency[pairs[:, 1], pairs[:, 0]] = 1.0
+    codegree = (adjacency @ adjacency).astype(np.int64)
+    np.fill_diagonal(codegree, 0)
+    assert codegree.any()
+    c4 = int((codegree * (codegree - 1)).sum())
+    k23 = int((codegree * (codegree - 1) * (codegree - 2)).sum())
+    assert count_labelled(cycle(4), host) == c4 > 0
+    assert count_labelled(biclique(2, 3), host) == k23 > 0
 
 
 def test_cached_plans_survive_equal_patterns_and_mutated_orders():

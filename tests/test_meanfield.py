@@ -9,6 +9,8 @@ import pytest
 from uppertail.errors import ValidationError
 from uppertail.meanfield import (
     EdgeProbabilityMatrix,
+    VariationalBound,
+    _planted_star_count,
     bernoulli_relative_entropy,
     exact_star2_variance,
     expected_star_count_inhom,
@@ -209,6 +211,70 @@ def test_variational_bound_monotone_grid():
         value = variational_upper_bound(n, p, 2, 1.0).value
         speed = n**1.5 * p * math.log(n)
         assert 0.2 < value / speed < 2.0
+
+
+def _variational_with_matrices(n, p, r, delta, visited):
+    """The former ``variational_upper_bound``, which built a planted matrix
+    for every count it bisected on; ``visited`` collects each (k, x)."""
+    target = (1 + delta) * n ** (r + 1) * p**r
+    k_cap = min(n - 2, int(math.ceil(2 * delta * n * p**r)) + 2)
+    best = None
+
+    def build(k, x):
+        return EdgeProbabilityMatrix.planted(n, p, hubs=range(1, k + 1), boosted=0, boosted_value=x)
+
+    def stars(k, x):
+        visited.append((k, x))
+        return expected_star_count_inhom(build(k, x), r)
+
+    k = 0
+    while k <= n - 2:
+        if stars(k, 1.0) >= target:
+            if stars(k, p) >= target:
+                x = p
+            else:
+                lo, hi = p, 1.0
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    if stars(k, mid) < target:
+                        lo = mid
+                    else:
+                        hi = mid
+                x = hi
+            witness = build(k, x)
+            cost = total_cost(witness, p)
+            if best is None or cost < best.value:
+                best = VariationalBound(cost, witness, k, x)
+        if k >= k_cap and best is not None:
+            break
+        k += 1
+    return best
+
+
+@pytest.mark.parametrize("n, p, r, delta", [
+    (10**6, (10**6) ** -0.7, 2, 1.0),  # acceptance criterion 6
+    (10**4, math.sqrt(2 / 10**4), 2, 1.6),  # three hubs
+    (2000, 0.01, 2, 1e-4),
+    (3000, 0.005, 2, 4.0),
+    (500, 0.05, 3, 0.5),
+    (200, 0.1, 4, 2.0),
+    (60, 0.3, 2, 0.2),
+    (12, 0.2, 5, 3.0),
+    (8, 0.3, 2, 0.5),
+])
+def test_variational_bound_matches_matrix_counts(n, p, r, delta):
+    # Bisecting on the planted family's closed form instead of a matrix per
+    # step must leave every count, and so the bound, bit-for-bit the same.
+    visited = []
+    want = _variational_with_matrices(n, p, r, delta, visited)
+    assert len(visited) > 2
+    for k, x in visited:
+        matrix = EdgeProbabilityMatrix.planted(n, p, hubs=range(1, k + 1), boosted=0, boosted_value=x)
+        assert _planted_star_count(n, p, r, k, x) == expected_star_count_inhom(matrix, r)
+    got = variational_upper_bound(n, p, r, delta)
+    assert (got.value, got.hub_count, got.boosted_value) == (want.value, want.hub_count, want.boosted_value)
+    assert got.witness.classes == want.witness.classes
+    assert got.witness.probs.tolist() == want.witness.probs.tolist()
 
 
 def test_exact_variance_against_enumeration():
