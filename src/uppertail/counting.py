@@ -14,9 +14,14 @@ and their arms counted as falling factorials of the degree.  When the
 vertex two before that run is a twin of every run vertex (unpinned C4 and
 K_{2,t}), its level is summed from codegrees: C4 copies are sum c(u,w)_2 and
 K_{2,t} copies sum c(u,w)_t over the codegrees c(u,w) = |N(u) & N(w)|, at
-the same node charge again.  Counts are plain Python ints so the
-divisibility check stays exact.  Closed forms are used for stars, both as
-fast paths and as independent oracles in the tests.
+the same node charge again.  A count through a host edge pins the edge's
+ends to both orientations of every pattern edge, 2 e(H) starts; starts whose
+orders correspond position by position under an automorphism of H run the
+same search, so each such class is searched once and its count and nodes
+are taken class-size times (one search per edge for a clique, two for C4).
+Counts are plain Python ints so the divisibility check stays exact.  Closed
+forms are used for stars, both as fast paths and as independent oracles in
+the tests.
 """
 
 from __future__ import annotations
@@ -111,40 +116,79 @@ class _Budget:
                 f"{self.limit - self.remaining} charged so far")
 
 
+@functools.lru_cache(maxsize=4096)
+def _start_classes(pattern: PatternGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The pinned starts ``_order(pattern, (a, b))``, over both orientations
+    (a, b) of every pattern edge, grouped into classes: ``(order, size)`` per
+    class, its representative the first member in edge order.  A start joins
+    a class when mapping the representative's order onto its own, position
+    by position, is an automorphism.  Degrees are compared first, then every
+    edge: a bijection keeping every edge is an automorphism."""
+    degrees = pattern.degrees()
+    edges = pattern.sorted_edges()
+    classes: list[list] = []
+    for x, y in edges:
+        for first in ((x, y), (y, x)):
+            order = _order(pattern, first)
+            for cls in classes:
+                rep = cls[0]
+                image = dict(zip(rep, order))
+                if (all(degrees[a] == degrees[b] for a, b in zip(rep, order))
+                        and all(pattern.has_edge(image[a], image[b]) for a, b in edges)):
+                    cls[1] += 1
+                    break
+            else:
+                classes.append([order, 1])
+    return tuple((order, size) for order, size in classes)
+
+
 def _starts(pattern: PatternGraph, host: HostGraph, edge: Optional[tuple[int, int]] = None):
-    """Search starts ``(order, pinned)``: one free start, or with ``edge`` one
-    per pattern edge and orientation, its endpoints pinned to the host edge.
+    """Search starts ``(order, pinned, size)``: one free start, or with
+    ``edge`` one per class of ``_start_classes``, the first two vertices of
+    its order pinned to u and v.
+
     A copy's image contains the host edge through exactly one pattern edge in
-    exactly one orientation, so these starts find each such copy once."""
+    exactly one orientation, so the 2 e(H) pinned starts, one per ordered
+    pattern edge (a, b) with a on u and b on v, find each such copy once.
+    The orientation (v, u) of the pattern edge (a, b) is the start (b, a): a
+    plan depends only on which vertices are pinned, and ``_order`` only on
+    the set of them.  Starts in one class have, position by position, the
+    same back-neighbours, degrees, run and heads, so the same candidates,
+    counts and nodes: ``_embed`` searches the representative and counts it
+    ``size`` times."""
     if edge is None:
-        return [(_order(pattern, ()), {})]
+        return [(_order(pattern, ()), {}, 1)]
     u, v = edge
     if not host.has_edge(u, v):
         raise ValidationError(f"edge ({u},{v}) not in host graph")
-    return [
-        (_order(pattern, (x, y)), {x: a, y: b})
-        for x, y in pattern.sorted_edges()
-        for a, b in ((u, v), (v, u))
-    ]
+    return [(order, {order[0]: u, order[1]: v}, size)
+            for order, size in _start_classes(pattern)]
 
 
 def _embed(
     pattern: PatternGraph,
     host: HostGraph,
-    starts: list[tuple[Sequence[int], dict[int, int]]],
+    starts: list[tuple[Sequence[int], dict[int, int], int]],
     budget: _Budget,
     leaf: Optional[Callable[[list[int]], None]] = None,
 ) -> int:
     """Number of injective edge-preserving maps of the pattern into the host,
     summed over the starts.
 
-    Each start ``(order, pinned)`` fixes the images of the leading vertices of
-    ``order`` and backtracks over the rest in that order, following the
-    start's cached ``_plan``.  ``leaf`` is called at every embedding with the
-    images indexed by pattern vertex.  Every candidate tried costs one budget
-    node, also when the degree check rejects it.  Candidates are the
-    intersection of the neighbour sets of the placed back-neighbours' images,
-    less the other placed images, and are tried in increasing order.
+    Each start ``(order, pinned, size)`` fixes the images of the leading
+    vertices of ``order`` and backtracks over the rest in that order,
+    following the start's cached ``_plan``.  It stands for ``size`` starts
+    whose searches match it position by position (see ``_starts``): its
+    count is taken ``size`` times, and after it has run the other
+    ``size - 1`` searches' nodes are charged in one sum, so the total charged
+    is the sum over every start and the budget raises when listing each
+    would.  ``leaf`` is called at every embedding with the images indexed by
+    pattern vertex, for the representative only: the other searches find
+    its embeddings composed with an automorphism, which cover the same host
+    edges.  Every candidate tried costs one budget node, also when the
+    degree check rejects it.  Candidates are the intersection of the
+    neighbour sets of the placed back-neighbours' images, less the other
+    placed images, and are tried in increasing order.
 
     Without ``leaf`` the plan's trailing run of pairwise non-adjacent
     vertices is counted rather than listed.  Every pattern neighbour of a run
@@ -272,18 +316,21 @@ def _embed(
 
     total = 0
     try:
-        for order, pinned_images in starts:
+        for order, pinned_images, size in starts:
             for v, w in pinned_images.items():
                 images[v] = w
             steps, run, before, heads, twin = _plan(pattern, tuple(order), len(pinned_images))
             if leaf is not None:  # list every position
                 run, twin = len(steps) + 1, False
+            remaining = budget.remaining
             if not steps:  # every vertex pinned
-                total += 1
+                found = 1
                 if leaf is not None:
                     leaf(images)
             else:
-                total += counted(None, [None]) if run == 0 else descend(0)
+                found = counted(None, [None]) if run == 0 else descend(0)
+            total += size * found
+            budget.spend((size - 1) * (remaining - budget.remaining))
     finally:
         # ``descend`` reaches itself through its closure cell.  Emptying the
         # cell frees the closures, and the host rows they hold, on return

@@ -302,8 +302,10 @@ class CoreConfig:
     c_bar_star: Optional[float] = None
 
     def __post_init__(self):
-        if self.delta <= 0 or self.epsilon <= 0:
-            raise ValidationError("delta and epsilon must be positive")
+        for name in ("delta", "epsilon", "c_bar", "c_bar_star"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
 
     def resolved_c_bar(self) -> float:
         return self.c_bar if self.c_bar is not None else 4.0 / self.delta
@@ -365,7 +367,8 @@ def _prune_to_threshold(
 
 def _edges_at_endpoints(graph: HostGraph, edge: Edge) -> list[Edge]:
     """Every edge meeting u or v: the edges that share a star with uv."""
-    return [(min(x, w), max(x, w)) for x in edge for w in graph.neighbors(x)]
+    rows = graph.adjacency_rows()
+    return [(x, w) if x < w else (w, x) for x in edge for w in rows[x]]
 
 
 def extract_core(
@@ -385,6 +388,8 @@ def extract_core(
     """
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}")
     from .graphs import max_degree as _max_degree
 
     c_bar = cfg.resolved_c_bar()
@@ -444,6 +449,8 @@ def extract_strong_core(
     (delta epsilon / C*) (n^(1+1/r) p)^(r-1)."""
     if not 0 < p < 1:
         raise ValidationError("p must lie in (0, 1)")
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}")
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
     c_star = cfg.resolved_c_bar_star(r)

@@ -269,6 +269,7 @@ BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
 NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text, also read as a config
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
 CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", "4", "--p", "0.3"]
+CORE_K3 = ["core", "--graph", GRAPH, "--pattern", "clique:3", "--epsilon", "0.5", "--p", "0.5"]
 RATE = ["rate", "--pattern", "star:2", "--delta", "1"]
 CONDITIONED = ["experiment", "conditioned", "--pattern", "star:2", "--n", "40", "--p", "0.05",
                "--delta", "1"]
@@ -297,6 +298,17 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, CORE + ["--budget", "-3"]),
         (None, CORE + ["--star", "--budget", "-3"]),
         (None, CORE + ["--strong", "--budget", "-3"]),
+        (None, CORE_K3 + ["--delta", "1", "--n", "0"]),
+        (None, CORE_K3 + ["--delta", "1", "--n", "0", "--star"]),
+        (None, CORE + ["--star", "--n", "0"]),
+        (None, CORE + ["--strong", "--n", "0"]),
+        (None, CORE_K3 + ["--delta", "1", "--n=-3"]),
+        (None, CORE_K3 + ["--delta", "inf", "--n", "4"]),
+        (None, CORE_K3 + ["--delta", "nan", "--n", "4"]),
+        (None, CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar", "0"]),
+        (None, CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar=-1"]),
+        (None, CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar", "nan"]),
+        (None, CORE + ["--star", "--strong", "--c-bar-star", "0"]),
         (None, ["meanfield", "--r", "2", "--n", "40", "--p", "0.05", "--delta", "nan"]),
         (None, RATE[:-1] + ["nan"]),
         (None, RATE[:-1] + ["inf"]),
@@ -334,7 +346,10 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
          "edge-not-integers", "edge-out-of-range", "conditioned-samples-0",
          "count-budget-negative", "core-budget-negative", "core-star-budget-negative",
-         "core-strong-budget-negative", "meanfield-delta-nan", "rate-delta-nan",
+         "core-strong-budget-negative", "core-n-0", "core-clique-star-n-0", "core-star-n-0",
+         "core-strong-n-0", "core-n-negative", "core-delta-inf", "core-delta-nan",
+         "core-c-bar-0", "core-c-bar-negative", "core-c-bar-nan", "core-strong-c-bar-star-0",
+         "meanfield-delta-nan", "rate-delta-nan",
          "rate-delta-inf", "rate-slack-nan", "rate-n-without-p", "rate-p-without-n",
          "direct-threads-0", "poisson-threads-negative", "threads-env-0", "threads-config-0",
          "conditioned-p-above-1", "conditioned-min-accepted-negative", "planting-size-negative",

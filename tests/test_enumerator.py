@@ -29,6 +29,7 @@ from uppertail.counting import (
     _copy_edge_sets,
     _order,
     _plan,
+    _start_classes,
     automorphism_count,
     count_labelled,
     count_labelled_using_edge,
@@ -37,12 +38,14 @@ from uppertail.counting import (
 )
 from uppertail.errors import ResourceBudgetError, ValidationError
 from uppertail.graphs import (
+    PATTERN_VERTEX_CAP,
     HostGraph,
     PatternGraph,
     biclique,
     clique,
     cycle,
     path,
+    pattern_from_shorthand,
     star,
 )
 from conftest import seeded_hosts
@@ -440,6 +443,68 @@ def test_twin_counts_match_dense_codegree_sums():
     k23 = int((codegree * (codegree - 1) * (codegree - 2)).sum())
     assert count_labelled(cycle(4), host) == c4 > 0
     assert count_labelled(biclique(2, 3), host) == k23 > 0
+
+
+# The valid pattern specs test_cli.py draws; star:12 has 13 vertices, over the cap.
+CLI_SPECS = ["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4", "clique:3",
+             "biclique:1,2", "star:10", "star:11", "star:12", "path:12", "clique:7", "biclique:4,4"]
+
+
+def _maps_by_automorphism(pattern, order, other) -> bool:
+    """Whether order[i] -> other[i] for every position i is an automorphism."""
+    every = list(range(pattern.vertex_count))
+    if sorted(order) != every or sorted(other) != every:
+        return False
+    image = dict(zip(order, other))
+    mapped = {frozenset((image[x], image[y])) for x, y in pattern.edges}
+    return mapped == {frozenset(e) for e in pattern.edges}
+
+
+def test_start_classes_partition_the_pinned_starts():
+    patterns = dict(PATTERNS)
+    for spec in CLI_SPECS:
+        pattern = pattern_from_shorthand(spec)
+        if pattern.vertex_count <= PATTERN_VERTEX_CAP:
+            patterns[spec] = pattern
+    assert "star:11" in patterns and "star:12" not in patterns
+    for name, pattern in patterns.items():
+        classes = _start_classes(pattern)
+        assert sum(size for _, size in classes) == 2 * pattern.edge_count, name
+        # Every pinned start maps onto exactly one representative, so the
+        # representatives are pairwise inequivalent and each class is whole.
+        members = dict.fromkeys((order for order, _ in classes), 0)
+        for x, y in pattern.sorted_edges():
+            for first in ((x, y), (y, x)):
+                order = _order(pattern, first)
+                reps = [rep for rep, _ in classes if _maps_by_automorphism(pattern, rep, order)]
+                assert len(reps) == 1, (name, first)
+                members[reps[0]] += 1
+        assert members == dict(classes), name
+
+
+def test_start_class_sizes():
+    # One search per edge for cliques; C4's (1, 0, 2, 3) order does not
+    # correspond to (0, 1, 2, 3) though both pin an edge of one Aut-orbit.
+    sizes = {"clique:3": (6,), "clique:4": (12,), "cycle:4": (4, 4), "path:4": (2, 2, 1, 1),
+             "star:3": (3, 3)}
+    for name, want in sizes.items():
+        assert tuple(size for _, size in _start_classes(PATTERNS[name])) == want, name
+
+
+@pytest.mark.parametrize("name", ["clique:3", "cycle:4"])
+def test_pinned_counts_on_a_relabelled_core_host(spent, name):
+    # A triangle-core host: G(60, 212 edges) with its vertices relabelled.
+    rng = random.Random(19)
+    n, base = 60, set()
+    while len(base) < 212:
+        base.add(tuple(sorted(rng.sample(range(n), 2))))
+    label = list(range(n))
+    rng.shuffle(label)
+    host = HostGraph(n, [(label[u], label[v]) for u, v in base])
+    pattern = PATTERNS[name]
+    for e in host.edges():
+        got = count_labelled_using_edge(pattern, host, e)
+        assert (got, spent()) == oracle(lambda b: oracle_count_using_edge(pattern, host, e, b))
 
 
 def test_cached_plans_survive_equal_patterns_and_mutated_orders():

@@ -227,6 +227,17 @@ def test_stability_peel_cliques_meet_hypothesis():
 def test_core_config_validation():
     with pytest.raises(ValidationError):
         CoreConfig(delta=0.0, epsilon=0.1)
+    # NaN and inf pass a "<= 0" test; every constant must be finite and positive.
+    for bad in (math.nan, math.inf, -1.0, 0.0):
+        for name in ("delta", "epsilon", "c_bar", "c_bar_star"):
+            kwargs = {"delta": 1.0, "epsilon": 0.1, name: bad}
+            with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+                CoreConfig(**kwargs)
+    for run in (lambda n: extract_core(HostGraph.complete(3), path(3), CoreConfig(1.0, 0.1), n, 0.3),
+                lambda n: extract_strong_core(HostGraph.complete(3), 2, CoreConfig(1.0, 0.1), n, 0.3)):
+        for n in (0, -3):
+            with pytest.raises(ValidationError, match="n must be at least 1"):
+                run(n)
     cfg = CoreConfig(delta=2.0, epsilon=0.1)
     assert cfg.resolved_c_bar() == pytest.approx(2.0)
     assert CoreConfig(delta=2.0, epsilon=0.1, c_bar=7.0).resolved_c_bar() == 7.0
