@@ -232,12 +232,14 @@ def _cmd_detect(args, started) -> int:
 def _cmd_core(args, started) -> int:
     host = _load_graph(args.graph)
     pattern = pattern_from_shorthand(args.pattern)
-    arms = star_arms(pattern) if args.star else None
+    r = star_arms(pattern)
+    if (args.star or args.strong) and r is None:
+        raise ValidationError("--star and --strong are star-specific; pattern must be a star")
     cfg = structures.CoreConfig(
         delta=args.delta,
         epsilon=args.epsilon,
         c_bar=args.c_bar,
-        star_arms=arms,
+        star_arms=r if args.star else None,
         c_bar_star=args.c_bar_star,
     )
     inputs = _echo(args, "graph pattern delta epsilon n p strong star budget",
@@ -245,9 +247,6 @@ def _cmd_core(args, started) -> int:
     if args.budget is not None and args.budget < 0:  # the star paths count in closed form
         raise ValidationError(f"counting budget must be nonnegative, got {args.budget}")
     if args.strong:
-        r = star_arms(pattern)
-        if r is None:
-            raise ValidationError("strong cores are star-specific; pattern must be a star")
         result_obj = structures.extract_strong_core(host, r, cfg, args.n, args.p)
         inputs["c_bar_star"] = cfg.resolved_c_bar_star(r)
     else:
@@ -521,6 +520,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: an input overflowed float arithmetic ({exc})", file=sys.stderr)
         return 2
 
 

@@ -30,7 +30,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
@@ -393,104 +392,6 @@ def star_count_exact(r: int, host: HostGraph) -> int:
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
     return sum(math.perm(d, r) for d in host.degrees())
-
-
-def conditional_expected_count(
-    pattern: PatternGraph,
-    n: int,
-    p: float,
-    planted: Optional[HostGraph] = None,
-    budget: Optional[int] = None,
-) -> float:
-    """Expected labelled count conditioned on a planted subgraph being present.
-
-    Sums p^(number of pattern edges falling outside the planted graph) over
-    all injective placements; exact enumeration, so only for small n.
-    """
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
-    if planted is not None and planted.vertex_count != n:
-        raise ValidationError("planted graph must have n vertices")
-    v = pattern.vertex_count
-    if v > n:
-        return 0.0
-    injections = math.perm(n, v)
-    limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    if injections > limit:
-        raise ResourceBudgetError(
-            f"conditional expectation enumeration needs {injections} placements, "
-            f"over the budget of {limit}"
-        )
-    edge_list = pattern.sorted_edges()
-    histogram = [0] * (len(edge_list) + 1)
-    for image in itertools.permutations(range(n), v):
-        missing = 0
-        if planted is not None:
-            for x, y in edge_list:
-                if not planted.has_edge(image[x], image[y]):
-                    missing += 1
-        else:
-            missing = len(edge_list)
-        histogram[missing] += 1
-    return float(sum(cnt * p**k for k, cnt in enumerate(histogram) if cnt))
-
-
-@dataclass(frozen=True)
-class PlantedSearchResult:
-    value: float
-    witness: HostGraph
-    family: str  # "hub", "clique", or "empty"
-    size: int
-
-
-def _hub_host(n: int, m: int) -> HostGraph:
-    return HostGraph(n, [(i, j) for i in range(m) for j in range(m, n)])
-
-
-def _clique_host(n: int, m: int) -> HostGraph:
-    return HostGraph(n, itertools.combinations(range(m), 2))
-
-
-def phi_planted_search(
-    pattern: PatternGraph,
-    n: int,
-    p: float,
-    delta: float,
-    budget: Optional[int] = None,
-) -> PlantedSearchResult:
-    """Cheapest planting among hubs K_{m,n-m} and cliques K_m whose
-    conditional expected count clears (1 + delta) times the unconditioned one.
-
-    Both families are scanned over all sizes (hub edge sets are not nested in
-    m, so no bisection); plantings already costing more than the best
-    feasible value found so far are skipped.  The result is an upper bound on
-    the planted variational value, not claimed optimal.
-    """
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if delta < 0:
-        raise ValidationError("delta must be nonnegative")
-    base = conditional_expected_count(pattern, n, p, None, budget)
-    target = (1 + delta) * base
-    if delta == 0:
-        return PlantedSearchResult(0.0, HostGraph.empty(n), "empty", 0)
-
-    log_inv_p = math.log(1 / p)
-    best: Optional[PlantedSearchResult] = None
-    for family, builder, sizes in (
-        ("hub", _hub_host, range(1, n)),
-        ("clique", _clique_host, range(2, n + 1)),
-    ):
-        for m in sizes:
-            witness = builder(n, m)
-            value = witness.edge_count * log_inv_p
-            if best is not None and value >= best.value:
-                continue
-            if conditional_expected_count(pattern, n, p, witness, budget) >= target:
-                best = PlantedSearchResult(value, witness, family, m)
-    if best is None:
-        raise ValidationError("constraint unsatisfiable even at the complete graph")
-    return best
 
 
 def _copy_edge_sets(

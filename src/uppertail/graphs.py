@@ -139,10 +139,6 @@ class HostGraph:
         self._edge_count = sum(map(len, adj)) // 2  # repeated edges count once
 
     @classmethod
-    def empty(cls, n: int) -> "HostGraph":
-        return cls(n, ())
-
-    @classmethod
     def complete(cls, n: int) -> "HostGraph":
         return cls(n, itertools.combinations(range(n), 2))
 

@@ -1,11 +1,11 @@
-"""Naive mean-field objects for the star upper tail.
+"""Naive mean-field objects for the upper tail.
 
 A product Bernoulli law on edges is summarized by its matrix of edge
-probabilities.  The relative-entropy cost of tilting the background
-probability p to a matrix xi, the exact expected star count under xi, the
-planted near-optimizer (full hub rows plus one partially boosted row), and a
-restricted variational upper bound all live here, along with an exact
-variance formula for 2-armed stars used as a Monte Carlo oracle.
+probabilities.  The relative-entropy cost of tilting p to a matrix xi, the
+exact expected count of any pattern (of stars in closed form) under xi, the
+planted star near-optimizer, a restricted variational bound for stars and
+the planted hub-or-clique scan live here, along with an exact 2-star
+variance used as a Monte Carlo oracle.
 
 A matrix is stored by blocks: a few vertex classes and one probability per
 pair of classes.  Its cost, expected edge and star counts and likelihood
@@ -15,6 +15,7 @@ feasible; ``to_dense`` gives the explicit array for small n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
+from .graphs import PATTERN_VERTEX_CAP, PatternGraph
 
 DENSE_LIMIT = 4000
 
@@ -237,6 +239,34 @@ def _star_count(n: int, sizes: list, probs: list, r: int) -> float:
     return math.factorial(r) * total
 
 
+def expected_count_inhom(xi: EdgeProbabilityMatrix, pattern: PatternGraph) -> float:
+    """Exact expected labelled count of ``pattern`` under the product law.
+
+    Sums over the maps s from the pattern's vertices to xi's classes: s
+    carries prod_c (size_c)_(|s^-1(c)|) injections, each present with the
+    product of the class-pair probabilities of the pattern's edges.  The
+    integer weights are kept per exponent vector of xi's distinct
+    probabilities and summed in increasing exponent order, so under a 0/1
+    planting over p this is sum_k c_k p^k, with c_k the injections that
+    put k pattern edges off the planting.
+    """
+    if pattern.vertex_count > PATTERN_VERTEX_CAP:
+        raise ValidationError("pattern too large")
+    probs = xi.probs.tolist()
+    levels = sorted({q for row in probs for q in row})
+    index = [[levels.index(q) for q in row] for row in probs]
+    weights: dict = {}
+    for s in itertools.product(range(len(xi.sizes)), repeat=pattern.vertex_count):
+        weight = math.prod(math.perm(size, s.count(c)) for c, size in enumerate(xi.sizes))
+        if weight:
+            powers = [0] * len(levels)
+            for x, y in pattern.edges:
+                powers[index[s[x]][s[y]]] += 1
+            key = tuple(powers)
+            weights[key] = weights.get(key, 0) + weight
+    return float(sum(weights[key] * math.prod(map(pow, levels, key)) for key in sorted(weights)))
+
+
 @dataclass(frozen=True)
 class PlantedOptimizer:
     matrix: EdgeProbabilityMatrix
@@ -359,6 +389,48 @@ def variational_upper_bound(n: int, p: float, r: int, delta: float) -> Variation
         k += 1
     if best is None:
         raise ValidationError("constraint infeasible even with every row at one")
+    return best
+
+
+@dataclass(frozen=True)
+class PlantedSearchResult:
+    value: float
+    witness: EdgeProbabilityMatrix
+    family: str  # "hub", "clique", or "empty"
+    size: int
+
+
+def phi_planted_search(pattern: PatternGraph, n: int, p: float, delta: float) -> PlantedSearchResult:
+    """Cheapest planting among hubs K_{m,n-m} and cliques K_m, as block
+    matrices at 1 on the planting and p elsewhere, whose expected count
+    clears (1 + delta) times the unconditioned one.
+
+    Both families are scanned over all sizes (hub edge sets are not nested
+    in m, so no bisection), skipping plantings whose cost e log(1/p) is not
+    below the best feasible one.  The result is an upper bound on the
+    planted variational value, not claimed optimal.
+    """
+    if not 0 < p < 1:
+        raise ValidationError("p must lie in (0, 1)")
+    if delta < 0:
+        raise ValidationError("delta must be nonnegative")
+    if delta == 0:
+        return PlantedSearchResult(0.0, EdgeProbabilityMatrix.constant(n, p), "empty", 0)
+    target = (1 + delta) * expected_count_inhom(EdgeProbabilityMatrix.constant(n, p), pattern)
+    best: Optional[PlantedSearchResult] = None
+    for family, probs, sizes in (
+        ("hub", [[p, 1.0], [1.0, p]], range(1, n)),
+        ("clique", [[1.0, p], [p, p]], range(2, n + 1)),
+    ):
+        for m in sizes:
+            witness = EdgeProbabilityMatrix(n, [range(m)], probs)
+            value = total_cost(witness, p)
+            if best is not None and value >= best.value:
+                continue
+            if expected_count_inhom(witness, pattern) >= target:
+                best = PlantedSearchResult(value, witness, family, m)
+    if best is None:
+        raise ValidationError("constraint unsatisfiable even at the complete graph")
     return best
 
 

@@ -496,10 +496,10 @@ def estimate_tail_importance(
         raise ValidationError("p must lie in (0, 1)")
     if proposal.n != n:
         raise ValidationError(f"the proposal has {proposal.n} vertices, not n = {n}")
+    counter = _BatchCounter(pattern, n)  # refuses too many pairs before levels() sizes arrays by n
     if not all(0 < q < 1 for q, _, _ in proposal.levels()):
         raise ValidationError("proposal probabilities must lie in (0, 1) for an unbiased estimator")
     slope, offset = proposal.log_likelihood_ratio(p)
-    counter = _BatchCounter(pattern, n)
 
     def worker(replica: int, m: int) -> tuple[float, float, float, float, int]:
         weights, tails = [], []

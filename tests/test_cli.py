@@ -225,6 +225,16 @@ def test_budget_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("method", ["direct", "importance"])
+def test_sampled_tail_refuses_a_huge_n_before_sizing_arrays(capsys, method):
+    # The pair limit is checked before the proposal's per-vertex arrays exist.
+    code = main(["tail", "--pattern", "star:2", "--n", str(10**400), "--p", "0.5",
+                 "--threshold", "3", "--method", method, "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource error:") and captured.err.count("\n") == 1
+
+
 def test_config_file_and_env(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("# defaults\nsamples = 5000\nseed = 4\n")
@@ -275,6 +285,7 @@ CONDITIONED = ["experiment", "conditioned", "--pattern", "star:2", "--n", "40", 
                "--delta", "1"]
 POISSON_N8 = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "8", "--p", "0.3"]
 DETECT = ["detect", "--graph", GRAPH, "--event"]
+HUGE_N = str(10**400)  # a 401-digit n: n^v overflows a float
 IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", "8",
               "--method", "importance", "--samples", "100", "--planting"]
 
@@ -341,6 +352,16 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, CONDITIONED[:-1] + ["1e308"]),
         (None, ["analyze-pattern", "star:99"]),
         (None, RATE[:2] + ["star:40"] + RATE[3:] + ["--n", "1000", "--p", "0.01"]),
+        (None, CORE_K3 + ["--delta", "1", "--n", HUGE_N]),
+        (None, CORE[:8] + [HUGE_N] + CORE[9:] + ["--star"]),
+        (None, CORE[:8] + [HUGE_N] + CORE[9:] + ["--strong"]),
+        (None, RATE[:2] + ["path:4"] + RATE[3:] + ["--n", HUGE_N, "--p", "0.5"]),
+        (None, RATE + ["--n", HUGE_N, "--p", "0.5"]),
+        (None, DETECT + ["highdeg", "--n", HUGE_N, "--p", "0.5", "--delta", "1", "--r", "2"]),
+        (None, ["meanfield", "--r", "2", "--n", HUGE_N, "--p", "0.05", "--delta", "1"]),
+        (None, CONDITIONED[:5] + [HUGE_N] + CONDITIONED[6:] + ["--samples", "10"]),
+        (None, POISSON_N8[:5] + [HUGE_N] + POISSON_N8[6:] + ["--samples", "10"]),
+        (None, CORE_K3 + ["--delta", "1", "--n", "4", "--star"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -357,7 +378,10 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "conditioned-threads-0", "detect-highdeg-nan", "detect-hub-degree-nan",
          "detect-hub-edge-inf", "detect-tildehub-nan", "graph-header-not-integer",
          "graph-not-utf8", "config-not-utf8", "exact-n-negative", "direct-n-0",
-         "tail-delta-1e308", "conditioned-delta-1e308", "analyze-star-99", "rate-star-40"],
+         "tail-delta-1e308", "conditioned-delta-1e308", "analyze-star-99", "rate-star-40",
+         "core-huge-n", "core-star-huge-n", "core-strong-huge-n", "rate-path-huge-n",
+         "rate-star-huge-n", "detect-highdeg-huge-n", "meanfield-huge-n",
+         "conditioned-huge-n", "poisson-huge-n", "core-clique-star"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
@@ -383,6 +407,8 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
         assert "delta = 1e+308" in captured.err
     if "star:99" in argv or "star:40" in argv:
         assert captured.err == "error: pattern too large\n"
+    if HUGE_N in argv:
+        assert captured.err.startswith("error: an input overflowed float arithmetic")
 
 
 @pytest.mark.parametrize("error, message", [
@@ -504,7 +530,8 @@ def test_count_and_core_keep_the_cli_contract(tmp_path_factory, command, graph, 
 
 
 # Most drawn values are valid, so that most examples get past parsing; the
-# rest are nan, inf, -inf, 0 or negative.  Numbers print with repr, and the
+# rest are nan, inf, -inf, 0 or negative, and a size may also have 401
+# digits, so that n^v overflows a float.  Numbers print with repr, and the
 # --name=value form passes negative values to argparse as values.
 BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
 
@@ -516,7 +543,7 @@ def _mostly(valid, bad):
 
 FLOATS = _mostly(st.floats(0.05, 3.0), BAD_NUMBERS)
 PROBS = _mostly(st.floats(0.05, 0.95), st.one_of(BAD_NUMBERS, st.sampled_from([1.0, 1.3])))
-SIZES = _mostly(st.integers(3, 8), st.integers(-1, 2))
+SIZES = _mostly(st.integers(3, 8), st.one_of(st.integers(-1, 2), st.just(10**400)))
 COUNTS = _mostly(st.integers(1, 200), st.integers(-1, 0))
 THREADS = _mostly(st.integers(1, 4), st.integers(-1, 0))
 SPECS = _mostly(st.sampled_from(["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4",

@@ -160,7 +160,7 @@ def test_host_graph_basics():
 
 
 def test_validate_vertex_set():
-    g = HostGraph.empty(4)
+    g = HostGraph(4, ())
     assert validate_vertex_set(g, [2, 0]) == (2, 0)
     with pytest.raises(ValidationError):
         validate_vertex_set(g, [0, 4])
@@ -281,7 +281,7 @@ def test_host_from_integer_array_matches_pairs():
             assert host == HostGraph(n, edges.tolist())
             assert host.edge_count == HostGraph(n, edges.tolist()).edge_count
             assert all(type(v) is int for row in host.adjacency_rows() for v in row)
-    assert HostGraph(3, np.empty((0, 2), dtype=np.int64)) == HostGraph.empty(3)
+    assert HostGraph(3, np.empty((0, 2), dtype=np.int64)) == HostGraph(3, ())
     # The first bad row raises what the pair path raises for it.
     for bad in ([[0, 1], [2, 2], [0, 9]], [[0, 1], [-1, 0], [1, 1]], [[3, 1]], [[1, 3]]):
         with pytest.raises(ValidationError) as want:

@@ -6,14 +6,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from uppertail.counting import count_labelled
 from uppertail.errors import ValidationError
+from uppertail.graphs import HostGraph, PatternGraph, biclique, clique, cycle, path, star
 from uppertail.meanfield import (
     EdgeProbabilityMatrix,
     VariationalBound,
     _planted_star_count,
     bernoulli_relative_entropy,
     exact_star2_variance,
+    expected_count_inhom,
     expected_star_count_inhom,
+    phi_planted_search,
     planted_star_optimizer,
     total_cost,
     variance_ratio_estimate,
@@ -389,3 +393,138 @@ def test_log_likelihood_ratio_matches_dense():
     # n = 1 has no pairs, so no levels and a ratio of 1.
     slope, offset = EdgeProbabilityMatrix.planting("highdeg", 1, p).log_likelihood_ratio(p)
     assert slope.shape == (0,) and offset == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Expected counts of any pattern, and the planted hub-or-clique scan
+# ---------------------------------------------------------------------------
+
+def _injection_histogram(pattern, n, planted=None):
+    """c_k: the injections of the pattern's vertices into n vertices that put
+    k pattern edges off the ``planted`` host graph (all of them without one)."""
+    edge_list = pattern.sorted_edges()
+    histogram = [0] * (len(edge_list) + 1)
+    for image in itertools.permutations(range(n), pattern.vertex_count):
+        missing = len(edge_list)
+        if planted is not None:
+            missing = sum(not planted.has_edge(image[x], image[y]) for x, y in edge_list)
+        histogram[missing] += 1
+    return histogram
+
+
+def injection_walk(pattern, n, p, planted=None):
+    """The expected labelled count with ``planted`` present and every other
+    pair at p, as sum_k c_k p^k over all n!/(n-v)! injections: the oracle for
+    ``expected_count_inhom`` under 0/1 plantings."""
+    histogram = _injection_histogram(pattern, n, planted)
+    return float(sum(cnt * p**k for k, cnt in enumerate(histogram) if cnt))
+
+
+def _hub_host(n, m):
+    return HostGraph(n, [(i, j) for i in range(m) for j in range(m, n)])
+
+
+def _clique_host(n, m):
+    return HostGraph(n, itertools.combinations(range(m), 2))
+
+
+def _planting(family, n, m, p):
+    """The block matrix of the hub K_{m,n-m} or clique K_m on the first m
+    vertices at 1, every other pair at p."""
+    probs = [[p, 1.0], [1.0, p]] if family == "hub" else [[1.0, p], [p, p]]
+    return EdgeProbabilityMatrix(n, [range(m)], probs)
+
+
+GRID_PATTERNS = {"P3": path(3), "P4": path(4), "K12": star(2), "K13": star(3), "K3": clique(3),
+                 "C4": cycle(4), "K23": biclique(2, 3)}
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("name", sorted(GRID_PATTERNS))
+def test_expected_count_inhom_equals_the_injection_walk(name, n):
+    # Bit-for-bit: the class sum adds the same terms c_k p^k in the same order.
+    pattern = GRID_PATTERNS[name]
+    plantings = [("hub", m, _hub_host(n, m)) for m in range(1, n)]
+    plantings += [("clique", m, _clique_host(n, m)) for m in range(2, n + 1)]
+    for family, m, host in [("constant", 0, None)] + plantings:
+        histogram = _injection_histogram(pattern, n, host)
+        for p in (0.1, 0.3, 0.6):
+            want = float(sum(cnt * p**k for k, cnt in enumerate(histogram) if cnt))
+            xi = EdgeProbabilityMatrix.constant(n, p) if host is None else _planting(family, n, m, p)
+            assert expected_count_inhom(xi, pattern) == want, (family, m, p)
+
+
+def test_expected_count_inhom_examples():
+    edge = PatternGraph(2, [(0, 1)])
+    p = 0.37
+    assert expected_count_inhom(EdgeProbabilityMatrix.constant(3, p), edge) == pytest.approx(6 * p, abs=1e-12)
+    # a planted edge {0, 1} is a clique class of two at 1
+    planted = EdgeProbabilityMatrix(3, [range(2)], [[1.0, p], [p, p]])
+    assert expected_count_inhom(planted, edge) == pytest.approx(2 + 4 * p, abs=1e-12)
+    # p = 1 recovers the complete-graph count
+    for pattern in (clique(3), path(3)):
+        full = count_labelled(pattern, HostGraph.complete(5))
+        assert expected_count_inhom(EdgeProbabilityMatrix.constant(5, 1.0), pattern) == full
+    # more vertices than n: no injection
+    assert expected_count_inhom(EdgeProbabilityMatrix.constant(3, p), path(4)) == 0.0
+    # the class sum does not walk the n!/(n-v)! injections
+    n = 10**6
+    assert expected_count_inhom(EdgeProbabilityMatrix.constant(n, p), path(4)) == math.perm(n, 4) * p**3
+    with pytest.raises(ValidationError, match="pattern too large"):
+        expected_count_inhom(EdgeProbabilityMatrix.constant(20, p), star(12))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_expected_count_inhom_matches_the_star_closed_form(r):
+    n, p = 30, 0.15
+    matrices = [EdgeProbabilityMatrix.planted(n, p, hubs=hubs, boosted=boosted, boosted_value=x)
+                for hubs in ((), (1,), (1, 2, 3)) for boosted, x in ((None, None), (0, 0.55))]
+    matrices += [EdgeProbabilityMatrix.planting(f"hub:{k}:{q}", n, p)
+                 for k in (1, 2, 5) for q in (0.15, 0.4, 0.9)]
+    for xi in matrices:
+        want = expected_star_count_inhom(xi, r)
+        assert expected_count_inhom(xi, star(r)) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_phi_planted_search():
+    res = phi_planted_search(star(2), 20, 0.3, 1.0)
+    assert res.family == "hub"
+    assert res.value == pytest.approx(res.size * (20 - res.size) * math.log(1 / 0.3))
+    assert res.value == total_cost(res.witness, 0.3)
+    # the witness satisfies the constraint, by the injection walk too
+    base = injection_walk(star(2), 20, 0.3)
+    assert injection_walk(star(2), 20, 0.3, _hub_host(20, res.size)) >= 2.0 * base
+    assert expected_count_inhom(res.witness, star(2)) >= 2.0 * base
+
+    res0 = phi_planted_search(star(2), 10, 0.3, 0.0)
+    assert (res0.value, res0.family, res0.size) == (0.0, "empty", 0)
+    assert res0.witness.expected_edges() == pytest.approx(45 * 0.3)
+
+    res3 = phi_planted_search(clique(3), 12, 0.4, 2.0)
+    assert res3.family in ("hub", "clique")
+    host = (_hub_host if res3.family == "hub" else _clique_host)(12, res3.size)
+    assert injection_walk(clique(3), 12, 0.4, host) >= 3.0 * injection_walk(clique(3), 12, 0.4)
+
+    # n = 160 was over the injection walk's budget: perm(160, 4) = 6.3e8
+    n = 160
+    res4 = phi_planted_search(path(4), n, n**-0.7, 1.0)
+    assert res4.family in ("hub", "clique") and res4.value > 0
+    base4 = expected_count_inhom(EdgeProbabilityMatrix.constant(n, n**-0.7), path(4))
+    assert expected_count_inhom(res4.witness, path(4)) >= 2.0 * base4
+
+
+def test_expected_count_inhom_monte_carlo_crosscheck():
+    from uppertail.montecarlo import sample_gnp
+
+    n, p = 8, 0.3
+    planted = HostGraph(n, [(0, 1), (1, 2), (0, 2)])
+    # a planted triangle {0, 1, 2} is a clique class of three at 1
+    want = expected_count_inhom(_planting("clique", n, 3, p), clique(3))
+    values = []
+    for s in range(1500):
+        fresh = sample_gnp(n, p, 9000 + s)
+        merged = HostGraph(n, list(set(fresh.edges()) | set(planted.edges())))
+        values.append(count_labelled(clique(3), merged))
+    arr = np.array(values, dtype=float)
+    sem = arr.std(ddof=1) / math.sqrt(len(arr))
+    assert abs(arr.mean() - want) < 4 * sem

@@ -41,7 +41,7 @@ def test_detect_hub_examples():
     assert set(verdict.witness) == {0, 1}
     assert verify_hub(host, verdict.witness, 7, 16)
 
-    empty = HostGraph.empty(6)
+    empty = HostGraph(6, ())
     assert detect_hub(empty, 0.1, 1.0, 1.0).found == NO
 
     assert detect_hub(host, 0.1, edge_threshold=17, degree_threshold=7).found == NO
@@ -191,7 +191,7 @@ def test_extract_strong_core():
     assert (9, 10) not in kept and (11, 12) not in kept
     assert len(kept) == 8  # the hub survives: each hub edge sees 2*(8-1) = 14 stars
 
-    empty = HostGraph.empty(5)
+    empty = HostGraph(5, ())
     result = extract_strong_core(empty, 2, cfg, 5, 0.2)
     assert result.graph.edge_count == 0
 
