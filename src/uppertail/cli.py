@@ -477,14 +477,13 @@ def _apply_defaults(args: argparse.Namespace, config: dict) -> None:
     resolve("seed", int, DEFAULTS["seed"])
     resolve("samples", int, DEFAULTS["samples"])
     resolve("replicas", int, DEFAULTS["replicas"])
-    env_threads = os.environ.get("UPPERTAIL_THREADS")
-    if getattr(args, "threads", None) is None:
-        if "threads" in config:
-            args.threads = _parse_number("threads", int, config["threads"])
-        elif env_threads:
-            args.threads = _parse_number("UPPERTAIL_THREADS", int, env_threads)
-        else:
-            args.threads = 1
+    resolve("threads", int, None)
+    if getattr(args, "kind", None) == "conditioned" and (args.threads or 1) > 1:
+        # An UPPERTAIL_THREADS default is not an error, as for ``tail --method exact``.
+        raise ValidationError(f"experiment conditioned runs on one thread, got {args.threads}")
+    if args.threads is None:
+        env_threads = os.environ.get("UPPERTAIL_THREADS")
+        args.threads = _parse_number("UPPERTAIL_THREADS", int, env_threads) if env_threads else 1
     if args.threads < 1:
         raise ValidationError(f"threads must be at least 1, got {args.threads}")
 

@@ -5,7 +5,7 @@ of the pattern are unconstrained).  One enumerator finds them all: it
 backtracks over pattern vertices in a greedy connected order that maximizes
 back-degree, intersecting the host's neighbour sets, and at each embedding
 counts it or hands it to a leaf action (which is how copies are collected).
-A pattern's automorphisms are its labelled copies in itself.
+A pattern's automorphisms come from existence searches of it in itself.
 Each search start's plan (order, back-neighbours, degree needs) is built once
 per pattern and cached as immutable tuples.  Without a leaf action the
 trailing run of pairwise non-adjacent vertices is counted from pool sizes
@@ -363,13 +363,38 @@ def star_count_using_edge(r: int, host: HostGraph, edge: tuple[int, int]) -> int
     return r * math.perm(du - 1, r - 1) + r * math.perm(dv - 1, r - 1)
 
 
+class _Found(Exception):
+    """Ends an existence search at its first embedding."""
+
+
+def _stop(images: list[int]) -> None:
+    raise _Found
+
+
 def automorphism_count(pattern: PatternGraph) -> int:
-    """|Aut(H)|, as the labelled copies of H in H itself: an injective
-    edge-preserving map of H into H is a bijection that keeps e(H) edges, so
-    an automorphism.  Charged to the default node budget, like any count."""
-    if pattern.vertex_count > PATTERN_VERTEX_CAP:
+    """|Aut(H)| by orbit-stabilizer: the product over i of the orbit size of
+    i under the automorphisms fixing 0, ..., i-1.  w is in it when a search
+    of H in H with 0, ..., i-1 pinned and i on w finds an embedding (an
+    automorphism); ``_stop`` ends it there.  ``_embed`` skips edges among
+    pinned vertices, so w must first have i's pinned adjacencies and sorted
+    neighbour degrees.  At most v(v-1)/2 searches share one node budget."""
+    n = pattern.vertex_count
+    if n > PATTERN_VERTEX_CAP:
         raise ValidationError("pattern too large")
-    return count_labelled(pattern, HostGraph(pattern.vertex_count, pattern.edges))
+    host, masks = HostGraph(n, pattern.edges), [pattern.adjacency_mask(v) for v in range(n)]
+    signature = [sorted(map(pattern.degree, pattern.neighbors(v))) for v in range(n)]
+    budget, total = _Budget(None), 1
+    for i in range(n):
+        order, orbit = _order(pattern, tuple(range(i + 1))), 1
+        for w in range(i + 1, n):
+            if signature[w] == signature[i] and not (masks[i] ^ masks[w]) & ((1 << i) - 1):
+                try:
+                    _embed(pattern, host, [(order, dict(enumerate([*range(i), w])), 1)], budget,
+                           leaf=_stop)
+                except _Found:
+                    orbit += 1
+        total *= orbit
+    return total
 
 
 def unlabelled_count(pattern: PatternGraph, labelled: int) -> int:

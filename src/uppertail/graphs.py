@@ -2,13 +2,12 @@
 
 Two graph types live here.  ``PatternGraph`` is a small fixed motif (the
 graph whose copies get counted); it is capped at 12 vertices so that the
-exact passes over its vertex subsets and half-integral assignments stay
-cheap.  ``HostGraph`` is the graph being counted over; its one stored form
-is a neighbour set per vertex, which suits the sparse hosts G(n, p) gives
-for p -> 0.  Both types are immutable after construction and safe to share
-across threads; the one exception is a private working copy that core
-pruning builds and deletes edges from in place (``HostGraph._delete_edge``)
-before handing it out.
+exact passes over its vertex subsets stay cheap.  ``HostGraph`` is the graph
+being counted over; its one stored form is a neighbour set per vertex, which
+suits the sparse hosts G(n, p) gives for p -> 0.  Both types are immutable
+after construction and safe to share across threads; the one exception is a
+private working copy that core pruning builds and deletes edges from in place
+(``HostGraph._delete_edge``) before handing it out.
 
 Vertices are dense 0-based integers.  File loaders re-index arbitrary labels
 and return the mapping.
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Vertex cap for the exact subset and fractional-independence passes.
+# Vertex cap for patterns: keeps their exact subset and vertex-map passes cheap.
 PATTERN_VERTEX_CAP = 12
 
 # Edge-list body lines that ``load_edge_list`` hands numpy at a time.

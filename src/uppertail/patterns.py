@@ -20,11 +20,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .counting import automorphism_count
 from .errors import ValidationError
 from .graphs import (
+    PATTERN_VERTEX_CAP,
     HostGraph,
     PatternGraph,
     is_bipartite_with_parts,
@@ -37,7 +38,6 @@ from .graphs import (
 # The crossing family and the deficiency walk every edge subset of the pattern.
 QH_VERTEX_CAP = 10
 QH_EDGE_CAP = 15
-FRACTIONAL_VERTEX_CAP = 12
 POLY_VERTEX_CAP = 20
 
 
@@ -88,54 +88,47 @@ class QhMember:
 
 
 def fractional_independence_number(pattern: PatternGraph) -> FractionalIndependence:
-    """Exhaustive search over half-integral assignments.
-
-    Values are restricted to {0, 1/2, 1} (doubled to {0, 1, 2} internally);
-    an assignment is feasible when every edge's endpoint values sum to at
-    most 1.  Isolated vertices take value 1.
-    """
-    if pattern.vertex_count > FRACTIONAL_VERTEX_CAP:
+    """max sum x_u over 0 <= x <= 1 with x_u + x_v <= 1 on every edge.  The
+    optimum is half-integral (Nemhauser and Trotter 1975): v - nu(B)/2 for
+    the maximum matching nu(B) of the bipartite double cover B (copies u, u'
+    of each vertex; u-v' and v-u' per edge), and a Konig cover C of B gives
+    the witness x_u = 1 - |C & {u, u'}|/2.  Isolated vertices take value 1."""
+    if pattern.vertex_count > PATTERN_VERTEX_CAP:
         raise ValidationError("pattern too large")
     return FractionalIndependence(*_alpha(pattern.vertex_count, pattern.edges))
 
 
+def _augment(u: int, adjacency: list[list[int]], match: list[int], seen: list[bool]) -> bool:
+    """Kuhn's step on the double cover: an augmenting path from the left copy
+    of u, flipped into ``match`` (each right copy's left partner, or -1).
+    Every right copy it reaches is marked in ``seen``."""
+    for w in adjacency[u]:
+        if not seen[w]:
+            seen[w] = True
+            if match[w] < 0 or _augment(match[w], adjacency, match, seen):
+                match[w] = u
+                return True
+    return False
+
+
 @functools.lru_cache(maxsize=4096)
 def _alpha(n: int, edges: frozenset[tuple[int, int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    values = [0] * n  # doubled values
-    best_total = -1
-    best_assign: Optional[list[int]] = None
-
-    def extend(pos: int, total: int) -> None:
-        nonlocal best_total, best_assign
-        if total + 2 * (n - pos) <= best_total:
-            return
-        if pos == n:
-            best_total = total
-            best_assign = values.copy()
-            return
-        lower = masks[pos] & ((1 << pos) - 1)
-        cap = 2
-        m = lower
-        while m:
-            low = m & -m
-            cap = min(cap, 2 - values[low.bit_length() - 1])
-            m ^= low
-        for val in range(cap, -1, -1):
-            values[pos] = val
-            extend(pos + 1, total + val)
-        values[pos] = 0
-
-    try:
-        extend(0, 0)
-    finally:
-        # ``extend`` reaches itself through its closure cell; emptying the
-        # cell frees it on return instead of at the next cyclic collection.
-        extend = None
-    return Fraction(best_total, 2), tuple(Fraction(v, 2) for v in best_assign)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    match = [-1] * n
+    for u in range(n):
+        _augment(u, adjacency, match, [False] * n)
+    # Konig: the steps from the free left copies now fail, marking the right
+    # side of their alternating forest.  The cover is those right copies and
+    # the left copies outside the forest: not free, not a marked one's partner.
+    free, seen = set(range(n)).difference(match), [False] * n
+    for u in free:
+        _augment(u, adjacency, match, seen)
+    forest = free.union(match[w] for w in range(n) if seen[w])
+    cover = [(u not in forest) + seen[u] for u in range(n)]
+    return n - Fraction(n - len(free), 2), tuple(1 - Fraction(c, 2) for c in cover)
 
 
 def embedding_upper_bound(pattern: PatternGraph, host: HostGraph) -> int:
@@ -213,16 +206,15 @@ def independence_polynomial(pattern: PatternGraph) -> IndependencePolynomial:
     try:
         return IndependencePolynomial(poly((1 << n) - 1))
     finally:
-        poly = None  # as in ``_alpha``: break the closure's cycle through its cell
+        poly = None  # break the closure's cycle through its cell
 
 
-def _subgraph_stats(edges: tuple[tuple[int, int], ...]):
-    """Vertex list, degree map, and alpha* of the subgraph spanned by edges."""
+def _subgraph_stats(edges: tuple[tuple[int, int], ...]) -> tuple[PatternGraph, Fraction]:
+    """The subgraph spanned by edges, relabelled densely, and its alpha*."""
     verts = sorted({u for e in edges for u in e})
     index = {v: i for i, v in enumerate(verts)}
     sub = PatternGraph(len(verts), [(index[u], index[v]) for u, v in edges])
-    alpha = fractional_independence_number(sub).value
-    return verts, index, sub, alpha
+    return sub, fractional_independence_number(sub).value
 
 
 def _iter_edge_subsets(pattern: PatternGraph):
@@ -307,7 +299,7 @@ def deficiency_sigma(pattern: PatternGraph) -> Deficiency:
     for edges in _iter_edge_subsets(pattern):
         if frozenset(edges) in member_edge_sets:
             continue
-        _, _, sub, alpha = _subgraph_stats(edges)
+        sub, alpha = _subgraph_stats(edges)
         value = delta * (sub.vertex_count - alpha) - sub.edge_count
         if best is None or value < best:
             best = value
@@ -315,18 +307,6 @@ def deficiency_sigma(pattern: PatternGraph) -> Deficiency:
     if best is None:
         raise ValidationError("no subgraph outside the full-degree family (degenerate pattern)")
     return Deficiency(best, witness)
-
-
-def _alpha_with_vertex_floor(edges: Iterable[tuple[int, int]], vertex_count: int) -> Fraction:
-    """alpha* of a graph given explicitly with its vertex count; isolated
-    vertices each contribute 1."""
-    verts = sorted({u for e in edges for u in e})
-    isolated = vertex_count - len(verts)
-    if not verts:
-        return Fraction(isolated)
-    index = {v: i for i, v in enumerate(verts)}
-    sub = PatternGraph(len(verts), [(index[u], index[v]) for u, v in edges])
-    return fractional_independence_number(sub).value + isolated
 
 
 def lemma23_check(pattern: PatternGraph) -> bool:
@@ -346,7 +326,7 @@ def lemma23_check(pattern: PatternGraph) -> bool:
     member_edge_sets = {m.edges for m in members}
 
     for edges in _iter_edge_subsets(pattern):
-        _, _, sub, alpha = _subgraph_stats(edges)
+        sub, alpha = _subgraph_stats(edges)
         slack = delta * (sub.vertex_count - alpha) - sub.edge_count
         if slack < 0:
             return False
@@ -358,9 +338,10 @@ def lemma23_check(pattern: PatternGraph) -> bool:
         b_size = len(member.b_side)
         for u, v in member.edges:
             a, b = (u, v) if u in member.a_side else (v, u)
-            kept = [e for e in member.edges if a not in e and b not in e]
-            alpha_hat = _alpha_with_vertex_floor(kept, len(verts) - 2)
-            if alpha_hat != b_size - 1:
+            index = {x: i for i, x in enumerate(sorted(verts - {a, b}))}
+            kept = frozenset((index[x], index[y]) for x, y in member.edges
+                             if a not in (x, y) and b not in (x, y))
+            if _alpha(len(index), kept)[0] != b_size - 1:
                 return False
     return True
 

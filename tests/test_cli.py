@@ -275,6 +275,7 @@ POISSON = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
            "--p", str(18 ** (1 / 3) / 60)]
 GRAPH = "<graph>"  # stands for a small edge-list file written by the test
 CONFIG = "<config>"  # stands for a config file holding "threads = 0"
+THREADS_2 = "<threads-2>"  # a config file holding "threads = 2"
 BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
 NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text, also read as a config
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
@@ -338,6 +339,8 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, POISSON_N8[:-1] + ["1.5", "--samples", "10"]),
         (None, TAIL + ["--method", "exact", "--threads", "0"]),
         (None, CONDITIONED + ["--samples", "100", "--threads", "0"]),
+        (None, CONDITIONED + ["--samples", "100", "--threads", "2"]),
+        (None, ["--config", THREADS_2] + CONDITIONED + ["--samples", "100"]),
         (None, DETECT + ["highdeg", "--threshold", "nan"]),
         (None, DETECT + ["hub", "--degree-threshold", "nan", "--edge-threshold", "1"]),
         (None, DETECT + ["hub", "--degree-threshold", "1", "--edge-threshold", "inf"]),
@@ -375,7 +378,8 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "direct-threads-0", "poisson-threads-negative", "threads-env-0", "threads-config-0",
          "conditioned-p-above-1", "conditioned-min-accepted-negative", "planting-size-negative",
          "planting-size-above-n", "poisson-p-nan", "poisson-p-above-1", "exact-threads-0",
-         "conditioned-threads-0", "detect-highdeg-nan", "detect-hub-degree-nan",
+         "conditioned-threads-0", "conditioned-threads-2", "conditioned-config-threads-2",
+         "detect-highdeg-nan", "detect-hub-degree-nan",
          "detect-hub-edge-inf", "detect-tildehub-nan", "graph-header-not-integer",
          "graph-not-utf8", "config-not-utf8", "exact-n-negative", "direct-n-0",
          "tail-delta-1e308", "conditioned-delta-1e308", "analyze-star-99", "rate-star-40",
@@ -388,11 +392,14 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
     graph.write_text("n 4\n0 1\n1 2\n2 3\n")
     config = tmp_path / "threads.conf"
     config.write_text("threads = 0\n")
+    threads_2 = tmp_path / "threads_2.conf"
+    threads_2.write_text("threads = 2\n")
     bad_header = tmp_path / "bad_header.txt"
     bad_header.write_text("n abc\n0 1\n")
     not_utf8 = tmp_path / "not_utf8.txt"
     not_utf8.write_bytes(b"n 4\n0 1\n\xff\xfe 2\n")
-    files = {GRAPH: graph, CONFIG: config, BAD_HEADER: bad_header, NOT_UTF8: not_utf8}
+    files = {GRAPH: graph, CONFIG: config, THREADS_2: threads_2, BAD_HEADER: bad_header,
+             NOT_UTF8: not_utf8}
     argv = [str(files.get(arg, arg)) for arg in argv]
     if threads_env is None:
         monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
@@ -467,7 +474,7 @@ def test_rate_near_jump_only_at_positive_integers(capsys, delta, near):
 PATTERN_SPECS = st.one_of(
     st.sampled_from(["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4", "clique:3",
                      "biclique:1,2", "star:10", "star:11", "star:12", "path:12", "clique:7",
-                     "biclique:4,4"]),
+                     "biclique:4,4", "clique:10", "clique:11", "clique:12", "biclique:6,6"]),
     st.sampled_from(["star:0", "path:x", "cycle:2", "wheel:4", "", "file:/nonexistent"]),
 )
 EDGE_TEXTS = st.one_of(
@@ -548,7 +555,8 @@ COUNTS = _mostly(st.integers(1, 200), st.integers(-1, 0))
 THREADS = _mostly(st.integers(1, 4), st.integers(-1, 0))
 SPECS = _mostly(st.sampled_from(["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4",
                                  "clique:3", "star:10", "star:11", "star:12", "path:12",
-                                 "clique:7", "biclique:4,4"]), PATTERN_SPECS)
+                                 "clique:7", "biclique:4,4", "clique:10", "clique:11",
+                                 "clique:12", "biclique:6,6"]), PATTERN_SPECS)
 
 
 def _opt(name, values, required=False):
@@ -628,6 +636,19 @@ def test_direct_tail_counts_agree_across_threads(capsys):
     assert 0 < results[0]["point"] < 1
 
 
+def test_conditioned_runs_on_one_thread(capsys, monkeypatch):
+    # --threads 1 is accepted, and an UPPERTAIL_THREADS default is not an
+    # error, as for ``tail --method exact``; --threads 2 on the argv or in a
+    # config file exits 2 (see test_bad_values_exit_2_without_traceback).
+    argv = CONDITIONED + ["--samples", "2000", "--min-accepted", "1"]
+    monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
+    code, plain = run_cli(capsys, *argv, "--threads", "1")
+    assert code == 0
+    monkeypatch.setenv("UPPERTAIL_THREADS", "2")
+    code, from_env = run_cli(capsys, *argv)
+    assert code == 0 and from_env["result"] == plain["result"]
+
+
 # ---------------------------------------------------------------------------
 # One parser for every call in a process
 # ---------------------------------------------------------------------------
@@ -704,24 +725,28 @@ def test_parser_reuse_keeps_calls_apart(capsys, tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.child_process
-def test_automorphism_counts_of_stars_return_or_exit_3_at_once(tmp_path):
-    # |Aut(star:r)| = r! is counted as the labelled copies of the star in
-    # itself, charged what listing them would cost: 9,864,111 nodes for
-    # star:10 and 108,505,123 for star:11, against a budget of 5 * 10^7.
-    # The timeouts catch a search that lists the automorphisms one at a time.
-    child = _run_fresh(["analyze-pattern", "star:10"], timeout=20)
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout)["result"]["aut"] == 3628800
+def test_automorphism_counts_of_large_groups_return_at_once(tmp_path):
+    # |Aut(H)| is a product of orbit sizes, each orbit found by existence
+    # searches, so patterns with huge groups return at once: listing the
+    # copies of star:11 in itself charged 108,505,123 nodes, over the
+    # default budget of 5 * 10^7, and clique:12 has 12! copies.  The
+    # timeouts catch a count that lists the automorphisms one at a time.
     graph = tmp_path / "g.txt"
     graph.write_text("n 3\n0 1\n1 2\n")
-    for argv in (
-        ["analyze-pattern", "star:11"],
-        ["count", "--pattern", "star:11", "--graph", str(graph)],
-        ["count", "--unlabelled", "--pattern", "star:11", "--graph", str(graph)],
-        ["experiment", "poisson-fit", "--pattern", "star:11", "--n", "40", "--p", "0.05",
-         "--samples", "10"],
-    ):
-        child = _run_fresh(argv, timeout=20)
-        assert (child.returncode, child.stdout) == (3, ""), argv
-        assert child.stderr == ("resource error: counting budget of 50000000 search nodes "
-                                "exceeded: 108505123 charged so far\n"), argv
+    for spec, aut, mean in (("star:11", 39916800, "0.00205"), ("clique:12", 479001600, "4.75e-76"),
+                            ("biclique:6,6", 1036800, "2.35e-34")):
+        for argv in (
+            ["analyze-pattern", spec],
+            ["count", "--pattern", spec, "--graph", str(graph)],
+            ["count", "--unlabelled", "--pattern", spec, "--graph", str(graph)],
+        ):
+            child = _run_fresh(argv, timeout=20)
+            assert child.returncode == 0, (argv, child.stderr)
+            assert json.loads(child.stdout)["result"]["aut"] == aut, argv
+        # The Poisson fit gets past |Aut(H)| to its mean window, which the
+        # mean 40^v 0.05^e / |Aut(H)| misses.
+        child = _run_fresh(["experiment", "poisson-fit", "--pattern", spec, "--n", "40",
+                            "--p", "0.05", "--samples", "10"], timeout=20)
+        assert (child.returncode, child.stdout) == (2, ""), spec
+        assert child.stderr == (f"error: expected unlabelled count {mean} outside window "
+                                "(0.5, 20.0)\n"), spec

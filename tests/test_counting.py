@@ -38,7 +38,8 @@ def test_counting_leaves_no_reference_cycles():
     # A count must free the host rows its search closures hold when it
     # returns; left to the cyclic collector, a long-lived process holds the
     # previous host's neighbour sets while it builds the next.  The
-    # automorphism search must not leave a cycle either.
+    # automorphism searches, which a leaf ends by raising, must not leave a
+    # cycle either.
     host = HostGraph(30, [(i, (7 * i + 3) % 30) for i in range(30) if i != (7 * i + 3) % 30]
                      + [(i, i + 1) for i in range(29)])
     enabled = gc.isenabled()
@@ -52,7 +53,8 @@ def test_counting_leaves_no_reference_cycles():
             counting._copy_edge_sets(pattern, host, None)
             counting.automorphism_count(pattern)
             assert gc.collect() == 0
-        # Nor may the exact pattern analyses, whose recursions are closures.
+        # Nor may the exact pattern analyses: the independence polynomial's
+        # recursion is a closure, and alpha*'s matching is not.
         for pattern in (path(5), cycle(4), star(3)):
             _alpha.cache_clear()
             fractional_independence_number(pattern)

@@ -49,6 +49,7 @@ from uppertail.graphs import (
     star,
 )
 from conftest import seeded_hosts
+from util_smallgraphs import connected_patterns_upto
 
 # Hosts up to this size are checked by the bitset-row oracle, larger ones by
 # the neighbour-set oracle (the host-form switch the package once had).
@@ -447,7 +448,20 @@ def test_twin_counts_match_dense_codegree_sums():
 
 # The valid pattern specs test_cli.py draws; star:12 has 13 vertices, over the cap.
 CLI_SPECS = ["star:2", "star:3", "path:3", "path:4", "cycle:3", "cycle:4", "clique:3",
-             "biclique:1,2", "star:10", "star:11", "star:12", "path:12", "clique:7", "biclique:4,4"]
+             "biclique:1,2", "star:10", "star:11", "star:12", "path:12", "clique:7", "biclique:4,4",
+             "clique:10", "clique:11", "clique:12", "biclique:6,6"]
+
+# |Aut(H)| in closed form where listing the copies of H in H, as the oracle
+# below does, would take too long or exceed the default node budget.
+AUT_CLOSED_FORMS = {"clique:10": math.factorial(10), "clique:11": math.factorial(11),
+                    "clique:12": math.factorial(12), "star:11": math.factorial(11),
+                    "biclique:6,6": 2 * math.factorial(6) ** 2, "cycle:12": 24, "path:12": 2}
+
+# The Frucht graph (LCF notation [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]): cubic on
+# 12 vertices with no automorphism but the identity, so every orbit search
+# past the pinned-adjacency and signature checks must fail.
+FRUCHT = PatternGraph(12, [(i, (i + 1) % 12) for i in range(12)] + [
+    (i, (i + j) % 12) for i, j in enumerate([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])])
 
 
 def _maps_by_automorphism(pattern, order, other) -> bool:
@@ -480,6 +494,63 @@ def test_start_classes_partition_the_pinned_starts():
                 assert len(reps) == 1, (name, first)
                 members[reps[0]] += 1
         assert members == dict(classes), name
+
+
+def _aut_by_listing(pattern: PatternGraph) -> int:
+    """The former count: the labelled copies of the pattern in itself."""
+    return count_labelled(pattern, HostGraph(pattern.vertex_count, pattern.edges))
+
+
+def test_automorphism_count_equals_listing_the_copies_in_itself():
+    for pattern in connected_patterns_upto(6):
+        assert automorphism_count(pattern) == _aut_by_listing(pattern), sorted(pattern.edges)
+    # Every labelled graph on at most 5 vertices, so isolated vertices and
+    # labellings other than the canonical ones are covered too.
+    for n in range(1, 6):
+        slots = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            pattern = PatternGraph(n, [e for i, e in enumerate(slots) if mask >> i & 1])
+            assert automorphism_count(pattern) == _aut_by_listing(pattern), (n, mask)
+    checked = set()
+    for spec in CLI_SPECS:
+        pattern = pattern_from_shorthand(spec)
+        if pattern.vertex_count > PATTERN_VERTEX_CAP:
+            with pytest.raises(ValidationError, match="pattern too large"):
+                automorphism_count(pattern)
+        elif spec in AUT_CLOSED_FORMS:
+            assert automorphism_count(pattern) == AUT_CLOSED_FORMS[spec], spec
+        else:
+            assert automorphism_count(pattern) == _aut_by_listing(pattern), spec
+        checked.add(spec)
+    for spec, want in AUT_CLOSED_FORMS.items():
+        if spec not in checked:
+            assert automorphism_count(pattern_from_shorthand(spec)) == want, spec
+    assert FRUCHT.degrees() == (3,) * 12 and FRUCHT.edge_count == 18
+    assert automorphism_count(FRUCHT) == _aut_by_listing(FRUCHT) == 1
+
+
+def test_automorphism_count_runs_at_most_one_search_per_vertex_pair(monkeypatch):
+    searches = []
+
+    def counted_embed(*args, **kwargs):
+        searches.append(args[2])
+        return embed(*args, **kwargs)
+
+    embed = counting._embed
+    monkeypatch.setattr(counting, "_embed", counted_embed)
+    for spec in ("clique:12", "star:11", "biclique:6,6", "cycle:12", "path:12"):
+        searches.clear()
+        automorphism_count(pattern_from_shorthand(spec))
+        v = pattern_from_shorthand(spec).vertex_count
+        assert 0 < len(searches) <= v * (v - 1) // 2, spec
+        # Each search is one start pinning 0, ..., i-1 to themselves.
+        for [(order, pinned, size)] in searches:
+            i = len(pinned) - 1
+            assert size == 1 and tuple(order[: i + 1]) == tuple(range(i + 1))
+            assert all(pinned[j] == j for j in range(i)) and pinned[i] > i
+    searches.clear()
+    automorphism_count(FRUCHT)
+    assert len(searches) <= 66
 
 
 def test_start_class_sizes():

@@ -18,7 +18,7 @@ from uppertail.patterns import (
     lemma23_check,
     qh_independent_set_bijection_check,
 )
-from util_smallgraphs import connected_patterns_upto
+from util_smallgraphs import alpha_by_search, connected_patterns_upto
 
 
 def member_pattern(member) -> PatternGraph:
@@ -46,6 +46,27 @@ def test_fractional_independence_bounds_and_halves():
         value = fractional_independence_number(pat).value
         assert Fraction(pat.vertex_count, 2) <= value <= pat.vertex_count
         assert value.denominator in (1, 2)
+
+
+def _assert_alpha_matches_search(n, edges):
+    value, witness = patterns._alpha(n, frozenset(edges))
+    assert value == alpha_by_search(n, edges)[0], (n, sorted(edges))
+    # Any optimal witness will do: feasible, in [0, 1] and summing to the value.
+    assert sum(witness) == value and all(0 <= x <= 1 for x in witness)
+    assert all(witness[u] + witness[v] <= 1 for u, v in edges)
+
+
+def test_alpha_by_matching_equals_the_exhaustive_search():
+    # Every labelled graph on at most 5 vertices, isolated vertices included.
+    for n in range(1, 6):
+        slots = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            _assert_alpha_matches_search(n, [e for i, e in enumerate(slots) if mask >> i & 1])
+    rng = random.Random(21)
+    for _ in range(1000):
+        n, q = rng.randint(6, 12), rng.random()
+        _assert_alpha_matches_search(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < q])
 
 
 def test_bipartite_alpha_integral():

@@ -1,5 +1,5 @@
 """Enumeration of small graphs up to isomorphism, used by the exhaustive
-combinatorics sweeps.
+combinatorics sweeps, and the exhaustive alpha* search kept as an oracle.
 
 Graphs on n labeled vertices are edge-subset bitmasks; the canonical form of
 a mask is its minimum over all vertex permutations, computed for every mask
@@ -10,6 +10,7 @@ n = 6 stays fast this way).
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -69,3 +70,33 @@ def random_host(n: int, p: float, rng) -> "HostGraph":
         if rng.random() < p
     ]
     return HostGraph(n, edges)
+
+
+def alpha_by_search(n: int, edges) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """alpha* by exhaustive branch and bound over the half-integral
+    assignments {0, 1/2, 1}^n, the oracle for the matching in
+    ``patterns._alpha``.  Values are doubled to {0, 1, 2} internally; vertex
+    ``pos`` takes at most 2 minus each earlier neighbour's value."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    values = [0] * n
+    best_total = -1
+    best_assign = None
+
+    def extend(pos: int, total: int) -> None:
+        nonlocal best_total, best_assign
+        if total + 2 * (n - pos) <= best_total:
+            return
+        if pos == n:
+            best_total, best_assign = total, values.copy()
+            return
+        cap = min([2] + [2 - values[u] for u in range(pos) if masks[pos] >> u & 1])
+        for val in range(cap, -1, -1):
+            values[pos] = val
+            extend(pos + 1, total + val)
+        values[pos] = 0
+
+    extend(0, 0)
+    return Fraction(best_total, 2), tuple(Fraction(v, 2) for v in best_assign)
