@@ -371,6 +371,7 @@ def _stop(images: list[int]) -> None:
     raise _Found
 
 
+@functools.lru_cache(maxsize=4096)
 def automorphism_count(pattern: PatternGraph) -> int:
     """|Aut(H)| by orbit-stabilizer: the product over i of the orbit size of
     i under the automorphisms fixing 0, ..., i-1.  w is in it when a search

@@ -45,6 +45,10 @@ EXACT_TAIL_MAX_N = 6
 # it is refused before any table exists.
 MAX_PAIRS = 50_000_000
 DEFAULT_REPLICAS = 32
+# Conditioned detector frequencies are refused below this pilot acceptance.
+ACCEPTANCE_FLOOR = 1e-5
+# The expected unlabelled counts at which a copy count is near Poisson.
+POISSON_MEAN_WINDOW = (0.5, 20.0)
 
 
 @dataclass(frozen=True)
@@ -577,15 +581,14 @@ def conditioned_structure_frequency(
     samples: int,
     seed: int,
     min_accepted: int = 300,
-    acceptance_floor: float = 1e-5,
     pilot: int = 50_000,
     threshold: Optional[int] = None,
 ) -> ConditionedFrequencies:
     """Rejection-sample the tail event and compare detector frequencies.
 
     A pilot run estimates the acceptance probability first; if it appears to
-    be below the floor the run is refused: conditioned detector frequencies
-    of events below the floor are not supported, and only the tail
+    be below ``ACCEPTANCE_FLOOR`` the run is refused: conditioned detector
+    frequencies of events below the floor are not supported, and only the tail
     probability itself can be estimated, by ``estimate_tail_importance``
     (``tail --method importance``).  Sampling then continues until
     ``min_accepted`` conditioned samples or the sample budget is exhausted.
@@ -627,10 +630,10 @@ def conditioned_structure_frequency(
     while drawn < pilot_budget:
         run_chunk(min(counter.chunk, pilot_budget - drawn))
     acceptance_estimate = accepted / drawn if drawn else 0.0
-    if acceptance_estimate < acceptance_floor:
+    if acceptance_estimate < ACCEPTANCE_FLOOR:
         raise ResourceBudgetError(
             f"acceptance too rare (estimated {acceptance_estimate:.2e} from {drawn} pilot "
-            f"samples, floor {acceptance_floor:.0e}); conditioned frequencies of events "
+            f"samples, floor {ACCEPTANCE_FLOOR:.0e}); conditioned frequencies of events "
             "below the floor are not supported; estimate the tail probability with "
             "estimate_tail_importance (tail --method importance)"
         )
@@ -660,14 +663,13 @@ def poisson_fit_experiment(
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
     threads: int = 1,
-    mean_window: tuple[float, float] = (0.5, 20.0),
 ) -> PoissonFit:
     """Total-variation distance between sampled unlabelled-copy counts and a
     Poisson law with the empirical mean.
 
     Requires a strictly balanced pattern with expected unlabelled count
-    inside ``mean_window`` (the near-threshold regime where the count is
-    approximately Poisson).
+    inside ``POISSON_MEAN_WINDOW`` (the near-threshold regime where the count
+    is approximately Poisson).
     """
     if not is_connected(pattern) or not is_strictly_balanced(pattern):
         raise ValidationError("pattern must be connected and strictly balanced")
@@ -677,9 +679,9 @@ def poisson_fit_experiment(
         return PoissonFit(tv_distance=0.0, mean=0.0, samples=samples)
     aut = automorphism_count(pattern)
     mu = n**pattern.vertex_count * p**pattern.edge_count / aut
-    if not mean_window[0] <= mu <= mean_window[1]:
+    if not POISSON_MEAN_WINDOW[0] <= mu <= POISSON_MEAN_WINDOW[1]:
         raise ValidationError(
-            f"expected unlabelled count {mu:.3g} outside window {mean_window}"
+            f"expected unlabelled count {mu:.3g} outside window {POISSON_MEAN_WINDOW}"
         )
     counter = _BatchCounter(pattern, n)
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .graphs import HostGraph, PatternGraph
+from .graphs import HostGraph, PatternGraph, max_degree, star, star_arms
 from .counting import (
     _copy_edge_sets,
     count_labelled,
@@ -144,45 +145,40 @@ def _clique_requirement(chi: float, size: int) -> int:
     return math.floor((1 - chi) * size)
 
 
-def _find_quasi_clique_exact(graph: HostGraph, size: int, need: int) -> Optional[tuple]:
+def _quasi_clique_search(
+    graph: HostGraph, size: int, need: int, chosen: list[int], candidates: list[int]
+) -> Optional[tuple]:
     """Branch-and-bound search for a size-``size`` set with min induced
-    degree >= need.  Complete: returns None only if no such set exists."""
-    n = graph.vertex_count
-    order = sorted(range(n), key=lambda v: -graph.degree(v))
-
-    def prune(chosen: list[int], candidates: list[int]) -> Optional[tuple]:
-        pool = set(chosen) | set(candidates)
-        # Iteratively drop vertices whose potential degree cannot reach need.
-        changed = True
-        cands = set(candidates)
-        while changed:
-            changed = False
-            for v in list(cands):
-                potential = sum(1 for u in graph.neighbors(v) if u in pool)
-                if potential < need:
-                    cands.discard(v)
-                    pool.discard(v)
-                    changed = True
-            for v in chosen:
-                potential = sum(1 for u in graph.neighbors(v) if u in pool)
-                if potential < need:
-                    return None  # a committed vertex can no longer qualify
-        if len(chosen) + len(cands) < size:
-            return None
-        if len(chosen) == size:
-            inner = set(chosen)
-            ok = all(
-                sum(1 for u in graph.neighbors(v) if u in inner) >= need for v in chosen
-            )
-            return tuple(sorted(chosen)) if ok else None
-        remaining = sorted(cands, key=lambda v: -graph.degree(v))
-        for idx, v in enumerate(remaining):
-            result = prune(chosen + [v], remaining[idx + 1 :])
-            if result is not None:
-                return result
+    degree >= need that extends ``chosen`` by ``candidates``.  Complete:
+    returns None only if no such set exists."""
+    pool = set(chosen) | set(candidates)
+    # Iteratively drop vertices whose potential degree cannot reach need.
+    changed = True
+    cands = set(candidates)
+    while changed:
+        changed = False
+        for v in list(cands):
+            potential = sum(1 for u in graph.neighbors(v) if u in pool)
+            if potential < need:
+                cands.discard(v)
+                pool.discard(v)
+                changed = True
+        for v in chosen:
+            potential = sum(1 for u in graph.neighbors(v) if u in pool)
+            if potential < need:
+                return None  # a committed vertex can no longer qualify
+    if len(chosen) + len(cands) < size:
         return None
-
-    return prune([], order)
+    if len(chosen) == size:
+        inner = set(chosen)
+        ok = all(sum(1 for u in graph.neighbors(v) if u in inner) >= need for v in chosen)
+        return tuple(sorted(chosen)) if ok else None
+    remaining = sorted(cands, key=lambda v: -graph.degree(v))
+    for idx, v in enumerate(remaining):
+        result = _quasi_clique_search(graph, size, need, chosen + [v], remaining[idx + 1 :])
+        if result is not None:
+            return result
+    return None
 
 
 def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> StructureVerdict:
@@ -201,8 +197,9 @@ def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> Struct
     if s_min > n:
         return StructureVerdict(NO, None, cert)
     if n <= EXHAUSTIVE_CLIQUE_N:
+        order = sorted(range(n), key=lambda v: -graph.degree(v))
         for size in range(n, s_min - 1, -1):
-            found = _find_quasi_clique_exact(graph, size, _clique_requirement(chi, size))
+            found = _quasi_clique_search(graph, size, _clique_requirement(chi, size), [], order)
             if found is not None:
                 cert["size"] = size
                 return StructureVerdict(YES, found, cert)
@@ -371,6 +368,44 @@ def _edges_at_endpoints(graph: HostGraph, edge: Edge) -> list[Edge]:
     return [(x, w) if x < w else (w, x) for x in edge for w in rows[x]]
 
 
+def _prune_core(graph: HostGraph, pattern: PatternGraph, cfg: CoreConfig, n: int, p: float,
+                scale: float, k: int, budget: Optional[int]) -> CoreResult:
+    """The one core definition at edge scale S = ``scale``: prune every edge
+    in fewer than delta epsilon n^v p^e / S copies, and report the copy
+    condition copies >= delta (1 - k epsilon) n^v p^e and the edge condition
+    e(core) <= S.  A star is counted in closed form, its copies through uv
+    lying on the edges at u and v; any other pattern by the enumerator,
+    which alone ``budget`` charges."""
+    v, e = pattern.vertex_count, pattern.edge_count
+    threshold = cfg.delta * cfg.epsilon * n**v * p**e / scale
+    r = star_arms(pattern)
+    if r is not None:
+        per_edge, sharing = partial(star_count_using_edge, r), _edges_at_endpoints
+        count = partial(star_count_exact, r)
+    else:
+        per_edge = partial(count_labelled_using_edge, pattern, budget=budget)
+        count = partial(count_labelled, pattern, budget=budget)
+
+        def sharing(g, edge):
+            return frozenset().union(*_copy_edge_sets(pattern, g, budget, through=edge))
+
+    core, removed = _prune_to_threshold(graph, per_edge, sharing, threshold)
+    return CoreResult(
+        graph=core,
+        threshold=threshold,
+        removed=tuple(removed),
+        copy_condition=count(core) >= cfg.delta * (1 - k * cfg.epsilon) * n**v * p**e,
+        edge_condition=core.edge_count <= scale,
+    )
+
+
+def _require_n_p(n: int, p: float) -> None:
+    if not 0 < p < 1:
+        raise ValidationError("p must lie in (0, 1)")
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}")
+
+
 def extract_core(
     graph: HostGraph,
     pattern: PatternGraph,
@@ -379,94 +414,33 @@ def extract_core(
     p: float,
     budget: Optional[int] = None,
 ) -> CoreResult:
-    """Iterative pruning to the core per-edge threshold.
-
-    The threshold is delta epsilon n^v p^e / (C n^2 p^Delta log(1/p)), or its
-    star specialization delta epsilon n^(r+1) p^r / (C n^(1+1/r) p log(1/p)).
-    The fixed point satisfies the per-edge condition by construction; the
-    copy-count and edge-budget conditions are reported, not enforced.
-    """
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-    from .graphs import max_degree as _max_degree
-
-    c_bar = cfg.resolved_c_bar()
-    log_inv_p = math.log(1 / p)
-    if cfg.star_arms is not None:
-        r = cfg.star_arms
-        threshold = (
-            cfg.delta * cfg.epsilon * n ** (r + 1) * p**r
-            / (c_bar * n ** (1 + 1.0 / r) * p * log_inv_p)
-        )
-        edge_budget = c_bar * n ** (1 + 1.0 / r) * p * log_inv_p
-
-        def per_edge(g, e):
-            return star_count_using_edge(r, g, e)
-
-        sharing = _edges_at_endpoints
-
+    """Core pruning ((C1)/(C2)) at edge scale S = C n^2 p^Delta log(1/p), or
+    at the star scale S = C n^(1+1/r) p log(1/p) when ``cfg.star_arms`` is
+    set, which must then be the pattern's arm count.  Every edge of the
+    fixed point lies in at least delta epsilon n^v p^e / S copies; the
+    copy-count and edge-budget conditions are reported, not enforced.  A
+    star pattern is counted in closed form under either scale, so
+    ``budget`` only charges the enumerator for other patterns."""
+    _require_n_p(n, p)
+    r, c_bar, log_inv_p = cfg.star_arms, cfg.resolved_c_bar(), math.log(1 / p)
+    if r is None:
+        scale = c_bar * n**2 * p ** max_degree(pattern) * log_inv_p
+    elif r == star_arms(pattern):
+        scale = c_bar * n ** (1 + 1.0 / r) * p * log_inv_p
     else:
-        v, e_h = pattern.vertex_count, pattern.edge_count
-        delta_deg = _max_degree(pattern)
-        threshold = (
-            cfg.delta * cfg.epsilon * n**v * p**e_h
-            / (c_bar * n**2 * p**delta_deg * log_inv_p)
-        )
-        edge_budget = c_bar * n**2 * p**delta_deg * log_inv_p
-
-        def per_edge(g, e):
-            return count_labelled_using_edge(pattern, g, e, budget)
-
-        def sharing(g, e):
-            return frozenset().union(*_copy_edge_sets(pattern, g, budget, through=e))
-
-    core, removed = _prune_to_threshold(graph, per_edge, sharing, threshold)
-    v, e_h = pattern.vertex_count, pattern.edge_count
-    if cfg.star_arms is not None:
-        copies = star_count_exact(cfg.star_arms, core)
-    else:
-        copies = count_labelled(pattern, core, budget)
-    copy_ok = copies >= cfg.delta * (1 - 3 * cfg.epsilon) * n**v * p**e_h
-    return CoreResult(
-        graph=core,
-        threshold=threshold,
-        removed=tuple(removed),
-        copy_condition=copy_ok,
-        edge_condition=core.edge_count <= edge_budget,
-    )
+        raise ValidationError(f"star_arms={r} but the pattern is not the {r}-armed star")
+    return _prune_core(graph, pattern, cfg, n, p, scale, 3, budget)
 
 
-def extract_strong_core(
-    graph: HostGraph,
-    r: int,
-    cfg: CoreConfig,
-    n: int,
-    p: float,
-) -> CoreResult:
-    """Star pruning at the strong-core per-edge threshold
-    (delta epsilon / C*) (n^(1+1/r) p)^(r-1)."""
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
+def extract_strong_core(graph: HostGraph, r: int, cfg: CoreConfig, n: int, p: float) -> CoreResult:
+    """Strong-core pruning ((SC1)/(SC2)) of the r-star at edge scale
+    S = C* n^(1+1/r) p: the per-edge threshold delta epsilon n^(r+1) p^r / S
+    is (delta epsilon / C*) (n^(1+1/r) p)^(r-1)."""
+    _require_n_p(n, p)
     if r < 2:
         raise ValidationError("star arm count must be at least 2")
-    c_star = cfg.resolved_c_bar_star(r)
-    threshold = (cfg.delta * cfg.epsilon / c_star) * (n ** (1 + 1.0 / r) * p) ** (r - 1)
-
-    core, removed = _prune_to_threshold(
-        graph, lambda g, e: star_count_using_edge(r, g, e), _edges_at_endpoints, threshold
-    )
-    copies = star_count_exact(r, core)
-    return CoreResult(
-        graph=core,
-        threshold=threshold,
-        removed=tuple(removed),
-        copy_condition=copies >= cfg.delta * (1 - 4 * cfg.epsilon) * n ** (r + 1) * p**r,
-        edge_condition=core.edge_count <= c_star * n ** (1 + 1.0 / r) * p,
-    )
+    scale = cfg.resolved_c_bar_star(r) * n ** (1 + 1.0 / r) * p
+    return _prune_core(graph, star(r), cfg, n, p, scale, 4, None)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from uppertail import cli, counting
 from uppertail.cli import main
+from uppertail.graphs import pattern_from_shorthand
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +116,29 @@ def test_count_edge_unlabelled(capsys, tmp_path):
     assert payload["result"]["count"] == 0
 
 
+def test_count_unlabelled_searches_the_orbits_once(capsys, tmp_path, monkeypatch):
+    # |Aut(H)| divides the count and is reported: one count computes it once.
+    f = tmp_path / "k4.txt"
+    f.write_text("n 4\n" + "\n".join(f"{u} {v}" for u in range(4) for v in range(u + 1, 4)))
+    orbit_searches = []
+    embed = counting._embed
+
+    def counted_embed(*args, **kwargs):
+        orbit_searches.append(kwargs.get("leaf") is counting._stop)
+        return embed(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_embed", counted_embed)
+    counting.automorphism_count.__wrapped__(pattern_from_shorthand("cycle:4"))
+    once = sum(orbit_searches)
+    orbit_searches.clear()
+    counting.automorphism_count.cache_clear()
+    code, payload = run_cli(
+        capsys, "count", "--pattern", "cycle:4", "--graph", str(f), "--unlabelled"
+    )
+    assert code == 0 and (payload["result"]["count"], payload["result"]["aut"]) == (3, 8)
+    assert sum(orbit_searches) == once > 0
+
+
 def test_detect_command(capsys, tmp_path):
     f = tmp_path / "k28.txt"
     edges = [(u, v) for u in (0, 1) for v in range(2, 10)]
@@ -142,6 +166,19 @@ def test_core_command(capsys, tmp_path):
     assert code == 0
     assert payload["result"]["edges_after"] <= payload["result"]["edges_before"]
     assert payload["inputs"]["budget"] == 100
+
+
+def test_core_on_a_star_pattern_is_not_charged_the_budget(capsys, tmp_path):
+    # A star is counted in closed form under every threshold, so --budget,
+    # which charges the enumerator, cannot end a star core with exit 3.
+    f = tmp_path / "g.txt"
+    f.write_text("n 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n")
+    argv = ["core", "--graph", str(f), "--pattern", "star:2", "--delta", "1", "--n", "6",
+            "--p", "0.5", "--c-bar", "0.06"]
+    code, free = run_cli(capsys, *argv)
+    assert code == 0 and free["result"]["removed"] == [[4, 5], [3, 4]]
+    code, charged = run_cli(capsys, *argv, "--budget", "1")
+    assert code == 0 and charged["result"] == free["result"]
 
 
 def test_meanfield_command(capsys):

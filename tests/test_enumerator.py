@@ -540,6 +540,7 @@ def test_automorphism_count_runs_at_most_one_search_per_vertex_pair(monkeypatch)
     monkeypatch.setattr(counting, "_embed", counted_embed)
     for spec in ("clique:12", "star:11", "biclique:6,6", "cycle:12", "path:12"):
         searches.clear()
+        automorphism_count.cache_clear()  # a cached count runs no search
         automorphism_count(pattern_from_shorthand(spec))
         v = pattern_from_shorthand(spec).vertex_count
         assert 0 < len(searches) <= v * (v - 1) // 2, spec
@@ -549,6 +550,7 @@ def test_automorphism_count_runs_at_most_one_search_per_vertex_pair(monkeypatch)
             assert size == 1 and tuple(order[: i + 1]) == tuple(range(i + 1))
             assert all(pinned[j] == j for j in range(i)) and pinned[i] > i
     searches.clear()
+    automorphism_count.cache_clear()
     automorphism_count(FRUCHT)
     assert len(searches) <= 66
 

@@ -33,7 +33,9 @@ from uppertail.structures import (
 )
 from conftest import seeded_hosts
 
-GENERIC = {"clique:3": clique(3), "path:3": path(3), "cycle:4": cycle(4)}
+# path:3 and star:2, the 2-star centred at 1 and at 0, take the closed forms
+# under the generic threshold; their oracle counts are the enumerator's.
+GENERIC = {"clique:3": clique(3), "path:3": path(3), "cycle:4": cycle(4), "star:2": star(2)}
 N, P, DELTA, EPS = 30, 0.2, 1.0, 0.5
 
 
@@ -158,7 +160,7 @@ def test_worklist_matches_rescan_on_sets_backend():
 
 def test_pinned_copy_edge_sets_are_the_copies_through_the_edge():
     for host in seeded_hosts(4, (7, 10), 0.45, 3):
-        for pattern in list(GENERIC.values()) + [star(2)]:
+        for pattern in GENERIC.values():
             every = _copy_edge_sets(pattern, host, None)
             for e in host.edges():
                 through = _copy_edge_sets(pattern, host, None, through=e)

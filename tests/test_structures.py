@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -238,9 +239,28 @@ def test_core_config_validation():
         for n in (0, -3):
             with pytest.raises(ValidationError, match="n must be at least 1"):
                 run(n)
+    # star_arms selects the star threshold of that star, not of another.
+    for pattern in (star(2), path(4), clique(3)):
+        with pytest.raises(ValidationError, match="star_arms=3"):
+            extract_core(HostGraph.complete(6), pattern, CoreConfig(1.0, 0.1, star_arms=3), 6, 0.3)
     cfg = CoreConfig(delta=2.0, epsilon=0.1)
     assert cfg.resolved_c_bar() == pytest.approx(2.0)
     assert CoreConfig(delta=2.0, epsilon=0.1, c_bar=7.0).resolved_c_bar() == 7.0
+
+
+def test_detect_clique_leaves_no_reference_cycles():
+    # The exact search recurses through a module function, not a closure
+    # that reaches itself through its cell and so holds the host until the
+    # next cyclic collection.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        detect_clique(HostGraph.complete(6), 0.1, 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_detect_clique_exact_matches_brute_force():
