@@ -266,8 +266,8 @@ def _cmd_meanfield(args, started) -> int:
     inputs = _echo(args, "r n p delta epsilon literal_reading")
     bound = meanfield.variational_upper_bound(args.n, args.p, args.r, args.delta)
     rho_hat, near_jump = rates.star_rho_proxy(args.n, args.p, args.r, args.delta)
-    rate = rates.rate_star_localized_II(args.r, args.delta, rho_hat)
-    theory = rate * rates.speed("LocalizedII-Star", star(args.r), args.n, args.p)
+    rate = rates.rate_for(star(args.r), args.delta, rho=rho_hat)
+    theory = rate.rate * rate.speed(args.n, args.p)
     planted = meanfield.planted_star_optimizer(
         args.n, args.p, args.r, args.delta, args.epsilon, literal_reading=args.literal_reading
     )
@@ -508,13 +508,10 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         _apply_defaults(args, config)
         return _HANDLERS[args.command](args, started)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ResourceBudgetError, MemoryError) as exc:
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except UpperTailError as exc:
+    except UpperTailError as exc:  # a ValidationError: the other package error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

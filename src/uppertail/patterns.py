@@ -224,6 +224,32 @@ def _iter_edge_subsets(pattern: PatternGraph):
         yield tuple(edge_list[i] for i in range(m) if (mask >> i) & 1)
 
 
+def _qh_walk(pattern: PatternGraph):
+    """The one walk over the nonempty edge subsets J, in _iter_edge_subsets
+    order: yields J with the Q_H members (J, A, V(J) - A) it carries, one
+    per crossing A of full-degree vertices, in order of |A| then position
+    (none when J is not in the family)."""
+    if pattern.vertex_count > QH_VERTEX_CAP:
+        raise ValidationError("pattern too large")
+    if pattern.edge_count > QH_EDGE_CAP:
+        raise ValidationError(f"pattern has {pattern.edge_count} edges, over the "
+                              f"{QH_EDGE_CAP}-edge cap of the edge-subset walk")
+    delta = max_degree(pattern)
+    for edges in _iter_edge_subsets(pattern):
+        deg: dict[int, int] = {}
+        for u, v in edges:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        full = [v for v, d in deg.items() if d == delta]
+        edge_set, verts = frozenset(edges), frozenset(deg)
+        members = []
+        for k in range(1, len(full) + 1):
+            for a_side in map(frozenset, itertools.combinations(full, k)):
+                if all(((u in a_side) != (v in a_side)) for u, v in edges):
+                    members.append(QhMember(edge_set, a_side, verts - a_side))
+        yield edges, members
+
+
 def enumerate_qh(pattern: PatternGraph) -> list[QhMember]:
     """Exhaustive scan over edge subsets and crossing bipartitions.
 
@@ -231,34 +257,7 @@ def enumerate_qh(pattern: PatternGraph) -> list[QhMember]:
     internal edges on either side) and every A-vertex has full degree.  Two
     triples with the same subgraph but different (A, B) count separately.
     """
-    if pattern.vertex_count > QH_VERTEX_CAP:
-        raise ValidationError("pattern too large")
-    if pattern.edge_count > QH_EDGE_CAP:
-        raise ValidationError(f"pattern has {pattern.edge_count} edges, over the "
-                              f"{QH_EDGE_CAP}-edge cap of the edge-subset walk")
-    delta = max_degree(pattern)
-    members: list[QhMember] = []
-    for edges in _iter_edge_subsets(pattern):
-        deg: dict[int, int] = {}
-        for u, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        full = [v for v, d in deg.items() if d == delta]
-        if not full:
-            continue
-        verts = set(deg)
-        for k in range(1, len(full) + 1):
-            for a_side in itertools.combinations(full, k):
-                a_set = set(a_side)
-                if all(((u in a_set) != (v in a_set)) for u, v in edges):
-                    members.append(
-                        QhMember(
-                            edges=frozenset(edges),
-                            a_side=frozenset(a_set),
-                            b_side=frozenset(verts - a_set),
-                        )
-                    )
-    return members
+    return [member for _, members in _qh_walk(pattern) for member in members]
 
 
 def qh_independent_set_bijection_check(pattern: PatternGraph) -> bool:
@@ -293,11 +292,10 @@ def deficiency_sigma(pattern: PatternGraph) -> Deficiency:
     if not is_connected(pattern):
         raise ValidationError("pattern must be connected")
     delta = max_degree(pattern)
-    member_edge_sets = {m.edges for m in enumerate_qh(pattern)}
     best: Optional[Fraction] = None
     witness = None
-    for edges in _iter_edge_subsets(pattern):
-        if frozenset(edges) in member_edge_sets:
+    for edges, members in _qh_walk(pattern):
+        if members:
             continue
         sub, alpha = _subgraph_stats(edges)
         value = delta * (sub.vertex_count - alpha) - sub.edge_count
@@ -322,18 +320,15 @@ def lemma23_check(pattern: PatternGraph) -> bool:
     if not is_connected(pattern):
         raise ValidationError("pattern must be connected")
     delta = max_degree(pattern)
-    members = enumerate_qh(pattern)
-    member_edge_sets = {m.edges for m in members}
-
-    for edges in _iter_edge_subsets(pattern):
+    family: list[QhMember] = []
+    for edges, members in _qh_walk(pattern):
         sub, alpha = _subgraph_stats(edges)
         slack = delta * (sub.vertex_count - alpha) - sub.edge_count
-        if slack < 0:
+        if slack < 0 or (slack == 0) != bool(members):
             return False
-        if (slack == 0) != (frozenset(edges) in member_edge_sets):
-            return False
+        family += members
 
-    for member in members:
+    for member in family:
         verts = set(member.vertices)
         b_size = len(member.b_side)
         for u, v in member.edges:

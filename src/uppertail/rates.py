@@ -70,21 +70,20 @@ class RateResult:
 def theta_star_root(poly: IndependencePolynomial, delta: float) -> float:
     """Unique positive solution of P(theta) = 1 + delta.
 
-    P is strictly increasing on theta >= 0 with P(0) = 1 and slope >= 1, so
-    [0, delta] brackets the root.  Bisection narrows the bracket, Newton
-    polishes, and the residual is checked against the documented tolerance.
+    P is strictly increasing on theta >= 0 with P(0) = 1 and slope >= i_1 >= 1,
+    so [0, max(1, delta)] brackets the root: the coefficients are nonnegative,
+    so P(max(1, delta)) >= 1 + max(1, delta), under Horner rounding too.
+    Bisection narrows the bracket, Newton polishes, and the residual is
+    checked against the documented tolerance.
     """
     if not 0 < delta < math.inf:
         raise ValidationError("delta must be positive and finite")
     coeffs = poly.coefficients
-    if len(coeffs) < 2 or coeffs[1] < 1:
-        raise ValidationError("polynomial must have i_1 >= 1")
+    if len(coeffs) < 2 or coeffs[1] < 1 or min(coeffs) < 0:
+        raise ValidationError("polynomial must have i_1 >= 1 and no negative coefficient")
     target = 1.0 + delta
 
-    hi = max(1.0, float(delta))
-    while poly.evaluate(hi) < target:
-        hi *= 2.0
-    lo = 0.0
+    lo, hi = 0.0, max(1.0, float(delta))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if poly.evaluate(mid) < target:
@@ -95,12 +94,9 @@ def theta_star_root(poly: IndependencePolynomial, delta: float) -> float:
             break
     root = 0.5 * (lo + hi)
     for _ in range(8):
-        slope = poly.derivative(root)
-        if slope <= 0:
-            break
-        step = (poly.evaluate(root) - target) / slope
+        step = (poly.evaluate(root) - target) / poly.derivative(root)
         new = root - step
-        if new <= lo or new >= hi:
+        if not lo < new <= hi:  # P(lo) < 1 + delta <= P(hi): the root may be hi
             break
         root = new
         if abs(step) <= ROOT_RELATIVE_TOL * max(root, 1.0):

@@ -181,6 +181,20 @@ def _quasi_clique_search(
     return None
 
 
+def _peel(graph: HostGraph):
+    """Min-degree peeling, least (degree, vertex) first.  Before each
+    removal, yields the least survivor's degree and the live map of the
+    survivors to their degrees inside the survivor set; O(n^2) in all."""
+    alive = {v: graph.degree(v) for v in range(graph.vertex_count)}
+    while alive:
+        low, drop = min((d, v) for v, d in alive.items())
+        yield low, alive
+        del alive[drop]
+        for u in graph.neighbors(drop):
+            if u in alive:
+                alive[u] -= 1
+
+
 def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> StructureVerdict:
     """Search for U of size at least ceil(size_threshold) whose induced
     minimum degree is at least floor((1 - chi) |U|).
@@ -204,19 +218,12 @@ def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> Struct
                 cert["size"] = size
                 return StructureVerdict(YES, found, cert)
         return StructureVerdict(NO, None, cert)
-    alive = set(range(n))
-    inner_deg = {v: graph.degree(v) for v in alive}
-    while alive:
-        if len(alive) >= s_min:
-            need = _clique_requirement(chi, len(alive))
-            if min(inner_deg[v] for v in alive) >= need:
-                cert["size"] = len(alive)
-                return StructureVerdict(YES, tuple(sorted(alive)), cert)
-        drop = min(alive, key=lambda v: (inner_deg[v], v))
-        alive.discard(drop)
-        for u in graph.neighbors(drop):
-            if u in alive:
-                inner_deg[u] -= 1
+    for low, alive in _peel(graph):
+        if len(alive) < s_min:
+            break
+        if low >= _clique_requirement(chi, len(alive)):
+            cert["size"] = len(alive)
+            return StructureVerdict(YES, tuple(sorted(alive)), cert)
     return StructureVerdict(UNKNOWN, None, cert)
 
 
@@ -465,17 +472,9 @@ def stability_peel(graph: HostGraph, epsilon: float) -> PeelResult:
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     target = (1 - 4 * math.sqrt(epsilon)) * math.sqrt(2 * graph.edge_count)
-    alive = set(range(graph.vertex_count))
-    inner_deg = graph.degrees().copy()
-    while alive:
-        drop = min(alive, key=lambda v: (inner_deg[v], v))
-        if inner_deg[drop] >= target:
+    kept, min_deg = (), 0
+    for low, alive in _peel(graph):
+        if low >= target:
+            kept, min_deg = tuple(sorted(alive)), low
             break
-        alive.discard(drop)
-        for u in graph.neighbors(drop):
-            if u in alive:
-                inner_deg[u] -= 1
-    kept = tuple(sorted(alive))
-    survivor = graph.subgraph_on(kept)
-    min_deg = min((inner_deg[v] for v in alive), default=0)
-    return PeelResult(graph=survivor, min_degree=min_deg, kept=kept, target=target)
+    return PeelResult(graph=graph.subgraph_on(kept), min_degree=min_deg, kept=kept, target=target)

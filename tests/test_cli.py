@@ -315,6 +315,7 @@ CONFIG = "<config>"  # stands for a config file holding "threads = 0"
 THREADS_2 = "<threads-2>"  # a config file holding "threads = 2"
 BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
 NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text, also read as a config
+NO_EQUALS = "<no-equals>"  # a config file holding the line "threads 2", which has no "="
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
 CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", "4", "--p", "0.3"]
 CORE_K3 = ["core", "--graph", GRAPH, "--pattern", "clique:3", "--epsilon", "0.5", "--p", "0.5"]
@@ -402,6 +403,12 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, CONDITIONED[:5] + [HUGE_N] + CONDITIONED[6:] + ["--samples", "10"]),
         (None, POISSON_N8[:5] + [HUGE_N] + POISSON_N8[6:] + ["--samples", "10"]),
         (None, CORE_K3 + ["--delta", "1", "--n", "4", "--star"]),
+        (None, DETECT + ["hub"]),
+        (None, DETECT + ["clique"]),
+        (None, DETECT + ["highdeg", "--n", "40", "--p", "0.05", "--delta", "-1", "--r", "2"]),
+        (None, CONDITIONED + ["--samples", "100", "--detector", "hub:3"]),
+        (None, CONDITIONED[:-2] + ["--samples", "100"]),
+        (None, ["--config", NO_EQUALS, "analyze-pattern", "cycle:4"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -422,7 +429,9 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "tail-delta-1e308", "conditioned-delta-1e308", "analyze-star-99", "rate-star-40",
          "core-huge-n", "core-star-huge-n", "core-strong-huge-n", "rate-path-huge-n",
          "rate-star-huge-n", "detect-highdeg-huge-n", "meanfield-huge-n",
-         "conditioned-huge-n", "poisson-huge-n", "core-clique-star"],
+         "conditioned-huge-n", "poisson-huge-n", "core-clique-star", "detect-hub-no-thresholds",
+         "detect-clique-no-size", "detect-highdeg-delta-negative", "conditioned-detector-hub",
+         "conditioned-no-delta", "config-line-without-equals"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
@@ -435,8 +444,10 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
     bad_header.write_text("n abc\n0 1\n")
     not_utf8 = tmp_path / "not_utf8.txt"
     not_utf8.write_bytes(b"n 4\n0 1\n\xff\xfe 2\n")
+    no_equals = tmp_path / "no_equals.conf"
+    no_equals.write_text("threads 2\n")
     files = {GRAPH: graph, CONFIG: config, THREADS_2: threads_2, BAD_HEADER: bad_header,
-             NOT_UTF8: not_utf8}
+             NOT_UTF8: not_utf8, NO_EQUALS: no_equals}
     argv = [str(files.get(arg, arg)) for arg in argv]
     if threads_env is None:
         monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)

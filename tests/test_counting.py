@@ -178,3 +178,10 @@ def test_count_labelled_brute_force():
             if all(host.has_edge(image[x], image[y]) for x, y in pattern.edges):
                 want += 1
         assert count_labelled(pattern, host) == want
+
+
+def test_star_closed_forms_refuse_bad_inputs():
+    with pytest.raises(ValidationError, match=r"edge \(0,3\) not in host graph"):
+        star_count_using_edge(2, host_of(path(4)), (0, 3))
+    with pytest.raises(ValidationError, match="star arm count must be at least 2"):
+        star_count_exact(1, K3_HOST)

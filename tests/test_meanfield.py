@@ -528,3 +528,11 @@ def test_expected_count_inhom_monte_carlo_crosscheck():
     arr = np.array(values, dtype=float)
     sem = arr.std(ddof=1) / math.sqrt(len(arr))
     assert abs(arr.mean() - want) < 4 * sem
+
+
+def test_phi_planted_search_refuses_bad_inputs():
+    for p in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValidationError, match=r"p must lie in \(0, 1\)"):
+            phi_planted_search(star(2), 10, p, 1.0)
+    with pytest.raises(ValidationError, match="delta must be nonnegative"):
+        phi_planted_search(star(2), 10, 0.3, -0.1)

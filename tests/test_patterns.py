@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from uppertail.errors import ValidationError
-from uppertail.graphs import PatternGraph, biclique, clique, cycle, is_bipartite_with_parts, path, star
+from uppertail.graphs import (
+    PatternGraph, biclique, clique, cycle, is_bipartite_with_parts, max_degree, path, star,
+)
 from uppertail import patterns
 from uppertail.patterns import (
     IndependencePolynomial,
@@ -242,3 +244,108 @@ def test_alpha_cache_is_bounded():
     with pytest.warns(UserWarning, match="regular"):
         analyze_pattern(clique(6))
     assert patterns._alpha.cache_info().currsize <= 4096
+
+
+# ---------------------------------------------------------------------------
+# The walks that ``patterns._qh_walk`` replaced, kept as oracles: Q_H by its
+# own scan, and sigma and the Lemma 2.3 check each walking the edge subsets
+# a second time, after listing Q_H.
+# ---------------------------------------------------------------------------
+
+def _enumerate_qh_oracle(pattern):
+    delta = max_degree(pattern)
+    members = []
+    for edges in patterns._iter_edge_subsets(pattern):
+        deg = {}
+        for u, v in edges:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        full = [v for v, d in deg.items() if d == delta]
+        if not full:
+            continue
+        verts = set(deg)
+        for k in range(1, len(full) + 1):
+            for a_side in itertools.combinations(full, k):
+                a_set = set(a_side)
+                if all(((u in a_set) != (v in a_set)) for u, v in edges):
+                    members.append(patterns.QhMember(
+                        edges=frozenset(edges), a_side=frozenset(a_set),
+                        b_side=frozenset(verts - a_set)))
+    return members
+
+
+def _deficiency_sigma_oracle(pattern):
+    delta = max_degree(pattern)
+    member_edge_sets = {m.edges for m in _enumerate_qh_oracle(pattern)}
+    best = witness = None
+    for edges in patterns._iter_edge_subsets(pattern):
+        if frozenset(edges) in member_edge_sets:
+            continue
+        sub, alpha = patterns._subgraph_stats(edges)
+        value = delta * (sub.vertex_count - alpha) - sub.edge_count
+        if best is None or value < best:
+            best, witness = value, sub
+    if best is None:
+        raise ValidationError("no subgraph outside the full-degree family (degenerate pattern)")
+    return patterns.Deficiency(best, witness)
+
+
+def _lemma23_oracle(pattern):
+    delta = max_degree(pattern)
+    members = _enumerate_qh_oracle(pattern)
+    member_edge_sets = {m.edges for m in members}
+    for edges in patterns._iter_edge_subsets(pattern):
+        sub, alpha = patterns._subgraph_stats(edges)
+        slack = delta * (sub.vertex_count - alpha) - sub.edge_count
+        if slack < 0 or (slack == 0) != (frozenset(edges) in member_edge_sets):
+            return False
+    for member in members:
+        verts = set(member.vertices)
+        for u, v in member.edges:
+            a, b = (u, v) if u in member.a_side else (v, u)
+            index = {x: i for i, x in enumerate(sorted(verts - {a, b}))}
+            kept = frozenset((index[x], index[y]) for x, y in member.edges
+                             if a not in (x, y) and b not in (x, y))
+            if patterns._alpha(len(index), kept)[0] != len(member.b_side) - 1:
+                return False
+    return True
+
+
+def _outcome(job, pattern):
+    try:
+        return job(pattern)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:pattern is regular")
+def test_one_walk_matches_the_oracles(monkeypatch):
+    battery = connected_patterns_upto(5) + [path(10), cycle(10), biclique(3, 4)]
+    jobs = (qh_independent_set_bijection_check, analyze_pattern)
+    for pat in battery:
+        for job, oracle in ((enumerate_qh, _enumerate_qh_oracle),
+                            (deficiency_sigma, _deficiency_sigma_oracle),
+                            (lemma23_check, _lemma23_oracle)):
+            assert _outcome(job, pat) == _outcome(oracle, pat), (job.__name__, pat)
+        now = [_outcome(job, pat) for job in jobs]
+        with monkeypatch.context() as m:
+            m.setattr(patterns, "enumerate_qh", _enumerate_qh_oracle)
+            m.setattr(patterns, "deficiency_sigma", _deficiency_sigma_oracle)
+            assert now == [_outcome(job, pat) for job in jobs], pat
+
+
+def test_each_job_walks_the_edge_subsets_once(monkeypatch):
+    walks = []
+    walk = patterns._iter_edge_subsets
+
+    def counted(pattern):
+        walks.append(pattern)
+        return walk(pattern)
+
+    monkeypatch.setattr(patterns, "_iter_edge_subsets", counted)
+    # analyze_pattern reads Q_H and sigma: one walk each.
+    for job, count in ((analyze_pattern, 2), (lemma23_check, 1), (deficiency_sigma, 1),
+                       (enumerate_qh, 1)):
+        walks.clear()
+        job(path(5))
+        assert len(walks) == count, job.__name__

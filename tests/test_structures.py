@@ -8,7 +8,9 @@ from uppertail.errors import ValidationError
 from uppertail.graphs import HostGraph, clique, path, star
 from uppertail.counting import count_labelled, count_labelled_using_edge, star_count_using_edge
 from uppertail.structures import (
+    EXHAUSTIVE_CLIQUE_N,
     NO,
+    UNKNOWN,
     YES,
     CoreConfig,
     detect_clique,
@@ -211,6 +213,16 @@ def test_stability_peel_examples():
     assert res.kept == (0, 1) and res.min_degree == 1
 
 
+def test_library_refusals():
+    with pytest.raises(ValidationError, match="at least one edge"):
+        stability_peel(HostGraph(5, ()), 0.1)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValidationError, match="epsilon must be positive"):
+            stability_peel(HostGraph.complete(4), eps)
+    with pytest.raises(ValidationError, match="u_size must be nonnegative"):
+        detect_tilde_hub(HostGraph.complete(4), -1, 1.0, 1.0)
+
+
 def test_stability_peel_cliques_meet_hypothesis():
     # For G = K_m the count hypothesis holds with epsilon ~ 3/(2m); the peel
     # must return a nonempty subgraph meeting the degree bound.
@@ -298,3 +310,93 @@ def test_detect_clique_exact_matches_brute_force():
         assert (verdict.found == YES) == exists
         if verdict.found == YES:
             assert verify_quasi_clique(host, verdict.witness, chi)
+
+
+# ---------------------------------------------------------------------------
+# The two peeling loops that ``structures._peel`` replaced, kept as oracles.
+# ---------------------------------------------------------------------------
+
+def _greedy_clique_oracle(graph: HostGraph, chi: float, size_threshold: float):
+    """``detect_clique`` above the exhaustive cutoff, as its own peeling loop:
+    test every surviving set, then drop the least (degree, vertex) vertex."""
+    s_min = max(1, math.ceil(size_threshold))
+    cert = {"chi": chi, "size_threshold": size_threshold, "minimum_size": s_min}
+    n = graph.vertex_count
+    if s_min > n:
+        return NO, None, cert
+    alive = set(range(n))
+    inner_deg = {v: graph.degree(v) for v in alive}
+    while alive:
+        if len(alive) >= s_min:
+            need = math.floor((1 - chi) * len(alive))
+            if min(inner_deg[v] for v in alive) >= need:
+                cert["size"] = len(alive)
+                return YES, tuple(sorted(alive)), cert
+        drop = min(alive, key=lambda v: (inner_deg[v], v))
+        alive.discard(drop)
+        for u in graph.neighbors(drop):
+            if u in alive:
+                inner_deg[u] -= 1
+    return UNKNOWN, None, cert
+
+
+def _stability_peel_oracle(graph: HostGraph, epsilon: float):
+    """``stability_peel`` as its own peeling loop: (kept, min_degree, edges, target)."""
+    target = (1 - 4 * math.sqrt(epsilon)) * math.sqrt(2 * graph.edge_count)
+    alive = set(range(graph.vertex_count))
+    inner_deg = graph.degrees().copy()
+    while alive:
+        drop = min(alive, key=lambda v: (inner_deg[v], v))
+        if inner_deg[drop] >= target:
+            break
+        alive.discard(drop)
+        for u in graph.neighbors(drop):
+            if u in alive:
+                inner_deg[u] -= 1
+    kept = tuple(sorted(alive))
+    min_deg = min((inner_deg[v] for v in alive), default=0)
+    return kept, min_deg, set(graph.subgraph_on(kept).edges()), target
+
+
+def _circulant(n: int, k: int) -> HostGraph:
+    """Each vertex v joined to v +- 1, ..., v +- k mod n: 2k-regular for k < n/2."""
+    return HostGraph(n, {(min(v, (v + j) % n), max(v, (v + j) % n))
+                         for v in range(n) for j in range(1, k + 1)})
+
+
+def _peel_hosts(count: int, seed: int):
+    """G(n, p) hosts with 31 <= n <= 150 above the exhaustive clique cutoff,
+    every tenth a circulant, whose equal degrees leave every peel to the
+    vertex tie-break."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(EXHAUSTIVE_CLIQUE_N + 1, 150)
+        if i % 10 == 0:
+            yield rng, _circulant(n, rng.randint(1, n // 3))
+        else:
+            q = rng.choice([0.03, 0.1, 0.3, 0.6, 0.9])
+            yield rng, HostGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < q])
+
+
+def test_greedy_clique_and_stability_peel_match_their_oracles():
+    seen = set()
+    for rng, host in _peel_hosts(320, 2323):
+        n = host.vertex_count
+        chi = rng.choice([0.0, 0.1, 0.3, 0.5, 0.8])
+        size = rng.choice([1, 2.5, n / 4, n / 2, 0.9 * n, n + 1])
+        verdict = detect_clique(host, chi, size)
+        assert (verdict.found, verdict.witness, verdict.certificate) == \
+            _greedy_clique_oracle(host, chi, size)
+        seen.add(verdict.found)
+        if host.edge_count:
+            eps = rng.choice([1e-4, 1e-3, 0.01, 0.03, 0.06, 0.5])
+            res = stability_peel(host, eps)
+            assert (res.kept, res.min_degree, set(res.graph.edges()), res.target) == \
+                _stability_peel_oracle(host, eps)
+            seen.add("kept" if res.kept else "emptied")
+    assert seen == {YES, NO, UNKNOWN, "kept", "emptied"}
+    # A survivor whose minimum degree equals the target is kept: C_32(1..4) is
+    # 8-regular with 128 edges, and at eps = 1/64 the target is sqrt(256) / 2 = 8.
+    res = stability_peel(_circulant(32, 4), 1 / 64)
+    assert (res.kept, res.min_degree, res.target) == (tuple(range(32)), 8, 8.0)
