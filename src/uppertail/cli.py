@@ -6,7 +6,8 @@ the seed, and wall-clock seconds.  Exit codes: 0 success, 2 validation
 error, 3 resource budget exceeded.
 
 A plain-text config file of ``key = value`` lines can override defaults;
-the UPPERTAIL_THREADS environment variable sets the default thread count.
+its keys are those of ``CONFIG_KEYS``, and any other key is refused.  The
+UPPERTAIL_THREADS environment variable sets the default thread count.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ DEFAULTS = {
     "samples": 100_000,
     "replicas": 32,
 }
+CONFIG_KEYS = (*DEFAULTS, "threads")
 
 
 def _load_config(path: str) -> dict:
@@ -55,7 +57,10 @@ def _load_config(path: str) -> dict:
             if "=" not in text:
                 raise ValidationError(f"bad config line: {text!r}")
             key, _, value = text.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ValidationError(f"unknown config key {key!r}; keys: {', '.join(CONFIG_KEYS)}")
+            out[key] = value.strip()
     return out
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import PATTERN_VERTEX_CAP, PatternGraph
+from .graphs import PATTERN_VERTEX_CAP, PatternGraph, star
 
 DENSE_LIMIT = 4000
 
@@ -375,6 +375,8 @@ def variational_upper_bound(n: int, p: float, r: int, delta: float) -> Variation
                 lo, hi = p, 1.0
                 for _ in range(100):
                     mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:  # adjacent floats: every later step is a no-op
+                        break
                     if _planted_star_count(n, p, r, k, mid) < target:
                         lo = mid
                     else:
@@ -482,14 +484,16 @@ def variance_ratio_estimate(
     unbiased sample variance of simulated counts, with an asymptotic
     standard error from the fourth central moment.
     """
-    from .montecarlo import star_count_samples
+    from .montecarlo import count_samples
 
     if samples < 2:
         raise ValidationError("need at least two samples")
     expected = expected_star_count_inhom(xi, r)
     if expected == 0:
         raise ValidationError("expected count is zero")
-    counts = star_count_samples(xi, r, samples, seed)
+    if xi.n ** (r + 1) >= 2**62:
+        raise ValidationError("star counts would overflow 64-bit accumulation")
+    counts = count_samples(star(r), xi, samples, seed)
     mean = counts.mean()
     centered = counts - mean
     sample_var = float(np.dot(centered, centered) / (samples - 1))

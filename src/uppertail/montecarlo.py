@@ -3,7 +3,8 @@
 Randomness comes from counter-based Philox streams keyed by (master seed,
 replica index), so every estimate is bit-identical across reruns and
 independent of how replicas are scheduled; acceptance counters are integers
-and float partials are reduced in replica order.
+and float partials are reduced in replica order.  One replica map,
+``_map_replicas``, hands each replica's chunk of the samples its stream.
 
 Every random graph comes from ``_present_slots``: geometric skipping at one
 probability over the pair slots of all of a replica's graphs.  A graph with
@@ -12,12 +13,13 @@ one such stream for each distinct probability, over the pairs that hold it,
 merged batch by batch.  ``_draws`` cuts a stream into batches, each a sparse
 list of (graph, pair) edges, and a replica's edges do not depend on how its
 draws are batched.  ``sample_gnp`` and ``sample_inhom`` return the first
-graph of replica 0.  Every Monte Carlo estimator counts its draws through
-one ``_BatchCounter``, in batches sized so that each holds about
-``_BATCH_ITEMS`` expected edges and at most ``_BATCH_ITEMS`` degree cells
-or bit-row words: a batch's arrays stay near
-64 KB, so the heap recycles them instead of returning them to the system
-and faulting them back in for the next batch.  Labelled counts come from
+graph of replica 0.  Every Monte Carlo estimator draws from an
+``EdgeProbabilityMatrix`` (``constant(n, p)`` at one probability) and counts
+its draws through one ``_BatchCounter``, in batches sized so that each holds
+about ``_BATCH_ITEMS`` expected edges and at most ``_BATCH_ITEMS`` degree
+cells or bit-row words: a batch's arrays stay near 64 KB, so the heap
+recycles them instead of returning them to the system and faulting them
+back in for the next batch.  Labelled counts come from
 the first path that applies: for n <= 6, a table of the labelled count of
 every graph on n vertices, indexed by its pair bitmask (``exact_tail``
 sums over the same table); degree falling factorials for stars; packed
@@ -30,12 +32,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ResourceBudgetError, ValidationError
-from .graphs import HostGraph, PatternGraph, is_connected, is_strictly_balanced, star, star_arms
+from .graphs import HostGraph, PatternGraph, is_connected, is_strictly_balanced, star_arms
 from .counting import _copy_edge_sets, count_labelled, automorphism_count
 from .meanfield import EdgeProbabilityMatrix
 
@@ -78,18 +80,21 @@ def _chunk_sizes(total: int, replicas: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(replicas)]
 
 
-def _map_replicas(worker: Callable[[int, int], object], sizes: Sequence[int], threads: int = 1) -> list:
-    """Run worker(replica_index, chunk_size) for each replica; results are
+def _map_replicas(work: Callable[[np.random.Generator, int], object], samples: int, replicas: int,
+                  seed: int, threads: int = 1) -> list:
+    """Run work(rng, m) on each ``_chunk_sizes`` chunk of ``samples``, with
+    rng the chunk's replica stream ``_replica_rng(seed, i)``; results are
     returned in replica order regardless of scheduling.  The pool holds at
-    most one thread per non-empty replica and per core."""
+    most one thread per replica and per core."""
+    sizes = _chunk_sizes(samples, replicas)
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
-    jobs = [(i, m) for i, m in enumerate(sizes) if m > 0]
+    jobs = [(_replica_rng(seed, i), m) for i, m in enumerate(sizes)]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
-        return [worker(i, m) for i, m in jobs]
+        return [work(rng, m) for rng, m in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, i, m) for i, m in jobs]
+        futures = [pool.submit(work, rng, m) for rng, m in jobs]
         return [f.result() for f in futures]
 
 
@@ -126,7 +131,8 @@ class EdgeBatch(NamedTuple):
     ``graph`` numbers the graphs of the batch from 0 and ``pair`` indexes
     vertex pairs in ``_pair_arrays`` order.  ``_measure_draws`` sets
     ``hits[i, g]`` to the edges of graph g at the i-th of its
-    probabilities."""
+    probabilities when it has several; a draw at one probability leaves
+    ``hits`` None, since every edge is at that probability."""
 
     graph: np.ndarray
     pair: np.ndarray
@@ -216,13 +222,12 @@ def _measure_draws(rng: np.random.Generator, xi: EdgeProbabilityMatrix, m: int, 
     ``rng.spawn``.  Each batch merges the streams' edges by (graph, pair)
     and counts each graph's edges per probability in ``hits``; every stream
     carries its skip position across batches, so the graphs do not depend
-    on ``rows``."""
+    on ``rows``.  One probability yields the constant stream's batches as
+    they are, without ``hits``."""
     n, levels = xi.n, xi.levels()
     n_pairs = _pair_count(n)
-    if len(levels) <= 1:  # the constant stream; no levels at n = 1
-        for batch in _draws(rng, levels[0][0] if levels else 0.0, n_pairs, m, rows):
-            hits = np.bincount(batch.graph, minlength=batch.size)[None]
-            yield batch._replace(hits=hits[: len(levels)])
+    if len(levels) <= 1:  # no levels at n = 1
+        yield from _draws(rng, levels[0][0] if levels else 0.0, n_pairs, m, rows)
         return
     children = [rng, *rng.spawn(len(levels) - 1)]
     streams = [_draws(child, q, pairs, m, rows) for child, (q, pairs, _) in zip(children, levels)]
@@ -260,9 +265,9 @@ def sample_inhom(xi: EdgeProbabilityMatrix, seed: int) -> HostGraph:
 class _BatchCounter:
     """Counts a pattern in each graph of batches of graphs on n vertices.
 
-    A batch is an ``EdgeBatch`` of at most ``rows(xi)`` graphs, as
-    ``batches`` yields it.  The counter holds no state beyond its tables, so
-    replica threads share one instance.
+    A batch is an ``EdgeBatch`` of at most ``rows(xi)`` graphs drawn from an
+    ``EdgeProbabilityMatrix``, as ``batches`` yields it.  The counter holds
+    no state beyond its tables, so replica threads share one instance.
     """
 
     def __init__(self, pattern: PatternGraph, n: int):
@@ -303,28 +308,18 @@ class _BatchCounter:
         table *= math.perm(self.n, self.pattern.vertex_count) // len(copies) if copies else 0
         return table
 
-    def rows(self, xi) -> int:
-        """Graphs per batch of draws from ``xi``, one probability or an
-        ``EdgeProbabilityMatrix``: about ``_BATCH_ITEMS`` expected edges, and
-        at most ``_BATCH_ITEMS`` degree cells, or bit-row words for
-        triangles."""
-        matrix = isinstance(xi, EdgeProbabilityMatrix)
-        edges = xi.expected_edges() if matrix else float(xi) * len(self.pair_u)
+    def rows(self, xi: EdgeProbabilityMatrix) -> int:
+        """Graphs per batch of draws from ``xi``: about ``_BATCH_ITEMS``
+        expected edges, and at most ``_BATCH_ITEMS`` degree cells, or bit-row
+        words for triangles."""
         cells = self.n * ((self.n + 63) >> 6) if self.triangle else self.n
-        per_graph = max(edges, cells)
+        per_graph = max(xi.expected_edges(), cells)
         return max(1, int(_BATCH_ITEMS // per_graph))
 
-    def batches(self, rng: np.random.Generator, xi, m: int):
-        """m graphs drawn from ``xi``, one probability (``_draws``) or an
-        ``EdgeProbabilityMatrix`` (``_measure_draws``), ``rows(xi)`` graphs a
-        batch."""
-        if isinstance(xi, EdgeProbabilityMatrix):
-            return _measure_draws(rng, xi, m, self.rows(xi))
-        return _draws(rng, xi, len(self.pair_u), m, self.rows(xi))
-
-    def sample_counts(self, rng: np.random.Generator, xi, m: int) -> np.ndarray:
-        """Labelled counts of m graphs drawn by ``batches``."""
-        return np.concatenate([self.counts(batch) for batch in self.batches(rng, xi, m)])
+    def batches(self, rng: np.random.Generator, xi: EdgeProbabilityMatrix, m: int):
+        """m graphs drawn from ``xi`` by ``_measure_draws``, ``rows(xi)``
+        graphs a batch."""
+        return _measure_draws(rng, xi, m, self.rows(xi))
 
     def degrees(self, batch: EdgeBatch) -> np.ndarray:
         """Degree matrix of a batch, one row per graph."""
@@ -401,24 +396,22 @@ def _chunked_sum(values: np.ndarray, chunk: int) -> float:
     return total
 
 
-def star_count_samples(
+def count_samples(
+    pattern: PatternGraph,
     xi: EdgeProbabilityMatrix,
-    r: int,
     samples: int,
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
     threads: int = 1,
 ) -> np.ndarray:
-    """Labelled r-star counts of ``samples`` independent draws from xi."""
-    n = xi.n
-    if n ** (r + 1) >= 2**62:
-        raise ValidationError("star counts would overflow 64-bit accumulation")
-    counter = _BatchCounter(star(r), n)
+    """Labelled counts of ``pattern`` in ``samples`` independent draws from
+    xi, in replica order."""
+    counter = _BatchCounter(pattern, xi.n)
 
-    def worker(replica: int, m: int) -> np.ndarray:
-        return counter.sample_counts(_replica_rng(seed, replica), xi, m)
+    def work(rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.concatenate([counter.counts(batch) for batch in counter.batches(rng, xi, m)])
 
-    return np.concatenate(_map_replicas(worker, _chunk_sizes(samples, replicas), threads))
+    return np.concatenate(_map_replicas(work, samples, replicas, seed, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +452,8 @@ def estimate_tail_direct(
     """Empirical tail frequency with binomial standard error."""
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
-    counter = _BatchCounter(pattern, n)
-
-    def worker(replica: int, m: int) -> int:
-        return int((counter.sample_counts(_replica_rng(seed, replica), p, m) >= threshold).sum())
-
-    accepts = sum(_map_replicas(worker, _chunk_sizes(samples, replicas), threads))
+    xi = EdgeProbabilityMatrix.constant(n, p)
+    accepts = int((count_samples(pattern, xi, samples, seed, replicas, threads) >= threshold).sum())
     point = accepts / samples
     stderr = math.sqrt(point * (1 - point) / samples)
     return TailEstimate(
@@ -505,21 +494,21 @@ def estimate_tail_importance(
         raise ValidationError("proposal probabilities must lie in (0, 1) for an unbiased estimator")
     slope, offset = proposal.log_likelihood_ratio(p)
 
-    def worker(replica: int, m: int) -> tuple[float, float, float, float, int]:
+    def work(rng: np.random.Generator, m: int) -> tuple[float, float, float, float, int]:
         weights, tails = [], []
-        for batch in counter.batches(_replica_rng(seed, replica), proposal, m):
-            weights.append(np.exp(slope @ batch.hits + offset))
+        for batch in counter.batches(rng, proposal, m):
+            hits = batch.hits
+            if hits is None:  # one probability, or none at n = 1
+                hits = np.bincount(batch.graph, minlength=batch.size)[None][: len(slope)]
+            weights.append(np.exp(slope @ hits + offset))
             tails.append(counter.counts(batch) >= threshold)
         w, ind = np.concatenate(weights), np.concatenate(tails)
         contrib = w * ind
         sums = (_chunked_sum(x, counter.chunk) for x in (contrib, contrib**2, w, w**2))
         return (*sums, int(ind.sum()))
 
-    parts = _map_replicas(worker, _chunk_sizes(samples, replicas), threads)
-    s1 = math.fsum(part[0] for part in parts)
-    s2 = math.fsum(part[1] for part in parts)
-    w1 = math.fsum(part[2] for part in parts)
-    w2 = math.fsum(part[3] for part in parts)
+    parts = _map_replicas(work, samples, replicas, seed, threads)
+    s1, s2, w1, w2 = (math.fsum(part[i] for part in parts) for i in range(4))
     accepted = sum(part[4] for part in parts)
     point = s1 / samples
     variance = max(s2 / samples - point**2, 0.0)
@@ -606,6 +595,7 @@ def conditioned_structure_frequency(
     if threshold is None:
         threshold = threshold_for(delta, pattern, n, p)
     counter = _BatchCounter(pattern, n)
+    xi = EdgeProbabilityMatrix.constant(n, p)
 
     hits_cond = 0
     hits_all = 0
@@ -617,7 +607,7 @@ def conditioned_structure_frequency(
         nonlocal hits_cond, hits_all, accepted, drawn, replica
         rng = _replica_rng(seed, replica)
         replica += 1
-        for batch in counter.batches(rng, p, take):
+        for batch in counter.batches(rng, xi, take):
             deg = counter.degrees(batch)
             flags = np.asarray(detector.evaluate_degrees(deg), dtype=bool)
             good = counter.counts(batch, deg) >= threshold
@@ -683,12 +673,8 @@ def poisson_fit_experiment(
         raise ValidationError(
             f"expected unlabelled count {mu:.3g} outside window {POISSON_MEAN_WINDOW}"
         )
-    counter = _BatchCounter(pattern, n)
-
-    def worker(replica: int, m: int) -> np.ndarray:
-        return counter.sample_counts(_replica_rng(seed, replica), p, m)
-
-    counts = np.concatenate(_map_replicas(worker, _chunk_sizes(samples, replicas), threads)) // aut
+    xi = EdgeProbabilityMatrix.constant(n, p)
+    counts = count_samples(pattern, xi, samples, seed, replicas, threads) // aut
     mean = float(counts.mean())
     values, freq = np.unique(counts, return_counts=True)
     empirical = freq / samples

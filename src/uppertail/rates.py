@@ -180,6 +180,8 @@ def regular_crossover(pattern: PatternGraph) -> Optional[float]:
         return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: every later step is a no-op
+            break
         if gap(mid) < 0:
             lo = mid
         else:

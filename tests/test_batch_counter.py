@@ -45,13 +45,13 @@ from uppertail.montecarlo import (
     _present_slots,
     _replica_rng,
     conditioned_structure_frequency,
+    count_samples,
     estimate_tail_direct,
     estimate_tail_importance,
     exact_tail,
     poisson_fit_experiment,
     sample_gnp,
     sample_inhom,
-    star_count_samples,
     threshold_for,
 )
 
@@ -413,7 +413,7 @@ def test_one_probability_draws_the_constant_stream():
         want = list(_draws(_replica_rng(4, 0), 0.3, 66, 300, 64))
         assert all(np.array_equal(a.graph, b.graph) and np.array_equal(a.pair, b.pair)
                    for a, b in zip(got, want))
-        assert all(np.array_equal(a.hits, np.bincount(a.graph, minlength=a.size)[None]) for a in got)
+        assert all(a.hits is None for a in got)
 
 
 THINNED_LAW = {
@@ -470,7 +470,7 @@ def test_constant_stream_does_not_depend_on_block_length(n, p, m, seed):
         got = oracle_present_slots(_replica_rng(seed, 3), p, n_pairs, m * n_pairs, size)
         assert np.array_equal(_joined(got), want)
     assert np.array_equal(_joined(_present_slots(_replica_rng(seed, 3), p, n_pairs, m * n_pairs)), want)
-    rows = _BatchCounter(star(2), n).rows(p)
+    rows = _BatchCounter(star(2), n).rows(EdgeProbabilityMatrix.constant(n, p))
     for batch_rows in sorted({1, 3, 64, rows, 4096, m}):
         batches = list(_draws(_replica_rng(seed, 3), p, n_pairs, m, batch_rows))
         assert [b.size for b in batches] == [min(batch_rows, m - d) for d in range(0, m, batch_rows)]
@@ -483,17 +483,20 @@ def test_batch_rows_rule():
     # About 8,192 expected edges (the sum of a graph's pair probabilities),
     # and at most 8,192 degree cells, or bit-row words (n * ceil(n / 64))
     # for triangles, per batch.
-    assert _BatchCounter(star(2), 40).rows(0.05) == 8192 // 40  # 39 edges, 40 cells
-    assert _BatchCounter(star(2), 40).rows(0.5) == 8192 // 390
+    def rows(pattern, n, p):
+        return _BatchCounter(pattern, n).rows(EdgeProbabilityMatrix.constant(n, p))
+
+    assert rows(star(2), 40, 0.05) == 8192 // 40  # 39 edges, 40 cells
+    assert rows(star(2), 40, 0.5) == 8192 // 390
     hub = EdgeProbabilityMatrix.planting("hub:1:0.5", 40, 0.05)
     assert _BatchCounter(star(2), 40).rows(hub) == 144  # 39 * 0.5 + 741 * 0.05 edges
-    assert _BatchCounter(star(2), 40).rows(0.0) == 8192 // 40
-    assert _BatchCounter(clique(3), 200).rows(0.0131) == 8192 // 800  # 4 words a row
-    assert _BatchCounter(star(2), 5).rows(0.3) == 8192 // 5
-    assert _BatchCounter(star(2), 1).rows(0.5) == 8192
-    assert _BatchCounter(star(2), 2000).rows(0.001) == 4  # 1,999 edges
-    assert _BatchCounter(clique(3), 2000).rows(0.001) == 1  # 64,000 words
-    assert _BatchCounter(clique(3), 1000).rows(0.5) == 1
+    assert rows(star(2), 40, 0.0) == 8192 // 40
+    assert rows(clique(3), 200, 0.0131) == 8192 // 800  # 4 words a row
+    assert rows(star(2), 5, 0.3) == 8192 // 5
+    assert rows(star(2), 1, 0.5) == 8192
+    assert rows(star(2), 2000, 0.001) == 4  # 1,999 edges
+    assert rows(clique(3), 2000, 0.001) == 1  # 64,000 words
+    assert rows(clique(3), 1000, 0.5) == 1
     # A replica chunk keeps the former batch rule: 4,096 graphs, fewer above
     # 1,953 pairs.
     assert _BatchCounter(star(2), 40).chunk == 4096
@@ -504,8 +507,8 @@ def test_batch_rows_rule():
 
 
 def _any_draws(rng, xi, n, m, rows):
-    """The draws of m graphs on n vertices from one probability or a matrix,
-    as ``_BatchCounter.batches`` dispatches them."""
+    """The draws of m graphs on n vertices from one probability
+    (``_draws``) or a matrix (``_measure_draws``)."""
     if isinstance(xi, EdgeProbabilityMatrix):
         return _measure_draws(rng, xi, m, rows)
     return _draws(rng, xi, n * (n - 1) // 2, m, rows)
@@ -548,7 +551,7 @@ def test_draws_have_the_right_marginals(case):
     counter = _BatchCounter(star(2), n)
     if case == "constant":
         probs = np.full(len(counter.pair_u), 0.3)
-        xi = 0.3
+        xi = EdgeProbabilityMatrix.constant(n, 0.3)
     else:
         xi = MATRICES[case](n)
         probs = _pair_probs(xi, n)
@@ -617,7 +620,7 @@ def test_pinned_estimator_outputs():
     )
     got = (out.accepted, out.freq_conditioned, out.freq_unconditioned)
     assert got == (398, 0.4221105527638191, 0.0233)
-    counts = star_count_samples(EdgeProbabilityMatrix.constant(30, 0.3), 2, 4000, 5)
+    counts = count_samples(star(2), EdgeProbabilityMatrix.constant(30, 0.3), 4000, 5)
     assert int(counts.sum()) == 8_749_158
     fit = poisson_fit_experiment(clique(3), 200, 18 ** (1 / 3) / 200, 10000, 0)
     assert (fit.mean, fit.tv_distance) == (2.9281, 0.02736365843603086)

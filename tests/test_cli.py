@@ -316,6 +316,7 @@ THREADS_2 = "<threads-2>"  # a config file holding "threads = 2"
 BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
 NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text, also read as a config
 NO_EQUALS = "<no-equals>"  # a config file holding the line "threads 2", which has no "="
+TYPO = "<typo>"  # a config file holding "sampels = 10", a key the CLI does not know
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
 CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", "4", "--p", "0.3"]
 CORE_K3 = ["core", "--graph", GRAPH, "--pattern", "clique:3", "--epsilon", "0.5", "--p", "0.5"]
@@ -409,6 +410,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, CONDITIONED + ["--samples", "100", "--detector", "hub:3"]),
         (None, CONDITIONED[:-2] + ["--samples", "100"]),
         (None, ["--config", NO_EQUALS, "analyze-pattern", "cycle:4"]),
+        (None, ["--config", TYPO] + TAIL),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -431,7 +433,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "rate-star-huge-n", "detect-highdeg-huge-n", "meanfield-huge-n",
          "conditioned-huge-n", "poisson-huge-n", "core-clique-star", "detect-hub-no-thresholds",
          "detect-clique-no-size", "detect-highdeg-delta-negative", "conditioned-detector-hub",
-         "conditioned-no-delta", "config-line-without-equals"],
+         "conditioned-no-delta", "config-line-without-equals", "config-unknown-key"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
@@ -446,8 +448,10 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
     not_utf8.write_bytes(b"n 4\n0 1\n\xff\xfe 2\n")
     no_equals = tmp_path / "no_equals.conf"
     no_equals.write_text("threads 2\n")
+    typo = tmp_path / "typo.conf"
+    typo.write_text("sampels = 10\n")
     files = {GRAPH: graph, CONFIG: config, THREADS_2: threads_2, BAD_HEADER: bad_header,
-             NOT_UTF8: not_utf8, NO_EQUALS: no_equals}
+             NOT_UTF8: not_utf8, NO_EQUALS: no_equals, TYPO: typo}
     argv = [str(files.get(arg, arg)) for arg in argv]
     if threads_env is None:
         monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)

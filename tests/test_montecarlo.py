@@ -13,14 +13,15 @@ from uppertail.montecarlo import (
     HighDegreeDetector,
     _chunk_sizes,
     _map_replicas,
+    _replica_rng,
     conditioned_structure_frequency,
+    count_samples,
     estimate_tail_direct,
     estimate_tail_importance,
     exact_tail,
     poisson_fit_experiment,
     sample_gnp,
     sample_inhom,
-    star_count_samples,
     threshold_for,
 )
 
@@ -99,6 +100,18 @@ def test_importance_reduces_to_direct_with_no_planting():
     est = estimate_tail_importance(clique(3), 3, 0.5, 6, none, 150_000, 13)
     assert abs(est.point - 0.125) < 3 * est.stderr
     assert est.extras["mean_weight"] == pytest.approx(1.0, abs=1e-12)
+    # Both estimators read the one constant stream and every weight is
+    # exactly 1, so the point and the accept count agree exactly: on the
+    # count table, degree and bit-row paths.  The standard errors come from
+    # p(1 - p) and s2/N - p^2, which may differ in the last bit.
+    for pattern, n, p, threshold, samples, seed in [(clique(3), 3, 0.5, 6, 150_000, 13),
+                                                    (star(2), 40, 0.05, 321, 20_000, 0),
+                                                    (clique(3), 12, 0.3, 60, 3000, 3)]:
+        none = EdgeProbabilityMatrix.planting("none", n, p)
+        est = estimate_tail_importance(pattern, n, p, threshold, none, samples, seed)
+        direct = estimate_tail_direct(pattern, n, p, threshold, samples, seed)
+        assert est.point == direct.point and est.extras["accepted"] == direct.extras["accepted"]
+        assert est.stderr == pytest.approx(direct.stderr, rel=1e-15)
 
 
 def test_importance_mean_weight_is_one():
@@ -168,24 +181,27 @@ def test_pool_holds_at_most_one_thread_per_job_and_core(monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     _RecordingPool.sizes.clear()
-    worker = lambda i, m: (i, m)  # noqa: E731
-    for threads, sizes in [(10**9, [2, 0, 3, 1]), (2, [1] * 6), (10**9, [1] * 9),
-                           (10**9, [5, 0, 0]), (3, [1, 1])]:
-        want = [(i, m) for i, m in enumerate(sizes) if m]
-        assert _map_replicas(worker, sizes, threads) == want
+    work = lambda rng, m: (int(rng.integers(2**62)), m)  # noqa: E731
+    for threads, samples, replicas in [(10**9, 7, 3), (2, 6, 6), (10**9, 9, 9), (10**9, 5, 1),
+                                       (3, 2, 10)]:
+        # Each chunk runs on its own replica stream, in replica order.
+        want = [(int(_replica_rng(11, i).integers(2**62)), m)
+                for i, m in enumerate(_chunk_sizes(samples, replicas))]
+        assert _map_replicas(work, samples, replicas, 11, threads) == want
     # The pools are bounded by three jobs, two threads, four cores and two
-    # jobs; the run with a single job uses no pool.
+    # jobs (replicas beyond the samples are dropped); the run with a single
+    # job uses no pool.
     assert _RecordingPool.sizes == [3, 2, 4, 2]
 
 
 def test_star_count_samples_against_expectation():
     xi = EdgeProbabilityMatrix.constant(30, 0.3)
-    counts = star_count_samples(xi, 2, 4000, 5)
+    counts = count_samples(star(2), xi, 4000, 5)
     expected = expected_star_count_inhom(xi, 2)
     sd = counts.std(ddof=1)
     assert abs(counts.mean() - expected) < 4 * sd / math.sqrt(len(counts))
     # deterministic
-    again = star_count_samples(xi, 2, 4000, 5)
+    again = count_samples(star(2), xi, 4000, 5)
     assert np.array_equal(counts, again)
 
 
@@ -288,7 +304,7 @@ def test_exact_tail_with_an_isolated_pattern_vertex():
 
 def test_star_count_samples_r3():
     xi = EdgeProbabilityMatrix.constant(25, 0.35)
-    counts = star_count_samples(xi, 3, 3000, 12)
+    counts = count_samples(star(3), xi, 3000, 12)
     expected = expected_star_count_inhom(xi, 3)
     sem = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - expected) < 4 * sem

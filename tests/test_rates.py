@@ -9,7 +9,8 @@ import pytest
 from uppertail.cli import _json_ready, main
 from uppertail.errors import ValidationError
 from uppertail.graphs import PatternGraph, clique, cycle, path, pattern_from_shorthand, star
-from uppertail.patterns import IndependencePolynomial
+from uppertail import rates
+from uppertail.patterns import IndependencePolynomial, independence_polynomial
 from uppertail.rates import (
     SPEEDS,
     Regime,
@@ -90,6 +91,45 @@ def test_regular_crossover_branch_switch():
     above = rate_regular(clique(3), delta0 * 1.02)
     assert below.details["branch"] == "hub"
     assert above.details["branch"] == "clique"
+
+
+def _crossover_all_steps(pattern):
+    """``regular_crossover`` with all 200 bisection steps taken, as the
+    reference for the early stop."""
+    poly = independence_polynomial(pattern)
+
+    def gap(delta):
+        return theta_star_root(poly, delta) - delta ** (2.0 / pattern.vertex_count) / 2.0
+
+    d = 1e-6
+    while not gap(d) < 0 <= gap(2 * d):
+        d *= 2
+    lo, hi = d, 2 * d
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("pattern, solves", [(cycle(4), 77), (clique(3), 75), (cycle(5), 78)],
+                         ids=["cycle:4", "clique:3", "cycle:5"])
+def test_regular_crossover_stops_when_the_bracket_cannot_shrink(monkeypatch, pattern, solves):
+    # The bisection stops once its midpoint equals an end: every later step
+    # would leave the bracket as it is.  Without the stop cycle:4 took 225
+    # root solves for the same delta0.
+    want = _crossover_all_steps(pattern)
+    calls = []
+
+    def counted(poly, delta):
+        calls.append(delta)
+        return theta_star_root(poly, delta)
+
+    monkeypatch.setattr(rates, "theta_star_root", counted)
+    assert regular_crossover(pattern) == want
+    assert len(calls) == solves
 
 
 def test_rate_poisson():
