@@ -330,9 +330,10 @@ def _cmd_experiment(args, started) -> int:
     pattern = pattern_from_shorthand(args.pattern)
     if args.kind == "poisson-fit":
         fit = montecarlo.poisson_fit_experiment(
-            pattern, args.n, args.p, args.samples, args.seed, threads=args.threads
+            pattern, args.n, args.p, args.samples, args.seed,
+            replicas=args.replicas, threads=args.threads,
         )
-        inputs = _echo(args, "kind pattern n p samples")
+        inputs = _echo(args, "kind pattern n p samples replicas")
         result = {"tv_distance": fit.tv_distance, "mean": fit.mean, "samples": fit.samples}
     elif args.kind == "conditioned":
         spec = args.detector or "highdeg"
@@ -350,12 +351,11 @@ def _cmd_experiment(args, started) -> int:
                     "the default highdeg threshold is for stars; give highdeg:<t> for this pattern"
                 )
             det_threshold = _hub_degree_threshold(r, args.n, args.p, args.delta)
-        detector = montecarlo.HighDegreeDetector(det_threshold)
         freqs = montecarlo.conditioned_structure_frequency(
-            pattern, args.n, args.p, args.delta, detector, args.samples, args.seed,
-            min_accepted=args.min_accepted,
+            pattern, args.n, args.p, args.delta, det_threshold, args.samples, args.seed,
+            min_accepted=args.min_accepted, replicas=args.replicas, threads=args.threads,
         )
-        inputs = _echo(args, "kind pattern n p delta samples min_accepted", detector=spec,
+        inputs = _echo(args, "kind pattern n p delta samples min_accepted replicas", detector=spec,
                        detector_threshold=det_threshold)
         result = {
             "freq_conditioned": freqs.freq_conditioned,
@@ -483,9 +483,6 @@ def _apply_defaults(args: argparse.Namespace, config: dict) -> None:
     resolve("samples", int, DEFAULTS["samples"])
     resolve("replicas", int, DEFAULTS["replicas"])
     resolve("threads", int, None)
-    if getattr(args, "kind", None) == "conditioned" and (args.threads or 1) > 1:
-        # An UPPERTAIL_THREADS default is not an error, as for ``tail --method exact``.
-        raise ValidationError(f"experiment conditioned runs on one thread, got {args.threads}")
     if args.threads is None:
         env_threads = os.environ.get("UPPERTAIL_THREADS")
         args.threads = _parse_number("UPPERTAIL_THREADS", int, env_threads) if env_threads else 1

@@ -3,8 +3,11 @@
 Randomness comes from counter-based Philox streams keyed by (master seed,
 replica index), so every estimate is bit-identical across reruns and
 independent of how replicas are scheduled; acceptance counters are integers
-and float partials are reduced in replica order.  One replica map,
-``_map_replicas``, hands each replica's chunk of the samples its stream.
+and float partials are reduced in replica order.  Every estimator runs on one
+replica map, ``_map_replicas``: it hands each replica's chunk of the samples
+its stream and yields the replicas' results in order, drawing a replica only
+as results are taken, so a run that stops early (the conditioned experiment)
+draws the same replicas on any number of threads.
 
 Every random graph comes from ``_present_slots``: geometric skipping at one
 probability over the pair slots of all of a replica's graphs.  A graph with
@@ -30,9 +33,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,21 +85,31 @@ def _chunk_sizes(total: int, replicas: int) -> list[int]:
 
 
 def _map_replicas(work: Callable[[np.random.Generator, int], object], samples: int, replicas: int,
-                  seed: int, threads: int = 1) -> list:
-    """Run work(rng, m) on each ``_chunk_sizes`` chunk of ``samples``, with
-    rng the chunk's replica stream ``_replica_rng(seed, i)``; results are
-    returned in replica order regardless of scheduling.  The pool holds at
-    most one thread per replica and per core."""
+                  seed: int, threads: int = 1) -> Iterator:
+    """Yield work(rng, m) for each ``_chunk_sizes`` chunk of ``samples``, in
+    replica order, with rng the chunk's replica stream ``_replica_rng(seed,
+    i)``.  A chunk starts only when a result is asked for, at most one chunk
+    per thread ahead of the results taken, so a caller that stops early
+    leaves later replicas undrawn and its output does not depend on the
+    thread count.  The pool holds at most one thread per replica and per
+    core."""
     sizes = _chunk_sizes(samples, replicas)
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
-    jobs = [(_replica_rng(seed, i), m) for i, m in enumerate(sizes)]
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    jobs = ((_replica_rng(seed, i), m) for i, m in enumerate(sizes))
+    workers = min(threads, len(sizes), os.cpu_count() or 1)
     if workers <= 1:
-        return [work(rng, m) for rng, m in jobs]
+        for rng, m in jobs:
+            yield work(rng, m)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, rng, m) for rng, m in jobs]
-        return [f.result() for f in futures]
+        ahead = deque()
+        for rng, m in jobs:
+            ahead.append(pool.submit(work, rng, m))
+            if len(ahead) == workers:
+                yield ahead.popleft().result()
+        for future in ahead:
+            yield future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +292,6 @@ class _BatchCounter:
         self.pattern = pattern
         self.n = n
         self.pair_u, self.pair_v = _pair_arrays(n)
-        # Graphs in a replica chunk.  A conditioned run draws each chunk from
-        # its own replica stream, and importance sums are rounded chunk by
-        # chunk, so both outputs depend on this length and not on ``rows``.
-        self.chunk = max(1, min(4096, 8_000_000 // max(len(self.pair_u), 1)))
         self.table = None
         if n <= EXACT_TAIL_MAX_N:
             self.table = self._count_table()
@@ -387,13 +397,22 @@ class _BatchCounter:
         return 6 * np.diff(np.concatenate(([0], np.cumsum(per_edge)))[ends])
 
 
-def _chunked_sum(values: np.ndarray, chunk: int) -> float:
-    """The sum of ``values`` taken ``chunk`` entries at a time, so that its
-    rounding does not depend on how the values were batched."""
-    total = 0.0
-    for lo in range(0, len(values), chunk):
-        total += float(values[lo : lo + chunk].sum())
-    return total
+def _replica_counts(
+    pattern: PatternGraph,
+    xi: EdgeProbabilityMatrix,
+    samples: int,
+    seed: int,
+    replicas: int = DEFAULT_REPLICAS,
+    threads: int = 1,
+) -> Iterator[np.ndarray]:
+    """Labelled counts of ``pattern`` in ``samples`` independent draws from
+    xi, one array per replica, drawn as ``_map_replicas`` yields them."""
+    counter = _BatchCounter(pattern, xi.n)
+
+    def work(rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.concatenate([counter.counts(batch) for batch in counter.batches(rng, xi, m)])
+
+    return _map_replicas(work, samples, replicas, seed, threads)
 
 
 def count_samples(
@@ -406,12 +425,7 @@ def count_samples(
 ) -> np.ndarray:
     """Labelled counts of ``pattern`` in ``samples`` independent draws from
     xi, in replica order."""
-    counter = _BatchCounter(pattern, xi.n)
-
-    def work(rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.concatenate([counter.counts(batch) for batch in counter.batches(rng, xi, m)])
-
-    return np.concatenate(_map_replicas(work, samples, replicas, seed, threads))
+    return np.concatenate(list(_replica_counts(pattern, xi, samples, seed, replicas, threads)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +467,8 @@ def estimate_tail_direct(
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
     xi = EdgeProbabilityMatrix.constant(n, p)
-    accepts = int((count_samples(pattern, xi, samples, seed, replicas, threads) >= threshold).sum())
+    accepts = sum(int((counts >= threshold).sum())
+                  for counts in _replica_counts(pattern, xi, samples, seed, replicas, threads))
     point = accepts / samples
     stderr = math.sqrt(point * (1 - point) / samples)
     return TailEstimate(
@@ -504,10 +519,9 @@ def estimate_tail_importance(
             tails.append(counter.counts(batch) >= threshold)
         w, ind = np.concatenate(weights), np.concatenate(tails)
         contrib = w * ind
-        sums = (_chunked_sum(x, counter.chunk) for x in (contrib, contrib**2, w, w**2))
-        return (*sums, int(ind.sum()))
+        return (*(float(x.sum()) for x in (contrib, contrib**2, w, w**2)), int(ind.sum()))
 
-    parts = _map_replicas(work, samples, replicas, seed, threads)
+    parts = list(_map_replicas(work, samples, replicas, seed, threads))
     s1, s2, w1, w2 = (math.fsum(part[i] for part in parts) for i in range(4))
     accepted = sum(part[4] for part in parts)
     point = s1 / samples
@@ -542,16 +556,6 @@ def threshold_for(delta: float, pattern: PatternGraph, n: int, p: float) -> int:
 # Conditioned-structure and Poisson experiments
 # ---------------------------------------------------------------------------
 
-class HighDegreeDetector:
-    """Detector: does the graph have a vertex of degree >= threshold?"""
-
-    def __init__(self, threshold: float):
-        self.threshold = threshold
-
-    def evaluate_degrees(self, degrees: np.ndarray) -> np.ndarray:
-        return degrees.max(axis=1) >= self.threshold
-
-
 @dataclass(frozen=True)
 class ConditionedFrequencies:
     freq_conditioned: float
@@ -566,28 +570,28 @@ def conditioned_structure_frequency(
     n: int,
     p: float,
     delta: float,
-    detector,
+    degree_threshold: float,
     samples: int,
     seed: int,
     min_accepted: int = 300,
     pilot: int = 50_000,
     threshold: Optional[int] = None,
+    replicas: int = DEFAULT_REPLICAS,
+    threads: int = 1,
 ) -> ConditionedFrequencies:
-    """Rejection-sample the tail event and compare detector frequencies.
+    """Rejection-sample the tail event and compare the frequencies of a
+    vertex of degree at least ``degree_threshold`` with and without it.
 
-    A pilot run estimates the acceptance probability first; if it appears to
-    be below ``ACCEPTANCE_FLOOR`` the run is refused: conditioned detector
-    frequencies of events below the floor are not supported, and only the tail
-    probability itself can be estimated, by ``estimate_tail_importance``
-    (``tail --method importance``).  Sampling then continues until
-    ``min_accepted`` conditioned samples or the sample budget is exhausted.
-    ``threshold`` overrides the default ceil((1+delta) n^v p^e) count.  The
-    detector maps a batch's degree matrix to one flag per graph
-    (``evaluate_degrees``).  Each ``_BatchCounter.chunk`` of graphs draws
-    from a fresh replica stream.
+    Replicas are tallied in order.  Once they cover min(pilot, samples)
+    draws, the acceptance they show is checked: below ``ACCEPTANCE_FLOOR``
+    the run is refused, since conditioned detector frequencies of events
+    below the floor are not supported, and only the tail probability itself
+    can be estimated, by ``estimate_tail_importance`` (``tail --method
+    importance``).  The run then stops after the first replica that brings
+    the conditioned samples to ``min_accepted``, or when the sample budget
+    is exhausted.  ``threshold`` overrides the default ceil((1+delta) n^v
+    p^e) count.
     """
-    if samples < 1:
-        raise ValidationError("need at least one sample")
     if min_accepted < 0:
         raise ValidationError("min_accepted must be nonnegative")
     if not 0 <= p <= 1:
@@ -597,41 +601,33 @@ def conditioned_structure_frequency(
     counter = _BatchCounter(pattern, n)
     xi = EdgeProbabilityMatrix.constant(n, p)
 
-    hits_cond = 0
-    hits_all = 0
-    accepted = 0
-    drawn = 0
-    replica = 0
-
-    def run_chunk(take):
-        nonlocal hits_cond, hits_all, accepted, drawn, replica
-        rng = _replica_rng(seed, replica)
-        replica += 1
-        for batch in counter.batches(rng, xi, take):
+    def work(rng: np.random.Generator, m: int) -> np.ndarray:
+        tally = np.zeros(4, dtype=np.int64)  # both, flagged, accepted, drawn
+        for batch in counter.batches(rng, xi, m):
             deg = counter.degrees(batch)
-            flags = np.asarray(detector.evaluate_degrees(deg), dtype=bool)
+            flags = deg.max(axis=1) >= degree_threshold
             good = counter.counts(batch, deg) >= threshold
-            hits_cond += int((flags & good).sum())
-            hits_all += int(flags.sum())
-            accepted += int(good.sum())
-            drawn += batch.size
+            tally += ((flags & good).sum(), flags.sum(), good.sum(), batch.size)
+        return tally
 
-    pilot_budget = min(pilot, samples)
-    while drawn < pilot_budget:
-        run_chunk(min(counter.chunk, pilot_budget - drawn))
-    acceptance_estimate = accepted / drawn if drawn else 0.0
-    if acceptance_estimate < ACCEPTANCE_FLOOR:
-        raise ResourceBudgetError(
-            f"acceptance too rare (estimated {acceptance_estimate:.2e} from {drawn} pilot "
-            f"samples, floor {ACCEPTANCE_FLOOR:.0e}); conditioned frequencies of events "
-            "below the floor are not supported; estimate the tail probability with "
-            "estimate_tail_importance (tail --method importance)"
-        )
-    while accepted < min_accepted and drawn < samples:
-        run_chunk(min(counter.chunk, samples - drawn))
+    pilot = min(pilot, samples)
+    tally = np.zeros(4, dtype=np.int64)
+    for part in _map_replicas(work, samples, replicas, seed, threads):
+        before = int(tally[3])
+        tally += part
+        both, flagged, accepted, drawn = tally.tolist()
+        if before < pilot <= drawn and accepted / drawn < ACCEPTANCE_FLOOR:
+            raise ResourceBudgetError(
+                f"acceptance too rare (estimated {accepted / drawn:.2e} from {drawn} pilot "
+                f"samples, floor {ACCEPTANCE_FLOOR:.0e}); conditioned frequencies of events "
+                "below the floor are not supported; estimate the tail probability with "
+                "estimate_tail_importance (tail --method importance)"
+            )
+        if drawn >= pilot and accepted >= min_accepted:
+            break
     return ConditionedFrequencies(
-        freq_conditioned=hits_cond / accepted if accepted else 0.0,
-        freq_unconditioned=hits_all / drawn,
+        freq_conditioned=both / accepted if accepted else 0.0,
+        freq_unconditioned=flagged / drawn,
         accepted=accepted,
         samples=drawn,
         acceptance=accepted / drawn,
@@ -665,11 +661,9 @@ def poisson_fit_experiment(
         raise ValidationError("pattern must be connected and strictly balanced")
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
-    if p == 0:
-        return PoissonFit(tv_distance=0.0, mean=0.0, samples=samples)
     aut = automorphism_count(pattern)
     mu = n**pattern.vertex_count * p**pattern.edge_count / aut
-    if not POISSON_MEAN_WINDOW[0] <= mu <= POISSON_MEAN_WINDOW[1]:
+    if p > 0 and not POISSON_MEAN_WINDOW[0] <= mu <= POISSON_MEAN_WINDOW[1]:
         raise ValidationError(
             f"expected unlabelled count {mu:.3g} outside window {POISSON_MEAN_WINDOW}"
         )

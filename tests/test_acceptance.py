@@ -33,7 +33,6 @@ from uppertail.meanfield import (
     variational_upper_bound,
 )
 from uppertail.montecarlo import (
-    HighDegreeDetector,
     conditioned_structure_frequency,
     estimate_tail_direct,
     estimate_tail_importance,
@@ -287,16 +286,17 @@ def test_criterion_09_conditioned_structure():
     test_montecarlo.py::test_conditioned_structure_rarity_guard.
 
     At p = 0.02, delta = 0.5 (threshold 39, detector >= 3.58), (c) reads
-    3.0e-1 against 1.6e-1.  The pilot alone accepts about 6,500 of 50,000
-    draws; seeds 2718 and 1-5 gave gaps 0.555-0.570 (conditioned ~0.81,
+    3.0e-1 against 1.6e-1.  The first replica, 62,500 draws that cover the
+    50,000-draw pilot, accepts about 8,000 of them and ends the run; seeds
+    2718 and 1-5 gave gaps 0.555-0.570 (conditioned ~0.81,
     unconditioned ~0.25), each above 0.2 by more than 60 binomial standard
     errors.  The delta = 1 directional effect at p = 0.05 is checked in
     test_montecarlo.py::test_conditioned_structure_directional.
     """
     n, p, delta = 40, 0.02, 0.5
-    detector = HighDegreeDetector(delta ** 0.5 * n**1.5 * p)
+    t = delta ** 0.5 * n**1.5 * p
     pairs = n * (n - 1) // 2
-    hub_route = n * _binomial_upper_tail(n - 1, p, math.ceil(detector.threshold))
+    hub_route = n * _binomial_upper_tail(n - 1, p, math.ceil(t))
     surplus_route = _binomial_upper_tail(
         pairs, p, math.ceil(math.sqrt(1 + delta) * pairs * p)
     )
@@ -306,7 +306,7 @@ def test_criterion_09_conditioned_structure():
     assert hub_route >= surplus_route, (hub_route, surplus_route)
     try:
         out = conditioned_structure_frequency(
-            star(2), n, p, delta, detector, samples=2_000_000, seed=2718,
+            star(2), n, p, delta, t, samples=2_000_000, seed=2718,
             min_accepted=300,
         )
     except ResourceBudgetError as exc:

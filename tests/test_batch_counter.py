@@ -34,7 +34,6 @@ from uppertail.meanfield import EdgeProbabilityMatrix, planted_star_optimizer
 from uppertail.montecarlo import (
     EdgeBatch,
     MAX_PAIRS,
-    HighDegreeDetector,
     _BATCH_ITEMS,
     _BatchCounter,
     _draws,
@@ -497,13 +496,6 @@ def test_batch_rows_rule():
     assert rows(star(2), 2000, 0.001) == 4  # 1,999 edges
     assert rows(clique(3), 2000, 0.001) == 1  # 64,000 words
     assert rows(clique(3), 1000, 0.5) == 1
-    # A replica chunk keeps the former batch rule: 4,096 graphs, fewer above
-    # 1,953 pairs.
-    assert _BatchCounter(star(2), 40).chunk == 4096
-    assert _BatchCounter(star(2), 63).chunk == 4096  # 1953 pairs
-    assert _BatchCounter(star(2), 64).chunk == 8_000_000 // 2016
-    assert _BatchCounter(star(2), 2000).chunk == 4
-    assert _BatchCounter(star(2), 1).chunk == 4096
 
 
 def _any_draws(rng, xi, n, m, rows):
@@ -615,11 +607,9 @@ def test_pinned_estimator_outputs():
     est = estimate_tail_importance(star(2), 6, 0.2, 50, _hub(6), 20000, 5)
     assert est.point == 9.888981416664378e-05
     assert est.extras["effective_samples"] == 238.33715693662754
-    out = conditioned_structure_frequency(
-        star(2), 40, 0.05, 1.0, HighDegreeDetector(8), 160000, 0, min_accepted=160000
-    )
+    out = conditioned_structure_frequency(star(2), 40, 0.05, 1.0, 8, 160000, 0, min_accepted=160000)
     got = (out.accepted, out.freq_conditioned, out.freq_unconditioned)
-    assert got == (398, 0.4221105527638191, 0.0233)
+    assert got == (418, 0.42822966507177035, 0.0229875)
     counts = count_samples(star(2), EdgeProbabilityMatrix.constant(30, 0.3), 4000, 5)
     assert int(counts.sum()) == 8_749_158
     fit = poisson_fit_experiment(clique(3), 200, 18 ** (1 / 3) / 200, 10000, 0)
@@ -627,22 +617,21 @@ def test_pinned_estimator_outputs():
 
 
 def test_pinned_chunked_outputs():
-    # Above 1,953 pairs a replica chunk holds fewer than 4,096 graphs, and it
-    # is counted in several batches: conditioned runs draw one stream per
-    # chunk, and importance sums are rounded chunk by chunk.
+    # Each replica of these runs is counted in several batches; a replica's
+    # conditioned tally and importance sums do not depend on the batching.
     out = conditioned_structure_frequency(
-        star(2), 70, 0.04, 0.5, HighDegreeDetector(9), 12000, 1, min_accepted=12000, pilot=5000)
+        star(2), 70, 0.04, 0.5, 9, 12000, 1, min_accepted=12000, pilot=5000)
     got = (out.accepted, out.freq_conditioned, out.freq_unconditioned)
-    assert got == (103, 0.5631067961165048, 0.11291666666666667)
+    assert got == (103, 0.5048543689320388, 0.10825)
     out = conditioned_structure_frequency(
-        clique(3), 130, 0.05, 0.5, HighDegreeDetector(15), 3000, 2, min_accepted=3000, pilot=1500)
+        clique(3), 130, 0.05, 0.5, 15, 3000, 2, min_accepted=3000, pilot=1500)
     got = (out.accepted, out.freq_conditioned, out.freq_unconditioned)
-    assert got == (32, 0.5625, 0.23366666666666666)
+    assert got == (30, 0.6333333333333333, 0.24666666666666667)
     est = estimate_tail_importance(star(2), 70, 0.04, 700,
                                    EdgeProbabilityMatrix.planting("hub:2:0.1", 70, 0.04), 8000, 4,
                                    replicas=1)
-    assert (est.point, est.extras["accepted"]) == (0.04856418925352155, 2640)
-    assert est.extras["effective_samples"] == 92.53033753900358
+    assert (est.point, est.extras["accepted"]) == (0.04856418925352156, 2640)
+    assert est.extras["effective_samples"] == 92.53033753900361
     threshold = threshold_for(3, star(2), 40, 0.05)
     est = estimate_tail_importance(star(2), 40, 0.05, threshold,
                                    EdgeProbabilityMatrix.planting("hub:1:0.5", 40, 0.05), 20000, 3)
@@ -664,8 +653,14 @@ def test_working_set_stays_small():
     peak = _traced_peak_mb(lambda: poisson_fit_experiment(clique(3), 200, 18 ** (1 / 3) / 200, 10000, 0))
     assert peak < 2, peak
     peak = _traced_peak_mb(lambda: conditioned_structure_frequency(
-        star(2), 40, 0.05, 1.0, HighDegreeDetector(8), 160000, 0, min_accepted=160000))
+        star(2), 40, 0.05, 1.0, 8, 160000, 0, min_accepted=160000))
     assert peak < 2, peak
+    # The direct estimator holds one replica's counts (62,500 here), not
+    # every sample's: this run peaked at 31.3 MB when it held all 2,000,000.
+    accepted = []
+    peak = _traced_peak_mb(lambda: accepted.append(
+        estimate_tail_direct(star(2), 5, 0.3, 8, 2_000_000, 1).extras["accepted"]))
+    assert peak < 4 and accepted == [567_996], (peak, accepted)
 
 
 # Runs the CLI, then reports the process's own peak RSS on stderr.  The

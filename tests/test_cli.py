@@ -312,7 +312,6 @@ POISSON = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
            "--p", str(18 ** (1 / 3) / 60)]
 GRAPH = "<graph>"  # stands for a small edge-list file written by the test
 CONFIG = "<config>"  # stands for a config file holding "threads = 0"
-THREADS_2 = "<threads-2>"  # a config file holding "threads = 2"
 BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
 NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text, also read as a config
 NO_EQUALS = "<no-equals>"  # a config file holding the line "threads 2", which has no "="
@@ -378,8 +377,6 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, POISSON_N8[:-1] + ["1.5", "--samples", "10"]),
         (None, TAIL + ["--method", "exact", "--threads", "0"]),
         (None, CONDITIONED + ["--samples", "100", "--threads", "0"]),
-        (None, CONDITIONED + ["--samples", "100", "--threads", "2"]),
-        (None, ["--config", THREADS_2] + CONDITIONED + ["--samples", "100"]),
         (None, DETECT + ["highdeg", "--threshold", "nan"]),
         (None, DETECT + ["hub", "--degree-threshold", "nan", "--edge-threshold", "1"]),
         (None, DETECT + ["hub", "--degree-threshold", "1", "--edge-threshold", "inf"]),
@@ -411,6 +408,9 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, CONDITIONED[:-2] + ["--samples", "100"]),
         (None, ["--config", NO_EQUALS, "analyze-pattern", "cycle:4"]),
         (None, ["--config", TYPO] + TAIL),
+        (None, POISSON_N8[:5] + ["0"] + POISSON_N8[6:-1] + ["0", "--seed", "-3"]),
+        (None, POISSON_N8[:-1] + ["0", "--seed", "-3"]),
+        (None, POISSON_N8[:-1] + ["0", "--samples", "-5"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -424,7 +424,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "direct-threads-0", "poisson-threads-negative", "threads-env-0", "threads-config-0",
          "conditioned-p-above-1", "conditioned-min-accepted-negative", "planting-size-negative",
          "planting-size-above-n", "poisson-p-nan", "poisson-p-above-1", "exact-threads-0",
-         "conditioned-threads-0", "conditioned-threads-2", "conditioned-config-threads-2",
+         "conditioned-threads-0",
          "detect-highdeg-nan", "detect-hub-degree-nan",
          "detect-hub-edge-inf", "detect-tildehub-nan", "graph-header-not-integer",
          "graph-not-utf8", "config-not-utf8", "exact-n-negative", "direct-n-0",
@@ -433,15 +433,14 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "rate-star-huge-n", "detect-highdeg-huge-n", "meanfield-huge-n",
          "conditioned-huge-n", "poisson-huge-n", "core-clique-star", "detect-hub-no-thresholds",
          "detect-clique-no-size", "detect-highdeg-delta-negative", "conditioned-detector-hub",
-         "conditioned-no-delta", "config-line-without-equals", "config-unknown-key"],
+         "conditioned-no-delta", "config-line-without-equals", "config-unknown-key",
+         "poisson-p-0-n-0", "poisson-p-0-seed-negative", "poisson-p-0-samples-negative"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
     graph.write_text("n 4\n0 1\n1 2\n2 3\n")
     config = tmp_path / "threads.conf"
     config.write_text("threads = 0\n")
-    threads_2 = tmp_path / "threads_2.conf"
-    threads_2.write_text("threads = 2\n")
     bad_header = tmp_path / "bad_header.txt"
     bad_header.write_text("n abc\n0 1\n")
     not_utf8 = tmp_path / "not_utf8.txt"
@@ -450,7 +449,7 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
     no_equals.write_text("threads 2\n")
     typo = tmp_path / "typo.conf"
     typo.write_text("sampels = 10\n")
-    files = {GRAPH: graph, CONFIG: config, THREADS_2: threads_2, BAD_HEADER: bad_header,
+    files = {GRAPH: graph, CONFIG: config, BAD_HEADER: bad_header,
              NOT_UTF8: not_utf8, NO_EQUALS: no_equals, TYPO: typo}
     argv = [str(files.get(arg, arg)) for arg in argv]
     if threads_env is None:
@@ -688,17 +687,37 @@ def test_direct_tail_counts_agree_across_threads(capsys):
     assert 0 < results[0]["point"] < 1
 
 
-def test_conditioned_runs_on_one_thread(capsys, monkeypatch):
-    # --threads 1 is accepted, and an UPPERTAIL_THREADS default is not an
-    # error, as for ``tail --method exact``; --threads 2 on the argv or in a
-    # config file exits 2 (see test_bad_values_exit_2_without_traceback).
+def test_conditioned_result_does_not_depend_on_threads(capsys, monkeypatch, tmp_path):
+    # Replicas are tallied in order and the run stops after the one that
+    # brings the accepts to --min-accepted, so the thread count, from the
+    # argv, a config file or UPPERTAIL_THREADS, does not change the result.
     argv = CONDITIONED + ["--samples", "2000", "--min-accepted", "1"]
+    threads_2 = tmp_path / "threads_2.conf"
+    threads_2.write_text("threads = 2\n")
     monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
-    code, plain = run_cli(capsys, *argv, "--threads", "1")
-    assert code == 0
+    payloads = [run_cli(capsys, *argv, "--threads", "1"), run_cli(capsys, *argv, "--threads", "2"),
+                run_cli(capsys, "--config", str(threads_2), *argv)]
     monkeypatch.setenv("UPPERTAIL_THREADS", "2")
-    code, from_env = run_cli(capsys, *argv)
-    assert code == 0 and from_env["result"] == plain["result"]
+    payloads.append(run_cli(capsys, *argv))
+    assert [code for code, _ in payloads] == [0] * 4
+    assert all(payload["result"] == payloads[0][1]["result"] for _, payload in payloads)
+    assert payloads[0][1]["result"]["accepted"] >= 1
+
+
+def test_config_replicas_reach_the_experiments(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
+    config = tmp_path / "replicas.conf"
+    config.write_text("replicas = 4\n")
+    argv = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "200", "--p", "0.0131",
+            "--samples", "4000"]
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0 and plain["inputs"]["replicas"] == 32
+    code, four = run_cli(capsys, "--config", str(config), *argv)
+    assert code == 0 and four["inputs"]["replicas"] == 4
+    assert four["result"] != plain["result"]
+    code, payload = run_cli(capsys, "--config", str(config), *CONDITIONED, "--samples", "2000",
+                            "--min-accepted", "1")
+    assert code == 0 and payload["inputs"]["replicas"] == 4
 
 
 # ---------------------------------------------------------------------------

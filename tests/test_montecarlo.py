@@ -10,10 +10,10 @@ from uppertail.counting import count_labelled
 from uppertail.meanfield import EdgeProbabilityMatrix, expected_star_count_inhom
 from uppertail import montecarlo
 from uppertail.montecarlo import (
-    HighDegreeDetector,
     _chunk_sizes,
     _map_replicas,
     _replica_rng,
+    ConditionedFrequencies,
     conditioned_structure_frequency,
     count_samples,
     estimate_tail_direct,
@@ -187,11 +187,18 @@ def test_pool_holds_at_most_one_thread_per_job_and_core(monkeypatch):
         # Each chunk runs on its own replica stream, in replica order.
         want = [(int(_replica_rng(11, i).integers(2**62)), m)
                 for i, m in enumerate(_chunk_sizes(samples, replicas))]
-        assert _map_replicas(work, samples, replicas, 11, threads) == want
+        assert list(_map_replicas(work, samples, replicas, 11, threads)) == want
     # The pools are bounded by three jobs, two threads, four cores and two
     # jobs (replicas beyond the samples are dropped); the run with a single
     # job uses no pool.
     assert _RecordingPool.sizes == [3, 2, 4, 2]
+    # A replica is drawn only as its result is taken: a one-thread caller
+    # that stops after the first result never starts replica 1.
+    started = []
+    results = _map_replicas(lambda rng, m: started.append(m), 10, 4, 11, 1)
+    next(results)
+    results.close()
+    assert started == [3]
 
 
 def test_star_count_samples_against_expectation():
@@ -208,29 +215,42 @@ def test_star_count_samples_against_expectation():
 def test_conditioned_structure_trivial_cases():
     # threshold 0: every sample is accepted, frequencies coincide
     out = conditioned_structure_frequency(
-        star(2), 15, 0.2, 0.0, HighDegreeDetector(4), 4000, 3, min_accepted=100, threshold=0
+        star(2), 15, 0.2, 0.0, 4, 4000, 3, min_accepted=100, threshold=0
     )
     assert out.accepted == out.samples
     assert out.freq_conditioned == out.freq_unconditioned
     # detector that is always true
     out = conditioned_structure_frequency(
-        star(2), 15, 0.2, 0.5, HighDegreeDetector(0), 20_000, 3, min_accepted=50
+        star(2), 15, 0.2, 0.5, 0, 20_000, 3, min_accepted=50
     )
     assert out.freq_conditioned == 1.0
 
 
 def test_conditioned_structure_directional():
     out = conditioned_structure_frequency(
-        star(2), 40, 0.05, 1.0, HighDegreeDetector(8), 400_000, 17, min_accepted=300
+        star(2), 40, 0.05, 1.0, 8, 400_000, 17, min_accepted=300
     )
     assert out.accepted >= 300
     assert out.freq_conditioned > out.freq_unconditioned
 
 
+def test_conditioned_frequencies_do_not_depend_on_threads():
+    # The criterion-9 point: the first replica covers the pilot and brings
+    # the accepts past min_accepted, so every thread count stops there.
+    n, p, delta = 40, 0.02, 0.5
+    runs = [conditioned_structure_frequency(star(2), n, p, delta, delta ** 0.5 * n**1.5 * p,
+                                            2_000_000, 2718, threads=threads)
+            for threads in (1, 2, 4)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == ConditionedFrequencies(freq_conditioned=0.8076498712762045,
+                                             freq_unconditioned=0.248192, accepted=8157,
+                                             samples=62_500, acceptance=0.130512)
+
+
 def test_conditioned_structure_rarity_guard():
     with pytest.raises(ResourceBudgetError):
         conditioned_structure_frequency(
-            star(2), 40, 0.05, 3.0, HighDegreeDetector(8), 200_000, 17, pilot=30_000
+            star(2), 40, 0.05, 3.0, 8, 200_000, 17, pilot=30_000
         )
 
 
