@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import ResourceBudgetError, UpperTailError, ValidationError
+from .errors import ResourceBudgetError, UpperTailError, ValidationError, _check_range
 from . import counting, meanfield, montecarlo, patterns, rates, structures
 from .graphs import (
     HostGraph,
@@ -125,10 +125,10 @@ def _parse_edge(text: str, host: HostGraph) -> tuple[int, int]:
 def _hub_degree_threshold(r: int, n: int, p: float, delta: float) -> float:
     """delta^(1/r) n^(1+1/r) p: the degree of the one hub that carries the
     K_{1,r} upper tail in the localized regime."""
-    if r < 1:
-        raise ValidationError("star arm count r must be at least 1")
-    if not 0 <= delta < math.inf:
-        raise ValidationError("delta must be nonnegative and finite")
+    _check_range("star arm count r", r, "[1, inf)")
+    _check_range("n", n, "[1, inf)")
+    _check_range("p", p, "[0, 1]")
+    _check_range("delta", delta, "[0, inf)")
     return delta ** (1.0 / r) * n ** (1 + 1.0 / r) * p
 
 
@@ -202,7 +202,7 @@ def _cmd_detect(args, started) -> int:
     if args.event == "hub":
         if args.degree_threshold is None or args.edge_threshold is None:
             raise ValidationError("hub detection needs --degree-threshold and --edge-threshold")
-        verdict = structures.detect_hub(host, args.chi, args.edge_threshold, args.degree_threshold)
+        verdict = structures.detect_hub(host, args.edge_threshold, args.degree_threshold)
     elif args.event == "clique":
         if args.size_threshold is None:
             raise ValidationError("clique detection needs --size-threshold")
@@ -249,8 +249,8 @@ def _cmd_core(args, started) -> int:
     )
     inputs = _echo(args, "graph pattern delta epsilon n p strong star budget",
                    c_bar=cfg.resolved_c_bar())
-    if args.budget is not None and args.budget < 0:  # the star paths count in closed form
-        raise ValidationError(f"counting budget must be nonnegative, got {args.budget}")
+    if args.budget is not None:  # the star paths count in closed form and never read it
+        _check_range("counting budget", args.budget, "[0, inf)")
     if args.strong:
         result_obj = structures.extract_strong_core(host, r, cfg, args.n, args.p)
         inputs["c_bar_star"] = cfg.resolved_c_bar_star(r)
@@ -486,8 +486,7 @@ def _apply_defaults(args: argparse.Namespace, config: dict) -> None:
     if args.threads is None:
         env_threads = os.environ.get("UPPERTAIL_THREADS")
         args.threads = _parse_number("UPPERTAIL_THREADS", int, env_threads) if env_threads else 1
-    if args.threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {args.threads}")
+    _check_range("threads", args.threads, "[1, inf)")
 
 
 _HANDLERS = {

@@ -33,7 +33,7 @@ from collections import Counter
 from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
-from .errors import ResourceBudgetError, ValidationError
+from .errors import ResourceBudgetError, ValidationError, _check_range
 from .graphs import PATTERN_VERTEX_CAP, HostGraph, PatternGraph, induced_subgraph
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -103,8 +103,7 @@ class _Budget:
 
     def __init__(self, limit: Optional[int]):
         self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
-        if self.limit < 0:
-            raise ValidationError(f"counting budget must be nonnegative, got {self.limit}")
+        _check_range("counting budget", self.limit, "[0, inf)")
         self.remaining = self.limit
 
     def spend(self, amount: int = 1) -> None:
@@ -415,8 +414,7 @@ def unlabelled_count(pattern: PatternGraph, labelled: int) -> int:
 
 def star_count_exact(r: int, host: HostGraph) -> int:
     """Sum over vertices of the falling factorial of the degree."""
-    if r < 2:
-        raise ValidationError("star arm count must be at least 2")
+    _check_range("star arm count", r, "[2, inf)")
     return sum(math.perm(d, r) for d in host.degrees())
 
 

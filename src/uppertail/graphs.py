@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_range
 
 # Vertex cap for patterns: keeps their exact subset and vertex-map passes cheap.
 PATTERN_VERTEX_CAP = 12
@@ -64,8 +64,7 @@ class PatternGraph:
     __slots__ = ("vertex_count", "edges", "_degrees", "_adj_masks")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        if vertex_count < 1:
-            raise ValidationError("pattern needs at least one vertex")
+        _check_range("pattern vertex count", vertex_count, "[1, inf)")
         self.vertex_count = int(vertex_count)
         self.edges = frozenset(_normalize_edges(self.vertex_count, edges))
         deg = [0] * self.vertex_count
@@ -123,8 +122,7 @@ class HostGraph:
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         """``edges`` is any iterable of pairs, or an (m, 2) integer array,
         which is checked in bulk."""
-        if vertex_count < 1:
-            raise ValidationError("host graph needs at least one vertex")
+        _check_range("host vertex count", vertex_count, "[1, inf)")
         self.vertex_count = int(vertex_count)
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
         if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
@@ -208,8 +206,7 @@ def validate_vertex_set(graph, vertices: Sequence[int]) -> tuple[int, ...]:
     """Check indices are in range and distinct; returns them as a tuple."""
     seen = set()
     for v in vertices:
-        if not 0 <= v < graph.vertex_count:
-            raise ValidationError(f"vertex {v} out of range")
+        _check_range("vertex", v, f"[0, {graph.vertex_count})")
         if v in seen:
             raise ValidationError(f"duplicate vertex {v}")
         seen.add(v)
@@ -335,33 +332,29 @@ def induced_subgraph(graph, vertices: Sequence[int]):
 
 def star(r: int) -> PatternGraph:
     """K_{1,r}: vertex 0 is the center."""
-    if r < 1:
-        raise ValidationError("star needs at least one arm")
+    _check_range("star arm count", r, "[1, inf)")
     return PatternGraph(r + 1, [(0, i) for i in range(1, r + 1)])
 
 
 def path(k: int) -> PatternGraph:
     """P_k on k vertices."""
-    if k < 1:
-        raise ValidationError("path needs at least one vertex")
+    _check_range("path vertex count", k, "[1, inf)")
     return PatternGraph(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def cycle(k: int) -> PatternGraph:
-    if k < 3:
-        raise ValidationError("cycle needs at least three vertices")
+    _check_range("cycle vertex count", k, "[3, inf)")
     return PatternGraph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def clique(k: int) -> PatternGraph:
-    if k < 1:
-        raise ValidationError("clique needs at least one vertex")
+    _check_range("clique vertex count", k, "[1, inf)")
     return PatternGraph(k, itertools.combinations(range(k), 2))
 
 
 def biclique(a: int, b: int) -> PatternGraph:
-    if a < 1 or b < 1:
-        raise ValidationError("biclique parts must be nonempty")
+    _check_range("biclique part size", a, "[1, inf)")
+    _check_range("biclique part size", b, "[1, inf)")
     return PatternGraph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -441,9 +434,7 @@ def _vertex_count(handle) -> int:
             n = int(parts[1])
         except ValueError:
             raise ValidationError(f"vertex count {parts[1]!r} is not an integer") from None
-        if n < 1:
-            raise ValidationError("vertex count must be positive")
-        return n
+        return _check_range("vertex count", n, "[1, inf)")
     raise ValidationError("empty edge-list file")
 
 

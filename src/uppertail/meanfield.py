@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_range
 from .graphs import PATTERN_VERTEX_CAP, PatternGraph, star
 
 DENSE_LIMIT = 4000
@@ -52,22 +52,23 @@ class EdgeProbabilityMatrix:
 
     def __init__(self, n, classes, probs, hubs=frozenset(), boosted=None):
         self.n, self.hubs, self.boosted, self._levels = int(n), frozenset(hubs), boosted, None
+        _check_range("n", self.n, "[1, inf)")
         self.classes = tuple(tuple(sorted(int(v) for v in c)) for c in classes)
         listed = set().union(*self.classes)
-        if self.n < 1 or len(listed) < sum(map(len, self.classes)) or listed and not (
+        if len(listed) < sum(map(len, self.classes)) or listed and not (
                 0 <= min(listed) and max(listed) < self.n):
-            raise ValidationError("need n >= 1 and disjoint vertex classes below n")
+            raise ValidationError("need disjoint vertex classes below n")
         self.probs = np.asarray(probs, dtype=float)
         k, rows = len(self.classes) + 1, self.probs.tolist()
         if self.probs.shape != (k, k) or rows != [list(col) for col in zip(*rows)]:
             raise ValidationError(f"need a symmetric {k} x {k} array of class-pair probabilities")
-        if not all(0 <= q <= 1 for row in rows for q in row):
-            raise ValidationError("edge probabilities must lie in [0, 1]")
+        for q in itertools.chain(*rows):
+            _check_range("edge probability", q, "[0, 1]")
         self.sizes = [len(c) for c in self.classes] + [self.n - len(listed)]
 
     @classmethod
     def constant(cls, n: int, p: float) -> "EdgeProbabilityMatrix":
-        return cls(n, (), [[p]])
+        return cls(n, (), [[_check_range("p", p, "[0, 1]")]])
 
     @classmethod
     def planted(
@@ -83,6 +84,7 @@ class EdgeProbabilityMatrix:
         classes are the boosted vertex, the hubs and the rest."""
         if boosted is not None and boosted_value is None:
             raise ValidationError("a boosted vertex needs a boosted value")
+        _check_range("p", p, "[0, 1]")
         hubs = frozenset(int(h) for h in hubs)
         x = p if boosted is None else boosted_value
         return cls(n, ([] if boosted is None else [boosted], hubs),
@@ -95,8 +97,8 @@ class EdgeProbabilityMatrix:
         ``hub:k[:q]``: every pair touching the first k vertices at q;
         ``clique:m[:q]``: every pair inside the first m vertices at q;
         ``highdeg[:q]``: ``hub:1[:q]``; ``none``: p itself.  q defaults to
-        0.8 and must lie in [p, 1), so that the estimator stays unbiased for
-        the background measure.
+        0.8, and q in [p, 1) keeps the estimator unbiased for the background
+        measure.
         """
         kind, *parts = text.split(":")
         if kind == "none":
@@ -108,16 +110,13 @@ class EdgeProbabilityMatrix:
                 if not parts:
                     raise ValidationError(f"{kind} planting needs a size, e.g. {kind}:2")
                 size, value = int(parts[0]), float(parts[1]) if len(parts) > 1 else 0.8
-                if size < 1:
-                    raise ValidationError(f"{kind} planting size must be at least 1")
             else:
                 raise ValidationError(f"unknown planting {text!r}")
         except ValueError:
             raise ValidationError(f"malformed number in planting {text!r}") from None
-        if not p <= value < 1:
-            raise ValidationError("planted probability must lie in [p, 1) for an unbiased estimator")
-        if size > n:
-            raise ValidationError(f"planting size {size} exceeds n = {n}")
+        _check_range("p", p, "[0, 1]")
+        _check_range("planted probability", value, f"[{p}, 1)")
+        _check_range("planting size", size, f"[1, {n}]")
         cross = p if kind == "clique" else value
         return cls(n, [range(size)], [[value, cross], [cross, p]])
 
@@ -151,6 +150,7 @@ class EdgeProbabilityMatrix:
         """(a, c) such that log dP/dQ = a @ h + c, for P the constant measure
         at p and Q this matrix, of a graph with h[i] edges at the i-th of
         ``levels()``."""
+        _check_range("p", p, "(0, 1)")
         q, pairs = np.array([level[:2] for level in self.levels()], dtype=float).reshape(-1, 2).T
         miss = np.log1p(-p) - np.log1p(-q)
         return np.log(p / q) - miss, float(miss @ pairs)
@@ -168,10 +168,8 @@ class EdgeProbabilityMatrix:
 
 def bernoulli_relative_entropy(x: float, p: float) -> float:
     """I_p(x) = x log(x/p) + (1-x) log((1-x)/(1-p)), with 0 log 0 = 0."""
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if not 0 <= x <= 1:
-        raise ValidationError("x must lie in [0, 1]")
+    _check_range("p", p, "(0, 1)")
+    _check_range("x", x, "[0, 1]")
     total = 0.0
     if x > 0:
         total += x * math.log(x / p)
@@ -182,8 +180,7 @@ def bernoulli_relative_entropy(x: float, p: float) -> float:
 
 def total_cost(xi: EdgeProbabilityMatrix, p: float) -> float:
     """Sum of entrywise relative entropies over unordered pairs."""
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
+    _check_range("p", p, "(0, 1)")
     return sum(count * bernoulli_relative_entropy(q, p) for _, _, count, q in xi._class_pairs())
 
 
@@ -220,8 +217,7 @@ def expected_star_count_inhom(xi: EdgeProbabilityMatrix, r: int) -> float:
 def _star_count(n: int, sizes: list, probs: list, r: int) -> float:
     """``expected_star_count_inhom`` of the matrix on n vertices whose
     classes have ``sizes`` and are joined at ``probs`` (nested lists)."""
-    if not 2 <= r <= 8:
-        raise ValidationError("star arm count must be between 2 and 8")
+    _check_range("star arm count", r, "[2, 8]")
     levels = {q for _, _, _, q in _class_pairs(sizes, probs)}
     if len(levels) <= 1:
         # Constant background: n (n-1)...(n-r) p^r, kept in this exact
@@ -295,12 +291,10 @@ def planted_star_optimizer(
     t < 1.  The achieved expected-count ratio against the target is reported
     rather than asserted, since at desk scale the guarantee is asymptotic.
     """
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if not 0 < delta < math.inf or not 0 < epsilon < 1:
-        raise ValidationError("need a finite delta > 0 and epsilon in (0, 1)")
-    if r < 2:
-        raise ValidationError("star arm count must be at least 2")
+    _check_range("p", p, "(0, 1)")
+    _check_range("delta", delta, "(0, inf)")
+    _check_range("epsilon", epsilon, "(0, 1)")
+    _check_range("star arm count", r, "[2, inf)")
     tilted = delta * (1 - epsilon / 2)
     t = tilted * n * p**r
     k = int(math.floor(t))
@@ -351,12 +345,9 @@ def variational_upper_bound(n: int, p: float, r: int, delta: float) -> Variation
     cheapest (k, boost) pair wins.  This is an upper bound on the true
     mean-field value: no search outside the planted family is attempted.
     """
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if not 0 < delta < math.inf:
-        raise ValidationError("delta must be positive and finite")
-    if r < 2:
-        raise ValidationError("star arm count must be at least 2")
+    _check_range("p", p, "(0, 1)")
+    _check_range("delta", delta, "(0, inf)")
+    _check_range("star arm count", r, "[2, inf)")
     target = (1 + delta) * n ** (r + 1) * p**r
     k_cap = min(n - 2, int(math.ceil(2 * delta * n * p**r)) + 2)
     best: Optional[VariationalBound] = None
@@ -412,10 +403,8 @@ def phi_planted_search(pattern: PatternGraph, n: int, p: float, delta: float) ->
     below the best feasible one.  The result is an upper bound on the
     planted variational value, not claimed optimal.
     """
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if delta < 0:
-        raise ValidationError("delta must be nonnegative")
+    _check_range("p", p, "(0, 1)")
+    _check_range("delta", delta, "[0, inf)")
     if delta == 0:
         return PlantedSearchResult(0.0, EdgeProbabilityMatrix.constant(n, p), "empty", 0)
     target = (1 + delta) * expected_count_inhom(EdgeProbabilityMatrix.constant(n, p), pattern)
@@ -486,8 +475,7 @@ def variance_ratio_estimate(
     """
     from .montecarlo import count_samples
 
-    if samples < 2:
-        raise ValidationError("need at least two samples")
+    _check_range("samples", samples, "[2, inf)")
     expected = expected_star_count_inhom(xi, r)
     if expected == 0:
         raise ValidationError("expected count is zero")

@@ -40,7 +40,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ResourceBudgetError, ValidationError
+from .errors import ResourceBudgetError, ValidationError, _check_range
 from .graphs import HostGraph, PatternGraph, is_connected, is_strictly_balanced, star_arms
 from .counting import _copy_edge_sets, count_labelled, automorphism_count
 from .meanfield import EdgeProbabilityMatrix
@@ -69,16 +69,13 @@ class TailEstimate:
 
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     # Every sampler draws through here, so this is the one seed check.
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    _check_range("seed", seed, "[0, inf)")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, replica))))
 
 
 def _chunk_sizes(total: int, replicas: int) -> list[int]:
-    if total < 1:
-        raise ValidationError("need at least one sample")
-    if replicas < 1:
-        raise ValidationError("need at least one replica")
+    _check_range("samples", total, "[1, inf)")
+    _check_range("replicas", replicas, "[1, inf)")
     replicas = min(replicas, total)  # the rest would get empty chunks
     base, extra = divmod(total, replicas)
     return [base + (1 if i < extra else 0) for i in range(replicas)]
@@ -94,8 +91,7 @@ def _map_replicas(work: Callable[[np.random.Generator, int], object], samples: i
     thread count.  The pool holds at most one thread per replica and per
     core."""
     sizes = _chunk_sizes(samples, replicas)
-    if threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
+    _check_range("threads", threads, "[1, inf)")
     jobs = ((_replica_rng(seed, i), m) for i, m in enumerate(sizes))
     workers = min(threads, len(sizes), os.cpu_count() or 1)
     if workers <= 1:
@@ -117,8 +113,7 @@ def _map_replicas(work: Callable[[np.random.Generator, int], object], samples: i
 # ---------------------------------------------------------------------------
 
 def _pair_count(n: int) -> int:
-    if n < 1:
-        raise ValidationError(f"need at least one vertex, got n = {n}")
+    _check_range("n", n, "[1, inf)")
     return n * (n - 1) // 2
 
 
@@ -433,11 +428,11 @@ def count_samples(
 # ---------------------------------------------------------------------------
 
 def exact_tail(pattern: PatternGraph, n: int, p: float, threshold: int) -> TailEstimate:
-    """P(N >= threshold) by summing over all labelled graphs on n vertices."""
-    if n > EXACT_TAIL_MAX_N:
-        raise ValidationError(f"exact tail enumeration capped at n = {EXACT_TAIL_MAX_N}")
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
+    """P(N >= threshold) by summing over all labelled graphs on n vertices;
+    exactly 1 when every graph meets the threshold, where the float sum of
+    the weights can fall short of 1."""
+    _check_range("n", n, f"[1, {EXACT_TAIL_MAX_N}]")
+    _check_range("p", p, "[0, 1]")
     counter = _BatchCounter(pattern, n)
     total_pairs = len(counter.pair_u)
     labelled = counter.table  # indexed by the graph's pair bitmask
@@ -445,8 +440,9 @@ def exact_tail(pattern: PatternGraph, n: int, p: float, threshold: int) -> TailE
     popcnt = np.bitwise_count(graphs)
     # Plain powers keep round cases exact (0^0 = 1 covers p in {0, 1}).
     weights = np.power(p, popcnt) * np.power(1.0 - p, total_pairs - popcnt)
-    point = float(weights[labelled >= threshold].sum())
-    return TailEstimate(point=min(point, 1.0), stderr=0.0, method="exact", samples=len(graphs), seed=0)
+    met = labelled >= threshold
+    point = 1.0 if met.all() else min(float(weights[met].sum()), 1.0)
+    return TailEstimate(point=point, stderr=0.0, method="exact", samples=len(graphs), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +460,6 @@ def estimate_tail_direct(
     threads: int = 1,
 ) -> TailEstimate:
     """Empirical tail frequency with binomial standard error."""
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
     xi = EdgeProbabilityMatrix.constant(n, p)
     accepts = sum(int((counts >= threshold).sum())
                   for counts in _replica_counts(pattern, xi, samples, seed, replicas, threads))
@@ -500,13 +494,11 @@ def estimate_tail_importance(
     proposal's probabilities.  Reports the effective sample size alongside
     the estimate.
     """
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
     if proposal.n != n:
         raise ValidationError(f"the proposal has {proposal.n} vertices, not n = {n}")
     counter = _BatchCounter(pattern, n)  # refuses too many pairs before levels() sizes arrays by n
-    if not all(0 < q < 1 for q, _, _ in proposal.levels()):
-        raise ValidationError("proposal probabilities must lie in (0, 1) for an unbiased estimator")
+    for q, _, _ in proposal.levels():  # a weight needs q in (0, 1) to stay unbiased
+        _check_range("proposal probability", q, "(0, 1)")
     slope, offset = proposal.log_likelihood_ratio(p)
 
     def work(rng: np.random.Generator, m: int) -> tuple[float, float, float, float, int]:
@@ -539,10 +531,8 @@ def estimate_tail_importance(
 
 def threshold_for(delta: float, pattern: PatternGraph, n: int, p: float) -> int:
     """ceil((1 + delta) n^v p^e): the tail threshold as an explicit count."""
-    if not 0 <= delta < math.inf:
-        raise ValidationError("delta must be nonnegative and finite")
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
+    _check_range("delta", delta, "[0, inf)")
+    _check_range("p", p, "[0, 1]")
     try:
         count = (1 + delta) * n**pattern.vertex_count * p**pattern.edge_count
     except OverflowError:  # n^v beyond the float range
@@ -592,10 +582,8 @@ def conditioned_structure_frequency(
     is exhausted.  ``threshold`` overrides the default ceil((1+delta) n^v
     p^e) count.
     """
-    if min_accepted < 0:
-        raise ValidationError("min_accepted must be nonnegative")
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
+    _check_range("min_accepted", min_accepted, "[0, inf)")
+    _check_range("degree_threshold", degree_threshold, "(-inf, inf)")
     if threshold is None:
         threshold = threshold_for(delta, pattern, n, p)
     counter = _BatchCounter(pattern, n)
@@ -659,15 +647,13 @@ def poisson_fit_experiment(
     """
     if not is_connected(pattern) or not is_strictly_balanced(pattern):
         raise ValidationError("pattern must be connected and strictly balanced")
-    if not 0 <= p <= 1:
-        raise ValidationError("p must lie in [0, 1]")
+    xi = EdgeProbabilityMatrix.constant(n, p)
     aut = automorphism_count(pattern)
     mu = n**pattern.vertex_count * p**pattern.edge_count / aut
     if p > 0 and not POISSON_MEAN_WINDOW[0] <= mu <= POISSON_MEAN_WINDOW[1]:
         raise ValidationError(
             f"expected unlabelled count {mu:.3g} outside window {POISSON_MEAN_WINDOW}"
         )
-    xi = EdgeProbabilityMatrix.constant(n, p)
     counts = count_samples(pattern, xi, samples, seed, replicas, threads) // aut
     mean = float(counts.mean())
     values, freq = np.unique(counts, return_counts=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .counting import automorphism_count
-from .errors import ValidationError
+from .errors import ValidationError, _check_range
 from .graphs import (
     PatternGraph,
     is_connected,
@@ -76,8 +76,7 @@ def theta_star_root(poly: IndependencePolynomial, delta: float) -> float:
     Bisection narrows the bracket, Newton polishes, and the residual is
     checked against the documented tolerance.
     """
-    if not 0 < delta < math.inf:
-        raise ValidationError("delta must be positive and finite")
+    _check_range("delta", delta, "(0, inf)")
     coeffs = poly.coefficients
     if len(coeffs) < 2 or coeffs[1] < 1 or min(coeffs) < 0:
         raise ValidationError("polynomial must have i_1 >= 1 and no negative coefficient")
@@ -156,43 +155,44 @@ def rate_regular(pattern: PatternGraph, delta: float) -> RateResult:
 def regular_crossover(pattern: PatternGraph) -> Optional[float]:
     """The delta where the hub and clique branches exchange the minimum.
 
-    Below it the hub root is smaller, above it the clique value is.  Returns
-    None when the two branches never cross (e.g. a single edge, where they
-    coincide identically).
+    Below it the hub root is smaller, above it the clique value is.  Since P
+    is increasing, theta*(delta) <= c exactly when P(c) >= 1 + delta, so the
+    branches meet at delta0 = (2t)^(v/2) for the first positive root t of
+    f(t) = P(t) - 1 - (2t)^(v/2): f is positive below it and not above.  A
+    doubling bracket and bisection to adjacent floats find the least float
+    with f(t) <= 0.  Returns None when the two branches never cross: for a
+    single edge they coincide identically, and otherwise f stays positive up
+    to t = 2^64.
     """
-    poly = independence_polynomial(pattern)
     v = pattern.vertex_count
-
-    def gap(delta: float) -> float:
-        return theta_star_root(poly, delta) - delta ** (2.0 / v) / 2.0
-
-    lo, hi = None, None
-    d = 1e-6
-    prev = gap(d)
-    while d < 1e9:
-        nxt_d = d * 2.0
-        nxt = gap(nxt_d)
-        if prev < 0 <= nxt:
-            lo, hi = d, nxt_d
-            break
-        prev, d = nxt, nxt_d
-    if lo is None:
+    if v <= 2:
         return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: every later step is a no-op
+    poly = independence_polynomial(pattern)
+
+    def f(t: float) -> float:
+        return poly.evaluate(t) - 1.0 - (2.0 * t) ** (v / 2.0)
+
+    lo = hi = 1.0
+    while f(lo) <= 0:  # f(t) ~ v t - (2t)^(v/2) > 0 as t -> 0, since v > 2
+        lo /= 2.0
+    for _ in range(64):
+        if f(hi) <= 0:
             break
-        if gap(mid) < 0:
+        lo, hi = hi, 2.0 * hi
+    else:
+        return None
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return (2.0 * hi) ** (v / 2.0)
 
 
 def rate_poisson(delta: float) -> float:
     """(1+delta) log(1+delta) - delta; the speed is n^v p^e / Aut(H)."""
-    if not 0 <= delta < math.inf:
-        raise ValidationError("delta must be nonnegative and finite")
+    _check_range("delta", delta, "[0, inf)")
     return (1.0 + delta) * math.log1p(delta) - delta
 
 
@@ -203,12 +203,9 @@ def rate_star_localized_II(r: int, delta: float, rho: float) -> float:
     positive rho it picks up a floor/fractional-part structure and is
     discontinuous in delta * rho at integers.
     """
-    if r < 2:
-        raise ValidationError("star arm count must be at least 2")
-    if not 0 < delta < math.inf:
-        raise ValidationError("delta must be positive and finite")
-    if not 0 <= rho < math.inf:
-        raise ValidationError("rho must be nonnegative and finite")
+    _check_range("star arm count", r, "[2, inf)")
+    _check_range("delta", delta, "(0, inf)")
+    _check_range("rho", rho, "[0, inf)")
     if rho == 0:
         return delta ** (1.0 / r) / r
     x = delta * rho
@@ -224,8 +221,8 @@ def star_rho_proxy(n: int, p: float, r: int, delta: float) -> tuple[float, bool]
     continuous at 0); the flag trips when delta * rho_hat is within 0.05 of
     one.
     """
-    if not 0 < delta < math.inf:
-        raise ValidationError("delta must be positive and finite")
+    _check_range("p", p, "(0, 1)")
+    _check_range("delta", delta, "(0, inf)")
     rho_hat = n * p**r
     x = delta * rho_hat
     near_jump = abs(x - max(1, round(x))) < 0.05
@@ -240,12 +237,9 @@ def regime_classify(pattern: PatternGraph, n: int, p: float, slack: float = 1.0)
     margins are reported.  The tag is Unclassified when zero or several
     hypothesis sets hold.
     """
-    if n < 3:
-        raise ValidationError("n must be at least 3")
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if not 0 < slack < math.inf:
-        raise ValidationError("slack must be positive and finite")
+    _check_range("n", n, "[3, inf)")
+    _check_range("p", p, "(0, 1)")
+    _check_range("slack", slack, "(0, inf)")
     log_slack = math.log(slack)
     log_n, log_p = math.log(n), math.log(p)
     loglog_n = math.log(log_n)
@@ -328,6 +322,7 @@ def speed(regime: Regime | str, pattern: PatternGraph, n: int, p: float) -> floa
     tag = regime.tag if isinstance(regime, Regime) else regime
     if tag not in SPEEDS:
         raise ValidationError(f"no speed for regime {tag!r}")
+    _check_range("p", p, "(0, 1)")
     return SPEEDS[tag](pattern, n, p)
 
 
@@ -350,6 +345,7 @@ def rate_for(
     """
     if (n is None) != (p is None):
         raise ValidationError("n and p must be given together")
+    max_degree(pattern)  # refuses a pattern with no edges, which has no tail
     regime = None if n is None else regime_classify(pattern, n, p, slack)
     tag = regime and regime.tag
     inputs = {"pattern": pattern, "delta": delta}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_range
 from .graphs import HostGraph, PatternGraph, max_degree, star, star_arms
 from .counting import (
     _copy_edge_sets,
@@ -63,6 +63,8 @@ def _cross_edges_from(graph: HostGraph, inside: Sequence[int]) -> int:
 
 def verify_hub(graph: HostGraph, witness: Sequence[int], degree_threshold: float, edge_threshold: float) -> bool:
     """Recheck a hub witness from scratch using only graph primitives."""
+    _check_range("degree_threshold", degree_threshold, "(-inf, inf)")
+    _check_range("edge_threshold", edge_threshold, "(-inf, inf)")
     if not witness:
         return False
     if any(graph.degree(v) < degree_threshold for v in witness):
@@ -70,15 +72,8 @@ def verify_hub(graph: HostGraph, witness: Sequence[int], degree_threshold: float
     return _cross_edges_from(graph, witness) >= edge_threshold
 
 
-def _require_finite(**thresholds: float) -> None:
-    for name, value in thresholds.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite")
-
-
 def detect_hub(
     graph: HostGraph,
-    chi: float,
     edge_threshold: float,
     degree_threshold: float,
 ) -> StructureVerdict:
@@ -90,10 +85,10 @@ def detect_hub(
     pools fall back to degree-greedy prefixes, whose cross-edge counts are
     kept running: cross(U + w) = cross(U) + deg(w) - 2 |N(w) & U|.
     """
-    _require_finite(edge_threshold=edge_threshold, degree_threshold=degree_threshold)
+    _check_range("edge_threshold", edge_threshold, "(-inf, inf)")
+    _check_range("degree_threshold", degree_threshold, "(-inf, inf)")
     pool = [v for v in range(graph.vertex_count) if graph.degree(v) >= degree_threshold]
     cert = {
-        "chi": chi,
         "degree_threshold": degree_threshold,
         "edge_threshold": edge_threshold,
         "pool_size": len(pool),
@@ -202,9 +197,8 @@ def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> Struct
     Exact branch-and-bound up to 30 host vertices; greedy min-degree peeling
     (testing every surviving prefix) above, where a miss is only "unknown".
     """
-    if not 0 <= chi < 1:
-        raise ValidationError("chi must lie in [0, 1)")
-    _require_finite(size_threshold=size_threshold)
+    _check_range("chi", chi, "[0, 1)")
+    _check_range("size_threshold", size_threshold, "(-inf, inf)")
     s_min = max(1, math.ceil(size_threshold))
     cert = {"chi": chi, "size_threshold": size_threshold, "minimum_size": s_min}
     n = graph.vertex_count
@@ -228,7 +222,7 @@ def detect_clique(graph: HostGraph, chi: float, size_threshold: float) -> Struct
 
 
 def detect_high_degree(graph: HostGraph, threshold: float) -> StructureVerdict:
-    _require_finite(threshold=threshold)
+    _check_range("threshold", threshold, "(-inf, inf)")
     degs = graph.degrees()
     best = max(range(graph.vertex_count), key=lambda v: degs[v])
     cert = {"threshold": threshold, "max_degree": degs[best]}
@@ -249,11 +243,9 @@ def detect_tilde_hub(
     exceed the hub threshold (the intended use); the opposite ordering is
     handled by reserving one vertex above the extra threshold first.
     """
-    if u_size < 0:
-        raise ValidationError("u_size must be nonnegative")
-    _require_finite(
-        u_degree_threshold=u_degree_threshold, extra_degree_threshold=extra_degree_threshold
-    )
+    _check_range("u_size", u_size, "[0, inf)")
+    _check_range("u_degree_threshold", u_degree_threshold, "(-inf, inf)")
+    _check_range("extra_degree_threshold", extra_degree_threshold, "(-inf, inf)")
     degs = graph.degrees()
     order = sorted(range(graph.vertex_count), key=lambda v: (-degs[v], v))
     cert = {
@@ -307,9 +299,8 @@ class CoreConfig:
 
     def __post_init__(self):
         for name in ("delta", "epsilon", "c_bar", "c_bar_star"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and positive, got {value}")
+            if getattr(self, name) is not None:
+                _check_range(name, getattr(self, name), "(0, inf)")
 
     def resolved_c_bar(self) -> float:
         return self.c_bar if self.c_bar is not None else 4.0 / self.delta
@@ -406,13 +397,6 @@ def _prune_core(graph: HostGraph, pattern: PatternGraph, cfg: CoreConfig, n: int
     )
 
 
-def _require_n_p(n: int, p: float) -> None:
-    if not 0 < p < 1:
-        raise ValidationError("p must lie in (0, 1)")
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-
-
 def extract_core(
     graph: HostGraph,
     pattern: PatternGraph,
@@ -428,7 +412,8 @@ def extract_core(
     copy-count and edge-budget conditions are reported, not enforced.  A
     star pattern is counted in closed form under either scale, so
     ``budget`` only charges the enumerator for other patterns."""
-    _require_n_p(n, p)
+    _check_range("p", p, "(0, 1)")
+    _check_range("n", n, "[1, inf)")
     r, c_bar, log_inv_p = cfg.star_arms, cfg.resolved_c_bar(), math.log(1 / p)
     if r is None:
         scale = c_bar * n**2 * p ** max_degree(pattern) * log_inv_p
@@ -443,9 +428,9 @@ def extract_strong_core(graph: HostGraph, r: int, cfg: CoreConfig, n: int, p: fl
     """Strong-core pruning ((SC1)/(SC2)) of the r-star at edge scale
     S = C* n^(1+1/r) p: the per-edge threshold delta epsilon n^(r+1) p^r / S
     is (delta epsilon / C*) (n^(1+1/r) p)^(r-1)."""
-    _require_n_p(n, p)
-    if r < 2:
-        raise ValidationError("star arm count must be at least 2")
+    _check_range("p", p, "(0, 1)")
+    _check_range("n", n, "[1, inf)")
+    _check_range("star arm count", r, "[2, inf)")
     scale = cfg.resolved_c_bar_star(r) * n ** (1 + 1.0 / r) * p
     return _prune_core(graph, star(r), cfg, n, p, scale, 4, None)
 
@@ -469,8 +454,7 @@ def stability_peel(graph: HostGraph, epsilon: float) -> PeelResult:
     """
     if graph.edge_count < 1:
         raise ValidationError("graph must have at least one edge")
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _check_range("epsilon", epsilon, "(0, inf)")
     target = (1 - 4 * math.sqrt(epsilon)) * math.sqrt(2 * graph.edge_count)
     kept, min_deg = (), 0
     for low, alive in _peel(graph):

@@ -345,7 +345,7 @@ def test_criterion_10_structure_pruning_invariants():
     for host in seeded_hosts(40, (8, 14), 0.4, 777):
         deg_t = rng.randint(1, 6)
         edge_t = rng.randint(1, 20)
-        verdict = detect_hub(host, 0.1, edge_t, deg_t)
+        verdict = detect_hub(host, edge_t, deg_t)
         if verdict.found == YES:
             hub_ok &= verify_hub(host, verdict.witness, deg_t, edge_t)
 

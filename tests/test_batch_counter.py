@@ -184,10 +184,14 @@ def oracle_mask_counts(pattern, n, graphs):
 
 
 def oracle_exact_tail(pattern, n, p, threshold):
-    """The former ``exact_tail`` sum over the per-copy mask loop's counts."""
+    """The former ``exact_tail`` sum over the per-copy mask loop's counts,
+    with its one intended change: exactly 1 when every graph meets the
+    threshold, where the float sum can fall short of 1."""
     total_pairs = n * (n - 1) // 2
     graphs = np.arange(1 << total_pairs, dtype=np.int64)
     labelled = oracle_mask_counts(pattern, n, graphs)
+    if (labelled >= threshold).all():
+        return 1.0
     popcnt = np.bitwise_count(graphs)
     weights = np.power(p, popcnt) * np.power(1.0 - p, total_pairs - popcnt)
     return min(float(weights[labelled >= threshold].sum()), 1.0)

@@ -411,6 +411,12 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, POISSON_N8[:5] + ["0"] + POISSON_N8[6:-1] + ["0", "--seed", "-3"]),
         (None, POISSON_N8[:-1] + ["0", "--seed", "-3"]),
         (None, POISSON_N8[:-1] + ["0", "--samples", "-5"]),
+        (None, DETECT + ["highdeg", "--n=-5", "--p", "0.1", "--delta", "1", "--r", "2"]),
+        (None, DETECT + ["highdeg", "--n", "40", "--p", "2", "--delta", "1", "--r", "2"]),
+        (None, DETECT + ["highdeg", "--n", "40", "--p=-0.5", "--delta", "1", "--r", "2"]),
+        (None, CONDITIONED + ["--samples", "100", "--detector", "highdeg:nan"]),
+        (None, CONDITIONED + ["--samples", "100", "--detector", "highdeg:inf"]),
+        (None, ["rate", "--pattern", "path:1", "--delta", "1"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -434,7 +440,9 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "conditioned-huge-n", "poisson-huge-n", "core-clique-star", "detect-hub-no-thresholds",
          "detect-clique-no-size", "detect-highdeg-delta-negative", "conditioned-detector-hub",
          "conditioned-no-delta", "config-line-without-equals", "config-unknown-key",
-         "poisson-p-0-n-0", "poisson-p-0-seed-negative", "poisson-p-0-samples-negative"],
+         "poisson-p-0-n-0", "poisson-p-0-seed-negative", "poisson-p-0-samples-negative",
+         "detect-highdeg-n-negative", "detect-highdeg-p-2", "detect-highdeg-p-negative",
+         "conditioned-highdeg-nan", "conditioned-highdeg-inf", "rate-edgeless"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"

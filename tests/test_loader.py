@@ -45,7 +45,7 @@ def oracle_load(path_name: str):
             except ValueError:
                 raise ValidationError(f"vertex count {parts[1]!r} is not an integer") from None
             if n < 1:
-                raise ValidationError("vertex count must be positive")
+                raise ValidationError(f"vertex count must lie in [1, inf), got {n}")
             continue
         if len(parts) != 2:
             raise ValidationError(f"bad edge line: {text!r}")

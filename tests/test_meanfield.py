@@ -534,5 +534,5 @@ def test_phi_planted_search_refuses_bad_inputs():
     for p in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValidationError, match=r"p must lie in \(0, 1\)"):
             phi_planted_search(star(2), 10, p, 1.0)
-    with pytest.raises(ValidationError, match="delta must be nonnegative"):
+    with pytest.raises(ValidationError, match=r"delta must lie in \[0, inf\), got -0.1"):
         phi_planted_search(star(2), 10, 0.3, -0.1)

@@ -76,6 +76,15 @@ def test_exact_tail_boundaries():
         exact_tail(clique(3), 7, 0.5, 1)
 
 
+@pytest.mark.parametrize("pattern", [clique(3), star(2)], ids=["clique:3", "star:2"])
+def test_exact_tail_is_one_when_every_graph_meets_the_threshold(pattern):
+    # The float sum of the 2^15 weights at n = 6 misses 1 (0.9999999999999993).
+    smallest = int(montecarlo._BatchCounter(pattern, 6).table.min())
+    for p in (0.05, 0.3, 0.5):
+        for threshold in (0, -5, smallest):
+            assert exact_tail(pattern, 6, p, threshold).point == 1.0
+
+
 def test_direct_estimator_matches_exact():
     est = estimate_tail_direct(clique(3), 3, 0.5, 6, 200_000, 42)
     assert abs(est.point - 0.125) < 3 * est.stderr

@@ -56,10 +56,9 @@ def rescan_prune(graph, per_edge_count, threshold):
         current = current.without_edges([violator])
 
 
-def greedy_hub_oracle(graph, chi, edge_threshold, degree_threshold):
+def greedy_hub_oracle(graph, edge_threshold, degree_threshold):
     pool = [v for v in range(graph.vertex_count) if graph.degree(v) >= degree_threshold]
     cert = {
-        "chi": chi,
         "degree_threshold": degree_threshold,
         "edge_threshold": edge_threshold,
         "pool_size": len(pool),
@@ -185,8 +184,8 @@ def test_greedy_hub_matches_prefix_rescan():
         pool = sum(1 for d in degs if d >= degree_threshold)
         assert pool > 20  # the greedy branch, not the exhaustive one
         for edge_threshold in (1, rng.randint(20, 400), host.edge_count + 1):
-            got = detect_hub(host, 0.1, edge_threshold, degree_threshold)
-            want = greedy_hub_oracle(host, 0.1, edge_threshold, degree_threshold)
+            got = detect_hub(host, edge_threshold, degree_threshold)
+            want = greedy_hub_oracle(host, edge_threshold, degree_threshold)
             assert got == want
             checked[got.found] += 1
     assert checked[YES] > 12 and checked[UNKNOWN] >= 12

@@ -94,8 +94,9 @@ def test_regular_crossover_branch_switch():
 
 
 def _crossover_all_steps(pattern):
-    """``regular_crossover`` with all 200 bisection steps taken, as the
-    reference for the early stop."""
+    """The former ``regular_crossover``, a delta scan and a bisection on the
+    sign of the hub root minus the clique value, with all 200 bisection
+    steps taken: the reference for the one-root solve."""
     poly = independence_polynomial(pattern)
 
     def gap(delta):
@@ -114,22 +115,32 @@ def _crossover_all_steps(pattern):
     return 0.5 * (lo + hi)
 
 
-@pytest.mark.parametrize("pattern, solves", [(cycle(4), 77), (clique(3), 75), (cycle(5), 78)],
-                         ids=["cycle:4", "clique:3", "cycle:5"])
-def test_regular_crossover_stops_when_the_bracket_cannot_shrink(monkeypatch, pattern, solves):
-    # The bisection stops once its midpoint equals an end: every later step
-    # would leave the bracket as it is.  Without the stop cycle:4 took 225
-    # root solves for the same delta0.
+CROSSOVER_SPECS = ["cycle:4", "cycle:5", "cycle:6", "cycle:8", "clique:3", "clique:4",
+                   "clique:5", "biclique:2,2", "biclique:3,3"]
+
+
+@pytest.mark.parametrize("spec", CROSSOVER_SPECS)
+def test_regular_crossover_is_one_root_of_the_independence_polynomial(monkeypatch, spec):
+    # delta0 = (2t)^(v/2) at the first positive root t of P(t) - 1 - (2t)^(v/2):
+    # within 8 ulp of the scan-and-bisect reference, and without a single
+    # theta* solve (that reference takes 75-78 of them).
+    pattern = pattern_from_shorthand(spec)
     want = _crossover_all_steps(pattern)
     calls = []
+    monkeypatch.setattr(rates, "theta_star_root", lambda *args: calls.append(args))
+    got = regular_crossover(pattern)
+    assert abs(got - want) <= 8 * math.ulp(want)
+    assert calls == []
 
-    def counted(poly, delta):
-        calls.append(delta)
-        return theta_star_root(poly, delta)
 
-    monkeypatch.setattr(rates, "theta_star_root", counted)
-    assert regular_crossover(pattern) == want
-    assert len(calls) == solves
+def test_regular_crossover_exact_roots_and_the_single_edge():
+    # Roots t = 2 of C6 and t = 1 of K4 are floats, so delta0 is exact.
+    assert regular_crossover(cycle(6)) == 64.0
+    assert regular_crossover(clique(4)) == 4.0
+    # K2: both branches are delta/2, so they never cross.
+    for spec in ("clique:2", "path:2"):
+        assert regular_crossover(pattern_from_shorthand(spec)) is None
+        assert rate_for(pattern_from_shorthand(spec), 1.0).details["delta0"] is None
 
 
 def test_rate_poisson():
@@ -445,9 +456,9 @@ THEOREM_RENAMES = {"localized-I": "LocalizedI", "regular-localized": "Regular-Lo
                    "poisson": "Poisson", "star-localized-II": "LocalizedII-Star"}
 # (3) Newton may now step onto the top of the bisection bracket, where an
 # exactly representable root sits, so the roots 1/2 and 1 are exact (they
-# were recorded 4.5e-13 low), and the C4 crossover, which bisects on the sign
-# of a root minus the clique value, ends 4 ulp lower.
-POLISHED = {0.49999999999954525: 0.5, 0.9999999999995453: 1.0, 16.0: 15.999999999999996}
+# were recorded 4.5e-13 low), and the C4 crossover, now one root of
+# P(t) - 1 - (2t)^2 bisected to adjacent floats, ends 4 ulp lower.
+POLISHED = {0.49999999999954525: 0.5, 0.9999999999995453: 1.0, 16.0: 15.999999999999993}
 
 
 def _expected_now(case, recorded):
