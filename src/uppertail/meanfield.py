@@ -2,15 +2,15 @@
 
 A product Bernoulli law on edges is summarized by its matrix of edge
 probabilities.  The relative-entropy cost of tilting p to a matrix xi, the
-exact expected count of any pattern (of stars in closed form) under xi, the
-planted star near-optimizer, a restricted variational bound for stars and
-the planted hub-or-clique scan live here, along with an exact 2-star
-variance used as a Monte Carlo oracle.
+exact expected count and variance of a pattern's count (of stars in closed
+form) under xi, the planted star near-optimizer, a restricted variational
+bound for stars and the planted hub-or-clique scan live here.
 
-A matrix is stored by blocks: a few vertex classes and one probability per
-pair of classes.  Its cost, expected edge and star counts and likelihood
-ratio are sums over class pairs, which is what makes n around 10^6
-feasible; ``to_dense`` gives the explicit array for small n.
+A matrix is stored by blocks, its one form: a few vertex classes and one
+probability per pair of classes.  Its cost, expected edge and star counts
+and likelihood ratio are sums over class pairs, and the mean and variance
+of any small pattern's count are sums over the maps from vertices to
+classes, which is what makes n around 10^6 feasible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ValidationError, _check_range
 from .graphs import PATTERN_VERTEX_CAP, PatternGraph, star
 
-DENSE_LIMIT = 4000
+VARIANCE_VERTEX_CAP = 4  # two copies glue in 209 ways at v = 4, 1,546 at v = 5
 
 
 def _class_pairs(sizes: list, probs: list):
@@ -155,16 +155,6 @@ class EdgeProbabilityMatrix:
         miss = np.log1p(-p) - np.log1p(-q)
         return np.log(p / q) - miss, float(miss @ pairs)
 
-    def to_dense(self) -> np.ndarray:
-        if self.n > DENSE_LIMIT:
-            raise ValidationError(f"refusing to densify above n = {DENSE_LIMIT}")
-        label = np.full(self.n, len(self.classes))
-        for a, c in enumerate(self.classes):
-            label[list(c)] = a
-        arr = self.probs[np.ix_(label, label)]
-        arr[np.diag_indices_from(arr)] = 0.0
-        return arr
-
 
 def bernoulli_relative_entropy(x: float, p: float) -> float:
     """I_p(x) = x log(x/p) + (1-x) log((1-x)/(1-p)), with 0 log 0 = 0."""
@@ -235,32 +225,63 @@ def _star_count(n: int, sizes: list, probs: list, r: int) -> float:
     return math.factorial(r) * total
 
 
-def expected_count_inhom(xi: EdgeProbabilityMatrix, pattern: PatternGraph) -> float:
-    """Exact expected labelled count of ``pattern`` under the product law.
-
-    Sums over the maps s from the pattern's vertices to xi's classes: s
-    carries prod_c (size_c)_(|s^-1(c)|) injections, each present with the
-    product of the class-pair probabilities of the pattern's edges.  The
-    integer weights are kept per exponent vector of xi's distinct
-    probabilities and summed in increasing exponent order, so under a 0/1
-    planting over p this is sum_k c_k p^k, with c_k the injections that
-    put k pattern edges off the planting.
-    """
-    if pattern.vertex_count > PATTERN_VERTEX_CAP:
-        raise ValidationError("pattern too large")
+def _class_map_sum(xi: EdgeProbabilityMatrix, graphs: list, term) -> float:
+    """Sum of ``term`` over the injections into xi's vertices of each
+    (vertex count, edge sets) graph in ``graphs``, given per edge set the
+    product of the probabilities an injection puts on its edges.  That
+    depends only on the map s from the graph's vertices to xi's classes,
+    which carries prod_c (size_c)_(|s^-1(c)|) injections, kept per exponent
+    vector of xi's distinct probabilities and summed in increasing exponent
+    order: under a 0/1 planting over p a mean is sum_k c_k p^k, with c_k the
+    injections that put k edges off the planting."""
     probs = xi.probs.tolist()
     levels = sorted({q for row in probs for q in row})
     index = [[levels.index(q) for q in row] for row in probs]
     weights: dict = {}
-    for s in itertools.product(range(len(xi.sizes)), repeat=pattern.vertex_count):
-        weight = math.prod(math.perm(size, s.count(c)) for c, size in enumerate(xi.sizes))
-        if weight:
-            powers = [0] * len(levels)
-            for x, y in pattern.edges:
-                powers[index[s[x]][s[y]]] += 1
-            key = tuple(powers)
-            weights[key] = weights.get(key, 0) + weight
-    return float(sum(weights[key] * math.prod(map(pow, levels, key)) for key in sorted(weights)))
+    for vertex_count in sorted({count for count, _ in graphs}):
+        edge_sets = [sets for count, sets in graphs if count == vertex_count]
+        for s in itertools.product(range(len(xi.sizes)), repeat=vertex_count):
+            weight = math.prod(math.perm(size, s.count(c)) for c, size in enumerate(xi.sizes))
+            if weight:
+                for sets in edge_sets:
+                    key = tuple(tuple(map([index[s[x]][s[y]] for x, y in edges].count,
+                                          range(len(levels)))) for edges in sets)
+                    weights[key] = weights.get(key, 0) + weight
+    return float(sum(weights[key] * term(*(math.prod(map(pow, levels, powers)) for powers in key))
+                     for key in sorted(weights)))
+
+
+def expected_count_inhom(xi: EdgeProbabilityMatrix, pattern: PatternGraph) -> float:
+    """Exact expected labelled count of ``pattern`` under the product law."""
+    if pattern.vertex_count > PATTERN_VERTEX_CAP:
+        raise ValidationError("pattern too large")
+    return _class_map_sum(xi, [(pattern.vertex_count, (pattern.edges,))], lambda edges: edges)
+
+
+def _gluings(pattern: PatternGraph):
+    """(vertex count, (edges, shared edges)) of the graph F that two copies
+    of ``pattern`` make when glued along a partial injection between their
+    vertices, for each gluing under which they share an edge."""
+    v, edges = pattern.vertex_count, pattern.edges
+    for k in range(2, v + 1):
+        for glued in itertools.combinations(range(v), k):
+            for image in itertools.permutations(range(v), k):
+                place, fresh = dict(zip(glued, image)), iter(range(v, 2 * v))
+                label = [place[j] if j in place else next(fresh) for j in range(v)]
+                second = {tuple(sorted((label[x], label[y]))) for x, y in edges}
+                if shared := edges & second:
+                    yield 2 * v - k, (edges | second, shared)
+
+
+def exact_variance(xi: EdgeProbabilityMatrix, pattern: PatternGraph) -> float:
+    """Exact variance of the labelled count of ``pattern`` under the product
+    law.  Two copies that share no edge are independent, so it is the sum,
+    over the gluings of two copies that share an edge and the injections of
+    each glued graph F, of prod_{e in F} q_e (1 - prod_{e shared} q_e): with
+    no E[N^2] - E[N]^2 cancellation, exactly 0 when every q is 0 or 1."""
+    if pattern.vertex_count > VARIANCE_VERTEX_CAP:
+        raise ValidationError("pattern too large")
+    return _class_map_sum(xi, list(_gluings(pattern)), lambda joint, shared: joint * (1 - shared))
 
 
 @dataclass(frozen=True)
@@ -295,6 +316,7 @@ def planted_star_optimizer(
     _check_range("delta", delta, "(0, inf)")
     _check_range("epsilon", epsilon, "(0, 1)")
     _check_range("star arm count", r, "[2, inf)")
+    _check_range("n", n, f"[{r + 1}, inf)")  # no r-star fits on fewer vertices
     tilted = delta * (1 - epsilon / 2)
     t = tilted * n * p**r
     k = int(math.floor(t))
@@ -348,6 +370,7 @@ def variational_upper_bound(n: int, p: float, r: int, delta: float) -> Variation
     _check_range("p", p, "(0, 1)")
     _check_range("delta", delta, "(0, inf)")
     _check_range("star arm count", r, "[2, inf)")
+    _check_range("n", n, f"[{r + 1}, inf)")
     target = (1 + delta) * n ** (r + 1) * p**r
     k_cap = min(n - 2, int(math.ceil(2 * delta * n * p**r)) + 2)
     best: Optional[VariationalBound] = None
@@ -423,34 +446,6 @@ def phi_planted_search(pattern: PatternGraph, n: int, p: float, delta: float) ->
     if best is None:
         raise ValidationError("constraint unsatisfiable even at the complete graph")
     return best
-
-
-def exact_star2_variance(xi: EdgeProbabilityMatrix) -> float:
-    """Exact variance of the labelled 2-star count under the product law.
-
-    Splits E[N^2] into same-center terms (factorial moments of each row's
-    Poisson-binomial degree), independent cross-center products, and a
-    correction for pairs of stars sharing their connecting edge.
-    """
-    arr = xi.to_dense()
-    n = xi.n
-    s = arr.sum(axis=1)
-    p2 = (arr**2).sum(axis=1)
-    p3 = (arr**3).sum(axis=1)
-    p4 = (arr**4).sum(axis=1)
-    e1 = s
-    e2 = (e1 * s - p2) / 2.0
-    e3 = (e2 * s - e1 * p2 + p3) / 3.0
-    e4 = (e3 * s - e2 * p2 + e1 * p3 - p4) / 4.0
-    per_center = s * s - p2  # E[d(d-1)] per row
-    expected = float(per_center.sum())
-    same_center = 24.0 * e4 + 24.0 * e3 + 4.0 * e2
-    cross_products = expected**2 - float((per_center**2).sum())
-    a = s[:, None] - arr
-    b = s[None, :] - arr
-    shared_edge = 4.0 * arr * (1.0 - arr) * a * b
-    second_moment = float(same_center.sum()) + cross_products + float(shared_edge.sum())
-    return second_moment - expected**2
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,7 @@ def exact_tail(pattern: PatternGraph, n: int, p: float, threshold: int) -> TailE
     the weights can fall short of 1."""
     _check_range("n", n, f"[1, {EXACT_TAIL_MAX_N}]")
     _check_range("p", p, "[0, 1]")
+    _check_range("threshold", threshold, "(-inf, inf)")
     counter = _BatchCounter(pattern, n)
     total_pairs = len(counter.pair_u)
     labelled = counter.table  # indexed by the graph's pair bitmask
@@ -461,6 +462,7 @@ def estimate_tail_direct(
 ) -> TailEstimate:
     """Empirical tail frequency with binomial standard error."""
     xi = EdgeProbabilityMatrix.constant(n, p)
+    _check_range("threshold", threshold, "(-inf, inf)")
     accepts = sum(int((counts >= threshold).sum())
                   for counts in _replica_counts(pattern, xi, samples, seed, replicas, threads))
     point = accepts / samples
@@ -496,6 +498,7 @@ def estimate_tail_importance(
     """
     if proposal.n != n:
         raise ValidationError(f"the proposal has {proposal.n} vertices, not n = {n}")
+    _check_range("threshold", threshold, "(-inf, inf)")
     counter = _BatchCounter(pattern, n)  # refuses too many pairs before levels() sizes arrays by n
     for q, _, _ in proposal.levels():  # a weight needs q in (0, 1) to stay unbiased
         _check_range("proposal probability", q, "(0, 1)")
@@ -586,6 +589,7 @@ def conditioned_structure_frequency(
     _check_range("degree_threshold", degree_threshold, "(-inf, inf)")
     if threshold is None:
         threshold = threshold_for(delta, pattern, n, p)
+    _check_range("threshold", threshold, "(-inf, inf)")
     counter = _BatchCounter(pattern, n)
     xi = EdgeProbabilityMatrix.constant(n, p)
 

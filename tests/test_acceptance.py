@@ -26,7 +26,7 @@ from uppertail.counting import (
 )
 from uppertail.meanfield import (
     EdgeProbabilityMatrix,
-    exact_star2_variance,
+    exact_variance,
     expected_star_count_inhom,
     planted_star_optimizer,
     variance_ratio_estimate,
@@ -221,7 +221,7 @@ def test_criterion_07_variance_ratio():
 
     # Exact pair-correlation oracle at n = 50 against a fresh MC estimate.
     xi = EdgeProbabilityMatrix.constant(50, 0.5)
-    exact_ratio = exact_star2_variance(xi) / expected_star_count_inhom(xi, 2) ** 2
+    exact_ratio = exact_variance(xi, star(2)) / expected_star_count_inhom(xi, 2) ** 2
     est50 = variance_ratio_estimate(xi, 2, 8000, 11)
     oracle_ok = abs(est50.ratio - exact_ratio) <= 3 * est50.stderr
     elapsed = time.perf_counter() - start

@@ -53,6 +53,7 @@ from uppertail.montecarlo import (
     sample_inhom,
     threshold_for,
 )
+from util_dense import to_dense
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -111,7 +112,7 @@ def _planted(n):
 
 def _pair_probs(xi, n):
     """The probability of each vertex pair, in ``_pair_arrays`` order."""
-    return xi.to_dense()[_pair_arrays(n)]
+    return to_dense(xi)[_pair_arrays(n)]
 
 
 def _planted_probs(n):

@@ -1,8 +1,8 @@
-"""Every public function that reads p, delta, epsilon, rho, slack, chi, c_bar
-or a degree or size threshold refuses NaN, +inf, -inf and a finite value
-outside its range with a ``ValidationError`` that names the argument, in the
-one form ``errors._check_range`` gives: ``<name> must lie in <interval>, got
-<value>``.
+"""Every public function that reads p, delta, epsilon, rho, slack, chi, c_bar,
+a degree, size or count threshold, or the n of a star solver refuses NaN,
++inf, -inf and a finite value outside its range with a ``ValidationError``
+that names the argument, in the one form ``errors._check_range`` gives:
+``<name> must lie in <interval>, got <value>``.
 """
 
 import math
@@ -84,20 +84,27 @@ CASES = [
     ("EdgeProbabilityMatrix.log_likelihood_ratio", "p", 0.0, PROPOSAL.log_likelihood_ratio),
     ("bernoulli_relative_entropy", "p", 1.0, lambda x: bernoulli_relative_entropy(0.5, x)),
     ("total_cost", "p", 0.0, lambda x: total_cost(XI, x)),
+    ("planted_star_optimizer", "n", 2, lambda x: planted_star_optimizer(x, 0.05, 2, 1.0, 0.1)),
     ("planted_star_optimizer", "p", 0.0, lambda x: planted_star_optimizer(100, x, 2, 1.0, 0.1)),
     ("planted_star_optimizer", "delta", 0.0,
      lambda x: planted_star_optimizer(100, 0.05, 2, x, 0.1)),
     ("planted_star_optimizer", "epsilon", 1.0,
      lambda x: planted_star_optimizer(100, 0.05, 2, 1.0, x)),
+    ("variational_upper_bound", "n", 2, lambda x: variational_upper_bound(x, 0.05, 2, 1.0)),
     ("variational_upper_bound", "p", 1.0, lambda x: variational_upper_bound(40, x, 2, 1.0)),
     ("variational_upper_bound", "delta", 0.0, lambda x: variational_upper_bound(40, 0.05, 2, x)),
     ("phi_planted_search", "p", 0.0, lambda x: phi_planted_search(clique(3), 10, x, 1.0)),
     ("phi_planted_search", "delta", -0.1, lambda x: phi_planted_search(clique(3), 10, 0.3, x)),
     ("sample_gnp", "p", 1.5, lambda x: sample_gnp(5, x, 0)),
     ("exact_tail", "p", -0.5, lambda x: exact_tail(star(2), 4, x, 1)),
+    ("exact_tail", "threshold", None, lambda x: exact_tail(star(2), 4, 0.3, x)),
     ("estimate_tail_direct", "p", 1.5, lambda x: estimate_tail_direct(star(2), 5, x, 8, 10, 0)),
+    ("estimate_tail_direct", "threshold", None,
+     lambda x: estimate_tail_direct(star(2), 5, 0.3, x, 10, 0)),
     ("estimate_tail_importance", "p", 0.0,
      lambda x: estimate_tail_importance(star(2), 5, x, 8, PROPOSAL, 10, 0)),
+    ("estimate_tail_importance", "threshold", None,
+     lambda x: estimate_tail_importance(star(2), 5, 0.3, x, PROPOSAL, 10, 0)),
     ("threshold_for", "delta", -1.0, lambda x: threshold_for(x, star(2), 40, 0.05)),
     ("threshold_for", "p", 1.5, lambda x: threshold_for(1.0, star(2), 40, x)),
     ("conditioned_structure_frequency", "p", -0.5,
@@ -106,6 +113,8 @@ CASES = [
      lambda x: conditioned_structure_frequency(star(2), 40, 0.05, x, 5.0, 10, 0)),
     ("conditioned_structure_frequency", "degree_threshold", None,
      lambda x: conditioned_structure_frequency(star(2), 40, 0.05, 1.0, x, 10, 0)),
+    ("conditioned_structure_frequency", "threshold", None,
+     lambda x: conditioned_structure_frequency(star(2), 40, 0.05, 1.0, 5.0, 10, 0, threshold=x)),
     ("poisson_fit_experiment", "p", 1.5, lambda x: poisson_fit_experiment(clique(3), 8, x, 10, 0)),
     ("verify_hub", "degree_threshold", None, lambda x: verify_hub(K4, (0,), x, 1.0)),
     ("verify_hub", "edge_threshold", None, lambda x: verify_hub(K4, (0,), 1.0, x)),
@@ -137,6 +146,19 @@ def test_bad_values_are_refused_by_name(name, call, value):
     message = f"^{name} must lie in .*, got {re.escape(repr(value))}$"
     with pytest.raises(ValidationError, match=message):
         call(value)
+
+
+@pytest.mark.parametrize("solve", [lambda n, r: planted_star_optimizer(n, 0.05, r, 1.0, 0.1),
+                                   lambda n, r: variational_upper_bound(n, 0.05, r, 1.0)],
+                         ids=["planted_star_optimizer", "variational_upper_bound"])
+def test_star_solvers_need_room_for_one_star(solve):
+    # An r-star has r + 1 vertices; below that the solvers name n, not the
+    # constraint they cannot meet.
+    for r in (2, 3):
+        for n in (-3, 0, 1, r):
+            with pytest.raises(ValidationError, match=rf"^n must lie in \[{r + 1}, inf\), got {n}$"):
+                solve(n, r)
+        solve(r + 1, r)
 
 
 @pytest.mark.parametrize("interval, inside, outside", [

@@ -417,6 +417,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         (None, CONDITIONED + ["--samples", "100", "--detector", "highdeg:nan"]),
         (None, CONDITIONED + ["--samples", "100", "--detector", "highdeg:inf"]),
         (None, ["rate", "--pattern", "path:1", "--delta", "1"]),
+        (None, ["meanfield", "--r", "2", "--n=0", "--p", "0.05", "--delta", "1"]),
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -442,7 +443,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "conditioned-no-delta", "config-line-without-equals", "config-unknown-key",
          "poisson-p-0-n-0", "poisson-p-0-seed-negative", "poisson-p-0-samples-negative",
          "detect-highdeg-n-negative", "detect-highdeg-p-2", "detect-highdeg-p-negative",
-         "conditioned-highdeg-nan", "conditioned-highdeg-inf", "rate-edgeless"],
+         "conditioned-highdeg-nan", "conditioned-highdeg-inf", "rate-edgeless", "meanfield-n-0"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
     graph = tmp_path / "g.txt"
@@ -475,6 +476,8 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
         assert captured.err == "error: pattern too large\n"
     if HUGE_N in argv:
         assert captured.err.startswith("error: an input overflowed float arithmetic")
+    if argv[0] == "meanfield" and "--n=0" in argv:
+        assert captured.err == "error: n must lie in [3, inf), got 0\n"
 
 
 @pytest.mark.parametrize("error, message", [

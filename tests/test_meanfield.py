@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from uppertail.meanfield import (
     VariationalBound,
     _planted_star_count,
     bernoulli_relative_entropy,
-    exact_star2_variance,
+    exact_variance,
     expected_count_inhom,
     expected_star_count_inhom,
     phi_planted_search,
@@ -23,6 +22,8 @@ from uppertail.meanfield import (
     variance_ratio_estimate,
     variational_upper_bound,
 )
+from uppertail.montecarlo import _BatchCounter
+from util_dense import exact_star2_variance, to_dense
 
 
 def _random_dense(n, seed, lo=0.05, hi=0.95):
@@ -98,17 +99,17 @@ def test_total_cost_examples():
 def test_total_cost_structured_matches_dense():
     for n, hubs, boosted_value in [(30, (), 0.4), (50, (1, 2, 3), 0.7), (200, (1,), 0.25)]:
         struct = EdgeProbabilityMatrix.planted(n, 0.1, hubs=hubs, boosted=0, boosted_value=boosted_value)
-        want = dense_total_cost(struct.to_dense(), 0.1)
+        want = dense_total_cost(to_dense(struct), 0.1)
         assert total_cost(struct, 0.1) == pytest.approx(want, rel=1e-12)
     hubs_only = EdgeProbabilityMatrix.planted(40, 0.2, hubs=[0, 5])
-    want = dense_total_cost(hubs_only.to_dense(), 0.2)
+    want = dense_total_cost(to_dense(hubs_only), 0.2)
     assert total_cost(hubs_only, 0.2) == pytest.approx(want, rel=1e-12)
 
 
 def test_expected_star_count_examples():
     ones = EdgeProbabilityMatrix.constant(3, 1.0)
     assert expected_star_count_inhom(ones, 2) == 6.0
-    assert dense_star_count(ones.to_dense(), 2) == 6.0
+    assert dense_star_count(to_dense(ones), 2) == 6.0
     a, b = 0.7, 0.4
     arr = np.zeros((3, 3))
     arr[0, 1] = arr[1, 0] = a
@@ -129,7 +130,7 @@ def test_expected_star_count_constant_exact():
 
 def test_expected_star_count_structured_matches_dp():
     struct = EdgeProbabilityMatrix.planted(60, 0.15, hubs=[1, 2], boosted=0, boosted_value=0.5)
-    arr = struct.to_dense()
+    arr = to_dense(struct)
     for r in (2, 3, 5):
         a = expected_star_count_inhom(struct, r)
         b = dense_star_count(arr, r)
@@ -284,9 +285,6 @@ def test_variational_bound_matches_matrix_counts(n, p, r, delta):
 def test_exact_variance_against_enumeration():
     # Full enumeration over all graphs on 5 vertices with random edge probs.
     arr = _random_dense(5, 123)
-    # A stand-in with what exact_star2_variance reads; a structured matrix
-    # cannot hold per-pair probabilities.
-    xi = SimpleNamespace(n=5, to_dense=arr.copy)
     pairs = list(zip(*np.triu_indices(5, 1)))
     e1 = e2 = 0.0
     for mask in range(1 << len(pairs)):
@@ -303,7 +301,48 @@ def test_exact_variance_against_enumeration():
         e1 += prob * count
         e2 += prob * count * count
     assert dense_star_count(arr, 2) == pytest.approx(e1, rel=1e-10)
-    assert exact_star2_variance(xi) == pytest.approx(e2 - e1**2, rel=1e-8)
+    assert exact_star2_variance(arr) == pytest.approx(e2 - e1**2, rel=1e-8)
+
+
+@pytest.mark.parametrize("pattern", [star(2), star(3), clique(3), path(4), cycle(4)],
+                         ids=["star:2", "star:3", "clique:3", "path:4", "cycle:4"])
+@pytest.mark.parametrize("p", [0.2, 0.5])
+def test_exact_variance_equals_the_count_table(pattern, p):
+    # The variance over all graphs on 6 vertices, each weighted by the
+    # product over pairs of q or 1 - q, under a constant and a block matrix.
+    n = 6
+    counter = _BatchCounter(pattern, n)
+    table = counter.table.astype(float)
+    bits = (np.arange(len(table))[:, None] >> np.arange(len(counter.pair_u))) & 1
+    for xi in (EdgeProbabilityMatrix.constant(n, p),
+               EdgeProbabilityMatrix.planted(n, p, hubs=[1], boosted=0, boosted_value=0.7)):
+        q = to_dense(xi)[counter.pair_u, counter.pair_v]
+        weights = np.where(bits == 1, q, 1.0 - q).prod(axis=1)
+        mean = float(weights @ table)
+        want = float(weights @ (table - mean) ** 2)
+        assert exact_variance(xi, pattern) == pytest.approx(want, rel=1e-13)
+
+
+def test_exact_variance_equals_the_star2_oracle():
+    for xi in (EdgeProbabilityMatrix.constant(50, 0.5),
+               EdgeProbabilityMatrix.constant(50, 0.1),
+               EdgeProbabilityMatrix.planted(40, 0.05, hubs=[1, 2], boosted=0, boosted_value=0.4),
+               EdgeProbabilityMatrix.planting("hub:4:0.55", 30, 0.1)):
+        want = exact_star2_variance(to_dense(xi))
+        assert exact_variance(xi, star(2)) == pytest.approx(want, rel=1e-13)
+    assert exact_variance(EdgeProbabilityMatrix.constant(50, 0.5), star(2)) == 2837100.0
+
+
+def test_exact_variance_is_zero_when_every_probability_is_zero_or_one():
+    for xi in (EdgeProbabilityMatrix.constant(7, 1.0), EdgeProbabilityMatrix.constant(7, 0.0),
+               EdgeProbabilityMatrix.planted(7, 0.0, hubs=[1, 2])):
+        for pattern in (star(2), star(3), clique(3), path(4), cycle(4), PatternGraph(3, [])):
+            assert exact_variance(xi, pattern) == 0.0
+
+
+def test_exact_variance_refuses_five_vertices():
+    with pytest.raises(ValidationError, match="^pattern too large$"):
+        exact_variance(EdgeProbabilityMatrix.constant(6, 0.3), path(5))
 
 
 def test_variance_ratio_all_ones_is_zero():
@@ -313,7 +352,7 @@ def test_variance_ratio_all_ones_is_zero():
 
 def test_variance_ratio_matches_exact_oracle():
     xi = EdgeProbabilityMatrix.constant(50, 0.5)
-    exact = exact_star2_variance(xi) / expected_star_count_inhom(xi, 2) ** 2
+    exact = exact_variance(xi, star(2)) / expected_star_count_inhom(xi, 2) ** 2
     est = variance_ratio_estimate(xi, 2, 8000, 7)
     assert abs(est.ratio - exact) < 3 * est.stderr
 
@@ -325,7 +364,7 @@ def test_matrix_validation():
         EdgeProbabilityMatrix.planted(10, 0.1, hubs=[10])
     with pytest.raises(ValidationError):
         EdgeProbabilityMatrix.planted(10, 0.1, boosted=0, boosted_value=1.2)
-    m = EdgeProbabilityMatrix.planted(10, 0.1, hubs=[1], boosted=0, boosted_value=0.5).to_dense()
+    m = to_dense(EdgeProbabilityMatrix.planted(10, 0.1, hubs=[1], boosted=0, boosted_value=0.5))
     assert m[0, 1] == m[1, 0] == 0.5  # boosted wins over hub
     assert m[1, 2] == m[2, 1] == 1.0
     assert m[2, 3] == 0.1
@@ -365,7 +404,7 @@ def test_planting_constructors_match_dense():
     n, p = 7, 0.2
     for text, want in _plantings(n, p).items():
         xi = EdgeProbabilityMatrix.planting(text, n, p)
-        assert np.array_equal(xi.to_dense(), want), text
+        assert np.array_equal(to_dense(xi), want), text
         assert total_cost(xi, p) == pytest.approx(dense_total_cost(want, p), rel=1e-12, abs=1e-15)
         assert xi.expected_edges() == pytest.approx(want.sum() / 2, rel=1e-12)
         for r in (2, 3):
@@ -383,7 +422,7 @@ def test_log_likelihood_ratio_matches_dense():
                EdgeProbabilityMatrix(n, ([2, 7], [4]), [[0.5, 0.3, 0.25], [0.3, 0.6, 0.4],
                                                         [0.25, 0.4, p]]),
                EdgeProbabilityMatrix.constant(n, p)):
-        q = xi.to_dense()[iu]
+        q = to_dense(xi)[iu]
         present = rng.random((20, len(q))) < q
         want = np.where(present, np.log(p / q), np.log((1 - p) / (1 - q))).sum(axis=1)
         levels = [x for x, _, _ in xi.levels()]
