@@ -64,12 +64,26 @@ def _load_config(path: str) -> dict:
     return out
 
 
+# Types that ``json.dumps`` writes as they are.
+_PLAIN = frozenset((int, str, bool, type(None)))
+
+
 def _json_ready(value):
+    """``value`` with Fractions as floats, numpy values as Python ones and
+    non-finite floats as their repr; plain values pass straight through, so
+    a long edge list costs one check per entry."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, Fraction):
         return float(value)
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if all(type(v) in _PLAIN for v in value):
+            return value  # json.dumps writes a tuple as a list
         return [_json_ready(v) for v in value]
     if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
         return repr(value)

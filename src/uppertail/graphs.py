@@ -20,6 +20,7 @@ import itertools
 import sys
 from array import array
 from collections import deque
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -390,7 +391,8 @@ def load_edge_list(path_name: str):
     First line ``n <N>``, then one ``u v`` pair per line; ``#`` starts a
     comment.  Labels outside 0..N-1 (or non-numeric labels) are re-indexed in
     order of first appearance.  Returns ``(HostGraph, mapping)`` where
-    ``mapping`` maps original label to assigned index.
+    ``mapping`` maps original label to assigned index; when every label is
+    an integer in 0..N-1 it is the read-only ``IdentityLabels(N)``.
 
     The body is parsed by numpy in blocks of ``LOAD_BLOCK_LINES`` lines.  A
     file that numpy refuses, or that holds a label outside 0..N-1, is read
@@ -401,7 +403,36 @@ def load_edge_list(path_name: str):
         edges = _int_edges(handle, n)
     if edges is None:
         return _load_by_lines(path_name)
-    return HostGraph(n, edges), {str(i): i for i in range(n)}
+    return HostGraph(n, edges), IdentityLabels(n)
+
+
+class IdentityLabels(Mapping):
+    """The mapping ``{str(i): i for i in range(n)}`` of an all-integer edge
+    list, read-only and without a string per vertex: a label is looked up by
+    parsing it."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getitem__(self, label):
+        try:
+            i = int(label)
+        except (TypeError, ValueError):
+            raise KeyError(label) from None
+        if type(label) is not str or not 0 <= i < self.n or str(i) != label:
+            raise KeyError(label)
+        return i
+
+    def __iter__(self) -> Iterator[str]:
+        return map(str, range(self.n))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __repr__(self) -> str:
+        return f"IdentityLabels({self.n})"
 
 
 @contextlib.contextmanager
@@ -485,7 +516,7 @@ def _load_by_lines(path_name: str):
     ends = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
     if dense:
         values = np.array([int(tok) for tok in labels], dtype=np.int64)
-        return HostGraph(n, values[ends]), {str(i): i for i in range(n)}
+        return HostGraph(n, values[ends]), IdentityLabels(n)
     if len(labels) > n:
         raise ValidationError("more labels than declared vertices")
     return HostGraph(n, ends), labels

@@ -38,6 +38,25 @@ def _class_pairs(sizes: list, probs: list):
                 yield a, b, pairs, probs[a][b]
 
 
+def _level_rows(blocks: list) -> tuple:
+    """(start, vertex, shift, column) for the slots of one probability of a
+    matrix, its blocks laid end to end row by row: slot s of row i, from
+    ``start[i]`` on, pairs ``vertex[i]`` with ``column[s - shift[i]]``.  A
+    block (vertices of a, None) has rows a[i] with a[i + 1:], and a block
+    (vertices of a, vertices of b) rows a[i] with all of b."""
+    vertex, first, length, column, base = [], [], [], [], 0
+    for a, b in blocks:
+        inner = b is None
+        vertex.append(a[:-1] if inner else a)
+        first.append(base + (np.arange(1, len(a)) if inner else np.zeros(len(a), np.int64)))
+        length.append(np.arange(len(a) - 1, 0, -1) if inner else np.full(len(a), len(b)))
+        column.append(a if inner else b)
+        base += len(column[-1])
+    length, first = np.concatenate(length), np.concatenate(first)
+    start = np.cumsum(length) - length
+    return start, np.concatenate(vertex), start - first, np.concatenate(column)
+
+
 class EdgeProbabilityMatrix:
     """Symmetric matrix of edge probabilities with zero diagonal, constant
     on blocks.
@@ -48,10 +67,11 @@ class EdgeProbabilityMatrix:
     hub set and boosted vertex a ``planted`` matrix was built from.
     """
 
-    __slots__ = ("n", "classes", "probs", "sizes", "hubs", "boosted", "_levels")
+    __slots__ = ("n", "classes", "probs", "sizes", "hubs", "boosted", "_levels", "_rows")
 
     def __init__(self, n, classes, probs, hubs=frozenset(), boosted=None):
-        self.n, self.hubs, self.boosted, self._levels = int(n), frozenset(hubs), boosted, None
+        self.n, self.hubs, self.boosted = int(n), frozenset(hubs), boosted
+        self._levels = self._rows = None
         _check_range("n", self.n, "[1, inf)")
         self.classes = tuple(tuple(sorted(int(v) for v in c)) for c in classes)
         listed = set().union(*self.classes)
@@ -142,6 +162,14 @@ class EdgeProbabilityMatrix:
                 level[2].append((members[a], None if a == b else members[b]))
             self._levels = tuple(tuple(levels[q]) for q in sorted(levels))
         return self._levels
+
+    def level_rows(self) -> tuple:
+        """``_level_rows`` of the blocks of each of ``levels()``: where the
+        slots of each probability's stream land.  Built on the first call and
+        kept, since every replica's draw reads them."""
+        if self._rows is None:
+            self._rows = tuple(_level_rows(blocks) for _, _, blocks in self.levels())
+        return self._rows
 
     def expected_edges(self) -> float:
         return sum(pairs * q for _, _, pairs, q in self._class_pairs())

@@ -20,13 +20,14 @@ graph of replica 0.  Every Monte Carlo estimator draws from an
 ``EdgeProbabilityMatrix`` (``constant(n, p)`` at one probability) and counts
 its draws through one ``_BatchCounter``, in batches sized so that each holds
 about ``_BATCH_ITEMS`` expected edges and at most ``_BATCH_ITEMS`` degree
-cells or bit-row words: a batch's arrays stay near 64 KB, so the heap
-recycles them instead of returning them to the system and faulting them
-back in for the next batch.  Labelled counts come from
-the first path that applies: for n <= 6, a table of the labelled count of
-every graph on n vertices, indexed by its pair bitmask (``exact_tail``
+cells, or 2 * ``_BATCH_ITEMS`` bit-row words for triangles: a batch's arrays
+stay near 64 KB, so the heap recycles them instead of returning them to the
+system and faulting them back in for the next batch.  Labelled counts come
+from the first path that applies: for n <= 6, a table of the labelled count
+of every graph on n vertices, indexed by its pair bitmask (``exact_tail``
 sums over the same table); degree falling factorials for stars; packed
-uint64 bit rows for triangles; and the generic backtracking counter.
+uint64 bit rows for triangles, on a table that each replica allocates once
+and a batch leaves zeroed; and the generic backtracking counter.
 """
 
 from __future__ import annotations
@@ -131,8 +132,10 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The working set of one batch, in int64 entries: expected edges, degree
-# cells, bit-row words, and the skip block of a stream.
+# cells, half the bit-row words, and the skip block of a stream.
 _BATCH_ITEMS = 1 << 13
+# The uint64 word with bit i set, for each i < 64.
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 class EdgeBatch(NamedTuple):
@@ -205,25 +208,6 @@ def _draws(rng: np.random.Generator, p: float, n_pairs: int, m: int, rows: int):
         done += take
 
 
-def _level_rows(blocks: list) -> tuple:
-    """(start, vertex, shift, column) for the slots of one probability of a
-    matrix, its blocks laid end to end row by row: slot s of row i, from
-    ``start[i]`` on, pairs ``vertex[i]`` with ``column[s - shift[i]]``.  A
-    block (vertices of a, None) has rows a[i] with a[i + 1:], and a block
-    (vertices of a, vertices of b) rows a[i] with all of b."""
-    vertex, first, length, column, base = [], [], [], [], 0
-    for a, b in blocks:
-        inner = b is None
-        vertex.append(a[:-1] if inner else a)
-        first.append(base + (np.arange(1, len(a)) if inner else np.zeros(len(a), np.int64)))
-        length.append(np.arange(len(a) - 1, 0, -1) if inner else np.full(len(a), len(b)))
-        column.append(a if inner else b)
-        base += len(column[-1])
-    length, first = np.concatenate(length), np.concatenate(first)
-    start = np.cumsum(length) - length
-    return start, np.concatenate(vertex), start - first, np.concatenate(column)
-
-
 def _measure_draws(rng: np.random.Generator, xi: EdgeProbabilityMatrix, m: int, rows: int):
     """``_draws`` of m graphs from ``xi``: one stream per distinct
     probability, over its own pairs, the lowest read from ``rng`` itself (so
@@ -240,7 +224,7 @@ def _measure_draws(rng: np.random.Generator, xi: EdgeProbabilityMatrix, m: int, 
         return
     children = [rng, *rng.spawn(len(levels) - 1)]
     streams = [_draws(child, q, pairs, m, rows) for child, (q, pairs, _) in zip(children, levels)]
-    layouts = [_level_rows(blocks) for _, _, blocks in levels]
+    layouts = xi.level_rows()
     w = np.arange(n, dtype=np.int64)
     row_base = w * (2 * n - w - 1) // 2 - w - 1  # pair (u, v), u < v, is row_base[u] + v
     for parts in zip(*streams):
@@ -315,9 +299,10 @@ class _BatchCounter:
 
     def rows(self, xi: EdgeProbabilityMatrix) -> int:
         """Graphs per batch of draws from ``xi``: about ``_BATCH_ITEMS``
-        expected edges, and at most ``_BATCH_ITEMS`` degree cells, or bit-row
-        words for triangles."""
-        cells = self.n * ((self.n + 63) >> 6) if self.triangle else self.n
+        expected edges, and at most ``_BATCH_ITEMS`` degree cells, or for
+        triangles 2 * ``_BATCH_ITEMS`` bit-row words, the 128 KB table that a
+        replica keeps across its batches (``bit_rows``)."""
+        cells = self.n * ((self.n + 63) >> 6) / 2 if self.triangle else self.n
         per_graph = max(xi.expected_edges(), cells)
         return max(1, int(_BATCH_ITEMS // per_graph))
 
@@ -337,12 +322,23 @@ class _BatchCounter:
         deg += np.bincount(index, minlength=cells)
         return deg.reshape(batch.size, self.n)
 
-    def counts(self, batch: EdgeBatch, degrees: Optional[np.ndarray] = None) -> np.ndarray:
+    def bit_rows(self, xi: EdgeProbabilityMatrix) -> Optional[np.ndarray]:
+        """A zeroed bit-row table for the triangle batches of one replica's
+        draws from ``xi``, n * ceil(n / 64) words for each graph of a batch,
+        or None for other patterns.  ``counts`` leaves it zeroed, so a
+        replica allocates it once, and no two replica threads share one."""
+        if not self.triangle:
+            return None
+        return np.zeros(self.rows(xi) * self.n * ((self.n + 63) >> 6), dtype=np.uint64)
+
+    def counts(self, batch: EdgeBatch, degrees: Optional[np.ndarray] = None,
+               bits: Optional[np.ndarray] = None) -> np.ndarray:
         """Labelled counts of the pattern in each graph of a batch; a star
-        reuses ``degrees`` when the caller already has them."""
+        reuses ``degrees`` when the caller already has them, and triangles
+        the replica's ``bit_rows`` table, or a fresh one without it."""
         if self.table is not None:
-            bits = np.bincount(batch.graph, weights=self.pair_bits[batch.pair], minlength=batch.size)
-            return self.table[bits.astype(np.int64)]
+            mask = np.bincount(batch.graph, weights=self.pair_bits[batch.pair], minlength=batch.size)
+            return self.table[mask.astype(np.int64)]
         if self.star_arms is not None:
             deg = self.degrees(batch) if degrees is None else degrees
             value = deg.copy()
@@ -350,7 +346,7 @@ class _BatchCounter:
                 value *= deg - i
             return value.sum(axis=1)
         if self.triangle:
-            return self._triangle_counts(batch)
+            return self._triangle_counts(batch, bits)
         us, vs = self.pair_u[batch.pair].tolist(), self.pair_v[batch.pair].tolist()
         bounds = np.searchsorted(batch.graph, np.arange(batch.size + 1)).tolist()
         return np.array(
@@ -359,37 +355,55 @@ class _BatchCounter:
             dtype=np.int64,
         )
 
-    def _triangle_counts(self, batch: EdgeBatch) -> np.ndarray:
+    def _triangle_counts(self, batch: EdgeBatch, bits: Optional[np.ndarray]) -> np.ndarray:
         """Labelled triangle counts of the graphs of a batch.
 
-        Row g*n + a holds a's later neighbours in graph g as packed uint64
-        words, so a triangle a < b < c is seen once, from its edge (a, b),
-        and has 6 labellings.  The edges come in row order, so the rows are
-        built by one ``bitwise_or.reduceat`` over runs of equal words.
+        Row g*n + a of ``bits`` holds a's later neighbours in graph g as
+        packed uint64 words, so a triangle a < b < c is seen once, from its
+        edge (a, b), and has 6 labellings.  The edges come in row order, so
+        an edge closes a triangle only if the next edge is in the same row
+        (a has a later neighbour after b) and b's row is not empty; only
+        those edges intersect their rows.  The words the batch sets are
+        zeroed again before returning.
         """
         n, graph, pair, size = self.n, batch.graph, batch.pair, batch.size
-        words = (n + 63) >> 6
-        a, b = np.take(self.pair_u, pair), np.take(self.pair_v, pair)
-        row_a = graph * n + a
-        row_b = graph * n + b
-        word = row_a * words + (b >> 6)
-        rows = np.zeros(size * n * words, dtype=np.uint64)
-        if len(word):
-            runs = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
-            bits = np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
-            rows[word[runs]] = np.bitwise_or.reduceat(bits, runs)
-        rows = rows.reshape(size * n, words)
-        per_edge = np.zeros(len(pair), dtype=np.int64)
+        m, words = len(pair), (n + 63) >> 6
+        if not m:
+            return np.zeros(size, dtype=np.int64)
+        if bits is None:
+            bits = np.zeros(size * n * words, dtype=np.uint64)
+        b = self.pair_v.take(pair)
+        row_a = graph * n
+        row_b = row_a + b
+        row_a += self.pair_u.take(pair)
+        word = row_a * words
+        word += b >> 6
+        ends = np.empty(m, dtype=bool)  # the last edge of each word
+        np.not_equal(word[1:], word[:-1], out=ends[:-1])
+        ends[-1] = True
+        ends = ends.nonzero()[0]
+        value = _BIT.take(b & 63).cumsum().take(ends)
+        value[1:] -= value[:-1]  # a word's bits are distinct: their sum is their union
+        word = word.take(ends)
+        bits[word] = value
+        keep = np.empty(m, dtype=bool)
+        np.equal(row_a[1:], row_a[:-1], out=keep[:-1])
+        keep[-1] = False
+        keep &= np.bincount(row_a, minlength=size * n).take(row_b) > 0
+        keep = keep.nonzero()[0]
+        row_a, row_b = row_a.take(keep), row_b.take(keep)
+        rows = bits.reshape(-1, words)
+        closed = np.zeros(len(keep), dtype=np.int64)
         chunk = max(1, _BATCH_ITEMS // words)
-        for lo in range(0, len(pair), chunk):
-            common = np.take(rows, row_a[lo : lo + chunk], axis=0)
-            common &= np.take(rows, row_b[lo : lo + chunk], axis=0)
+        for lo in range(0, len(keep), chunk):
+            common = rows.take(row_a[lo : lo + chunk], axis=0)
+            common &= rows.take(row_b[lo : lo + chunk], axis=0)
             ones = np.bitwise_count(common)
-            acc = per_edge[lo : lo + chunk]
+            acc = closed[lo : lo + chunk]
             for w in range(words):
                 acc += ones[:, w]
-        ends = np.searchsorted(graph, np.arange(size + 1))
-        return 6 * np.diff(np.concatenate(([0], np.cumsum(per_edge)))[ends])
+        bits[word] = 0
+        return 6 * np.bincount(graph.take(keep), weights=closed, minlength=size).astype(np.int64)
 
 
 def _replica_counts(
@@ -405,7 +419,8 @@ def _replica_counts(
     counter = _BatchCounter(pattern, xi.n)
 
     def work(rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.concatenate([counter.counts(batch) for batch in counter.batches(rng, xi, m)])
+        bits = counter.bit_rows(xi)
+        return np.concatenate([counter.counts(batch, bits=bits) for batch in counter.batches(rng, xi, m)])
 
     return _map_replicas(work, samples, replicas, seed, threads)
 
@@ -505,13 +520,13 @@ def estimate_tail_importance(
     slope, offset = proposal.log_likelihood_ratio(p)
 
     def work(rng: np.random.Generator, m: int) -> tuple[float, float, float, float, int]:
-        weights, tails = [], []
+        weights, tails, bits = [], [], counter.bit_rows(proposal)
         for batch in counter.batches(rng, proposal, m):
             hits = batch.hits
             if hits is None:  # one probability, or none at n = 1
                 hits = np.bincount(batch.graph, minlength=batch.size)[None][: len(slope)]
             weights.append(np.exp(slope @ hits + offset))
-            tails.append(counter.counts(batch) >= threshold)
+            tails.append(counter.counts(batch, bits=bits) >= threshold)
         w, ind = np.concatenate(weights), np.concatenate(tails)
         contrib = w * ind
         return (*(float(x.sum()) for x in (contrib, contrib**2, w, w**2)), int(ind.sum()))
@@ -595,10 +610,11 @@ def conditioned_structure_frequency(
 
     def work(rng: np.random.Generator, m: int) -> np.ndarray:
         tally = np.zeros(4, dtype=np.int64)  # both, flagged, accepted, drawn
+        bits = counter.bit_rows(xi)
         for batch in counter.batches(rng, xi, m):
             deg = counter.degrees(batch)
             flags = deg.max(axis=1) >= degree_threshold
-            good = counter.counts(batch, deg) >= threshold
+            good = counter.counts(batch, deg, bits) >= threshold
             tally += ((flags & good).sum(), flags.sum(), good.sum(), batch.size)
         return tally
 

@@ -485,8 +485,8 @@ def test_constant_stream_does_not_depend_on_block_length(n, p, m, seed):
 
 def test_batch_rows_rule():
     # About 8,192 expected edges (the sum of a graph's pair probabilities),
-    # and at most 8,192 degree cells, or bit-row words (n * ceil(n / 64))
-    # for triangles, per batch.
+    # and at most 8,192 degree cells, or 16,384 bit-row words (n * ceil(n /
+    # 64) a graph) for triangles, per batch.
     def rows(pattern, n, p):
         return _BatchCounter(pattern, n).rows(EdgeProbabilityMatrix.constant(n, p))
 
@@ -495,11 +495,11 @@ def test_batch_rows_rule():
     hub = EdgeProbabilityMatrix.planting("hub:1:0.5", 40, 0.05)
     assert _BatchCounter(star(2), 40).rows(hub) == 144  # 39 * 0.5 + 741 * 0.05 edges
     assert rows(star(2), 40, 0.0) == 8192 // 40
-    assert rows(clique(3), 200, 0.0131) == 8192 // 800  # 4 words a row
+    assert rows(clique(3), 200, 0.0131) == 16384 // 800  # 4 words a row
     assert rows(star(2), 5, 0.3) == 8192 // 5
     assert rows(star(2), 1, 0.5) == 8192
     assert rows(star(2), 2000, 0.001) == 4  # 1,999 edges
-    assert rows(clique(3), 2000, 0.001) == 1  # 64,000 words
+    assert rows(clique(3), 2000, 0.001) == 1  # 64,000 words, above 16,384 alone
     assert rows(clique(3), 1000, 0.5) == 1
 
 

@@ -202,6 +202,27 @@ def test_experiment_poisson(capsys):
     assert payload["result"]["tv_distance"] < 0.2
 
 
+def test_json_ready_passes_plain_values_through():
+    from fractions import Fraction
+
+    import numpy as np
+
+    edges = [(0, 1), (1, 2)]
+    out = cli._json_ready(edges)
+    assert out == edges and all(a is b for a, b in zip(out, edges))  # json.dumps writes tuples as lists
+    value = {
+        "edges": edges, "frac": Fraction(1, 3), "big": 10**30, "flag": True, "none": None,
+        "text": "x", "inf": math.inf, "nan": math.nan, "f": 0.25, "np": np.int64(7),
+        "npf": np.float64(1.5), "array": np.arange(3), "nested": [[Fraction(1, 2), (3, "y")]],
+    }
+    out = cli._json_ready(value)
+    assert json.dumps(out, sort_keys=True) == json.dumps({
+        "edges": [[0, 1], [1, 2]], "frac": 1 / 3, "big": 10**30, "flag": True, "none": None,
+        "text": "x", "inf": "inf", "nan": "nan", "f": 0.25, "np": 7, "npf": 1.5,
+        "array": [0, 1, 2], "nested": [[0.5, [3, "y"]]],
+    }, sort_keys=True)
+
+
 def test_reproducible_output(capsys, tmp_path):
     f = tmp_path / "k4.txt"
     f.write_text("n 4\n" + "\n".join(f"{u} {v}" for u in range(4) for v in range(u + 1, 4)))

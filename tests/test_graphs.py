@@ -6,6 +6,7 @@ from uppertail.counting import automorphism_count
 from uppertail.errors import ValidationError
 from uppertail.graphs import (
     HostGraph,
+    IdentityLabels,
     PatternGraph,
     biclique,
     clique,
@@ -202,6 +203,30 @@ def test_edge_list_loader(tmp_path):
     f4.write_text("n 2\na b\nb c\n")
     with pytest.raises(ValidationError):
         load_edge_list(str(f4))
+
+
+def test_identity_labels_read_as_the_identity_dict(tmp_path):
+    # An all-integer file maps each label str(i) to i without building the
+    # dict; the mapping must read exactly as {str(i): i for i in range(n)}.
+    n = 12
+    want = {str(i): i for i in range(n)}
+    labels = IdentityLabels(n)
+    assert labels == want and want == labels
+    assert list(labels.items()) == list(want.items()) and len(labels) == n
+    assert labels["0"] == 0 and labels["11"] == 11 and labels.get("7") == 7
+    for missing in ("12", "-1", "01", "+1", " 1", "1.0", "x", "", "\u0663", 1, None, True):
+        assert missing not in labels
+        with pytest.raises(KeyError):
+            labels[missing]
+    f = tmp_path / "g.txt"
+    f.write_text(f"n {n}\n0 1\n1 2\n")
+    assert isinstance(load_edge_list(str(f))[1], IdentityLabels)
+    f.write_text(f"n {n}\n0 1\n1 2 3\n2 3\n")  # refused by numpy, read by lines
+    with pytest.raises(ValidationError):
+        load_edge_list(str(f))
+    f.write_text(f"n {n}\n0 1\n1 02\n")  # read by lines: "02" is the integer 2
+    graph, mapping = load_edge_list(str(f))
+    assert mapping == want and graph.has_edge(1, 2)
 
 
 def test_file_pattern_shorthand(tmp_path):
