@@ -6,8 +6,10 @@ the seed, and wall-clock seconds.  Exit codes: 0 success, 2 validation
 error, 3 resource budget exceeded.
 
 A plain-text config file of ``key = value`` lines can override defaults;
-its keys are those of ``CONFIG_KEYS``, and any other key is refused.  The
-UPPERTAIL_THREADS environment variable sets the default thread count.
+its keys are those of ``DEFAULTS``, and any other key is refused.  ``tail``
+and ``experiment`` still accept ``--threads`` from older command lines: it
+must be at least 1 and has no effect, since every replica is drawn on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -40,7 +41,6 @@ DEFAULTS = {
     "samples": 100_000,
     "replicas": 32,
 }
-CONFIG_KEYS = (*DEFAULTS, "threads")
 
 
 def _load_config(path: str) -> dict:
@@ -58,8 +58,8 @@ def _load_config(path: str) -> dict:
                 raise ValidationError(f"bad config line: {text!r}")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ValidationError(f"unknown config key {key!r}; keys: {', '.join(CONFIG_KEYS)}")
+            if key not in DEFAULTS:
+                raise ValidationError(f"unknown config key {key!r}; keys: {', '.join(DEFAULTS)}")
             out[key] = value.strip()
     return out
 
@@ -313,21 +313,17 @@ def _cmd_tail(args, started) -> int:
         if args.delta is None:
             raise ValidationError("tail needs --threshold or --delta")
         threshold = montecarlo.threshold_for(args.delta, pattern, args.n, args.p)
-    inputs = _echo(args, "pattern n p delta method planting samples replicas threads",
-                   threshold=threshold)
+    inputs = _echo(args, "pattern n p delta method planting samples replicas", threshold=threshold)
     if args.method == "exact":
         estimate = montecarlo.exact_tail(pattern, args.n, args.p, threshold)
     elif args.method == "direct":
         estimate = montecarlo.estimate_tail_direct(
-            pattern, args.n, args.p, threshold, args.samples, args.seed,
-            replicas=args.replicas, threads=args.threads,
-        )
+            pattern, args.n, args.p, threshold, args.samples, args.seed, replicas=args.replicas)
     elif args.method == "importance":
         proposal = meanfield.EdgeProbabilityMatrix.planting(args.planting or "highdeg", args.n, args.p)
         estimate = montecarlo.estimate_tail_importance(
             pattern, args.n, args.p, threshold, proposal, args.samples, args.seed,
-            replicas=args.replicas, threads=args.threads,
-        )
+            replicas=args.replicas)
     else:
         raise ValidationError(f"unknown method {args.method!r}")
     result = {
@@ -344,9 +340,7 @@ def _cmd_experiment(args, started) -> int:
     pattern = pattern_from_shorthand(args.pattern)
     if args.kind == "poisson-fit":
         fit = montecarlo.poisson_fit_experiment(
-            pattern, args.n, args.p, args.samples, args.seed,
-            replicas=args.replicas, threads=args.threads,
-        )
+            pattern, args.n, args.p, args.samples, args.seed, replicas=args.replicas)
         inputs = _echo(args, "kind pattern n p samples replicas")
         result = {"tv_distance": fit.tv_distance, "mean": fit.mean, "samples": fit.samples}
     elif args.kind == "conditioned":
@@ -367,8 +361,7 @@ def _cmd_experiment(args, started) -> int:
             det_threshold = _hub_degree_threshold(r, args.n, args.p, args.delta)
         freqs = montecarlo.conditioned_structure_frequency(
             pattern, args.n, args.p, args.delta, det_threshold, args.samples, args.seed,
-            min_accepted=args.min_accepted, replicas=args.replicas, threads=args.threads,
-        )
+            min_accepted=args.min_accepted, replicas=args.replicas)
         inputs = _echo(args, "kind pattern n p delta samples min_accepted replicas", detector=spec,
                        detector_threshold=det_threshold)
         result = {
@@ -466,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--replicas", type=int)
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help="accepted for older command lines; no effect")
 
     sp = sub.add_parser("experiment", help="statistical experiments")
     sp.add_argument("kind", choices=["poisson-fit", "conditioned"])
@@ -478,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--min-accepted", type=int, default=300)
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help="accepted for older command lines; no effect")
 
     return parser
 
@@ -496,11 +489,8 @@ def _apply_defaults(args: argparse.Namespace, config: dict) -> None:
     resolve("seed", int, DEFAULTS["seed"])
     resolve("samples", int, DEFAULTS["samples"])
     resolve("replicas", int, DEFAULTS["replicas"])
-    resolve("threads", int, None)
-    if args.threads is None:
-        env_threads = os.environ.get("UPPERTAIL_THREADS")
-        args.threads = _parse_number("UPPERTAIL_THREADS", int, env_threads) if env_threads else 1
-    _check_range("threads", args.threads, "[1, inf)")
+    if getattr(args, "threads", None) is not None:
+        _check_range("threads", args.threads, "[1, inf)")
 
 
 _HANDLERS = {

@@ -1,13 +1,12 @@
 """Sampling, exact small-n tail oracles, and tail estimators.
 
 Randomness comes from counter-based Philox streams keyed by (master seed,
-replica index), so every estimate is bit-identical across reruns and
-independent of how replicas are scheduled; acceptance counters are integers
-and float partials are reduced in replica order.  Every estimator runs on one
-replica map, ``_map_replicas``: it hands each replica's chunk of the samples
-its stream and yields the replicas' results in order, drawing a replica only
-as results are taken, so a run that stops early (the conditioned experiment)
-draws the same replicas on any number of threads.
+replica index), so every estimate is bit-identical across reruns; float
+partials are reduced in replica order.  Every estimator runs on one replica
+map, ``_map_replicas``: it hands each replica's chunk of the samples its
+stream and yields the replicas' results in order, drawing a replica only as
+its result is taken, so a run that stops early (the conditioned experiment)
+leaves later replicas undrawn.
 
 Every random graph comes from ``_present_slots``: geometric skipping at one
 probability over the pair slots of all of a replica's graphs.  A graph with
@@ -26,16 +25,13 @@ system and faulting them back in for the next batch.  Labelled counts come
 from the first path that applies: for n <= 6, a table of the labelled count
 of every graph on n vertices, indexed by its pair bitmask (``exact_tail``
 sums over the same table); degree falling factorials for stars; packed
-uint64 bit rows for triangles, on a table that each replica allocates once
-and a batch leaves zeroed; and the generic backtracking counter.
+uint64 bit rows for triangles, on one table that the counter keeps and a
+batch leaves zeroed; and the generic backtracking counter.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -83,30 +79,13 @@ def _chunk_sizes(total: int, replicas: int) -> list[int]:
 
 
 def _map_replicas(work: Callable[[np.random.Generator, int], object], samples: int, replicas: int,
-                  seed: int, threads: int = 1) -> Iterator:
+                  seed: int) -> Iterator:
     """Yield work(rng, m) for each ``_chunk_sizes`` chunk of ``samples``, in
     replica order, with rng the chunk's replica stream ``_replica_rng(seed,
-    i)``.  A chunk starts only when a result is asked for, at most one chunk
-    per thread ahead of the results taken, so a caller that stops early
-    leaves later replicas undrawn and its output does not depend on the
-    thread count.  The pool holds at most one thread per replica and per
-    core."""
-    sizes = _chunk_sizes(samples, replicas)
-    _check_range("threads", threads, "[1, inf)")
-    jobs = ((_replica_rng(seed, i), m) for i, m in enumerate(sizes))
-    workers = min(threads, len(sizes), os.cpu_count() or 1)
-    if workers <= 1:
-        for rng, m in jobs:
-            yield work(rng, m)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ahead = deque()
-        for rng, m in jobs:
-            ahead.append(pool.submit(work, rng, m))
-            if len(ahead) == workers:
-                yield ahead.popleft().result()
-        for future in ahead:
-            yield future.result()
+    i)``.  A chunk is drawn only when its result is asked for, so a caller
+    that stops early leaves later replicas undrawn."""
+    for i, m in enumerate(_chunk_sizes(samples, replicas)):
+        yield work(_replica_rng(seed, i), m)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +238,9 @@ class _BatchCounter:
     """Counts a pattern in each graph of batches of graphs on n vertices.
 
     A batch is an ``EdgeBatch`` of at most ``rows(xi)`` graphs drawn from an
-    ``EdgeProbabilityMatrix``, as ``batches`` yields it.  The counter holds
-    no state beyond its tables, so replica threads share one instance.
+    ``EdgeProbabilityMatrix``, as ``batches`` yields it.  Triangles are
+    counted on one bit-row table that the counter keeps for every batch: it
+    is zero between batches and grows when a batch needs more words.
     """
 
     def __init__(self, pattern: PatternGraph, n: int):
@@ -278,6 +258,7 @@ class _BatchCounter:
         r = star_arms(pattern)
         self.star_arms = r if r is not None and n ** (r + 1) < 2**62 else None
         self.triangle = pattern.vertex_count == 3 and pattern.edge_count == 3
+        self.bits = np.zeros(0, dtype=np.uint64)
 
     def _count_table(self) -> np.ndarray:
         """Labelled counts of every graph on n vertices, indexed by the
@@ -300,8 +281,8 @@ class _BatchCounter:
     def rows(self, xi: EdgeProbabilityMatrix) -> int:
         """Graphs per batch of draws from ``xi``: about ``_BATCH_ITEMS``
         expected edges, and at most ``_BATCH_ITEMS`` degree cells, or for
-        triangles 2 * ``_BATCH_ITEMS`` bit-row words, the 128 KB table that a
-        replica keeps across its batches (``bit_rows``)."""
+        triangles 2 * ``_BATCH_ITEMS`` bit-row words, the 128 KB table that
+        the counter keeps across its batches."""
         cells = self.n * ((self.n + 63) >> 6) / 2 if self.triangle else self.n
         per_graph = max(xi.expected_edges(), cells)
         return max(1, int(_BATCH_ITEMS // per_graph))
@@ -322,20 +303,9 @@ class _BatchCounter:
         deg += np.bincount(index, minlength=cells)
         return deg.reshape(batch.size, self.n)
 
-    def bit_rows(self, xi: EdgeProbabilityMatrix) -> Optional[np.ndarray]:
-        """A zeroed bit-row table for the triangle batches of one replica's
-        draws from ``xi``, n * ceil(n / 64) words for each graph of a batch,
-        or None for other patterns.  ``counts`` leaves it zeroed, so a
-        replica allocates it once, and no two replica threads share one."""
-        if not self.triangle:
-            return None
-        return np.zeros(self.rows(xi) * self.n * ((self.n + 63) >> 6), dtype=np.uint64)
-
-    def counts(self, batch: EdgeBatch, degrees: Optional[np.ndarray] = None,
-               bits: Optional[np.ndarray] = None) -> np.ndarray:
+    def counts(self, batch: EdgeBatch, degrees: Optional[np.ndarray] = None) -> np.ndarray:
         """Labelled counts of the pattern in each graph of a batch; a star
-        reuses ``degrees`` when the caller already has them, and triangles
-        the replica's ``bit_rows`` table, or a fresh one without it."""
+        reuses ``degrees`` when the caller already has them."""
         if self.table is not None:
             mask = np.bincount(batch.graph, weights=self.pair_bits[batch.pair], minlength=batch.size)
             return self.table[mask.astype(np.int64)]
@@ -346,7 +316,7 @@ class _BatchCounter:
                 value *= deg - i
             return value.sum(axis=1)
         if self.triangle:
-            return self._triangle_counts(batch, bits)
+            return self._triangle_counts(batch)
         us, vs = self.pair_u[batch.pair].tolist(), self.pair_v[batch.pair].tolist()
         bounds = np.searchsorted(batch.graph, np.arange(batch.size + 1)).tolist()
         return np.array(
@@ -355,23 +325,24 @@ class _BatchCounter:
             dtype=np.int64,
         )
 
-    def _triangle_counts(self, batch: EdgeBatch, bits: Optional[np.ndarray]) -> np.ndarray:
+    def _triangle_counts(self, batch: EdgeBatch) -> np.ndarray:
         """Labelled triangle counts of the graphs of a batch.
 
-        Row g*n + a of ``bits`` holds a's later neighbours in graph g as
-        packed uint64 words, so a triangle a < b < c is seen once, from its
-        edge (a, b), and has 6 labellings.  The edges come in row order, so
-        an edge closes a triangle only if the next edge is in the same row
-        (a has a later neighbour after b) and b's row is not empty; only
-        those edges intersect their rows.  The words the batch sets are
-        zeroed again before returning.
+        Row g*n + a of the counter's table ``bits`` holds a's later
+        neighbours in graph g as packed uint64 words, so a triangle a < b < c
+        is seen once, from its edge (a, b), and has 6 labellings.  The edges
+        come in row order, so an edge closes a triangle only if the next edge
+        is in the same row (a has a later neighbour after b) and b's row is
+        not empty; only those edges intersect their rows.  The words the
+        batch sets are zeroed again before returning.
         """
         n, graph, pair, size = self.n, batch.graph, batch.pair, batch.size
         m, words = len(pair), (n + 63) >> 6
         if not m:
             return np.zeros(size, dtype=np.int64)
-        if bits is None:
-            bits = np.zeros(size * n * words, dtype=np.uint64)
+        if len(self.bits) < size * n * words:
+            self.bits = np.zeros(size * n * words, dtype=np.uint64)
+        bits = self.bits
         b = self.pair_v.take(pair)
         row_a = graph * n
         row_b = row_a + b
@@ -412,17 +383,15 @@ def _replica_counts(
     samples: int,
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
-    threads: int = 1,
 ) -> Iterator[np.ndarray]:
     """Labelled counts of ``pattern`` in ``samples`` independent draws from
     xi, one array per replica, drawn as ``_map_replicas`` yields them."""
     counter = _BatchCounter(pattern, xi.n)
 
     def work(rng: np.random.Generator, m: int) -> np.ndarray:
-        bits = counter.bit_rows(xi)
-        return np.concatenate([counter.counts(batch, bits=bits) for batch in counter.batches(rng, xi, m)])
+        return np.concatenate([counter.counts(batch) for batch in counter.batches(rng, xi, m)])
 
-    return _map_replicas(work, samples, replicas, seed, threads)
+    return _map_replicas(work, samples, replicas, seed)
 
 
 def count_samples(
@@ -431,11 +400,10 @@ def count_samples(
     samples: int,
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
-    threads: int = 1,
 ) -> np.ndarray:
     """Labelled counts of ``pattern`` in ``samples`` independent draws from
     xi, in replica order."""
-    return np.concatenate(list(_replica_counts(pattern, xi, samples, seed, replicas, threads)))
+    return np.concatenate(list(_replica_counts(pattern, xi, samples, seed, replicas)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +441,12 @@ def estimate_tail_direct(
     samples: int,
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
-    threads: int = 1,
 ) -> TailEstimate:
     """Empirical tail frequency with binomial standard error."""
     xi = EdgeProbabilityMatrix.constant(n, p)
     _check_range("threshold", threshold, "(-inf, inf)")
     accepts = sum(int((counts >= threshold).sum())
-                  for counts in _replica_counts(pattern, xi, samples, seed, replicas, threads))
+                  for counts in _replica_counts(pattern, xi, samples, seed, replicas))
     point = accepts / samples
     stderr = math.sqrt(point * (1 - point) / samples)
     return TailEstimate(
@@ -501,7 +468,6 @@ def estimate_tail_importance(
     samples: int,
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
-    threads: int = 1,
 ) -> TailEstimate:
     """Unbiased tail estimate from a tilted product measure.
 
@@ -520,18 +486,18 @@ def estimate_tail_importance(
     slope, offset = proposal.log_likelihood_ratio(p)
 
     def work(rng: np.random.Generator, m: int) -> tuple[float, float, float, float, int]:
-        weights, tails, bits = [], [], counter.bit_rows(proposal)
+        weights, tails = [], []
         for batch in counter.batches(rng, proposal, m):
             hits = batch.hits
             if hits is None:  # one probability, or none at n = 1
                 hits = np.bincount(batch.graph, minlength=batch.size)[None][: len(slope)]
             weights.append(np.exp(slope @ hits + offset))
-            tails.append(counter.counts(batch, bits=bits) >= threshold)
+            tails.append(counter.counts(batch) >= threshold)
         w, ind = np.concatenate(weights), np.concatenate(tails)
         contrib = w * ind
         return (*(float(x.sum()) for x in (contrib, contrib**2, w, w**2)), int(ind.sum()))
 
-    parts = list(_map_replicas(work, samples, replicas, seed, threads))
+    parts = list(_map_replicas(work, samples, replicas, seed))
     s1, s2, w1, w2 = (math.fsum(part[i] for part in parts) for i in range(4))
     accepted = sum(part[4] for part in parts)
     point = s1 / samples
@@ -585,7 +551,6 @@ def conditioned_structure_frequency(
     pilot: int = 50_000,
     threshold: Optional[int] = None,
     replicas: int = DEFAULT_REPLICAS,
-    threads: int = 1,
 ) -> ConditionedFrequencies:
     """Rejection-sample the tail event and compare the frequencies of a
     vertex of degree at least ``degree_threshold`` with and without it.
@@ -610,17 +575,16 @@ def conditioned_structure_frequency(
 
     def work(rng: np.random.Generator, m: int) -> np.ndarray:
         tally = np.zeros(4, dtype=np.int64)  # both, flagged, accepted, drawn
-        bits = counter.bit_rows(xi)
         for batch in counter.batches(rng, xi, m):
             deg = counter.degrees(batch)
             flags = deg.max(axis=1) >= degree_threshold
-            good = counter.counts(batch, deg, bits) >= threshold
+            good = counter.counts(batch, deg) >= threshold
             tally += ((flags & good).sum(), flags.sum(), good.sum(), batch.size)
         return tally
 
     pilot = min(pilot, samples)
     tally = np.zeros(4, dtype=np.int64)
-    for part in _map_replicas(work, samples, replicas, seed, threads):
+    for part in _map_replicas(work, samples, replicas, seed):
         before = int(tally[3])
         tally += part
         both, flagged, accepted, drawn = tally.tolist()
@@ -656,7 +620,6 @@ def poisson_fit_experiment(
     samples: int,
     seed: int,
     replicas: int = DEFAULT_REPLICAS,
-    threads: int = 1,
 ) -> PoissonFit:
     """Total-variation distance between sampled unlabelled-copy counts and a
     Poisson law with the empirical mean.
@@ -674,7 +637,7 @@ def poisson_fit_experiment(
         raise ValidationError(
             f"expected unlabelled count {mu:.3g} outside window {POISSON_MEAN_WINDOW}"
         )
-    counts = count_samples(pattern, xi, samples, seed, replicas, threads) // aut
+    counts = count_samples(pattern, xi, samples, seed, replicas) // aut
     mean = float(counts.mean())
     values, freq = np.unique(counts, return_counts=True)
     empirical = freq / samples

@@ -685,7 +685,7 @@ sys.exit(code)
 def _run_child(argv):
     """Run the CLI in a child process; return its exit code, its own peak RSS
     in MB, its stdout and the stderr lines before the peak."""
-    env = {k: v for k, v in os.environ.items() if k != "UPPERTAIL_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, *argv], capture_output=True, text=True, env=env

@@ -303,13 +303,18 @@ def test_config_file_and_env(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert payload["inputs"]["samples"] == 5000
     assert payload["seed"] == 4
-    monkeypatch.setenv("UPPERTAIL_THREADS", "2")
+    # No setting holds a thread count: the config key is refused and
+    # UPPERTAIL_THREADS is not read.
+    cfg.write_text("threads = 2\n")
+    assert main(["--config", str(cfg), "analyze-pattern", "path:3"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key 'threads'")
+    monkeypatch.setenv("UPPERTAIL_THREADS", "abc")
     code, payload = run_cli(
         capsys, "tail", "--pattern", "clique:3", "--n", "3", "--p", "0.5",
         "--threshold", "6", "--samples", "1000",
     )
     assert code == 0
-    assert payload["inputs"]["threads"] == 2
+    assert "threads" not in payload["inputs"]
 
 
 def test_payload_envelope_schema(capsys):
@@ -332,7 +337,7 @@ TAIL = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", 
 POISSON = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "60",
            "--p", str(18 ** (1 / 3) / 60)]
 GRAPH = "<graph>"  # stands for a small edge-list file written by the test
-CONFIG = "<config>"  # stands for a config file holding "threads = 0"
+CONFIG = "<config>"  # stands for a config file holding "threads", which is not a config key
 BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
 NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text, also read as a config
 NO_EQUALS = "<no-equals>"  # a config file holding the line "threads 2", which has no "="
@@ -351,97 +356,95 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
 
 
 @pytest.mark.parametrize(
-    "threads_env, argv",
+    "argv",
     [
-        (None, TAIL + ["--replicas", "0"]),
-        (None, TAIL + ["--method", "importance", "--planting", "hub:x"]),
-        (None, TAIL + ["--method", "importance", "--samples", "0"]),
-        (None, POISSON + ["--samples", "0"]),
-        ("abc", TAIL + ["--samples", "100"]),
-        (None, POISSON + ["--samples", "100", "--seed", "-1"]),
-        (None, TAIL + ["--method", "direct", "--samples", "100", "--seed", "-3"]),
-        (None, COUNT_EDGE + ["0"]),
-        (None, COUNT_EDGE + ["a,b"]),
-        (None, COUNT_EDGE + ["9,0"]),
-        (None, ["experiment", "conditioned", "--pattern", "star:2", "--n", "40", "--p", "0.05",
-                "--delta", "1", "--samples", "0"]),
-        (None, ["count", "--pattern", "star:2", "--graph", GRAPH, "--budget", "-1"]),
-        (None, CORE + ["--budget", "-3"]),
-        (None, CORE + ["--star", "--budget", "-3"]),
-        (None, CORE + ["--strong", "--budget", "-3"]),
-        (None, CORE_K3 + ["--delta", "1", "--n", "0"]),
-        (None, CORE_K3 + ["--delta", "1", "--n", "0", "--star"]),
-        (None, CORE + ["--star", "--n", "0"]),
-        (None, CORE + ["--strong", "--n", "0"]),
-        (None, CORE_K3 + ["--delta", "1", "--n=-3"]),
-        (None, CORE_K3 + ["--delta", "inf", "--n", "4"]),
-        (None, CORE_K3 + ["--delta", "nan", "--n", "4"]),
-        (None, CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar", "0"]),
-        (None, CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar=-1"]),
-        (None, CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar", "nan"]),
-        (None, CORE + ["--star", "--strong", "--c-bar-star", "0"]),
-        (None, ["meanfield", "--r", "2", "--n", "40", "--p", "0.05", "--delta", "nan"]),
-        (None, RATE[:-1] + ["nan"]),
-        (None, RATE[:-1] + ["inf"]),
-        (None, RATE + ["--n", "10000", "--p", "0.01", "--slack", "nan"]),
-        (None, RATE + ["--n", "10000"]),
-        (None, RATE + ["--p", "0.01"]),
-        (None, TAIL + ["--samples", "100", "--threads", "0"]),
-        (None, POISSON + ["--samples", "100", "--threads", "-1"]),
-        ("0", TAIL + ["--samples", "100"]),
-        (None, ["--config", CONFIG] + TAIL + ["--samples", "100"]),
-        (None, CONDITIONED[:7] + ["1.3"] + CONDITIONED[8:] + ["--samples", "100"]),
-        (None, CONDITIONED + ["--samples", "100", "--min-accepted", "-5"]),
-        (None, IMPORTANCE + ["clique:-1"]),
-        (None, IMPORTANCE + ["hub:9"]),
-        (None, POISSON_N8[:-1] + ["nan", "--samples", "10"]),
-        (None, POISSON_N8[:-1] + ["1.5", "--samples", "10"]),
-        (None, TAIL + ["--method", "exact", "--threads", "0"]),
-        (None, CONDITIONED + ["--samples", "100", "--threads", "0"]),
-        (None, DETECT + ["highdeg", "--threshold", "nan"]),
-        (None, DETECT + ["hub", "--degree-threshold", "nan", "--edge-threshold", "1"]),
-        (None, DETECT + ["hub", "--degree-threshold", "1", "--edge-threshold", "inf"]),
-        (None, DETECT + ["tildehub", "--u-size", "1", "--u-degree-threshold", "nan",
-                         "--extra-degree-threshold", "1"]),
-        (None, ["count", "--pattern", "path:2", "--graph", BAD_HEADER]),
-        (None, ["count", "--pattern", "path:2", "--graph", NOT_UTF8]),
-        (None, ["--config", NOT_UTF8, "analyze-pattern", "cycle:4"]),
-        (None, TAIL[:3] + ["--n=-1"] + TAIL[5:] + ["--method", "exact"]),
-        (None, TAIL[:3] + ["--n=0"] + TAIL[5:] + ["--samples", "100"]),
-        (None, TAIL[:7] + ["--delta", "1e308", "--samples", "10"]),
-        (None, CONDITIONED[:-1] + ["1e308"]),
-        (None, ["analyze-pattern", "star:99"]),
-        (None, RATE[:2] + ["star:40"] + RATE[3:] + ["--n", "1000", "--p", "0.01"]),
-        (None, CORE_K3 + ["--delta", "1", "--n", HUGE_N]),
-        (None, CORE[:8] + [HUGE_N] + CORE[9:] + ["--star"]),
-        (None, CORE[:8] + [HUGE_N] + CORE[9:] + ["--strong"]),
-        (None, RATE[:2] + ["path:4"] + RATE[3:] + ["--n", HUGE_N, "--p", "0.5"]),
-        (None, RATE + ["--n", HUGE_N, "--p", "0.5"]),
-        (None, DETECT + ["highdeg", "--n", HUGE_N, "--p", "0.5", "--delta", "1", "--r", "2"]),
-        (None, ["meanfield", "--r", "2", "--n", HUGE_N, "--p", "0.05", "--delta", "1"]),
-        (None, CONDITIONED[:5] + [HUGE_N] + CONDITIONED[6:] + ["--samples", "10"]),
-        (None, POISSON_N8[:5] + [HUGE_N] + POISSON_N8[6:] + ["--samples", "10"]),
-        (None, CORE_K3 + ["--delta", "1", "--n", "4", "--star"]),
-        (None, DETECT + ["hub"]),
-        (None, DETECT + ["clique"]),
-        (None, DETECT + ["highdeg", "--n", "40", "--p", "0.05", "--delta", "-1", "--r", "2"]),
-        (None, CONDITIONED + ["--samples", "100", "--detector", "hub:3"]),
-        (None, CONDITIONED[:-2] + ["--samples", "100"]),
-        (None, ["--config", NO_EQUALS, "analyze-pattern", "cycle:4"]),
-        (None, ["--config", TYPO] + TAIL),
-        (None, POISSON_N8[:5] + ["0"] + POISSON_N8[6:-1] + ["0", "--seed", "-3"]),
-        (None, POISSON_N8[:-1] + ["0", "--seed", "-3"]),
-        (None, POISSON_N8[:-1] + ["0", "--samples", "-5"]),
-        (None, DETECT + ["highdeg", "--n=-5", "--p", "0.1", "--delta", "1", "--r", "2"]),
-        (None, DETECT + ["highdeg", "--n", "40", "--p", "2", "--delta", "1", "--r", "2"]),
-        (None, DETECT + ["highdeg", "--n", "40", "--p=-0.5", "--delta", "1", "--r", "2"]),
-        (None, CONDITIONED + ["--samples", "100", "--detector", "highdeg:nan"]),
-        (None, CONDITIONED + ["--samples", "100", "--detector", "highdeg:inf"]),
-        (None, ["rate", "--pattern", "path:1", "--delta", "1"]),
-        (None, ["meanfield", "--r", "2", "--n=0", "--p", "0.05", "--delta", "1"]),
+        TAIL + ["--replicas", "0"],
+        TAIL + ["--method", "importance", "--planting", "hub:x"],
+        TAIL + ["--method", "importance", "--samples", "0"],
+        POISSON + ["--samples", "0"],
+        POISSON + ["--samples", "100", "--seed", "-1"],
+        TAIL + ["--method", "direct", "--samples", "100", "--seed", "-3"],
+        COUNT_EDGE + ["0"],
+        COUNT_EDGE + ["a,b"],
+        COUNT_EDGE + ["9,0"],
+        ["experiment", "conditioned", "--pattern", "star:2", "--n", "40", "--p", "0.05",
+         "--delta", "1", "--samples", "0"],
+        ["count", "--pattern", "star:2", "--graph", GRAPH, "--budget", "-1"],
+        CORE + ["--budget", "-3"],
+        CORE + ["--star", "--budget", "-3"],
+        CORE + ["--strong", "--budget", "-3"],
+        CORE_K3 + ["--delta", "1", "--n", "0"],
+        CORE_K3 + ["--delta", "1", "--n", "0", "--star"],
+        CORE + ["--star", "--n", "0"],
+        CORE + ["--strong", "--n", "0"],
+        CORE_K3 + ["--delta", "1", "--n=-3"],
+        CORE_K3 + ["--delta", "inf", "--n", "4"],
+        CORE_K3 + ["--delta", "nan", "--n", "4"],
+        CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar", "0"],
+        CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar=-1"],
+        CORE_K3 + ["--delta", "1", "--n", "4", "--c-bar", "nan"],
+        CORE + ["--star", "--strong", "--c-bar-star", "0"],
+        ["meanfield", "--r", "2", "--n", "40", "--p", "0.05", "--delta", "nan"],
+        RATE[:-1] + ["nan"],
+        RATE[:-1] + ["inf"],
+        RATE + ["--n", "10000", "--p", "0.01", "--slack", "nan"],
+        RATE + ["--n", "10000"],
+        RATE + ["--p", "0.01"],
+        TAIL + ["--samples", "100", "--threads", "0"],
+        POISSON + ["--samples", "100", "--threads", "-1"],
+        ["--config", CONFIG] + TAIL + ["--samples", "100"],
+        CONDITIONED[:7] + ["1.3"] + CONDITIONED[8:] + ["--samples", "100"],
+        CONDITIONED + ["--samples", "100", "--min-accepted", "-5"],
+        IMPORTANCE + ["clique:-1"],
+        IMPORTANCE + ["hub:9"],
+        POISSON_N8[:-1] + ["nan", "--samples", "10"],
+        POISSON_N8[:-1] + ["1.5", "--samples", "10"],
+        TAIL + ["--method", "exact", "--threads", "0"],
+        CONDITIONED + ["--samples", "100", "--threads", "0"],
+        DETECT + ["highdeg", "--threshold", "nan"],
+        DETECT + ["hub", "--degree-threshold", "nan", "--edge-threshold", "1"],
+        DETECT + ["hub", "--degree-threshold", "1", "--edge-threshold", "inf"],
+        DETECT + ["tildehub", "--u-size", "1", "--u-degree-threshold", "nan",
+                  "--extra-degree-threshold", "1"],
+        ["count", "--pattern", "path:2", "--graph", BAD_HEADER],
+        ["count", "--pattern", "path:2", "--graph", NOT_UTF8],
+        ["--config", NOT_UTF8, "analyze-pattern", "cycle:4"],
+        TAIL[:3] + ["--n=-1"] + TAIL[5:] + ["--method", "exact"],
+        TAIL[:3] + ["--n=0"] + TAIL[5:] + ["--samples", "100"],
+        TAIL[:7] + ["--delta", "1e308", "--samples", "10"],
+        CONDITIONED[:-1] + ["1e308"],
+        ["analyze-pattern", "star:99"],
+        RATE[:2] + ["star:40"] + RATE[3:] + ["--n", "1000", "--p", "0.01"],
+        CORE_K3 + ["--delta", "1", "--n", HUGE_N],
+        CORE[:8] + [HUGE_N] + CORE[9:] + ["--star"],
+        CORE[:8] + [HUGE_N] + CORE[9:] + ["--strong"],
+        RATE[:2] + ["path:4"] + RATE[3:] + ["--n", HUGE_N, "--p", "0.5"],
+        RATE + ["--n", HUGE_N, "--p", "0.5"],
+        DETECT + ["highdeg", "--n", HUGE_N, "--p", "0.5", "--delta", "1", "--r", "2"],
+        ["meanfield", "--r", "2", "--n", HUGE_N, "--p", "0.05", "--delta", "1"],
+        CONDITIONED[:5] + [HUGE_N] + CONDITIONED[6:] + ["--samples", "10"],
+        POISSON_N8[:5] + [HUGE_N] + POISSON_N8[6:] + ["--samples", "10"],
+        CORE_K3 + ["--delta", "1", "--n", "4", "--star"],
+        DETECT + ["hub"],
+        DETECT + ["clique"],
+        DETECT + ["highdeg", "--n", "40", "--p", "0.05", "--delta", "-1", "--r", "2"],
+        CONDITIONED + ["--samples", "100", "--detector", "hub:3"],
+        CONDITIONED[:-2] + ["--samples", "100"],
+        ["--config", NO_EQUALS, "analyze-pattern", "cycle:4"],
+        ["--config", TYPO] + TAIL,
+        POISSON_N8[:5] + ["0"] + POISSON_N8[6:-1] + ["0", "--seed", "-3"],
+        POISSON_N8[:-1] + ["0", "--seed", "-3"],
+        POISSON_N8[:-1] + ["0", "--samples", "-5"],
+        DETECT + ["highdeg", "--n=-5", "--p", "0.1", "--delta", "1", "--r", "2"],
+        DETECT + ["highdeg", "--n", "40", "--p", "2", "--delta", "1", "--r", "2"],
+        DETECT + ["highdeg", "--n", "40", "--p=-0.5", "--delta", "1", "--r", "2"],
+        CONDITIONED + ["--samples", "100", "--detector", "highdeg:nan"],
+        CONDITIONED + ["--samples", "100", "--detector", "highdeg:inf"],
+        ["rate", "--pattern", "path:1", "--delta", "1"],
+        ["meanfield", "--r", "2", "--n=0", "--p", "0.05", "--delta", "1"],
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
-         "threads-env-abc", "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
+         "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
          "edge-not-integers", "edge-out-of-range", "conditioned-samples-0",
          "count-budget-negative", "core-budget-negative", "core-star-budget-negative",
          "core-strong-budget-negative", "core-n-0", "core-clique-star-n-0", "core-star-n-0",
@@ -449,7 +452,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "core-c-bar-0", "core-c-bar-negative", "core-c-bar-nan", "core-strong-c-bar-star-0",
          "meanfield-delta-nan", "rate-delta-nan",
          "rate-delta-inf", "rate-slack-nan", "rate-n-without-p", "rate-p-without-n",
-         "direct-threads-0", "poisson-threads-negative", "threads-env-0", "threads-config-0",
+         "direct-threads-0", "poisson-threads-negative", "threads-config-0",
          "conditioned-p-above-1", "conditioned-min-accepted-negative", "planting-size-negative",
          "planting-size-above-n", "poisson-p-nan", "poisson-p-above-1", "exact-threads-0",
          "conditioned-threads-0",
@@ -466,7 +469,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "detect-highdeg-n-negative", "detect-highdeg-p-2", "detect-highdeg-p-negative",
          "conditioned-highdeg-nan", "conditioned-highdeg-inf", "rate-edgeless", "meanfield-n-0"],
 )
-def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, threads_env, argv):
+def test_bad_values_exit_2_without_traceback(capsys, tmp_path, argv):
     graph = tmp_path / "g.txt"
     graph.write_text("n 4\n0 1\n1 2\n2 3\n")
     config = tmp_path / "threads.conf"
@@ -481,16 +484,15 @@ def test_bad_values_exit_2_without_traceback(capsys, monkeypatch, tmp_path, thre
     typo.write_text("sampels = 10\n")
     files = {GRAPH: graph, CONFIG: config, BAD_HEADER: bad_header,
              NOT_UTF8: not_utf8, NO_EQUALS: no_equals, TYPO: typo}
+    threads_key = CONFIG in argv
     argv = [str(files.get(arg, arg)) for arg in argv]
-    if threads_env is None:
-        monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("UPPERTAIL_THREADS", threads_env)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    if threads_key:
+        assert captured.err.startswith("error: unknown config key 'threads'")
     if "1e308" in argv:
         assert "delta = 1e+308" in captured.err
     if "star:99" in argv or "star:40" in argv:
@@ -689,7 +691,7 @@ OTHER_ARGV = {
 @given(command=st.sampled_from(sorted(OTHER_ARGV)), graph=TINY_GRAPHS, data=st.data())
 def test_every_other_command_keeps_the_cli_contract(tmp_path_factory, command, graph, data):
     """Any argv of the remaining subcommands keeps the CLI contract, with n <= 8,
-    at most 200 samples and at most 4 threads; numbers include nan, inf, 0 and
+    at most 200 samples and --threads at most 4; numbers include nan, inf, 0 and
     negative values."""
     argv = [command] + data.draw(OTHER_ARGV[command])
     if command == "detect":
@@ -698,46 +700,39 @@ def test_every_other_command_keeps_the_cli_contract(tmp_path_factory, command, g
 
 
 def test_direct_tail_counts_agree_across_threads(capsys):
-    # cycle:4 at n = 20 is counted graph by graph by the enumerator, whose
-    # cached plans the replica threads share; with empty caches and frequent
-    # thread switches, more threads than cores race to fill them.
-    argv = ["tail", "--pattern", "cycle:4", "--n", "20", "--p", "0.3", "--delta", "0.2",
+    # Every replica is drawn on the calling thread: --threads is still
+    # accepted from older command lines and range-checked, and has no effect.
+    # cycle:4 at n = 20 is counted graph by graph by the enumerator.
+    tail = ["tail", "--pattern", "cycle:4", "--n", "20", "--p", "0.3", "--delta", "0.2",
             "--method", "direct", "--samples", "300", "--replicas", "4", "--seed", "11"]
+    fit = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "200", "--p", "0.0131",
+           "--samples", "2000"]
     results = []
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for threads in ("1", "2", "4"):
-            counting._order.cache_clear()
-            counting._plan.cache_clear()
-            code, payload = run_cli(capsys, *argv, "--threads", threads)
-            assert code == 0
-            results.append(payload["result"])
-    finally:
-        sys.setswitchinterval(interval)
-    assert results[0] == results[1] == results[2]
-    assert 0 < results[0]["point"] < 1
+    for argv, flags in ((tail, ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "4"])),
+                        (fit, ([], ["--threads", "4"]))):
+        payloads = [run_cli(capsys, *argv, *extra) for extra in flags]
+        assert [code for code, _ in payloads] == [0] * len(flags)
+        echoed = [(payload["inputs"], payload["result"]) for _, payload in payloads]
+        assert echoed == [echoed[0]] * len(flags) and "threads" not in echoed[0][0]
+        results.append(echoed[0][1])
+    assert 0 < results[0]["point"] < 1 and 0 < results[1]["tv_distance"] < 1
+    assert main(tail + ["--threads", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: threads must lie in [1, inf), got 0\n"
 
 
-def test_conditioned_result_does_not_depend_on_threads(capsys, monkeypatch, tmp_path):
+def test_conditioned_result_does_not_depend_on_threads(capsys):
     # Replicas are tallied in order and the run stops after the one that
-    # brings the accepts to --min-accepted, so the thread count, from the
-    # argv, a config file or UPPERTAIL_THREADS, does not change the result.
+    # brings the accepts to --min-accepted; --threads changes nothing.
     argv = CONDITIONED + ["--samples", "2000", "--min-accepted", "1"]
-    threads_2 = tmp_path / "threads_2.conf"
-    threads_2.write_text("threads = 2\n")
-    monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
     payloads = [run_cli(capsys, *argv, "--threads", "1"), run_cli(capsys, *argv, "--threads", "2"),
-                run_cli(capsys, "--config", str(threads_2), *argv)]
-    monkeypatch.setenv("UPPERTAIL_THREADS", "2")
-    payloads.append(run_cli(capsys, *argv))
-    assert [code for code, _ in payloads] == [0] * 4
+                run_cli(capsys, *argv)]
+    assert [code for code, _ in payloads] == [0] * 3
     assert all(payload["result"] == payloads[0][1]["result"] for _, payload in payloads)
     assert payloads[0][1]["result"]["accepted"] >= 1
 
 
-def test_config_replicas_reach_the_experiments(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
+def test_config_replicas_reach_the_experiments(capsys, tmp_path):
     config = tmp_path / "replicas.conf"
     config.write_text("replicas = 4\n")
     argv = ["experiment", "poisson-fit", "--pattern", "clique:3", "--n", "200", "--p", "0.0131",
@@ -756,20 +751,18 @@ def test_config_replicas_reach_the_experiments(capsys, tmp_path, monkeypatch):
 # One parser for every call in a process
 # ---------------------------------------------------------------------------
 
-def _run_fresh(argv, threads_env=None, timeout=None):
+def _run_fresh(argv, timeout=None):
     """``argv`` run in a new interpreter, as a ``CompletedProcess``."""
-    env = {k: v for k, v in os.environ.items() if k != "UPPERTAIL_THREADS"}
-    if threads_env is not None:
-        env["UPPERTAIL_THREADS"] = threads_env
+    env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "uppertail.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def _fresh_process_payload(argv, threads_env=None):
+def _fresh_process_payload(argv):
     """The payload of ``argv`` run in a new interpreter."""
-    child = _run_fresh(argv, threads_env)
+    child = _run_fresh(argv)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
 
@@ -778,29 +771,23 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_parser_reuse_keeps_calls_apart(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
+def test_parser_reuse_keeps_calls_apart(capsys, tmp_path):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("samples = 700\nseed = 4\nreplicas = 3\n")
     tail = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--threshold", "8"]
     calls = [
-        # (argv, UPPERTAIL_THREADS, expected exit code)
-        (["--config", str(cfg)] + tail, None, 0),
-        (tail + ["--samples", "900"], None, 0),
-        (["tail", "--n", "five"], None, "argparse"),
-        (tail + ["--samples", "900"], "2", 0),
-        (["--config", str(cfg), "analyze-pattern", "path:4"], "2", 0),
-        (["rate", "--nonsense"], None, "argparse"),
-        (tail + ["--samples", "900", "--method", "importance", "--planting", "hub:1"], None, 0),
-        (tail + ["--samples", "900"], "0", 2),
-        (tail + ["--method", "exact"], "3", 0),
+        # (argv, expected exit code)
+        (["--config", str(cfg)] + tail, 0),
+        (tail + ["--samples", "900"], 0),
+        (["tail", "--n", "five"], "argparse"),
+        (["--config", str(cfg), "analyze-pattern", "path:4"], 0),
+        (["rate", "--nonsense"], "argparse"),
+        (tail + ["--samples", "900", "--method", "importance", "--planting", "hub:1"], 0),
+        (tail + ["--samples", "900", "--threads", "0"], 2),
+        (tail + ["--method", "exact"], 0),
     ]
     payloads = []
-    for argv, threads_env, want in calls:
-        if threads_env is None:
-            monkeypatch.delenv("UPPERTAIL_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("UPPERTAIL_THREADS", threads_env)
+    for argv, want in calls:
         if want == "argparse":
             with pytest.raises(SystemExit) as exc:
                 main(list(argv))
@@ -810,15 +797,13 @@ def test_parser_reuse_keeps_calls_apart(capsys, tmp_path, monkeypatch):
         code, payload = run_cli(capsys, *argv)
         assert code == want, argv
         if code == 0:
-            payloads.append((argv, threads_env, payload))
-    first, plain, threaded, pattern, importance, exact = (p for _, _, p in payloads)
+            payloads.append((argv, payload))
+    first, plain, pattern, _, exact = (p for _, p in payloads)
     assert (first["inputs"]["samples"], first["seed"], first["inputs"]["replicas"]) == (700, 4, 3)
     assert (plain["inputs"]["samples"], plain["seed"], plain["inputs"]["replicas"]) == (900, 0, 32)
-    assert (first["inputs"]["threads"], plain["inputs"]["threads"]) == (1, 1)
-    assert threaded["inputs"]["threads"] == 2 and importance["inputs"]["threads"] == 1
-    assert exact["inputs"]["threads"] == 3 and pattern["result"]["v"] == 4
-    for argv, threads_env, payload in payloads:
-        fresh = _fresh_process_payload(argv, threads_env)
+    assert exact["inputs"]["samples"] == 100_000 and pattern["result"]["v"] == 4
+    for argv, payload in payloads:
+        fresh = _fresh_process_payload(argv)
         assert (fresh["inputs"], fresh["seed"], fresh["result"]) == (
             payload["inputs"], payload["seed"], payload["result"]), argv
 

@@ -100,8 +100,7 @@ def test_direct_estimator_trivial_threshold():
 def test_direct_estimator_deterministic_and_thread_independent():
     a = estimate_tail_direct(clique(3), 3, 0.5, 6, 100_000, 42)
     b = estimate_tail_direct(clique(3), 3, 0.5, 6, 100_000, 42)
-    c = estimate_tail_direct(clique(3), 3, 0.5, 6, 100_000, 42, threads=4)
-    assert a == b == c
+    assert a == b
 
 
 def test_importance_reduces_to_direct_with_no_planting():
@@ -166,45 +165,17 @@ def test_chunk_sizes_cap_replicas_at_the_samples():
     assert _chunk_sizes(3, 3) == [1, 1, 1]
 
 
-class _RecordingPool:
-    """A stand-in for ThreadPoolExecutor that records its size and runs each
-    job at once, on the calling thread."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        result = fn(*args)
-        return type("Done", (), {"result": lambda self: result})()
-
-
-def test_pool_holds_at_most_one_thread_per_job_and_core(monkeypatch):
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-    _RecordingPool.sizes.clear()
+def test_replicas_run_in_order_and_only_when_taken():
     work = lambda rng, m: (int(rng.integers(2**62)), m)  # noqa: E731
-    for threads, samples, replicas in [(10**9, 7, 3), (2, 6, 6), (10**9, 9, 9), (10**9, 5, 1),
-                                       (3, 2, 10)]:
+    for samples, replicas in [(7, 3), (6, 6), (9, 9), (5, 1), (2, 10)]:
         # Each chunk runs on its own replica stream, in replica order.
         want = [(int(_replica_rng(11, i).integers(2**62)), m)
                 for i, m in enumerate(_chunk_sizes(samples, replicas))]
-        assert list(_map_replicas(work, samples, replicas, 11, threads)) == want
-    # The pools are bounded by three jobs, two threads, four cores and two
-    # jobs (replicas beyond the samples are dropped); the run with a single
-    # job uses no pool.
-    assert _RecordingPool.sizes == [3, 2, 4, 2]
-    # A replica is drawn only as its result is taken: a one-thread caller
-    # that stops after the first result never starts replica 1.
+        assert list(_map_replicas(work, samples, replicas, 11)) == want
+    # A replica is drawn only as its result is taken: a caller that stops
+    # after the first result never starts replica 1.
     started = []
-    results = _map_replicas(lambda rng, m: started.append(m), 10, 4, 11, 1)
+    results = _map_replicas(lambda rng, m: started.append(m), 10, 4, 11)
     next(results)
     results.close()
     assert started == [3]
@@ -245,12 +216,12 @@ def test_conditioned_structure_directional():
 
 def test_conditioned_frequencies_do_not_depend_on_threads():
     # The criterion-9 point: the first replica covers the pilot and brings
-    # the accepts past min_accepted, so every thread count stops there.
+    # the accepts past min_accepted, so every run stops there.
     n, p, delta = 40, 0.02, 0.5
     runs = [conditioned_structure_frequency(star(2), n, p, delta, delta ** 0.5 * n**1.5 * p,
-                                            2_000_000, 2718, threads=threads)
-            for threads in (1, 2, 4)]
-    assert runs[0] == runs[1] == runs[2]
+                                            2_000_000, 2718)
+            for _ in range(2)]
+    assert runs[0] == runs[1]
     assert runs[0] == ConditionedFrequencies(freq_conditioned=0.8076498712762045,
                                              freq_unconditioned=0.248192, accepted=8157,
                                              samples=62_500, acceptance=0.130512)
@@ -297,7 +268,7 @@ def test_importance_unbiased_over_30_runs():
 def test_importance_thread_count_independent():
     planting = EdgeProbabilityMatrix.planting("hub:2:0.5", 6, 0.2)
     a = estimate_tail_importance(star(2), 6, 0.2, 30, planting, 50_000, 31)
-    b = estimate_tail_importance(star(2), 6, 0.2, 30, planting, 50_000, 31, threads=4)
+    b = estimate_tail_importance(star(2), 6, 0.2, 30, planting, 50_000, 31)
     assert a == b
 
 

@@ -2,13 +2,12 @@
 
 The former counter built a fresh bit-row table for every batch and
 intersected the rows of every edge; it is kept here, verbatim, as the
-oracle.  The current one reuses a replica's table, clears only the words a
-batch set, and intersects only the edges that can close a triangle; its
-counts must match on one-word and multi-word rows, sparse and dense, at
-every batch size, and the table must come back zeroed after every batch.
+oracle.  The current one keeps one table for all its batches, clears only
+the words a batch set, and intersects only the edges that can close a
+triangle; its counts must match on one-word and multi-word rows, sparse and
+dense, at every batch size, and the table must come back zeroed after every
+batch.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -71,14 +70,13 @@ POINTS = [
 
 def _check_batches(counter, xi, graphs, rows, seed):
     """Every batch of ``graphs`` draws from xi, ``rows`` a batch, counted on
-    one reused table and by the oracle; returns the counts."""
-    bits = np.zeros(rows * counter.n * ((counter.n + 63) >> 6), dtype=np.uint64)
+    the counter's own table and by the oracle; returns the counts."""
     out = []
     for batch in _measure_draws(_replica_rng(seed, 0), xi, graphs, rows):
-        got = counter.counts(batch, bits=bits)
+        got = counter.counts(batch)
         assert got.dtype == np.int64
         assert np.array_equal(got, oracle_triangle_counts(counter, batch))
-        assert not bits.any()  # the words the batch set are zeroed again
+        assert not counter.bits.any()  # the words the batch set are zeroed again
         out.append(got)
     return np.concatenate(out)
 
@@ -88,12 +86,14 @@ def test_counts_match_the_fresh_table_oracle(n, p, graphs):
     counter = _BatchCounter(clique(3), n)
     xi = EdgeProbabilityMatrix.constant(n, p)
     rule = counter.rows(xi)
-    assert len(counter.bit_rows(xi)) == rule * n * ((n + 63) >> 6)
     want = None
-    for rows in sorted({1, 3, 7, rule, graphs}):
+    # The batches grow, past the rule where graphs > rule, and the table
+    # with them; the last, smaller batches run on the grown table.
+    for rows in [*sorted({1, 3, 7, rule, graphs}), 3]:
         got = _check_batches(counter, xi, graphs, rows, seed=n)
         assert want is None or np.array_equal(got, want)  # batching changes no count
         want = got
+    assert len(counter.bits) == graphs * n * ((n + 63) >> 6)
     assert want.sum() > 0
 
 
@@ -108,43 +108,32 @@ def test_planted_draws_match_the_oracle():
 @pytest.mark.parametrize("n", [9, 130])
 def test_batches_without_edges(n):
     counter = _BatchCounter(clique(3), n)
-    words = (n + 63) >> 6
-    bits = np.zeros(4 * n * words, dtype=np.uint64)
     empty = np.empty(0, dtype=np.int64)
-    assert counter.counts(EdgeBatch(empty, empty, 4), bits=bits).tolist() == [0, 0, 0, 0]
-    assert counter.counts(EdgeBatch(empty, empty, 0), bits=bits).tolist() == []
+    assert counter.counts(EdgeBatch(empty, empty, 4)).tolist() == [0, 0, 0, 0]
+    assert counter.counts(EdgeBatch(empty, empty, 0)).tolist() == []
     assert counter.counts(EdgeBatch(empty, empty, 3)).tolist() == [0, 0, 0]
     # Graph 2 of 4 is complete and the others are empty; then one triangle
     # alone, in graph 3.
     pairs = np.arange(n * (n - 1) // 2, dtype=np.int64)
     full = EdgeBatch(np.full(len(pairs), 2, dtype=np.int64), pairs, 4)
-    assert counter.counts(full, bits=bits).tolist() == [0, 0, n * (n - 1) * (n - 2), 0]
-    assert not bits.any()
+    assert counter.counts(full).tolist() == [0, 0, n * (n - 1) * (n - 2), 0]
+    assert not counter.bits.any()
     one = EdgeBatch(np.array([3, 3, 3]), np.array([0, 1, n - 1]), 4)  # (0, 1), (0, 2), (1, 2)
-    assert counter.counts(one, bits=bits).tolist() == [0, 0, 0, 6]
+    assert counter.counts(one).tolist() == [0, 0, 0, 6]
     assert np.array_equal(counter.counts(one), oracle_triangle_counts(counter, one))
-    assert not bits.any()
+    assert not counter.bits.any()
 
 
-def test_replica_tables_are_not_shared_across_threads():
-    # Each replica counts on its own table, so two threads count the same.
-    # Switching threads every microsecond puts one thread's batch between
-    # another's setting and clearing its words: one table shared by the
-    # replicas gave other counts in 3 of 5 such runs.
+def test_one_table_serves_every_replica():
+    # The 32 replicas of one run count on one counter's table, each batch
+    # leaving it zeroed for the next.
     xi = EdgeProbabilityMatrix.constant(200, 0.0131)
-    one = count_samples(clique(3), xi, 2000, 11, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            assert np.array_equal(count_samples(clique(3), xi, 2000, 11, threads=2), one)
-    finally:
-        sys.setswitchinterval(interval)
-    assert one.sum() > 0
+    got = count_samples(clique(3), xi, 2000, 11)
+    assert got.sum() > 0
     counter = _BatchCounter(clique(3), 200)
     want = np.concatenate([
         oracle_triangle_counts(counter, batch)
         for replica, m in enumerate([63] * 16 + [62] * 16)
         for batch in _measure_draws(_replica_rng(11, replica), xi, m, counter.rows(xi))
     ])
-    assert np.array_equal(one, want)
+    assert np.array_equal(got, want)
