@@ -10,15 +10,19 @@ Each search start's plan (order, back-neighbours, degree needs) is built once
 per pattern and cached as immutable tuples.  Without a leaf action the
 trailing run of pairwise non-adjacent vertices is counted from pool sizes
 rather than listed, at the same node charge: star centres are listed once
-and their arms counted as falling factorials of the degree.  When the
-vertex two before that run is a twin of every run vertex (unpinned C4 and
-K_{2,t}), its level is summed from codegrees: C4 copies are sum c(u,w)_2 and
-K_{2,t} copies sum c(u,w)_t over the codegrees c(u,w) = |N(u) & N(w)|, at
-the same node charge again.  A count through a host edge pins the edge's
-ends to both orientations of every pattern edge, 2 e(H) starts; starts whose
-orders correspond position by position under an automorphism of H run the
-same search, so each such class is searched once and its count and nodes
-are taken class-size times (one search per edge for a clique, two for C4).
+and their arms counted as falling factorials of the degree.  The vertex
+just before the run and the run are counted in one loop per image of the
+vertex before them, charged once per image.  When the vertex two before
+that run is a twin of every run vertex (unpinned C4 and K_{2,t}), its level
+is summed from codegrees: C4 copies are sum c(u,w)_2 and K_{2,t} copies sum
+c(u,w)_t over the codegrees c(u,w) = |N(u) & N(w)|, only over the w with
+c(u,w) >= 2, at the same node charge again.  The order in which candidates
+are tried matters only to a leaf action, which gets them in increasing
+order.  A count through a host edge pins the edge's ends to both
+orientations of every pattern edge, 2 e(H) starts; starts whose orders
+correspond position by position under an automorphism of H run the same
+search, so each such class is searched once and its count and nodes are
+taken class-size times (one search per edge for a clique, two for C4).
 Counts are plain Python ints so the divisibility check stays exact.  Closed
 forms are used for stars, both as fast paths and as independent oracles in
 the tests.
@@ -186,17 +190,21 @@ def _embed(
     edges.  Every candidate tried costs one budget node, also when the
     degree check rejects it.  Candidates are the intersection of the
     neighbour sets of the placed back-neighbours' images, less the other
-    placed images, and are tried in increasing order.
+    placed images.  Their order matters only with ``leaf``, which sees the
+    embeddings in the order of increasing candidates at every position.
 
     Without ``leaf`` the plan's trailing run of pairwise non-adjacent
     vertices is counted rather than listed.  Every pattern neighbour of a run
     vertex is placed before the run, so its pool is fixed by earlier images
     and each candidate in it is adjacent to that many distinct images, which
-    passes the degree check.  The position before the run lists and
-    degree-checks its candidates; ``counted`` then sums, over them, the
-    injective maps of the run into its pools, and charges the nodes listing
-    would cost.  The budget raises exactly when the running total passes its
-    limit, so charging a run in one sum fails where listing it would.
+    passes the degree check.  The split vertex s just before the run and the
+    run are handled by ``counted`` in one loop over the images of the vertex
+    before s (once, for no image, when s or the run begins the search): per
+    image it lists and degree-checks s's candidates, sums over them the
+    injective maps of the run into its pools, and charges in one sum the
+    nodes listing would cost.  The budget raises exactly when the running
+    total passes its limit, so charging an image in one sum fails where
+    listing it would, after at most that image's nodes more.
 
     When the plan marks a twin level, the position p two before the run has
     the run vertices' neighbours: the back-neighbours B of p and the split
@@ -204,7 +212,9 @@ def _embed(
     images ``fits`` at once, from C[x] = |N(x) & fits| for each image x of
     s: a candidate of p outside ``fits`` has only the images of B as
     neighbours, so x's run pool is its pool within ``fits`` less p's image,
-    of size C[x] - 1, and x is reached from C[x] images of p.
+    of size C[x] - 1, and x is reached from C[x] images of p.  Every term
+    has the factor C[x] - 1, so only the reached x with C[x] >= 2 are
+    summed.
     """
     rows = host.adjacency_rows()
     n_host = host.vertex_count
@@ -232,15 +242,13 @@ def _embed(
             candidates = sorted(pool.difference(taken))
         budget.spend(len(candidates))
         fits = [w for w in candidates if len(rows[w]) >= need]
-        if twin and depth + 2 == run:
-            return codegrees(back, fits)
-        if depth + 1 == run:
-            return counted(v, fits)
         if depth == len(steps) - 1:  # only with a leaf
             for w in fits:
                 images[v] = w
                 leaf(images)
             return len(fits)
+        if depth + 2 == run:
+            return codegrees(back, fits) if twin else counted(v, fits)
         total = 0
         for w in fits:
             images[v] = w
@@ -252,15 +260,16 @@ def _embed(
         ``fits`` of p, charged the nodes listing s and counting the run
         would cost.  An image x of s, outside the images of ``shared``, is
         reached from C[x] = |N(x) & fits| of them; each leaves the run a
-        pool of C[x] - 1, so x adds (C[x])_{k+1} maps for a run of k."""
+        pool of C[x] - 1, so x adds (C[x])_{k+1} maps for a run of k, and
+        only x with C[x] >= 2 add maps or nodes."""
         reach = Counter(itertools.chain.from_iterable(map(rows.__getitem__, fits)))
         for u in shared:
             reach.pop(images[u], None)
         need = steps[run - 1][3]
-        fit = map(need.__le__, map(len, map(rows.__getitem__, reach)))
         nodes = sum(map(len, map(rows.__getitem__, fits))) - len(shared) * len(fits)
         count = 0
-        for c, m in Counter(itertools.compress(reach.values(), fit)).items():
+        closing = Counter([c for x, c in reach.items() if c > 1 and len(rows[x]) >= need])
+        for c, m in closing.items():
             m *= c
             for j in range(1, len(steps) - run + 1):
                 m *= c - j
@@ -269,48 +278,72 @@ def _embed(
         budget.spend(nodes)
         return count
 
-    def counted(split, fits: list) -> int:
-        """Injective maps of the run into its pools, summed over the images
-        ``fits`` of the vertex ``split`` before it (None: the run begins the
-        search), charged the maps of every leading part of the run.  One run
-        vertex gives |Q|, two give |Q1||Q2| - |Q1 & Q2|, and more share one
-        pool and give the falling factorial (|Q|)_k."""
-        taken = {images[u] for u in before}
-        R = [rows[w] for w in fits] if split is not None else ()
-
-        def sizes(base, dep):
-            """|Q| for each of ``fits``: w's row within ``base`` when the pool
-            depends on w, else ``base`` less w; outside ``taken`` either way,
-            and None for ``base`` is every vertex."""
-            if base is not None and taken:
-                base = base - taken
-            if dep:
-                if base is None:
-                    return map(sub, map(len, R), map(len, map(taken.intersection, R)))
-                return map(len, map(base.intersection, R))
+    def sizes(base, dep, taken, fits, R):
+        """|Q| for each image w in ``fits`` of the split vertex, ``R`` their
+        rows: w's row within ``base`` when the pool depends on w, else
+        ``base`` less w; outside ``taken`` either way, and None for ``base``
+        is every vertex."""
+        if base is not None and taken:
+            base = base - taken
+        if dep:
             if base is None:
-                return itertools.repeat(n_host - len(taken) - (split is not None), len(fits))
-            return map(sub, itertools.repeat(len(base), len(fits)), map(base.__contains__, fits))
+                return map(sub, map(len, R), map(len, map(taken.intersection, R)))
+            return map(len, map(base.intersection, R))
+        if base is None:
+            return itertools.repeat(n_host - len(taken) - (run > 0), len(fits))
+        return map(sub, itertools.repeat(len(base), len(fits)), map(base.__contains__, fits))
 
+    def counted(parent, parents: list) -> int:
+        """Maps of the split vertex s = ``steps[run - 1]`` and the run, summed
+        over the images ``parents`` of ``parent``, the vertex placed just
+        before s (None with the one image None when s is the first vertex
+        searched; with ``run`` 0 there is no s either).  For each image s's
+        candidates are listed and degree-checked, in any order, and the
+        injective maps of the run into its pools summed over the fits of s:
+        one run vertex gives |Q|, two give |Q1||Q2| - |Q1 & Q2|, and more
+        share one pool and give the falling factorial (|Q|)_k.  Each image
+        is charged in one sum: s's candidates and the maps of every leading
+        part of the run."""
         k = len(steps) - run
-        pools = [(meet(rest), dep) for rest, dep in heads]
-        if k == 1:
-            count = nodes = sum(sizes(*pools[0]))
-        elif k == 2:
-            (a, a_dep), (b, b_dep) = pools
-            first = list(sizes(a, a_dep))
-            both = a if b is None else b if a is None else a & b
-            count = sum(map(mul, first, sizes(b, b_dep))) - sum(sizes(both, a_dep or b_dep))
-            nodes = sum(first) + count
+        (a_rest, a_dep), (b_rest, b_dep) = heads[0], heads[-1]
+        if run:
+            back, need = steps[run - 1][1], steps[run - 1][3]
         else:
-            count = nodes = 0
-            for q, m in Counter(sizes(*pools[0])).items():
-                for j in range(k):
-                    m *= q - j
-                    nodes += m
-                count += m
-        budget.spend(nodes)
-        return count
+            fits, R, listed = [None], (), 0
+        total = 0
+        for w0 in parents:
+            if parent is not None:
+                images[parent] = w0
+            taken = {images[u] for u in before}
+            if run:
+                pool = meet(back)
+                if pool is None:  # no placed neighbour: every free vertex
+                    candidates = [w for w in range(n_host) if w not in taken]
+                else:
+                    candidates = pool - taken
+                listed = len(candidates)
+                fits = [w for w in candidates if len(rows[w]) >= need]
+                R = list(map(rows.__getitem__, fits))
+            a = meet(a_rest)
+            if k == 1:
+                count = nodes = sum(sizes(a, a_dep, taken, fits, R))
+            elif k == 2:
+                b = meet(b_rest)
+                first = list(sizes(a, a_dep, taken, fits, R))
+                both = a if b is None else b if a is None else a & b
+                count = (sum(map(mul, first, sizes(b, b_dep, taken, fits, R)))
+                         - sum(sizes(both, a_dep or b_dep, taken, fits, R)))
+                nodes = sum(first) + count
+            else:
+                count = nodes = 0
+                for q, m in Counter(sizes(a, a_dep, taken, fits, R)).items():
+                    for j in range(k):
+                        m *= q - j
+                        nodes += m
+                    count += m
+            budget.spend(listed + nodes)
+            total += count
+        return total
 
     total = 0
     try:
@@ -326,7 +359,7 @@ def _embed(
                 if leaf is not None:
                     leaf(images)
             else:
-                found = counted(None, [None]) if run == 0 else descend(0)
+                found = counted(None, [None]) if run < 2 else descend(0)
             total += size * found
             budget.spend((size - 1) * (remaining - budget.remaining))
     finally:

@@ -31,6 +31,7 @@ batch leaves zeroed; and the generic backtracking counter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import ResourceBudgetError, ValidationError, _check_range
 from .graphs import HostGraph, PatternGraph, is_connected, is_strictly_balanced, star_arms
-from .counting import _copy_edge_sets, count_labelled, automorphism_count
+from .counting import count_labelled, automorphism_count
 from .meanfield import EdgeProbabilityMatrix
 
 EXACT_TAIL_MAX_N = 6
@@ -264,18 +265,21 @@ class _BatchCounter:
         """Labelled counts of every graph on n vertices, indexed by the
         graph's bitmask over the pairs (2^15 entries at n = 6).
 
-        A 1 at the mask of each copy of the pattern in K_n, summed over
-        subsets one bit at a time, counts the copies inside each graph.
-        Every contained copy carries the same number of labelled maps: the
-        labelled count in K_n (every injection) over the copies."""
-        bit = {e: i for i, e in enumerate(zip(self.pair_u.tolist(), self.pair_v.tolist()))}
-        copies = _copy_edge_sets(self.pattern, HostGraph.complete(self.n), None)
-        masks = np.array([sum(1 << bit[e] for e in edges) for edges in copies], dtype=np.int64)
-        table = np.bincount(masks, minlength=1 << len(bit))
-        for i in range(len(bit)):
+        Every injection of the pattern's vertices into [n] is a labelled
+        copy in K_n, its mask the pairs its edges map to: at most
+        (6)_6 = 720 of them.  A count at each mask, summed over subsets one
+        bit at a time, counts the labelled copies inside each graph."""
+        n, v, pairs = self.n, self.pattern.vertex_count, len(self.pair_u)
+        index = np.zeros((n, n), dtype=np.int64)
+        index[self.pair_u, self.pair_v] = index[self.pair_v, self.pair_u] = np.arange(pairs)
+        maps = np.array(list(itertools.permutations(range(n), v)), dtype=np.int64).reshape(-1, v)
+        masks = np.zeros(len(maps), dtype=np.int64)
+        for a, b in self.pattern.edges:
+            masks |= np.left_shift(1, index[maps[:, a], maps[:, b]])
+        table = np.bincount(masks, minlength=1 << pairs)
+        for i in range(pairs):
             halves = table.reshape(-1, 2, 1 << i)  # masks without, then with, bit i
             halves[:, 1] += halves[:, 0]
-        table *= math.perm(self.n, self.pattern.vertex_count) // len(copies) if copies else 0
         return table
 
     def rows(self, xi: EdgeProbabilityMatrix) -> int:

@@ -54,6 +54,7 @@ from uppertail.montecarlo import (
     threshold_for,
 )
 from util_dense import to_dense
+from util_smallgraphs import patterns_upto
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -184,6 +185,23 @@ def oracle_mask_counts(pattern, n, graphs):
     return contained * weight
 
 
+def oracle_count_table(pattern, n):
+    """The count table as first built: a 1 at the mask of each unlabelled
+    copy of the pattern in K_n (``_copy_edge_sets``), summed over subsets one
+    bit at a time, times the labelled maps per copy: every injection over
+    the copies."""
+    pair_u, pair_v = _pair_arrays(n)
+    bit = {e: i for i, e in enumerate(zip(pair_u.tolist(), pair_v.tolist()))}
+    copies = _copy_edge_sets(pattern, HostGraph.complete(n), None)
+    masks = np.array([sum(1 << bit[e] for e in edges) for edges in copies], dtype=np.int64)
+    table = np.bincount(masks, minlength=1 << len(bit))
+    for i in range(len(bit)):
+        halves = table.reshape(-1, 2, 1 << i)  # masks without, then with, bit i
+        halves[:, 1] += halves[:, 0]
+    table *= math.perm(n, pattern.vertex_count) // len(copies) if copies else 0
+    return table
+
+
 def oracle_exact_tail(pattern, n, p, threshold):
     """The former ``exact_tail`` sum over the per-copy mask loop's counts,
     with its one intended change: exactly 1 when every graph meets the
@@ -223,6 +241,21 @@ def test_count_table_matches_mask_loop(name, n):
         for threshold in sorted({0, 1, int(want.max()), int(want.max()) + 1}):
             got = exact_tail(pattern, n, p, threshold).point
             assert got == oracle_exact_tail(pattern, n, p, threshold)
+
+
+# Every graph on 1..6 vertices: isolated vertices, edgeless patterns, and
+# for each n every pattern with more vertices than n.
+SMALL_PATTERNS = patterns_upto(6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_count_table_equals_the_copy_set_builder(n):
+    """The table from every injection into [n] equals the one built from
+    the distinct copies in K_n and the labelled maps per copy."""
+    for pattern in SMALL_PATTERNS:
+        table = _BatchCounter(pattern, n).table
+        assert table.dtype == np.int64
+        assert np.array_equal(table, oracle_count_table(pattern, n)), pattern
 
 
 # ---------------------------------------------------------------------------

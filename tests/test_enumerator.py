@@ -18,6 +18,7 @@ pattern vertices out.
 import itertools
 import math
 import random
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -405,6 +406,135 @@ def test_edgeless_pattern_counts_every_injection(spent, backend):
         with pytest.raises(ResourceBudgetError, match=message):
             count_labelled(PATTERNS["E3"], host, nodes - 1)
         spent()
+
+
+# ---------------------------------------------------------------------------
+# The fused last levels at scale: equivalence, and the budget per image
+# ---------------------------------------------------------------------------
+
+def _gnm(n, m, seed) -> HostGraph:
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return HostGraph(n, sorted(edges))
+
+
+def _thin_host() -> HostGraph:
+    """Most vertices of degree at most 2, so most vertices two steps away
+    have codegree 1: 60 paths of 8 vertices, 25 disjoint C4s (codegree 2
+    but degree 2, under the degree need of K_{2,3}'s and K_{2,4}'s twin
+    level), three K_{2,5}s, a bull and a few chords between the paths."""
+    rng = random.Random(30)
+    edges = [(8 * i + j, 8 * i + j + 1) for i in range(60) for j in range(7)]
+    base = 480
+    for i in range(25):
+        a = base + 4 * i
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, a)]
+    base += 100
+    for i in range(3):
+        a = base + 7 * i
+        edges += [(a + side, a + 2 + leaf) for side in (0, 1) for leaf in range(5)]
+    base += 21
+    edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2), (base, base + 3),
+              (base + 1, base + 4)]
+    base += 5
+    edges += [tuple(sorted(rng.sample(range(480), 2))) for _ in range(12)]
+    return HostGraph(base, edges)
+
+
+SCALE_HOSTS = {"gnp": seeded_hosts(1, (300, 300), 0.03, 31)[0], "thin": _thin_host()}
+SCALE_PATTERNS = ["cycle:4", "biclique:2,3", "biclique:2,4", "path:4", "path:5", "clique:3",
+                  "paw", "bull"]
+
+
+def test_thin_host_mostly_reaches_codegree_one():
+    host = SCALE_HOSTS["thin"]
+    degrees = host.degrees()
+    assert sum(d <= 2 for d in degrees) > 0.8 * host.vertex_count
+    rows = host.adjacency_rows()
+    reached = [(x, c) for u in range(host.vertex_count)
+               for x, c in Counter(w for v in rows[u] for w in rows[v] if w != u).items()]
+    assert sum(c == 1 for _, c in reached) > 0.5 * len(reached)
+    # Codegree 2 at a degree under the need of K_{2,3}'s twin level, and at
+    # one that meets K_{2,4}'s.
+    assert any(c >= 2 and degrees[x] < 3 for x, c in reached)
+    assert any(c >= 2 and degrees[x] >= 4 for x, c in reached)
+
+
+@pytest.mark.parametrize("host_name", SCALE_HOSTS)
+@pytest.mark.parametrize("name", SCALE_PATTERNS)
+def test_counts_at_scale_match_oracle(spent, host_name, name):
+    """(count, nodes) of free and pinned searches on a G(300, 0.03) and on a
+    thin host equal the listing oracle's."""
+    pattern, host = PATTERNS[name], SCALE_HOSTS[host_name]
+    got = count_labelled(pattern, host)
+    assert got > 0
+    assert (got, spent()) == oracle(lambda b: oracle_count(pattern, host, b))
+    for e in random.Random(name).sample(host.edges(), 15):
+        got = count_labelled_using_edge(pattern, host, e)
+        assert (got, spent()) == oracle(lambda b: oracle_count_using_edge(pattern, host, e, b))
+
+
+@pytest.fixture
+def charges(monkeypatch):
+    """The budgets that counting calls made, each with the amounts charged
+    to it, one entry per ``spend`` call."""
+    made = []
+
+    class Recording(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            self.amounts = []
+            made.append(self)
+
+        def spend(self, amount=1):
+            self.amounts.append(amount)
+            super().spend(amount)
+
+    monkeypatch.setattr(counting, "_Budget", Recording)
+    return made
+
+
+BUDGET_HOST = _gnm(2000, 3000, 32)
+
+
+@pytest.mark.parametrize("name", ["path:4", "clique:3", "path:5"])
+def test_budget_is_charged_once_per_parent_image(charges, name):
+    """The split level and the run are charged once per image of the vertex
+    before them: a budget that the first level fits raises within the
+    largest later charge of its limit, before the last image; a budget of
+    exactly the nodes spent passes, one fewer fails."""
+    pattern, host = PATTERNS[name], BUDGET_HOST
+    rows, degrees = host.adjacency_rows(), host.degrees()
+    want = count_labelled(pattern, host)
+    full = charges.pop()
+    nodes = full.limit - full.remaining
+    # One charge for the first level, one for each image listed at a later
+    # level before the split vertex's parent, one per image of that parent,
+    # and the empty charge of the other members of the class.  In these
+    # orders each listed vertex's one back-neighbour is the vertex before it.
+    steps, run = _plan(pattern, _order(pattern, ()), 0)[:2]
+    images = [(w,) for w in range(host.vertex_count) if degrees[w] >= steps[0][3]]
+    listed = 1
+    for depth in range(1, run - 1):
+        listed += len(images)
+        images = [(*ws, x) for ws in images for x in rows[ws[-1]]
+                  if x not in ws and degrees[x] >= steps[depth][3]]
+    assert len(full.amounts) == listed + len(images) + 1
+    first, largest = full.amounts[0], max(full.amounts[1:])
+    assert largest * 100 < nodes - first
+    limit = (first + nodes) // 2
+    with pytest.raises(ResourceBudgetError, match=f"budget of {limit} search nodes"):
+        count_labelled(pattern, host, limit)
+    cut = charges.pop()
+    assert 0 < (cut.limit - cut.remaining) - limit <= largest
+    assert len(cut.amounts) < len(full.amounts)
+    assert count_labelled(pattern, host, nodes) == want
+    charges.pop()
+    with pytest.raises(ResourceBudgetError, match=f"budget of {nodes - 1} search nodes"):
+        count_labelled(pattern, host, nodes - 1)
 
 
 def _twin(pattern, first=()):

@@ -46,6 +46,12 @@ def _mask_to_pattern(n: int, mask: int) -> PatternGraph:
     return PatternGraph(n, edges)
 
 
+def patterns_upto(n_max: int) -> list[PatternGraph]:
+    """One representative per isomorphism class of graphs on exactly
+    1..n_max vertices, isolated vertices and edgeless graphs included."""
+    return [_mask_to_pattern(n, mask) for n in range(1, n_max + 1) for mask in canonical_masks(n)]
+
+
 def connected_patterns_upto(n_max: int) -> list[PatternGraph]:
     """One representative per isomorphism class of connected graphs on
     exactly 1..n_max vertices (no isolated vertices except the K_1 case)."""
