@@ -23,9 +23,20 @@ orientations of every pattern edge, 2 e(H) starts; starts whose orders
 correspond position by position under an automorphism of H run the same
 search, so each such class is searched once and its count and nodes are
 taken class-size times (one search per edge for a clique, two for C4).
-Counts are plain Python ints so the divisibility check stays exact.  Closed
-forms are used for stars, both as fast paths and as independent oracles in
-the tests.
+
+A free count finds each copy closed under Aut(H) once per member of a
+stabilizer: ``automorphism_count`` multiplies the orbit sizes of one
+stabilizer chain along the free order, and the free plan asks, for a prefix
+of its steps, that the vertex at the step outrank the other members of its
+orbit, rank being (degree, label) in the host.  The count is taken the
+product of the prefix's orbit sizes: six for K3, four for C4, two for P4.
+The prefix is the longest one the search can enforce: through lower-ranked
+rows for a dominating back-neighbour, by a rank filter on the candidates
+otherwise, never between two counted run vertices or from the twin level
+onto its run.  Fewer maps are listed, so free counts charge fewer nodes;
+pinned starts and leaf actions keep every labelled copy.  Counts are plain
+Python ints so the divisibility check stays exact.  Closed forms are used
+for stars, both as fast paths and as independent oracles in the tests.
 """
 
 from __future__ import annotations
@@ -64,22 +75,35 @@ def _order(pattern: PatternGraph, first: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int):
+def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, ranked: bool = False):
     """The plan of a start whose first ``pinned`` vertices of ``order`` are
-    pinned: per later position (vertex, back-neighbours, other placed
-    vertices, degree), and the counted trailing run.  The run is the longest
-    pairwise non-adjacent tail, shortened to two vertices unless all of it
-    shares its back-neighbours.  The plan holds where the run begins, the
-    vertices placed before it but for the one just before it, and for its
-    first two vertices their other back-neighbours and whether that one is
-    among their back-neighbours.
+    pinned: per later position (vertex, back-neighbours met through full
+    rows, other placed vertices, degree, back-neighbours met through lower
+    rows, other dominating vertices), and the counted trailing run.  The run
+    is the longest pairwise non-adjacent tail, shortened to two vertices
+    unless all of it shares its back-neighbours.  The plan holds where the
+    run begins, the vertices placed before it but for the one just before
+    it, and for its first two vertices their other back-neighbours through
+    full and through lower rows, and ``dep``: 0 when that one is not among
+    their back-neighbours, else 1 for its full row and 2 for its lower row.
 
     ``twin`` marks the position p two before the run when p is a twin of
     every run vertex: the position s between them has p as its only placed
     back-neighbour, each run vertex has the back-neighbours B of p and s,
     and exactly B is placed before p, with B not empty.  Then p and the run
     vertices all have the neighbours B and s, and p's level is summed from
-    codegrees (see ``_embed``)."""
+    codegrees (see ``_embed``).
+
+    Only a ``ranked`` plan (the free start, counted without a leaf action)
+    has rank conditions, the dominating vertices of each position from
+    ``_ranks``, and ``factor``, the product of their orbit sizes; any other
+    has none and factor 1.  A host vertex's lower row is its neighbours of
+    lower rank.  Lower rows are used only when the plan meets one with
+    another row (a pool of two or more back-neighbours) or a counted run
+    vertex has a dominating vertex; then every dominating back-neighbour is
+    met through its lower row, and a dominating vertex that is not a
+    back-neighbour filters the candidates by rank.  Otherwise every
+    dominating vertex filters by rank."""
     steps = []
     for i, v in enumerate(order[pinned:], pinned):
         back = tuple(u for u in order[:i] if pattern.has_edge(u, v))
@@ -91,15 +115,59 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int):
         run += 1
     split = steps[run - 1][0] if run else None
     before = tuple(u for u in order[: pinned + run] if u != split)
-    heads = tuple((tuple(u for u in back if u != split), split in back)
-                  for _, back, _, _ in steps[run : run + 2])
     twin = False
     if 2 <= run < len(steps):
         (p, shared, _, _), (_, s_back, _, _) = steps[run - 2 : run]
         twin = (bool(shared) and s_back == (p,)
                 and set(order[: pinned + run - 2]) == set(shared)
                 and all(set(back) == {*shared, split} for _, back, _, _ in steps[run:]))
-    return tuple(steps), run, before, heads, twin
+    factor, ranks = _ranks(pattern, steps, run, twin) if ranked else (1, [()] * len(steps))
+    lowered = any(d in back and (len(back) > 1 or j >= run) and not (twin and j >= run)
+                  for j, (_, back, _, _) in enumerate(steps) for d in ranks[j])
+    steps = tuple(
+        (v, tuple(u for u in back if not (lowered and u in rank)), others, need,
+         tuple(u for u in back if lowered and u in rank),
+         tuple(u for u in rank if not (lowered and u in back)))
+        for (v, back, others, need), rank in zip(steps, ranks))
+    heads = tuple((tuple(u for u in back if u != split), tuple(u for u in low if u != split),
+                   (split in back) + 2 * (split in low))
+                  for _, back, _, _, low, _ in steps[run : run + 2])
+    return steps, run, before, heads, twin, factor
+
+
+def _ranks(pattern: PatternGraph, steps: list, run: int, twin: bool):
+    """The rank conditions of the free plan with these unranked ``steps``,
+    ``run`` and ``twin``: ``(factor, ranks)``, ``ranks[j]`` the dominating
+    vertices of position j and ``factor`` the product of the orbit sizes of
+    the chain steps they come from.
+
+    Step i of ``_stabilizer_chain`` asks that the image of the vertex d at
+    position i outrank the images of the other members of its orbit, all
+    placed later.  Of the |Aut(H)| maps onto one copy, the conditions of a
+    prefix of the chain's steps keep one per member of the stabilizer left
+    at its end, so the count taken ``factor`` times is exact for any
+    prefix.  The longest prefix is kept in which every condition can be
+    enforced: on a listed vertex or the split vertex always; on a counted
+    run vertex only when d is its back-neighbour, met through d's lower row
+    (so never between two run vertices, which are not adjacent); with a
+    twin level, on the split vertex and the run only from before the twin
+    level, whose candidates then carry the run's conditions: a twin of p is
+    in every orbit that p is in, since swapping them is an automorphism
+    fixing every other vertex."""
+    position = {s[0]: j for j, s in enumerate(steps)}
+    ranks: list[list[int]] = [[] for _ in steps]
+    factor = 1
+    for i, orbit in enumerate(_stabilizer_chain(pattern)):
+        later = [position[w] for w in orbit[1:]]
+        if twin and any(j >= run - 1 for j in later):
+            if i >= run - 2:
+                break
+        elif not all(j < run or orbit[0] in steps[j][1] for j in later):
+            break
+        for j in later:
+            ranks[j].append(orbit[0])
+        factor *= len(orbit)
+    return factor, [tuple(rank) for rank in ranks]
 
 
 class _Budget:
@@ -192,6 +260,9 @@ def _embed(
     neighbour sets of the placed back-neighbours' images, less the other
     placed images.  Their order matters only with ``leaf``, which sees the
     embeddings in the order of increasing candidates at every position.
+    The free start of a count has a ranked plan (see ``_ranks``): its
+    candidates are met through lower rows or filtered by rank before they
+    are charged, and its count is taken the plan's ``factor`` times.
 
     Without ``leaf`` the plan's trailing run of pairwise non-adjacent
     vertices is counted rather than listed.  Every pattern neighbour of a run
@@ -219,27 +290,40 @@ def _embed(
     rows = host.adjacency_rows()
     n_host = host.vertex_count
     images = [0] * pattern.vertex_count
+    key = lower = None
 
-    def meet(back):
-        """The host vertices adjacent to the images of ``back``, or None when
-        ``back`` is empty."""
+    def meet(back, low=()):
+        """The host vertices adjacent to the images of ``back``, and of lower
+        rank than the images of ``low``, or None when both are empty."""
         pool = None
         for u in back:
             row = rows[images[u]]
             pool = row if pool is None else pool & row
             if not pool:
                 return pool
+        for u in low:
+            row = lower[images[u]]
+            pool = row if pool is None else pool & row
+            if not pool:
+                return pool
         return pool
+
+    def ranked(candidates, bound):
+        """The candidates of lower rank than every image of ``bound``."""
+        limit = min(map(key.__getitem__, map(images.__getitem__, bound)))
+        return [w for w in candidates if key[w] < limit]
 
     def descend(depth: int) -> int:
         # A neighbour set never holds its own vertex: only ``others`` are excluded.
-        v, back, others, need = steps[depth]
-        pool = meet(back)
+        v, back, others, need, low, bound = steps[depth]
+        pool = meet(back, low)
         taken = [images[u] for u in others]
         if pool is None:  # no placed neighbour: every free vertex
             candidates = [w for w in range(n_host) if w not in taken]
-        else:
-            candidates = sorted(pool.difference(taken))
+        else:  # in increasing order for a leaf, in any order for a count
+            candidates = pool.difference(taken) if leaf is None else sorted(pool.difference(taken))
+        if bound:
+            candidates = ranked(candidates, bound)
         budget.spend(len(candidates))
         fits = [w for w in candidates if len(rows[w]) >= need]
         if depth == len(steps) - 1:  # only with a leaf
@@ -248,27 +332,38 @@ def _embed(
                 leaf(images)
             return len(fits)
         if depth + 2 == run:
-            return codegrees(back, fits) if twin else counted(v, fits)
+            return codegrees(fits) if twin else counted(v, fits)
         total = 0
         for w in fits:
             images[v] = w
             total += descend(depth + 1)
         return total
 
-    def codegrees(shared, fits: list) -> int:
+    def codegrees(fits: list) -> int:
         """The maps of the twin level's s and run, summed over the images
         ``fits`` of p, charged the nodes listing s and counting the run
-        would cost.  An image x of s, outside the images of ``shared``, is
-        reached from C[x] = |N(x) & fits| of them; each leaves the run a
-        pool of C[x] - 1, so x adds (C[x])_{k+1} maps for a run of k, and
-        only x with C[x] >= 2 add maps or nodes."""
+        would cost.  An image x of s, outside the images of p's back set B
+        and of rank below the images of s's dominating vertices, is reached
+        from C[x] = |N(x) & fits| of them; each leaves the run a pool of
+        C[x] - 1, so x adds (C[x])_{k+1} maps for a run of k, and only x
+        with C[x] >= 2 add maps or nodes."""
+        _, _, shared, need, _, bound = steps[run - 1]  # s's other placed vertices are B
         reach = Counter(itertools.chain.from_iterable(map(rows.__getitem__, fits)))
         for u in shared:
             reach.pop(images[u], None)
-        need = steps[run - 1][3]
-        nodes = sum(map(len, map(rows.__getitem__, fits))) - len(shared) * len(fits)
+        if bound:
+            limit = min(map(key.__getitem__, map(images.__getitem__, bound)))
+            nodes, several = 0, []
+            for x, c in reach.items():
+                if key[x] < limit:
+                    nodes += c
+                    if c > 1:
+                        several.append(x)
+            closing = Counter([reach[x] for x in several if len(rows[x]) >= need])
+        else:
+            nodes = sum(map(len, map(rows.__getitem__, fits))) - len(shared) * len(fits)
+            closing = Counter([c for x, c in reach.items() if c > 1 and len(rows[x]) >= need])
         count = 0
-        closing = Counter([c for x, c in reach.items() if c > 1 and len(rows[x]) >= need])
         for c, m in closing.items():
             m *= c
             for j in range(1, len(steps) - run + 1):
@@ -278,14 +373,14 @@ def _embed(
         budget.spend(nodes)
         return count
 
-    def sizes(base, dep, taken, fits, R):
-        """|Q| for each image w in ``fits`` of the split vertex, ``R`` their
-        rows: w's row within ``base`` when the pool depends on w, else
-        ``base`` less w; outside ``taken`` either way, and None for ``base``
-        is every vertex."""
+    def sizes(base, R, taken, fits):
+        """|Q| for each image w in ``fits`` of the split vertex: w's row
+        within ``base`` when the pool depends on w, ``R`` their full or
+        lower rows, else (``R`` None) ``base`` less w; outside ``taken``
+        either way, and None for ``base`` is every vertex."""
         if base is not None and taken:
             base = base - taken
-        if dep:
+        if R is not None:
             if base is None:
                 return map(sub, map(len, R), map(len, map(taken.intersection, R)))
             return map(len, map(base.intersection, R))
@@ -298,45 +393,55 @@ def _embed(
         over the images ``parents`` of ``parent``, the vertex placed just
         before s (None with the one image None when s is the first vertex
         searched; with ``run`` 0 there is no s either).  For each image s's
-        candidates are listed and degree-checked, in any order, and the
-        injective maps of the run into its pools summed over the fits of s:
-        one run vertex gives |Q|, two give |Q1||Q2| - |Q1 & Q2|, and more
-        share one pool and give the falling factorial (|Q|)_k.  Each image
-        is charged in one sum: s's candidates and the maps of every leading
-        part of the run."""
+        candidates are listed, rank-filtered and degree-checked, in any
+        order, and the injective maps of the run into its pools summed over
+        the fits of s: one run vertex gives |Q|, two give |Q1||Q2| -
+        |Q1 & Q2|, and more share one pool and give the falling factorial
+        (|Q|)_k.  A run vertex's pool meets s's full or lower row as its
+        ``dep`` says, and both pools meet the lower one when either does.
+        Each image is charged in one sum: s's candidates and the maps of
+        every leading part of the run."""
         k = len(steps) - run
-        (a_rest, a_dep), (b_rest, b_dep) = heads[0], heads[-1]
+        (a_rest, a_low, a_dep), (b_rest, b_low, b_dep) = heads[0], heads[-1]
+        both_dep = a_dep if a_dep > b_dep else b_dep
+        full_rows, lower_rows = 1 in (a_dep, b_dep), 2 in (a_dep, b_dep)
         if run:
-            back, need = steps[run - 1][1], steps[run - 1][3]
+            _, back, _, need, low, bound = steps[run - 1]
         else:
-            fits, R, listed = [None], (), 0
+            fits, tables, listed = [None], (None,), 0
         total = 0
         for w0 in parents:
             if parent is not None:
                 images[parent] = w0
-            taken = {images[u] for u in before}
+            taken = set(map(images.__getitem__, before))
             if run:
-                pool = meet(back)
+                pool = meet(back, low)
                 if pool is None:  # no placed neighbour: every free vertex
                     candidates = [w for w in range(n_host) if w not in taken]
                 else:
                     candidates = pool - taken
+                if bound:
+                    candidates = ranked(candidates, bound)
                 listed = len(candidates)
                 fits = [w for w in candidates if len(rows[w]) >= need]
-                R = list(map(rows.__getitem__, fits))
-            a = meet(a_rest)
+                if not fits:  # no maps, and no nodes past s's candidates
+                    budget.spend(listed)
+                    continue
+                tables = (None, full_rows and list(map(rows.__getitem__, fits)),
+                          lower_rows and list(map(lower.__getitem__, fits)))
+            a = meet(a_rest, a_low)
             if k == 1:
-                count = nodes = sum(sizes(a, a_dep, taken, fits, R))
+                count = nodes = sum(sizes(a, tables[a_dep], taken, fits))
             elif k == 2:
-                b = meet(b_rest)
-                first = list(sizes(a, a_dep, taken, fits, R))
+                b = meet(b_rest, b_low)
+                first = list(sizes(a, tables[a_dep], taken, fits))
                 both = a if b is None else b if a is None else a & b
-                count = (sum(map(mul, first, sizes(b, b_dep, taken, fits, R)))
-                         - sum(sizes(both, a_dep or b_dep, taken, fits, R)))
+                count = (sum(map(mul, first, sizes(b, tables[b_dep], taken, fits)))
+                         - sum(sizes(both, tables[both_dep], taken, fits)))
                 nodes = sum(first) + count
             else:
                 count = nodes = 0
-                for q, m in Counter(sizes(a, a_dep, taken, fits, R)).items():
+                for q, m in Counter(sizes(a, tables[a_dep], taken, fits)).items():
                     for j in range(k):
                         m *= q - j
                         nodes += m
@@ -350,7 +455,15 @@ def _embed(
         for order, pinned_images, size in starts:
             for v, w in pinned_images.items():
                 images[v] = w
-            steps, run, before, heads, twin = _plan(pattern, tuple(order), len(pinned_images))
+            steps, run, before, heads, twin, factor = _plan(
+                pattern, tuple(order), len(pinned_images), leaf is None and not pinned_images)
+            if factor > 1:  # rank by (degree, label), as the host is now
+                key = [len(row) * n_host + w for w, row in enumerate(rows)]
+                if any(step[4] for step in steps):  # each row met with the lower-ranked
+                    lower, below = [None] * n_host, set()
+                    for w in sorted(range(n_host), key=key.__getitem__):
+                        lower[w] = rows[w] & below
+                        below.add(w)
             if leaf is not None:  # list every position
                 run, twin = len(steps) + 1, False
             remaining = budget.remaining
@@ -360,7 +473,7 @@ def _embed(
                     leaf(images)
             else:
                 found = counted(None, [None]) if run < 2 else descend(0)
-            total += size * found
+            total += size * factor * found
             budget.spend((size - 1) * (remaining - budget.remaining))
     finally:
         # ``descend`` reaches itself through its closure cell.  Emptying the
@@ -404,30 +517,41 @@ def _stop(images: list[int]) -> None:
 
 
 @functools.lru_cache(maxsize=4096)
-def automorphism_count(pattern: PatternGraph) -> int:
-    """|Aut(H)| by orbit-stabilizer: the product over i of the orbit size of
-    i under the automorphisms fixing 0, ..., i-1.  w is in it when a search
-    of H in H with 0, ..., i-1 pinned and i on w finds an embedding (an
+def _stabilizer_chain(pattern: PatternGraph) -> tuple[tuple[int, ...], ...]:
+    """For each position i of the free order ``_order(pattern, ())``, the
+    orbit of its vertex v under the automorphisms fixing the vertices before
+    it, v first.  w is in it when a search of H in H with the first i
+    vertices pinned to themselves and v on w finds an embedding (an
     automorphism); ``_stop`` ends it there.  ``_embed`` skips edges among
-    pinned vertices, so w must first have i's pinned adjacencies and sorted
+    pinned vertices, so w must first have v's pinned adjacencies and sorted
     neighbour degrees.  At most v(v-1)/2 searches share one node budget."""
     n = pattern.vertex_count
     if n > PATTERN_VERTEX_CAP:
         raise ValidationError("pattern too large")
+    order = _order(pattern, ())
     host, masks = HostGraph(n, pattern.edges), [pattern.adjacency_mask(v) for v in range(n)]
     signature = [sorted(map(pattern.degree, pattern.neighbors(v))) for v in range(n)]
-    budget, total = _Budget(None), 1
-    for i in range(n):
-        order, orbit = _order(pattern, tuple(range(i + 1))), 1
-        for w in range(i + 1, n):
-            if signature[w] == signature[i] and not (masks[i] ^ masks[w]) & ((1 << i) - 1):
+    budget, chain, fixed = _Budget(None), [], 0
+    for i, v in enumerate(order):
+        orbit = [v]
+        for w in order[i + 1 :]:
+            if signature[w] == signature[v] and not (masks[v] ^ masks[w]) & fixed:
+                pinned = {u: u for u in order[:i]}
+                pinned[v] = w
                 try:
-                    _embed(pattern, host, [(order, dict(enumerate([*range(i), w])), 1)], budget,
-                           leaf=_stop)
+                    _embed(pattern, host, [(order, pinned, 1)], budget, leaf=_stop)
                 except _Found:
-                    orbit += 1
-        total *= orbit
-    return total
+                    orbit.append(w)
+        chain.append(tuple(orbit))
+        fixed |= 1 << v
+    return tuple(chain)
+
+
+def automorphism_count(pattern: PatternGraph) -> int:
+    """|Aut(H)| by orbit-stabilizer: the product of the orbit sizes of
+    ``_stabilizer_chain``, the chain the free counts take their rank
+    conditions from."""
+    return math.prod(map(len, _stabilizer_chain(pattern)))
 
 
 def unlabelled_count(pattern: PatternGraph, labelled: int) -> int:

@@ -359,7 +359,7 @@ def planted_star_optimizer(
     matrix = EdgeProbabilityMatrix.planted(
         n, p, hubs=range(1, k + 1), boosted=0, boosted_value=value
     )
-    target = (1 + delta * (1 - epsilon)) * n ** (r + 1) * p**r
+    target = _star_target(1 + delta * (1 - epsilon), n, p, r)
     achieved = expected_star_count_inhom(matrix, r)
     return PlantedOptimizer(
         matrix=matrix,
@@ -368,6 +368,16 @@ def planted_star_optimizer(
         achieved_ratio=achieved / target,
         meets_target=achieved >= target,
     )
+
+
+def _star_target(excess: float, n: int, p: float, r: int) -> float:
+    """The target star count excess * n^(r+1) p^r, refused when it
+    underflows to 0.0 in floats: every count would meet it."""
+    target = excess * n ** (r + 1) * p**r
+    if not target > 0:
+        raise ValidationError(
+            f"target star count underflows to {target!r} at n={n}, p={p!r}: p is too small")
+    return target
 
 
 def _planted_star_count(n: int, p: float, r: int, k: int, x: float) -> float:
@@ -399,7 +409,7 @@ def variational_upper_bound(n: int, p: float, r: int, delta: float) -> Variation
     _check_range("delta", delta, "(0, inf)")
     _check_range("star arm count", r, "[2, inf)")
     _check_range("n", n, f"[{r + 1}, inf)")
-    target = (1 + delta) * n ** (r + 1) * p**r
+    target = _star_target(1 + delta, n, p, r)
     k_cap = min(n - 2, int(math.ceil(2 * delta * n * p**r)) + 2)
     best: Optional[VariationalBound] = None
 

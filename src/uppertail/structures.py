@@ -374,6 +374,8 @@ def _prune_core(graph: HostGraph, pattern: PatternGraph, cfg: CoreConfig, n: int
     e(core) <= S.  A star is counted in closed form, its copies through uv
     lying on the edges at u and v; any other pattern by the enumerator,
     which alone ``budget`` charges."""
+    if not scale > 0:  # p^Delta, or p itself, underflowed
+        raise ValidationError(f"edge scale underflows to {scale!r} at p={p!r}: p is too small")
     v, e = pattern.vertex_count, pattern.edge_count
     threshold = cfg.delta * cfg.epsilon * n**v * p**e / scale
     r = star_arms(pattern)

@@ -128,10 +128,11 @@ def test_count_unlabelled_searches_the_orbits_once(capsys, tmp_path, monkeypatch
         return embed(*args, **kwargs)
 
     monkeypatch.setattr(counting, "_embed", counted_embed)
-    counting.automorphism_count.__wrapped__(pattern_from_shorthand("cycle:4"))
+    counting._stabilizer_chain.__wrapped__(pattern_from_shorthand("cycle:4"))
     once = sum(orbit_searches)
     orbit_searches.clear()
-    counting.automorphism_count.cache_clear()
+    # The ranked count plan and |Aut(H)| read the one cached chain.
+    counting._stabilizer_chain.cache_clear()
     code, payload = run_cli(
         capsys, "count", "--pattern", "cycle:4", "--graph", str(f), "--unlabelled"
     )
@@ -442,6 +443,9 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         CONDITIONED + ["--samples", "100", "--detector", "highdeg:inf"],
         ["rate", "--pattern", "path:1", "--delta", "1"],
         ["meanfield", "--r", "2", "--n=0", "--p", "0.05", "--delta", "1"],
+        CORE_K3[:-1] + ["1e-300", "--delta", "1", "--n", "4"],
+        ["meanfield", "--r", "2", "--n", "1000000", "--p", "1e-300", "--delta", "1",
+         "--epsilon", "0.5"],
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -467,7 +471,8 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "conditioned-no-delta", "config-line-without-equals", "config-unknown-key",
          "poisson-p-0-n-0", "poisson-p-0-seed-negative", "poisson-p-0-samples-negative",
          "detect-highdeg-n-negative", "detect-highdeg-p-2", "detect-highdeg-p-negative",
-         "conditioned-highdeg-nan", "conditioned-highdeg-inf", "rate-edgeless", "meanfield-n-0"],
+         "conditioned-highdeg-nan", "conditioned-highdeg-inf", "rate-edgeless", "meanfield-n-0",
+         "core-scale-underflow", "meanfield-target-underflow"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, tmp_path, argv):
     graph = tmp_path / "g.txt"
@@ -497,6 +502,8 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, argv):
         assert "delta = 1e+308" in captured.err
     if "star:99" in argv or "star:40" in argv:
         assert captured.err == "error: pattern too large\n"
+    if "1e-300" in argv:  # a float that underflows is refused by the input that caused it
+        assert "underflows to 0.0" in captured.err and "p=1e-300" in captured.err
     if HUGE_N in argv:
         assert captured.err.startswith("error: an input overflowed float arithmetic")
     if argv[0] == "meanfield" and "--n=0" in argv:

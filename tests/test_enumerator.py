@@ -13,6 +13,11 @@ and, for the two count paths, the budget nodes spent must match them
 exactly.  The collector may spend fewer nodes than its oracle: the
 enumerator prunes candidates by degree there too, and leaves isolated
 pattern vertices out.
+
+A free count lists each copy under the rank conditions of its plan and
+takes the count ``factor`` times (``counting._ranks``), so its nodes are
+checked against the listing oracle under the same conditions and factor,
+and its count against the unconditioned oracle as well.
 """
 
 import itertools
@@ -30,6 +35,7 @@ from uppertail.counting import (
     _copy_edge_sets,
     _order,
     _plan,
+    _stabilizer_chain,
     _start_classes,
     automorphism_count,
     count_labelled,
@@ -73,12 +79,15 @@ def _count_with_order(
     order: list[int],
     pinned: dict[int, int],
     budget: _Budget,
+    ranks=None,
 ) -> int:
     """Backtracking count; ``pinned`` fixes images of the leading vertices of
-    ``order``."""
+    ``order``.  With ``ranks``, a candidate at position i is tried (and
+    charged) only when its (degree, label) is below that of the image of
+    every vertex in ``ranks[i]``."""
     n_host = host.vertex_count
     if n_host > ORACLE_BITSET_LIMIT:
-        return _count_with_order_sets(pattern, host, order, pinned, budget)
+        return _count_with_order_sets(pattern, host, order, pinned, budget, ranks)
     full = (1 << n_host) - 1
     rows = [sum(1 << w for w in host.neighbors(v)) for v in range(n_host)]
     degrees = host.degrees()
@@ -108,10 +117,13 @@ def _count_with_order(
                 return 0
         total = 0
         need = pat_deg[v]
+        above = [_rank(host, images[position[u]]) for u in ranks[pos]] if ranks else ()
         while candidates:
             low = candidates & -candidates
             w = low.bit_length() - 1
             candidates ^= low
+            if any(_rank(host, w) > r for r in above):
+                continue
             budget.spend()
             if degrees[w] < need:
                 continue
@@ -124,7 +136,7 @@ def _count_with_order(
     return recurse(start)
 
 
-def _count_with_order_sets(pattern, host, order, pinned, budget):
+def _count_with_order_sets(pattern, host, order, pinned, budget, ranks=None):
     """Adjacency-set fallback for hosts above the bitset limit."""
     position = {v: i for i, v in enumerate(order)}
     back_neighbors = [
@@ -153,7 +165,10 @@ def _count_with_order_sets(pattern, host, order, pinned, budget):
             cands = set(range(host.vertex_count))
         cands -= used
         total = 0
+        above = [_rank(host, images[position[u]]) for u in ranks[pos]] if ranks else ()
         for w in sorted(cands):
+            if any(_rank(host, w) > r for r in above):
+                continue
             budget.spend()
             if host.degree(w) < pat_deg[v]:
                 continue
@@ -230,12 +245,27 @@ def copy_edge_sets(
     return sorted(copies, key=sorted)
 
 
-def oracle_count(pattern, host, budget):
-    """The former ``count_labelled`` on a caller's budget."""
+def _rank(host: HostGraph, w: int) -> tuple[int, int]:
+    return host.degree(w), w
+
+
+def oracle_count(pattern, host, budget, ranked=True):
+    """The former ``count_labelled`` on a caller's budget; ``ranked``
+    lists under the rank conditions of the free plan and takes the count
+    its factor times."""
     if pattern.vertex_count > host.vertex_count:
         return 0
     order = _search_order(pattern)
-    return _count_with_order(pattern, host, order, {}, budget)
+    if not ranked:
+        return _count_with_order(pattern, host, order, {}, budget)
+    steps, factor = (_plan(pattern, tuple(order), 0, True)[i] for i in (0, 5))
+    ranks = [step[4] + step[5] for step in steps]
+    return factor * _count_with_order(pattern, host, order, {}, budget, ranks)
+
+
+def unranked(pattern, host) -> int:
+    """The labelled count by listing every copy."""
+    return oracle_count(pattern, host, _Budget(None), ranked=False)
 
 
 def oracle_count_using_edge(pattern, host, edge, budget):
@@ -310,8 +340,12 @@ def spent(monkeypatch):
     monkeypatch.setattr(counting, "_Budget", Recording)
 
     def nodes() -> int:
-        assert len(made) == 1
-        budget = made.pop()
+        # The call's own budget comes first; a free count whose plan is
+        # ranked for the first time makes one more, for the orbit searches
+        # of the pattern's stabilizer chain.
+        assert 1 <= len(made) <= 2
+        budget = made[0]
+        made.clear()
         return budget.limit - budget.remaining
 
     return nodes
@@ -337,6 +371,7 @@ def test_plain_count_matches_oracle(spent, backend, name):
             continue  # 10^12 maps: see test_edgeless_pattern_counts_every_injection
         got = count_labelled(pattern, host)
         assert (got, spent()) == oracle(lambda b: oracle_count(pattern, host, b))
+        assert got == unranked(pattern, host)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -467,11 +502,13 @@ def test_thin_host_mostly_reaches_codegree_one():
 @pytest.mark.parametrize("name", SCALE_PATTERNS)
 def test_counts_at_scale_match_oracle(spent, host_name, name):
     """(count, nodes) of free and pinned searches on a G(300, 0.03) and on a
-    thin host equal the listing oracle's."""
+    thin host equal the listing oracle's, under the free plan's rank
+    conditions for the free search."""
     pattern, host = PATTERNS[name], SCALE_HOSTS[host_name]
     got = count_labelled(pattern, host)
     assert got > 0
     assert (got, spent()) == oracle(lambda b: oracle_count(pattern, host, b))
+    assert got == unranked(pattern, host)
     for e in random.Random(name).sample(host.edges(), 15):
         got = count_labelled_using_edge(pattern, host, e)
         assert (got, spent()) == oracle(lambda b: oracle_count_using_edge(pattern, host, e, b))
@@ -497,7 +534,10 @@ def charges(monkeypatch):
     return made
 
 
-BUDGET_HOST = _gnm(2000, 3000, 32)
+# A ranked P4 count charges about half the nodes of listing every copy, but
+# its largest charge, the top-ranked vertex's, keeps every neighbour: at
+# 4,000 vertices that charge stays under 1 % of the total.
+BUDGET_HOST = _gnm(4000, 6000, 32)
 
 
 @pytest.mark.parametrize("name", ["path:4", "clique:3", "path:5"])
@@ -508,20 +548,28 @@ def test_budget_is_charged_once_per_parent_image(charges, name):
     exactly the nodes spent passes, one fewer fails."""
     pattern, host = PATTERNS[name], BUDGET_HOST
     rows, degrees = host.adjacency_rows(), host.degrees()
+    counting._stabilizer_chain(pattern)  # its orbit searches make a budget of their own
+    charges.clear()
     want = count_labelled(pattern, host)
     full = charges.pop()
     nodes = full.limit - full.remaining
+    assert (want, nodes) == oracle(lambda b: oracle_count(pattern, host, b))
+    assert want == unranked(pattern, host)
     # One charge for the first level, one for each image listed at a later
     # level before the split vertex's parent, one per image of that parent,
     # and the empty charge of the other members of the class.  In these
-    # orders each listed vertex's one back-neighbour is the vertex before it.
-    steps, run = _plan(pattern, _order(pattern, ()), 0)[:2]
+    # orders each listed vertex's one back-neighbour is the vertex before
+    # it, and a listed image ranks below those of its dominating vertices.
+    steps, run = _plan(pattern, _order(pattern, ()), 0, True)[:2]
+    position = {step[0]: j for j, step in enumerate(steps)}
     images = [(w,) for w in range(host.vertex_count) if degrees[w] >= steps[0][3]]
     listed = 1
     for depth in range(1, run - 1):
         listed += len(images)
+        above = [position[u] for u in steps[depth][4] + steps[depth][5]]
         images = [(*ws, x) for ws in images for x in rows[ws[-1]]
-                  if x not in ws and degrees[x] >= steps[depth][3]]
+                  if x not in ws and degrees[x] >= steps[depth][3]
+                  and all(_rank(host, x) < _rank(host, ws[j]) for j in above)]
     assert len(full.amounts) == listed + len(images) + 1
     first, largest = full.amounts[0], max(full.amounts[1:])
     assert largest * 100 < nodes - first
@@ -659,6 +707,84 @@ def test_automorphism_count_equals_listing_the_copies_in_itself():
     assert automorphism_count(FRUCHT) == _aut_by_listing(FRUCHT) == 1
 
 
+def _aut_by_orbits_of_labels(pattern: PatternGraph) -> int:
+    """The former ``automorphism_count``: the product over i of the orbit of
+    i under the automorphisms fixing 0, ..., i-1, each member found by an
+    existence search of H in H from ``_order(pattern, (0, ..., i))``, which
+    skips edges among pinned vertices: w must first have i's adjacencies
+    to 0, ..., i-1."""
+    n = pattern.vertex_count
+    host, masks = HostGraph(n, pattern.edges), [pattern.adjacency_mask(v) for v in range(n)]
+    total = 1
+    for i in range(n):
+        order, orbit = _order(pattern, tuple(range(i + 1))), 1
+        for w in range(i + 1, n):
+            if (masks[i] ^ masks[w]) & ((1 << i) - 1):
+                continue
+            try:
+                counting._embed(pattern, host, [(order, dict(enumerate([*range(i), w])), 1)],
+                                _Budget(None), leaf=counting._stop)
+            except counting._Found:
+                orbit += 1
+        total *= orbit
+    return total
+
+
+def test_automorphism_count_equals_the_orbit_product_over_labels():
+    # The chain walks the free search order, the oracle the labels 0..v-1:
+    # both products are |Aut(H)|.
+    for pattern in connected_patterns_upto(6):
+        want = _aut_by_orbits_of_labels(pattern)
+        assert automorphism_count(pattern) == want, sorted(pattern.edges)
+
+
+def _chain_conditions(pattern, steps_taken):
+    """The dominating vertices per vertex, and the factor, of the first
+    ``steps_taken`` steps of the stabilizer chain."""
+    ranks, factor = {}, 1
+    for orbit in _stabilizer_chain(pattern)[:steps_taken]:
+        for w in orbit[1:]:
+            ranks.setdefault(w, set()).add(orbit[0])
+        factor *= len(orbit)
+    return ranks, factor
+
+
+def test_rank_conditions_are_a_prefix_of_the_chain():
+    patterns = [*PATTERNS.values(), *connected_patterns_upto(5)]
+    for pattern in patterns:
+        steps, factor = (_plan(pattern, _order(pattern, ()), 0, True)[i] for i in (0, 5))
+        ranks = {v: set(low + bound) for v, _, _, _, low, bound in steps if low + bound}
+        prefixes = [_chain_conditions(pattern, m) for m in range(pattern.vertex_count + 1)]
+        assert (ranks, factor) in prefixes, sorted(pattern.edges)
+    # The shapes of the host_count calls: the full chain for K3 (x6), the
+    # first step for C4 (x4) and P4 (x2), none for stars.
+    for name, want in {"clique:3": 6, "clique:4": 24, "cycle:4": 4, "path:4": 2, "star:3": 1,
+                       "star:5": 1, "E3": 1, "biclique:2,3": 2}.items():
+        assert _plan(PATTERNS[name], _order(PATTERNS[name], ()), 0, True)[5] == want, name
+    # Pinned and unranked plans have no conditions.
+    for pattern in PATTERNS.values():
+        for first in [()] + [tuple(e) for e in pattern.sorted_edges()]:
+            steps, factor = (_plan(pattern, _order(pattern, first), len(first))[i] for i in (0, 5))
+            assert factor == 1 and not any(low + bound for _, _, _, _, low, bound in steps)
+
+
+def test_free_counts_do_not_move_under_relabelling():
+    # Ranks are (degree, label): relabelling a host moves every tie between
+    # equal degrees, and so which copy the conditions keep, but not the count.
+    rng = random.Random(31)
+    hosts = [*BITSET_HOSTS, SCALE_HOSTS["gnp"], SCALE_HOSTS["thin"], HostGraph.complete(7)]
+    for host in hosts:
+        n = host.vertex_count
+        assert len(set(host.degrees())) < n  # ties to move
+        for _ in range(3):
+            label = list(range(n))
+            rng.shuffle(label)
+            moved = HostGraph(n, [(label[u], label[v]) for u, v in host.edges()])
+            for name in ("clique:3", "clique:4", "cycle:4", "path:4", "path:5", "paw", "bull",
+                         "biclique:2,3", "C4+K1"):
+                assert count_labelled(PATTERNS[name], moved) == count_labelled(PATTERNS[name], host)
+
+
 def test_automorphism_count_runs_at_most_one_search_per_vertex_pair(monkeypatch):
     searches = []
 
@@ -670,17 +796,19 @@ def test_automorphism_count_runs_at_most_one_search_per_vertex_pair(monkeypatch)
     monkeypatch.setattr(counting, "_embed", counted_embed)
     for spec in ("clique:12", "star:11", "biclique:6,6", "cycle:12", "path:12"):
         searches.clear()
-        automorphism_count.cache_clear()  # a cached count runs no search
+        _stabilizer_chain.cache_clear()  # a cached chain runs no search
         automorphism_count(pattern_from_shorthand(spec))
         v = pattern_from_shorthand(spec).vertex_count
         assert 0 < len(searches) <= v * (v - 1) // 2, spec
-        # Each search is one start pinning 0, ..., i-1 to themselves.
+        # Each search is one start in the free order, pinning its first i
+        # vertices to themselves and the next to a vertex after it.
+        free = _order(pattern_from_shorthand(spec), ())
         for [(order, pinned, size)] in searches:
             i = len(pinned) - 1
-            assert size == 1 and tuple(order[: i + 1]) == tuple(range(i + 1))
-            assert all(pinned[j] == j for j in range(i)) and pinned[i] > i
+            assert size == 1 and tuple(order) == free and tuple(pinned) == free[: i + 1]
+            assert all(pinned[u] == u for u in free[:i]) and pinned[free[i]] in free[i + 1 :]
     searches.clear()
-    automorphism_count.cache_clear()
+    _stabilizer_chain.cache_clear()
     automorphism_count(FRUCHT)
     assert len(searches) <= 66
 

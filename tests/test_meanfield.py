@@ -150,6 +150,16 @@ def test_expected_star_count_monotone():
             assert values == sorted(values) and len(set(values)) == len(values)
 
 
+def test_star_targets_that_underflow_are_refused():
+    # (1 + delta) n^3 p^2 is 0.0 in floats at p = 1e-200: every planting
+    # would meet it, so the bound would read 0.0.
+    with pytest.raises(ValidationError, match=r"underflows to 0\.0 at n=1000000, p=1e-200"):
+        variational_upper_bound(10**6, 1e-200, 2, 1.0)
+    with pytest.raises(ValidationError, match=r"underflows to 0\.0 at n=1000000, p=1e-300"):
+        planted_star_optimizer(10**6, 1e-300, 2, 1.0, 0.5)
+    assert variational_upper_bound(10**6, 1e-100, 2, 1.0).value > 0
+
+
 def test_planted_optimizer_fractional_regime():
     n = 10**6
     p = n**-0.7
