@@ -34,9 +34,10 @@ The prefix is the longest one the search can enforce: through lower-ranked
 rows for a dominating back-neighbour, by a rank filter on the candidates
 otherwise, never between two counted run vertices or from the twin level
 onto its run.  Fewer maps are listed, so free counts charge fewer nodes;
-pinned starts and leaf actions keep every labelled copy.  Counts are plain
-Python ints so the divisibility check stays exact.  Closed forms are used
-for stars, both as fast paths and as independent oracles in the tests.
+pinned starts, leaf actions and patterns too large for the chain's orbit
+searches keep every labelled copy.  Counts are plain Python ints so the
+divisibility check stays exact.  Closed forms are used for stars, both as
+fast paths and as independent oracles in the tests.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, ranked: bo
     codegrees (see ``_embed``).
 
     Only a ``ranked`` plan (the free start, counted without a leaf action)
-    has rank conditions, the dominating vertices of each position from
-    ``_ranks``, and ``factor``, the product of their orbit sizes; any other
-    has none and factor 1.  A host vertex's lower row is its neighbours of
+    of at most ``PATTERN_VERTEX_CAP`` vertices, the most the stabilizer
+    chain's orbit searches take, has rank conditions, the dominating
+    vertices of each position from ``_ranks``, and ``factor``, the product
+    of their orbit sizes; any other has none and factor 1.  A host vertex's lower row is its neighbours of
     lower rank.  Lower rows are used only when the plan meets one with
     another row (a pool of two or more back-neighbours) or a counted run
     vertex has a dominating vertex; then every dominating back-neighbour is
@@ -121,7 +123,10 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, ranked: bo
         twin = (bool(shared) and s_back == (p,)
                 and set(order[: pinned + run - 2]) == set(shared)
                 and all(set(back) == {*shared, split} for _, back, _, _ in steps[run:]))
-    factor, ranks = _ranks(pattern, steps, run, twin) if ranked else (1, [()] * len(steps))
+    if ranked and pattern.vertex_count <= PATTERN_VERTEX_CAP:
+        factor, ranks = _ranks(pattern, steps, run, twin)
+    else:
+        factor, ranks = 1, [()] * len(steps)
     lowered = any(d in back and (len(back) > 1 or j >= run) and not (twin and j >= run)
                   for j, (_, back, _, _) in enumerate(steps) for d in ranks[j])
     steps = tuple(
@@ -320,8 +325,8 @@ def _embed(
         taken = [images[u] for u in others]
         if pool is None:  # no placed neighbour: every free vertex
             candidates = [w for w in range(n_host) if w not in taken]
-        else:  # in increasing order for a leaf, in any order for a count
-            candidates = pool.difference(taken) if leaf is None else sorted(pool.difference(taken))
+        else:
+            candidates = sorted(pool.difference(taken))
         if bound:
             candidates = ranked(candidates, bound)
         budget.spend(len(candidates))
@@ -424,9 +429,6 @@ def _embed(
                     candidates = ranked(candidates, bound)
                 listed = len(candidates)
                 fits = [w for w in candidates if len(rows[w]) >= need]
-                if not fits:  # no maps, and no nodes past s's candidates
-                    budget.spend(listed)
-                    continue
                 tables = (None, full_rows and list(map(rows.__getitem__, fits)),
                           lower_rows and list(map(lower.__getitem__, fits)))
             a = meet(a_rest, a_low)

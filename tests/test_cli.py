@@ -182,6 +182,16 @@ def test_core_on_a_star_pattern_is_not_charged_the_budget(capsys, tmp_path):
     assert code == 0 and charged["result"] == free["result"]
 
 
+def test_core_on_a_pattern_above_the_chain_cap(capsys, tmp_path):
+    # The stabilizer chain's orbit searches take at most 12 pattern
+    # vertices; core's free count of path:13 lists every labelled copy.
+    f = tmp_path / "p14.txt"
+    f.write_text("n 14\n" + "\n".join(f"{v} {v + 1}" for v in range(13)))
+    code, payload = run_cli(capsys, "core", "--graph", str(f), "--pattern", "path:13",
+                            "--delta", "1", "--epsilon", "0.5", "--n", "14", "--p", "0.2")
+    assert code == 0 and payload["result"]["edges_before"] == 13
+
+
 def test_meanfield_command(capsys):
     code, payload = run_cli(
         capsys, "meanfield", "--r", "2", "--n", "2000", "--p", "0.01", "--delta", "1",

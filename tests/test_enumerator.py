@@ -329,7 +329,13 @@ def test_hosts_cover_both_backends():
 
 @pytest.fixture
 def spent(monkeypatch):
-    """Nodes spent by the one ``_Budget`` the last counting call made."""
+    """Nodes spent by the one ``_Budget`` the last counting call made.
+
+    A free count's first plan of a pattern runs the orbit searches of its
+    stabilizer chain on a budget of their own, so every test pattern's
+    chain is found before budgets are recorded."""
+    for pattern in PATTERNS.values():
+        counting._stabilizer_chain(pattern)
     made = []
 
     class Recording(_Budget):
@@ -340,12 +346,8 @@ def spent(monkeypatch):
     monkeypatch.setattr(counting, "_Budget", Recording)
 
     def nodes() -> int:
-        # The call's own budget comes first; a free count whose plan is
-        # ranked for the first time makes one more, for the orbit searches
-        # of the pattern's stabilizer chain.
-        assert 1 <= len(made) <= 2
-        budget = made[0]
-        made.clear()
+        assert len(made) == 1
+        budget = made.pop()
         return budget.limit - budget.remaining
 
     return nodes
@@ -783,6 +785,33 @@ def test_free_counts_do_not_move_under_relabelling():
             for name in ("clique:3", "clique:4", "cycle:4", "path:4", "path:5", "paw", "bull",
                          "biclique:2,3", "C4+K1"):
                 assert count_labelled(PATTERNS[name], moved) == count_labelled(PATTERNS[name], host)
+
+
+def test_chain_searches_are_not_charged_to_a_free_count():
+    # The first ranked plan of a pattern runs the orbit searches of its
+    # stabilizer chain on a budget of their own: a count with a cold chain
+    # passes on exactly the nodes its listing costs.
+    pattern, host = PATTERNS["clique:4"], HostGraph.complete(7)
+    want, nodes = oracle(lambda b: oracle_count(pattern, host, b))
+    _plan.cache_clear()
+    _stabilizer_chain.cache_clear()
+    assert count_labelled(pattern, host, nodes) == want
+    with pytest.raises(ResourceBudgetError):
+        count_labelled(pattern, host, nodes - 1)
+
+
+def test_patterns_above_the_cap_are_counted_without_rank_conditions():
+    # The chain's orbit searches refuse more than PATTERN_VERTEX_CAP
+    # vertices, so a free count of path:13 lists every labelled copy.
+    pattern = path(13)
+    assert _plan(pattern, _order(pattern, ()), 0, True)[5] == 1
+    host = _gnm(16, 30, 13)
+    want, nodes = oracle(lambda b: oracle_count(pattern, host, b, ranked=False))
+    assert want > 0
+    assert count_labelled(pattern, host) == want
+    assert count_labelled(pattern, host, nodes) == want
+    with pytest.raises(ResourceBudgetError):
+        count_labelled(pattern, host, nodes - 1)
 
 
 def test_automorphism_count_runs_at_most_one_search_per_vertex_pair(monkeypatch):
