@@ -190,6 +190,7 @@ def _cmd_rate(args, started) -> int:
 
 def _cmd_count(args, started) -> int:
     pattern = pattern_from_shorthand(args.pattern)
+    aut = counting.automorphism_count(pattern)  # refuses a pattern too large before counting
     host = _load_graph(args.graph)
     inputs = _echo(args, "pattern graph edge unlabelled budget")
     t0 = time.perf_counter()
@@ -203,7 +204,7 @@ def _cmd_count(args, started) -> int:
     seconds = time.perf_counter() - t0
     result = {
         "count": value,
-        "aut": counting.automorphism_count(pattern),
+        "aut": aut,
         "seconds": round(seconds, 6),
     }
     return _emit("count", inputs, result, None, started, args.output)

@@ -16,13 +16,14 @@ vertex before them, charged once per image.  When the vertex two before
 that run is a twin of every run vertex (unpinned C4 and K_{2,t}), its level
 is summed from codegrees: C4 copies are sum c(u,w)_2 and K_{2,t} copies sum
 c(u,w)_t over the codegrees c(u,w) = |N(u) & N(w)|, only over the w with
-c(u,w) >= 2, at the same node charge again.  The order in which candidates
-are tried matters only to a leaf action, which gets them in increasing
-order.  A count through a host edge pins the edge's ends to both
-orientations of every pattern edge, 2 e(H) starts; starts whose orders
-correspond position by position under an automorphism of H run the same
-search, so each such class is searched once and its count and nodes are
-taken class-size times (one search per edge for a clique, two for C4).
+c(u,w) >= 2, at the same node charge again.  Candidates are tried in set
+order, which no caller reads: the copy collector sorts its copies, and an
+existence search stops at its first embedding.  A count through a host
+edge pins the edge's ends to both orientations of every pattern edge,
+2 e(H) starts; starts whose orders correspond position by position under
+an automorphism of H run the same search, so each such class is searched
+once and its count and nodes are taken class-size times (one search per
+edge for a clique, two for C4).
 
 A free count finds each copy closed under Aut(H) once per member of a
 stabilizer: ``automorphism_count`` multiplies the orbit sizes of one
@@ -30,12 +31,13 @@ stabilizer chain along the free order, and the free plan asks, for a prefix
 of its steps, that the vertex at the step outrank the other members of its
 orbit, rank being (degree, label) in the host.  The count is taken the
 product of the prefix's orbit sizes: six for K3, four for C4, two for P4.
-The prefix is the longest one the search can enforce: through lower-ranked
-rows for a dominating back-neighbour, by a rank filter on the candidates
-otherwise, never between two counted run vertices or from the twin level
-onto its run.  Fewer maps are listed, so free counts charge fewer nodes;
-pinned starts, leaf actions and patterns too large for the chain's orbit
-searches keep every labelled copy.  Counts are plain Python ints so the
+A dominating vertex that is a pattern neighbour of the position is met
+through its row of lower-ranked neighbours, any other filters the
+candidates by rank.  The prefix is the longest one the search can enforce,
+never between two counted run vertices or from the twin level onto its
+run.  Fewer maps are listed, so free counts charge fewer nodes; pinned
+starts, leaf actions and patterns too large for the chain's orbit searches
+keep every labelled copy.  Counts are plain Python ints so the
 divisibility check stays exact.  Closed forms are used for stars, both as
 fast paths and as independent oracles in the tests.
 """
@@ -99,13 +101,10 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, ranked: bo
     of at most ``PATTERN_VERTEX_CAP`` vertices, the most the stabilizer
     chain's orbit searches take, has rank conditions, the dominating
     vertices of each position from ``_ranks``, and ``factor``, the product
-    of their orbit sizes; any other has none and factor 1.  A host vertex's lower row is its neighbours of
-    lower rank.  Lower rows are used only when the plan meets one with
-    another row (a pool of two or more back-neighbours) or a counted run
-    vertex has a dominating vertex; then every dominating back-neighbour is
-    met through its lower row, and a dominating vertex that is not a
-    back-neighbour filters the candidates by rank.  Otherwise every
-    dominating vertex filters by rank."""
+    of their orbit sizes; any other has none and factor 1.  A host vertex's
+    lower row is its neighbours of lower rank.  A dominating vertex that is
+    a back-neighbour of the position is met through its lower row, any
+    other filters the candidates by rank."""
     steps = []
     for i, v in enumerate(order[pinned:], pinned):
         back = tuple(u for u in order[:i] if pattern.has_edge(u, v))
@@ -127,12 +126,9 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, ranked: bo
         factor, ranks = _ranks(pattern, steps, run, twin)
     else:
         factor, ranks = 1, [()] * len(steps)
-    lowered = any(d in back and (len(back) > 1 or j >= run) and not (twin and j >= run)
-                  for j, (_, back, _, _) in enumerate(steps) for d in ranks[j])
     steps = tuple(
-        (v, tuple(u for u in back if not (lowered and u in rank)), others, need,
-         tuple(u for u in back if lowered and u in rank),
-         tuple(u for u in rank if not (lowered and u in back)))
+        (v, tuple(u for u in back if u not in rank), others, need,
+         tuple(u for u in back if u in rank), tuple(u for u in rank if u not in back))
         for (v, back, others, need), rank in zip(steps, ranks))
     heads = tuple((tuple(u for u in back if u != split), tuple(u for u in low if u != split),
                    (split in back) + 2 * (split in low))
@@ -263,11 +259,11 @@ def _embed(
     edges.  Every candidate tried costs one budget node, also when the
     degree check rejects it.  Candidates are the intersection of the
     neighbour sets of the placed back-neighbours' images, less the other
-    placed images.  Their order matters only with ``leaf``, which sees the
-    embeddings in the order of increasing candidates at every position.
-    The free start of a count has a ranked plan (see ``_ranks``): its
-    candidates are met through lower rows or filtered by rank before they
-    are charged, and its count is taken the plan's ``factor`` times.
+    placed images, tried in set order.  The free start of a count has a
+    ranked plan (see ``_ranks``): a dominating back-neighbour is met
+    through its lower row, any other dominating vertex filters the
+    candidates by rank before they are charged, and the count is taken the
+    plan's ``factor`` times.
 
     Without ``leaf`` the plan's trailing run of pairwise non-adjacent
     vertices is counted rather than listed.  Every pattern neighbour of a run
@@ -290,7 +286,8 @@ def _embed(
     neighbours, so x's run pool is its pool within ``fits`` less p's image,
     of size C[x] - 1, and x is reached from C[x] images of p.  Every term
     has the factor C[x] - 1, so only the reached x with C[x] >= 2 are
-    summed.
+    summed.  Any twin level builds the rank key, ranked plan or not: an x
+    is kept when it ranks below the images of s's dominating vertices.
     """
     rows = host.adjacency_rows()
     n_host = host.vertex_count
@@ -326,7 +323,7 @@ def _embed(
         if pool is None:  # no placed neighbour: every free vertex
             candidates = [w for w in range(n_host) if w not in taken]
         else:
-            candidates = sorted(pool.difference(taken))
+            candidates = pool.difference(taken)
         if bound:
             candidates = ranked(candidates, bound)
         budget.spend(len(candidates))
@@ -348,26 +345,23 @@ def _embed(
         """The maps of the twin level's s and run, summed over the images
         ``fits`` of p, charged the nodes listing s and counting the run
         would cost.  An image x of s, outside the images of p's back set B
-        and of rank below the images of s's dominating vertices, is reached
-        from C[x] = |N(x) & fits| of them; each leaves the run a pool of
+        and of rank below the images of s's dominating vertices (with none,
+        the limit n_host^2 is above every key), is reached from
+        C[x] = |N(x) & fits| of them; each leaves the run a pool of
         C[x] - 1, so x adds (C[x])_{k+1} maps for a run of k, and only x
         with C[x] >= 2 add maps or nodes."""
         _, _, shared, need, _, bound = steps[run - 1]  # s's other placed vertices are B
         reach = Counter(itertools.chain.from_iterable(map(rows.__getitem__, fits)))
         for u in shared:
             reach.pop(images[u], None)
-        if bound:
-            limit = min(map(key.__getitem__, map(images.__getitem__, bound)))
-            nodes, several = 0, []
-            for x, c in reach.items():
-                if key[x] < limit:
-                    nodes += c
-                    if c > 1:
-                        several.append(x)
-            closing = Counter([reach[x] for x in several if len(rows[x]) >= need])
-        else:
-            nodes = sum(map(len, map(rows.__getitem__, fits))) - len(shared) * len(fits)
-            closing = Counter([c for x, c in reach.items() if c > 1 and len(rows[x]) >= need])
+        limit = min(map(key.__getitem__, map(images.__getitem__, bound)), default=n_host * n_host)
+        nodes, several = 0, []
+        for x, c in reach.items():
+            if key[x] < limit:
+                nodes += c
+                if c > 1:
+                    several.append(x)
+        closing = Counter([reach[x] for x in several if len(rows[x]) >= need])
         count = 0
         for c, m in closing.items():
             m *= c
@@ -459,15 +453,15 @@ def _embed(
                 images[v] = w
             steps, run, before, heads, twin, factor = _plan(
                 pattern, tuple(order), len(pinned_images), leaf is None and not pinned_images)
-            if factor > 1:  # rank by (degree, label), as the host is now
-                key = [len(row) * n_host + w for w, row in enumerate(rows)]
-                if any(step[4] for step in steps):  # each row met with the lower-ranked
-                    lower, below = [None] * n_host, set()
-                    for w in sorted(range(n_host), key=key.__getitem__):
-                        lower[w] = rows[w] & below
-                        below.add(w)
             if leaf is not None:  # list every position
                 run, twin = len(steps) + 1, False
+            if factor > 1 or twin:  # rank by (degree, label), as the host is now
+                key = [len(row) * n_host + w for w, row in enumerate(rows)]
+                if any(step[4] for step in steps):  # each row met with the lower-ranked
+                    lower, below, empty = [None] * n_host, set(), frozenset()
+                    for w in sorted(range(n_host), key=key.__getitem__):
+                        lower[w] = rows[w] & below or empty  # one object for every empty row
+                        below.add(w)
             remaining = budget.remaining
             if not steps:  # every vertex pinned
                 found = 1

@@ -239,9 +239,10 @@ def detect_tilde_hub(
 ) -> StructureVerdict:
     """Hub of prescribed size plus one extra vertex above a second threshold.
 
-    Degree-sorted greedy choice is exact when the extra threshold does not
-    exceed the hub threshold (the intended use); the opposite ordering is
-    handled by reserving one vertex above the extra threshold first.
+    The top ``u_size + 1`` vertices by (-degree, label) hold a witness if
+    any exists: exchanging a witness vertex for a higher-degree one outside
+    it keeps every threshold met.  The extra vertex is the first of them
+    when its threshold is above the hub threshold, else the last.
     """
     _check_range("u_size", u_size, "[0, inf)")
     _check_range("u_degree_threshold", u_degree_threshold, "(-inf, inf)")
@@ -253,27 +254,15 @@ def detect_tilde_hub(
         "u_degree_threshold": u_degree_threshold,
         "extra_degree_threshold": extra_degree_threshold,
     }
-    if u_size == 0:
-        top = degs[order[0]] if order else 0
-        if top >= extra_degree_threshold or extra_degree_threshold <= 0:
-            witness = (tuple(), order[0] if order else None)
-            return StructureVerdict(YES, witness, cert)
-        return StructureVerdict(NO, None, cert)
     if u_size + 1 > graph.vertex_count:
         return StructureVerdict(NO, None, cert)
-    if extra_degree_threshold <= u_degree_threshold:
-        hub = order[:u_size]
-        extra = order[u_size]
-        if all(degs[v] >= u_degree_threshold for v in hub) and degs[extra] >= extra_degree_threshold:
-            return StructureVerdict(YES, (tuple(hub), extra), cert)
-        return StructureVerdict(NO, None, cert)
-    extras = [v for v in order if degs[v] >= extra_degree_threshold]
-    if not extras:
-        return StructureVerdict(NO, None, cert)
-    reserved = extras[0]
-    hub = [v for v in order if v != reserved and degs[v] >= u_degree_threshold][:u_size]
-    if len(hub) == u_size:
-        return StructureVerdict(YES, (tuple(hub), reserved), cert)
+    top = order[: u_size + 1]
+    if extra_degree_threshold > u_degree_threshold:
+        extra, hub = top[0], top[1:]
+    else:
+        extra, hub = top[-1], top[:-1]
+    if all(degs[v] >= u_degree_threshold for v in hub) and degs[extra] >= extra_degree_threshold:
+        return StructureVerdict(YES, (tuple(hub), extra), cert)
     return StructureVerdict(NO, None, cert)
 
 

@@ -192,6 +192,18 @@ def test_core_on_a_pattern_above_the_chain_cap(capsys, tmp_path):
     assert code == 0 and payload["result"]["edges_before"] == 13
 
 
+def test_count_refuses_a_pattern_above_the_chain_cap_before_counting(capsys, monkeypatch):
+    # count reports |Aut(H)|, which the chain's orbit searches cannot find
+    # above 12 vertices: the pattern is refused before the host is read.
+    def no_load(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "_load_graph", no_load)
+    code = main(["count", "--pattern", "path:13", "--graph", "p14.txt"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: pattern too large\n")
+
+
 def test_meanfield_command(capsys):
     code, payload = run_cli(
         capsys, "meanfield", "--r", "2", "--n", "2000", "--p", "0.01", "--delta", "1",
@@ -353,6 +365,7 @@ BAD_HEADER = "<bad-header>"  # an edge-list file whose header is "n abc"
 NOT_UTF8 = "<not-utf8>"  # an edge-list file that is not UTF-8 text, also read as a config
 NO_EQUALS = "<no-equals>"  # a config file holding the line "threads 2", which has no "="
 TYPO = "<typo>"  # a config file holding "sampels = 10", a key the CLI does not know
+P14 = "<p14>"  # an edge-list file holding a path on 14 vertices
 COUNT_EDGE = ["count", "--pattern", "star:2", "--graph", GRAPH, "--edge"]
 CORE = ["core", "--graph", GRAPH, "--pattern", "star:2", "--delta", "1", "--n", "4", "--p", "0.3"]
 CORE_K3 = ["core", "--graph", GRAPH, "--pattern", "clique:3", "--epsilon", "0.5", "--p", "0.5"]
@@ -456,6 +469,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         CORE_K3[:-1] + ["1e-300", "--delta", "1", "--n", "4"],
         ["meanfield", "--r", "2", "--n", "1000000", "--p", "1e-300", "--delta", "1",
          "--epsilon", "0.5"],
+        ["count", "--pattern", "path:13", "--graph", P14],
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -482,7 +496,7 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "poisson-p-0-n-0", "poisson-p-0-seed-negative", "poisson-p-0-samples-negative",
          "detect-highdeg-n-negative", "detect-highdeg-p-2", "detect-highdeg-p-negative",
          "conditioned-highdeg-nan", "conditioned-highdeg-inf", "rate-edgeless", "meanfield-n-0",
-         "core-scale-underflow", "meanfield-target-underflow"],
+         "core-scale-underflow", "meanfield-target-underflow", "count-above-chain-cap"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, tmp_path, argv):
     graph = tmp_path / "g.txt"
@@ -497,8 +511,10 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, argv):
     no_equals.write_text("threads 2\n")
     typo = tmp_path / "typo.conf"
     typo.write_text("sampels = 10\n")
+    p14 = tmp_path / "p14.txt"
+    p14.write_text("n 14\n" + "\n".join(f"{v} {v + 1}" for v in range(13)))
     files = {GRAPH: graph, CONFIG: config, BAD_HEADER: bad_header,
-             NOT_UTF8: not_utf8, NO_EQUALS: no_equals, TYPO: typo}
+             NOT_UTF8: not_utf8, NO_EQUALS: no_equals, TYPO: typo, P14: p14}
     threads_key = CONFIG in argv
     argv = [str(files.get(arg, arg)) for arg in argv]
     code = main(argv)
@@ -510,7 +526,7 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, argv):
         assert captured.err.startswith("error: unknown config key 'threads'")
     if "1e308" in argv:
         assert "delta = 1e+308" in captured.err
-    if "star:99" in argv or "star:40" in argv:
+    if "star:99" in argv or "star:40" in argv or "path:13" in argv:
         assert captured.err == "error: pattern too large\n"
     if "1e-300" in argv:  # a float that underflows is refused by the input that caused it
         assert "underflows to 0.0" in captured.err and "p=1e-300" in captured.err

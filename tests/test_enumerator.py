@@ -814,6 +814,41 @@ def test_patterns_above_the_cap_are_counted_without_rank_conditions():
         count_labelled(pattern, host, nodes - 1)
 
 
+def test_dominating_neighbours_are_met_through_lower_rows():
+    # One rule per position: a dominating vertex that is a pattern neighbour
+    # of the position is met through its lower row, never by the rank filter.
+    for pattern in connected_patterns_upto(6):
+        steps = _plan(pattern, _order(pattern, ()), 0, True)[0]
+        for v, _, _, _, _, bound in steps:
+            assert not set(bound) & set(pattern.neighbors(v)), (sorted(pattern.edges), v)
+
+
+def test_twin_level_above_the_cap_is_summed_without_rank_conditions():
+    # K_{2,11} has 13 vertices: its free plan has a twin level and no rank
+    # conditions, so the codegree sum runs with no dominating vertex.
+    pattern = biclique(2, 11)
+    assert pattern.vertex_count > PATTERN_VERTEX_CAP
+    plan = _plan(pattern, _order(pattern, ()), 0, True)
+    assert plan[4] and plan[5] == 1
+    # Three hubs of degree 11 in 22 vertices, with codegrees 6, 7 and 8: no
+    # copy, but the levels before the last are charged.
+    rng = random.Random(2)
+    edges = {(h, 3 + w) for h in range(3) for w in rng.sample(range(22), 11)}
+    edges |= {(3 + a, 3 + b) for a, b in itertools.combinations(range(22), 2) if rng.random() < 0.1}
+    host = HostGraph(25, sorted(edges))
+    want, nodes = oracle(lambda b: oracle_count(pattern, host, b, ranked=False))
+    assert nodes > 100_000
+    assert count_labelled(pattern, host) == want
+    assert count_labelled(pattern, host, nodes) == want
+    with pytest.raises(ResourceBudgetError):
+        count_labelled(pattern, host, nodes - 1)
+    # K_{2,12} with a few chords among its twelve: only the two hubs have
+    # codegree 11 or more, so the count is 2 (12)_11, summed, not listed.
+    host = HostGraph(14, [(h, v) for h in (0, 1) for v in range(2, 14)]
+                     + [(2, 3), (3, 4), (5, 9), (7, 13)])
+    assert count_labelled(pattern, host, 10**10) == 2 * math.perm(12, 11)
+
+
 def test_automorphism_count_runs_at_most_one_search_per_vertex_pair(monkeypatch):
     searches = []
 

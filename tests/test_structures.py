@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 
@@ -123,12 +124,36 @@ def test_detect_tilde_hub_examples():
 
 
 def test_detect_tilde_hub_reversed_thresholds():
-    # extra threshold above the hub threshold: the reservation path
+    # extra threshold above the hub threshold: the top vertex is the extra one
     host = HostGraph(6, [(0, v) for v in range(1, 6)] + [(1, 2), (1, 3), (2, 3)])
     verdict = detect_tilde_hub(host, 2, 2, 5)
     assert verdict.found == YES
     hub_set, extra = verdict.witness
     assert extra == 0 and 0 not in hub_set
+
+
+def test_detect_tilde_hub_matches_brute_force():
+    # Every (U, x) is tried: a YES must hold a valid witness, a NO must have
+    # none, over every hub size and thresholds around each degree.
+    rng = random.Random(41)
+    hosts = [HostGraph(n, [e for e in itertools.combinations(range(n), 2)
+                           if rng.random() < q])
+             for n in range(1, 7) for q in (0.2, 0.5, 0.8)]
+    for host in hosts:
+        n, degs = host.vertex_count, host.degrees()
+        thresholds = sorted(set(degs) | {-1, 0.5, 2.5, 9})
+        for k, a, b in itertools.product(range(n + 2), thresholds, thresholds):
+            exists = any(degs[x] >= b and all(degs[v] >= a for v in hub)
+                         for hub in itertools.combinations(range(n), k)
+                         for x in range(n) if x not in hub)
+            verdict = detect_tilde_hub(host, k, a, b)
+            assert (verdict.found == YES) == exists, (host.edges(), k, a, b)
+            if exists:
+                hub, x = verdict.witness
+                assert len(set(hub)) == k and x not in hub
+                assert degs[x] >= b and all(degs[v] >= a for v in hub)
+            else:
+                assert verdict.found == NO and verdict.witness is None
 
 
 def test_prune_example_pendant():
