@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -124,6 +125,15 @@ def _parse_number(name: str, kind, text: str):
         return kind(text)
     except ValueError:
         raise ValidationError(f"{name} must be a {kind.__name__}, got {text!r}") from None
+
+
+def _probability(text: str) -> float:
+    """A ``--p`` value as a float.  A non-zero number below the smallest
+    positive float would read as 0.0 and run at p = 0, so it is refused."""
+    value = float(text)
+    if value == 0.0 and Decimal(text.strip()) != 0:
+        raise ValidationError(f"--p {text!r} underflows to 0.0: p is too small for a float")
+    return value
 
 
 def _parse_edge(text: str, host: HostGraph) -> tuple[int, int]:
@@ -401,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
+    sp.add_argument("--p", type=_probability)
     sp.add_argument("--rho", type=float)
     sp.add_argument("--slack", type=float, default=1.0)
 
@@ -424,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u-degree-threshold", type=float)
     sp.add_argument("--extra-degree-threshold", type=float)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
+    sp.add_argument("--p", type=_probability)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--r", type=int)
 
@@ -434,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_probability, required=True)
     sp.add_argument("--strong", action="store_true")
     sp.add_argument("--star", action="store_true", help="use the star-specialized threshold")
     sp.add_argument("--c-bar", type=float)
@@ -444,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("meanfield", help="variational upper bound for star tails")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_probability, required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--literal-reading", action="store_true")
@@ -452,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tail", help="tail probability estimation")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_probability, required=True)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--threshold", type=int)
     sp.add_argument("--method", default="direct", choices=["exact", "direct", "importance"])
@@ -466,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=["poisson-fit", "conditioned"])
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_probability, required=True)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--detector", help="highdeg[:threshold]")
     sp.add_argument("--samples", type=int)
@@ -509,8 +519,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     started = time.perf_counter()
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # a --p that underflows raises in here
         config = _load_config(args.config) if args.config else {}
         _apply_defaults(args, config)
         return _HANDLERS[args.command](args, started)

@@ -12,7 +12,10 @@ trailing run of pairwise non-adjacent vertices is counted from pool sizes
 rather than listed, at the same node charge: star centres are listed once
 and their arms counted as falling factorials of the degree.  The vertex
 just before the run and the run are counted in one loop per image of the
-vertex before them, charged once per image.  When the vertex two before
+vertex before them, charged once per image; an image where that vertex has
+no fitting candidate is charged its listed candidates and skipped, and each
+pool excludes only the placed images it can hold, those of the placed
+vertices that are not its back-neighbours.  When the vertex two before
 that run is a twin of every run vertex (unpinned C4 and K_{2,t}), its level
 is summed from codegrees: C4 copies are sum c(u,w)_2 and K_{2,t} copies sum
 c(u,w)_t over the codegrees c(u,w) = |N(u) & N(w)|, only over the w with
@@ -32,8 +35,10 @@ of its steps, that the vertex at the step outrank the other members of its
 orbit, rank being (degree, label) in the host.  The count is taken the
 product of the prefix's orbit sizes: six for K3, four for C4, two for P4.
 A dominating vertex that is a pattern neighbour of the position is met
-through its row of lower-ranked neighbours, any other filters the
-candidates by rank.  The prefix is the longest one the search can enforce,
+through its row of lower-ranked neighbours, built only for the host
+vertices of a degree such an image can have, any other filters the
+candidates by rank; the twin level reads each neighbour row in rank order,
+cut at its limit.  The prefix is the longest one the search can enforce,
 never between two counted run vertices or from the twin level onto its
 run.  Fewer maps are listed, so free counts charge fewer nodes; pinned
 starts, leaf actions and patterns too large for the chain's orbit searches
@@ -47,8 +52,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import ResourceBudgetError, ValidationError, _check_range
@@ -84,11 +90,15 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, ranked: bo
     rows, other placed vertices, degree, back-neighbours met through lower
     rows, other dominating vertices), and the counted trailing run.  The run
     is the longest pairwise non-adjacent tail, shortened to two vertices
-    unless all of it shares its back-neighbours.  The plan holds where the
-    run begins, the vertices placed before it but for the one just before
-    it, and for its first two vertices their other back-neighbours through
-    full and through lower rows, and ``dep``: 0 when that one is not among
-    their back-neighbours, else 1 for its full row and 2 for its lower row.
+    unless all of it shares its back-neighbours; the split vertex s is the
+    one just before it.  The plan holds where the run begins and, for the
+    run's first two vertices (its heads), their back-neighbours other than
+    s through full and through lower rows, ``dep`` (0 when s is not among
+    their back-neighbours, else 1 for its full row and 2 for its lower row)
+    and the placed vertices other than s that are not back-neighbours: the
+    only placed vertices whose images their pools can hold, so the only ones
+    they exclude, as s excludes its own other placed vertices.  ``both`` are
+    those the two heads share, the exclusions of the pools' intersection.
 
     ``twin`` marks the position p two before the run when p is a twin of
     every run vertex: the position s between them has p as its only placed
@@ -131,9 +141,11 @@ def _plan(pattern: PatternGraph, order: tuple[int, ...], pinned: int, ranked: bo
          tuple(u for u in back if u in rank), tuple(u for u in rank if u not in back))
         for (v, back, others, need), rank in zip(steps, ranks))
     heads = tuple((tuple(u for u in back if u != split), tuple(u for u in low if u != split),
-                   (split in back) + 2 * (split in low))
+                   (split in back) + 2 * (split in low),
+                   tuple(u for u in before if u not in back + low))
                   for _, back, _, _, low, _ in steps[run : run + 2])
-    return steps, run, before, heads, twin, factor
+    both = tuple(u for u in heads[0][3] if u in heads[-1][3]) if heads else ()
+    return steps, run, both, heads, twin, factor
 
 
 def _ranks(pattern: PatternGraph, steps: list, run: int, twin: bool):
@@ -169,6 +181,22 @@ def _ranks(pattern: PatternGraph, steps: list, run: int, twin: bool):
             ranks[j].append(orbit[0])
         factor *= len(orbit)
     return factor, [tuple(rank) for rank in ranks]
+
+
+def _lower_rows(rows: list, key: list, least: int) -> list:
+    """Each host vertex's row of lower-ranked neighbours, for the vertices
+    of degree at least ``least``, the least degree of a pattern vertex met
+    through its lower row: an image of it has that degree at least.  The
+    rest, which no image reads, stay None.  One pass over the vertices in
+    rank order, lowest first; the lower-degree ones are only marked."""
+    n = len(rows)
+    lower, order = [None] * n, sorted(key)
+    first = bisect_left(order, least * n)
+    below, empty = set(map(n.__rmod__, order[:first])), frozenset()
+    for w in map(n.__rmod__, order[first:]):
+        lower[w] = rows[w] & below or empty  # one object for every empty row
+        below.add(w)
+    return lower
 
 
 class _Budget:
@@ -263,7 +291,9 @@ def _embed(
     ranked plan (see ``_ranks``): a dominating back-neighbour is met
     through its lower row, any other dominating vertex filters the
     candidates by rank before they are charged, and the count is taken the
-    plan's ``factor`` times.
+    plan's ``factor`` times.  Lower rows are built, in one pass over the
+    host in rank order, only for the vertices whose degree lets them be an
+    image of a pattern vertex met through its lower row (``_lower_rows``).
 
     Without ``leaf`` the plan's trailing run of pairwise non-adjacent
     vertices is counted rather than listed.  Every pattern neighbour of a run
@@ -274,9 +304,12 @@ def _embed(
     before s (once, for no image, when s or the run begins the search): per
     image it lists and degree-checks s's candidates, sums over them the
     injective maps of the run into its pools, and charges in one sum the
-    nodes listing would cost.  The budget raises exactly when the running
-    total passes its limit, so charging an image in one sum fails where
-    listing it would, after at most that image's nodes more.
+    nodes listing would cost.  An image where no candidate of s fits is
+    charged its listed candidates and left before any run arithmetic, and
+    each pool excludes only the placed images it can hold (see ``_plan``).
+    The budget raises exactly when the running total passes its limit, so
+    charging an image in one sum fails where listing it would, after at
+    most that image's nodes more.
 
     When the plan marks a twin level, the position p two before the run has
     the run vertices' neighbours: the back-neighbours B of p and the split
@@ -287,12 +320,14 @@ def _embed(
     of size C[x] - 1, and x is reached from C[x] images of p.  Every term
     has the factor C[x] - 1, so only the reached x with C[x] >= 2 are
     summed.  Any twin level builds the rank key, ranked plan or not: an x
-    is kept when it ranks below the images of s's dominating vertices.
+    is kept when it ranks below the images of s's dominating vertices, so
+    each image of p reads its neighbours from its row of keys in rank order,
+    cut at that limit.
     """
     rows = host.adjacency_rows()
     n_host = host.vertex_count
     images = [0] * pattern.vertex_count
-    key = lower = None
+    key = lower = sorted_keys = None
 
     def meet(back, low=()):
         """The host vertices adjacent to the images of ``back``, and of lower
@@ -348,43 +383,47 @@ def _embed(
         and of rank below the images of s's dominating vertices (with none,
         the limit n_host^2 is above every key), is reached from
         C[x] = |N(x) & fits| of them; each leaves the run a pool of
-        C[x] - 1, so x adds (C[x])_{k+1} maps for a run of k, and only x
-        with C[x] >= 2 add maps or nodes."""
+        C[x] - 1, so x adds (C[x])_{k+1} maps for a run of k.  Each fit's
+        neighbours are read from its row of keys in rank order, cut at the
+        limit: the nodes of s are the cut lengths less the reach of B's
+        images, and only the reached keys with C[x] >= 2 are walked, x's
+        key (degree times n_host plus x) telling its degree."""
         _, _, shared, need, _, bound = steps[run - 1]  # s's other placed vertices are B
-        reach = Counter(itertools.chain.from_iterable(map(rows.__getitem__, fits)))
-        for u in shared:
-            reach.pop(images[u], None)
         limit = min(map(key.__getitem__, map(images.__getitem__, bound)), default=n_host * n_host)
-        nodes, several = 0, []
-        for x, c in reach.items():
-            if key[x] < limit:
-                nodes += c
-                if c > 1:
-                    several.append(x)
-        closing = Counter([reach[x] for x in several if len(rows[x]) >= need])
+        keys = list(map(sorted_keys.__getitem__, fits))
+        tops = list(map(bisect_left, keys, itertools.repeat(limit)))
+        reach = Counter(itertools.chain.from_iterable(map(itertools.islice, keys, tops)))
+        nodes = sum(tops)
+        for u in shared:
+            nodes -= reach.pop(key[images[u]], 0)
+        floor = need * n_host  # the keys of degree at least need
         count = 0
-        for c, m in closing.items():
-            m *= c
-            for j in range(1, len(steps) - run + 1):
-                m *= c - j
-                nodes += m
-            count += m
+        for x, c in itertools.compress(reach.items(), map((1).__lt__, reach.values())):
+            if x >= floor:
+                m = c
+                for j in range(1, len(steps) - run + 1):
+                    m *= c - j
+                    nodes += m
+                count += m
         budget.spend(nodes)
         return count
 
-    def sizes(base, R, taken, fits):
+    def sizes(base, R, excluded, fits):
         """|Q| for each image w in ``fits`` of the split vertex: w's row
         within ``base`` when the pool depends on w, ``R`` their full or
-        lower rows, else (``R`` None) ``base`` less w; outside ``taken``
-        either way, and None for ``base`` is every vertex."""
-        if base is not None and taken:
-            base = base - taken
-        if R is not None:
-            if base is None:
-                return map(sub, map(len, R), map(len, map(taken.intersection, R)))
-            return map(len, map(base.intersection, R))
+        lower rows, else (``R`` None) ``base`` less w; less the images of
+        ``excluded`` either way, and None for ``base`` is every vertex."""
         if base is None:
-            return itertools.repeat(n_host - len(taken) - (run > 0), len(fits))
+            if R is None:
+                return itertools.repeat(n_host - len(excluded) - (run > 0), len(fits))
+            if excluded:
+                taken = set(map(images.__getitem__, excluded))
+                return map(sub, map(len, R), map(len, map(taken.intersection, R)))
+            return map(len, R)
+        if excluded:
+            base = base.difference(map(images.__getitem__, excluded))
+        if R is not None:
+            return map(len, map(base.intersection, R))
         return map(sub, itertools.repeat(len(base), len(fits)), map(base.__contains__, fits))
 
     def counted(parent, parents: list) -> int:
@@ -393,51 +432,60 @@ def _embed(
         before s (None with the one image None when s is the first vertex
         searched; with ``run`` 0 there is no s either).  For each image s's
         candidates are listed, rank-filtered and degree-checked, in any
-        order, and the injective maps of the run into its pools summed over
-        the fits of s: one run vertex gives |Q|, two give |Q1||Q2| -
-        |Q1 & Q2|, and more share one pool and give the falling factorial
-        (|Q|)_k.  A run vertex's pool meets s's full or lower row as its
-        ``dep`` says, and both pools meet the lower one when either does.
-        Each image is charged in one sum: s's candidates and the maps of
-        every leading part of the run."""
+        order; an image where none fits is charged the listed candidates
+        and left.  Otherwise the injective maps of the run into its pools
+        are summed over the fits of s: one run vertex gives |Q|, two give
+        |Q1||Q2| - |Q1 & Q2|, and more share one pool and give the falling
+        factorial (|Q|)_k.  A run vertex's pool meets s's full or lower row
+        as its ``dep`` says, and both pools meet the lower one when either
+        does.  Each pool excludes only the images of the placed vertices it
+        can hold, its other placed vertices but s (the plan's heads), and
+        Q1 & Q2 those that neither head has as a back-neighbour.  Each
+        image is charged in one sum: s's candidates and the maps of every
+        leading part of the run."""
         k = len(steps) - run
-        (a_rest, a_low, a_dep), (b_rest, b_low, b_dep) = heads[0], heads[-1]
+        (a_rest, a_low, a_dep, a_out), (b_rest, b_low, b_dep, b_out) = heads[0], heads[-1]
         both_dep = a_dep if a_dep > b_dep else b_dep
         full_rows, lower_rows = 1 in (a_dep, b_dep), 2 in (a_dep, b_dep)
         if run:
-            _, back, _, need, low, bound = steps[run - 1]
+            _, back, others, need, low, bound = steps[run - 1]
         else:
             fits, tables, listed = [None], (None,), 0
         total = 0
         for w0 in parents:
             if parent is not None:
                 images[parent] = w0
-            taken = set(map(images.__getitem__, before))
             if run:
                 pool = meet(back, low)
                 if pool is None:  # no placed neighbour: every free vertex
+                    taken = set(map(images.__getitem__, others))
                     candidates = [w for w in range(n_host) if w not in taken]
+                elif others:
+                    candidates = pool.difference(map(images.__getitem__, others))
                 else:
-                    candidates = pool - taken
+                    candidates = pool
                 if bound:
                     candidates = ranked(candidates, bound)
                 listed = len(candidates)
                 fits = [w for w in candidates if len(rows[w]) >= need]
+                if not fits:
+                    budget.spend(listed)
+                    continue
                 tables = (None, full_rows and list(map(rows.__getitem__, fits)),
                           lower_rows and list(map(lower.__getitem__, fits)))
             a = meet(a_rest, a_low)
             if k == 1:
-                count = nodes = sum(sizes(a, tables[a_dep], taken, fits))
+                count = nodes = sum(sizes(a, tables[a_dep], a_out, fits))
             elif k == 2:
                 b = meet(b_rest, b_low)
-                first = list(sizes(a, tables[a_dep], taken, fits))
+                first = list(sizes(a, tables[a_dep], a_out, fits))
                 both = a if b is None else b if a is None else a & b
-                count = (sum(map(mul, first, sizes(b, tables[b_dep], taken, fits)))
-                         - sum(sizes(both, tables[both_dep], taken, fits)))
+                count = (sum(map(mul, first, sizes(b, tables[b_dep], b_out, fits)))
+                         - sum(sizes(both, tables[both_dep], both_out, fits)))
                 nodes = sum(first) + count
             else:
                 count = nodes = 0
-                for q, m in Counter(sizes(a, tables[a_dep], taken, fits)).items():
+                for q, m in Counter(sizes(a, tables[a_dep], a_out, fits)).items():
                     for j in range(k):
                         m *= q - j
                         nodes += m
@@ -451,17 +499,18 @@ def _embed(
         for order, pinned_images, size in starts:
             for v, w in pinned_images.items():
                 images[v] = w
-            steps, run, before, heads, twin, factor = _plan(
+            steps, run, both_out, heads, twin, factor = _plan(
                 pattern, tuple(order), len(pinned_images), leaf is None and not pinned_images)
             if leaf is not None:  # list every position
                 run, twin = len(steps) + 1, False
             if factor > 1 or twin:  # rank by (degree, label), as the host is now
-                key = [len(row) * n_host + w for w, row in enumerate(rows)]
-                if any(step[4] for step in steps):  # each row met with the lower-ranked
-                    lower, below, empty = [None] * n_host, set(), frozenset()
-                    for w in sorted(range(n_host), key=key.__getitem__):
-                        lower[w] = rows[w] & below or empty  # one object for every empty row
-                        below.add(w)
+                key = list(map(add, map(n_host.__mul__, map(len, rows)), range(n_host)))
+                met_low = [pattern.degree(u) for step in steps for u in step[4]]
+                if met_low:
+                    lower = _lower_rows(rows, key, min(met_low))
+                if twin:  # each row's keys in rank order
+                    sorted_keys = list(map(sorted, map(map, itertools.repeat(key.__getitem__),
+                                                       rows)))
             remaining = budget.remaining
             if not steps:  # every vertex pinned
                 found = 1

@@ -518,7 +518,9 @@ def estimate_tail_importance(
 
 
 def threshold_for(delta: float, pattern: PatternGraph, n: int, p: float) -> int:
-    """ceil((1 + delta) n^v p^e): the tail threshold as an explicit count."""
+    """ceil((1 + delta) n^v p^e): the tail threshold as an explicit count.
+    For p > 0 and n > 0 the exact product is positive, so its ceiling is at
+    least 1 also where the float product underflows to 0."""
     _check_range("delta", delta, "[0, inf)")
     _check_range("p", p, "[0, 1]")
     try:
@@ -527,7 +529,10 @@ def threshold_for(delta: float, pattern: PatternGraph, n: int, p: float) -> int:
         count = math.inf
     if not math.isfinite(count):
         raise ValidationError(f"the threshold (1 + delta) n^v p^e is not finite at delta = {delta!r}")
-    return math.ceil(count)
+    threshold = math.ceil(count)
+    if threshold == 0 and p > 0 and n > 0:  # the float product underflowed
+        return 1
+    return threshold
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,22 @@ def test_tail_exact(capsys):
     assert payload["result"]["point"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_tail_threshold_of_an_underflowed_product_is_one(capsys):
+    # (1 + delta) n^3 p^2 underflows to 0.0 at p = 1e-200, but it is
+    # positive, so at least one copy is needed: no draw at that p has one.
+    code, payload = run_cli(capsys, "tail", "--pattern", "star:2", "--n", "10", "--p", "1e-200",
+                            "--delta", "1", "--samples", "10")
+    assert code == 0
+    assert payload["inputs"]["threshold"] == 1
+    assert payload["result"]["point"] == 0.0
+    # p = 0 written as zero still runs at p = 0, where 0 copies meet threshold 0.
+    code, payload = run_cli(capsys, "tail", "--pattern", "star:2", "--n", "10", "--p", "0e-400",
+                            "--delta", "1", "--samples", "10")
+    assert code == 0
+    assert (payload["inputs"]["p"], payload["inputs"]["threshold"]) == (0.0, 0)
+    assert payload["result"]["point"] == 1.0
+
+
 def test_importance_at_one_vertex(capsys):
     # One vertex has no pairs, so the proposal has no probabilities and
     # every weight is 1.
@@ -470,6 +486,8 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
         ["meanfield", "--r", "2", "--n", "1000000", "--p", "1e-300", "--delta", "1",
          "--epsilon", "0.5"],
         ["count", "--pattern", "path:13", "--graph", P14],
+        ["tail", "--pattern", "star:2", "--n", "10", "--p", "1e-400", "--delta", "1",
+         "--samples", "10"],
     ],
     ids=["replicas-0", "planting-hub-x", "importance-samples-0", "poisson-samples-0",
          "poisson-seed-negative", "direct-seed-negative", "edge-one-vertex",
@@ -496,7 +514,8 @@ IMPORTANCE = ["tail", "--pattern", "star:2", "--n", "5", "--p", "0.3", "--thresh
          "poisson-p-0-n-0", "poisson-p-0-seed-negative", "poisson-p-0-samples-negative",
          "detect-highdeg-n-negative", "detect-highdeg-p-2", "detect-highdeg-p-negative",
          "conditioned-highdeg-nan", "conditioned-highdeg-inf", "rate-edgeless", "meanfield-n-0",
-         "core-scale-underflow", "meanfield-target-underflow", "count-above-chain-cap"],
+         "core-scale-underflow", "meanfield-target-underflow", "count-above-chain-cap",
+         "tail-p-underflow"],
 )
 def test_bad_values_exit_2_without_traceback(capsys, tmp_path, argv):
     graph = tmp_path / "g.txt"
@@ -530,6 +549,8 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, argv):
         assert captured.err == "error: pattern too large\n"
     if "1e-300" in argv:  # a float that underflows is refused by the input that caused it
         assert "underflows to 0.0" in captured.err and "p=1e-300" in captured.err
+    if "1e-400" in argv:  # below the smallest positive float: refused, not read as 0.0
+        assert captured.err == "error: --p '1e-400' underflows to 0.0: p is too small for a float\n"
     if HUGE_N in argv:
         assert captured.err.startswith("error: an input overflowed float arithmetic")
     if argv[0] == "meanfield" and "--n=0" in argv:

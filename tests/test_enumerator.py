@@ -587,6 +587,49 @@ def test_budget_is_charged_once_per_parent_image(charges, name):
         count_labelled(pattern, host, nodes - 1)
 
 
+# Shaped like the sets host of the host_count benchmark, G(n, 1.15 n): most
+# vertices have degree 1 to 3, so about 40 % of the images of P4's first
+# vertex have no lower-ranked neighbour of degree 2 or more, no fit for the
+# split vertex.
+SETS_SHAPE = _gnm(3000, 3450, 33)
+
+
+@pytest.mark.parametrize("name", ["path:4", "path:5", "clique:3", "paw", "bull", "cycle:4",
+                                  "biclique:2,3"])
+def test_counts_on_the_sets_host_shape_match_oracle(spent, name):
+    pattern, host = PATTERNS[name], SETS_SHAPE
+    got = count_labelled(pattern, host)
+    assert (got, spent()) == oracle(lambda b: oracle_count(pattern, host, b))
+    assert got == unranked(pattern, host)
+    for e in random.Random(name).sample(host.edges(), 40):
+        got = count_labelled_using_edge(pattern, host, e)
+        assert (got, spent()) == oracle(lambda b: oracle_count_using_edge(pattern, host, e, b))
+
+
+def test_images_without_fits_are_charged_once_each(charges):
+    # P4's free order is (1, 2, 0, 3): the split vertex 2 is met through the
+    # lower row of vertex 1's image.  One charge for the first level, one
+    # per image of vertex 1 in label order, and the empty class charge; an
+    # image whose lower row holds no vertex of degree 2 is charged its
+    # listed candidates, that row, and nothing for the run.
+    pattern, host = PATTERNS["path:4"], SETS_SHAPE
+    assert _order(pattern, ()) == (1, 2, 0, 3)
+    counting._stabilizer_chain(pattern)
+    charges.clear()
+    count_labelled(pattern, host)
+    amounts = charges.pop().amounts
+    rows, degrees = host.adjacency_rows(), host.degrees()
+    images = [w for w in range(host.vertex_count) if degrees[w] >= 2]
+    assert len(amounts) == 1 + len(images) + 1
+    bare = 0
+    for w, amount in zip(images, amounts[1:-1]):
+        lower = [x for x in rows[w] if _rank(host, x) < _rank(host, w)]
+        if all(degrees[x] < 2 for x in lower):
+            bare += 1
+            assert amount == len(lower)
+    assert 0.35 * len(images) < bare < 0.45 * len(images)
+
+
 def _twin(pattern, first=()):
     """Whether the start's plan sums its twin level from codegrees."""
     return _plan(pattern, _order(pattern, tuple(first)), len(first))[4]

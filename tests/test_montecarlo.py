@@ -152,6 +152,12 @@ def test_importance_validation():
 def test_threshold_for():
     assert threshold_for(3.0, star(2), 40, 0.05) == math.ceil(4 * 40**3 * 0.05**2)
     assert threshold_for(0.0, EDGE, 10, 0.5) == math.ceil(100 * 0.5)
+    # The tail_estimators threshold, and a product that underflows to 0.0
+    # though it is positive: its ceiling is 1.  At p = 0 or n = 0 it is 0.
+    assert threshold_for(1, star(2), 40, 0.05) == 321
+    assert 1 * 10**3 * 1e-200**2 == 0.0
+    assert threshold_for(1, star(2), 10, 1e-200) == 1
+    assert threshold_for(1, star(2), 10, 0.0) == threshold_for(1, star(2), 0, 0.5) == 0
     # A product beyond the float range is refused, whether delta or n^v
     # takes it there.
     for delta, n in [(1e308, 40), (1.0, 10**200), (1e308, 10**200)]:
